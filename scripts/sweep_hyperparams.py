@@ -36,9 +36,7 @@ def train_and_score(cfg: RunConfig):
     evals = cfg.eval_samples()
     profile = cfg.profile()
     params = cfg.params()
-    report = solve(
-        train, profile, params, cfg.ambiguity_for(train.n), cfg.bcd_config(), cfg.inner_config()
-    )
+    report = solve(train, profile, params, cfg.ambiguity_for(train.n), cfg.bcd_config())
     teleop = [
         (m, eval_teleop_utility(report.menu, shift_samples(evals, m), profile, params))
         for m in cfg.shift_magnitudes

@@ -77,12 +77,12 @@ from .evaluation import (
 )
 from .inner import (
     InnerSolution,
-    InnerSolverConfig,
     f_n,
     g_of_L,
+    inner_minima,
     s_value,
     solve_inner,
-    solve_xi_p,
+    weighted_log,
 )
 from .seeding import rng_for
 

@@ -1,11 +1,12 @@
 """Block-coordinate ascent over the slack, latency, and multiplier blocks.
 
-Each iteration (1) refreshes the per-sample inner minimizers, (2) takes a
-fixed-step approximate-gradient ascent step on the latency vector and
-projects it back onto the nondecreasing cone by weighted pool-adjacent-
-violators ironing, (3) takes a projected gradient step on the multiplier,
-and (4) re-evaluates the objective.  The loop stops when consecutive
-objective values differ by at most the convergence threshold.
+Each iteration (1) takes a fixed-step approximate-gradient ascent step on
+the latency vector and projects it back onto the nondecreasing cone by
+weighted pool-adjacent-violators ironing, (2) takes a projected gradient
+step on the multiplier, both at the per-sample inner minimizers of the
+current point, and (3) evaluates the objective at the new point, which also
+yields the inner minimizers for the next iteration.  The loop stops when
+consecutive objective values differ by at most the convergence threshold.
 
 The latency gradient deliberately treats the inner minimizers as constants,
 so per-step objective improvement is not guaranteed and is not asserted;
@@ -15,14 +16,15 @@ in practice the trajectory climbs monotonically on the tested instances.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguity import AmbiguityConfig, QualitySampleSet
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
-from .errors import NonPositiveDenominator, SizeMismatch, ValidationError
-from .inner import InnerSolverConfig, _weighted_log, g_of_L, solve_inner
+from .errors import NonPositiveDenominator, NumericError, SizeMismatch, ValidationError
+from .inner import g_of_L, inner_minima, weighted_log
 
 
 @dataclass(frozen=True)
@@ -103,34 +105,20 @@ def objective(
     ambiguity: AmbiguityConfig,
     profile: AspTypeProfile,
     params: UtilityParams,
-    inner_cfg: InnerSolverConfig,
 ):
     """Evaluate the robust objective at (latencies, lam).
 
-    Runs the inner solver for every anchor in ascending order, forms each
-    slack as the inner minimum net of the expected reward, and returns
+    Takes every anchor's inner minimum at once, forms each slack as the
+    inner minimum net of the expected reward, and returns
     (objective, xi_stars, s_values) with
     objective = -lam * epsilon + mean(s_values).
     """
-    if lam < 0.0:
-        raise ValidationError("lam must be >= 0")
-    anchors = _sample_values(samples)
-    alphas = profile.alphas.tolist()
-    g = g_of_L(latencies, alphas, profile.thetas.tolist(), params.gamma1)
-    lat = [float(x) for x in latencies]
-    n = anchors.size
-    xi_stars = np.empty(n)
-    s_values = np.empty(n)
-    s_bar = 0.0
-    for i in range(n):
-        sol = solve_inner(
-            lat, lam, float(anchors[i]), ambiguity.support, params, alphas, inner_cfg
-        )
-        s_i = sol.f_value - g
-        xi_stars[i] = sol.xi_star
-        s_values[i] = s_i
-        s_bar += s_i / n
-    return -lam * ambiguity.epsilon + s_bar, xi_stars, s_values
+    f_min, xi_stars = inner_minima(
+        latencies, lam, _sample_values(samples), ambiguity.support, params, profile.alphas
+    )
+    g = g_of_L(latencies, profile.alphas.tolist(), profile.thetas.tolist(), params.gamma1)
+    s_values = f_min - g
+    return -lam * ambiguity.epsilon + _mean_in_order(s_values), xi_stars, s_values
 
 
 def _pinned_objective(
@@ -145,17 +133,15 @@ def _pinned_objective(
     Used by the sample-average and worst-case baselines; the transport
     penalty vanishes because the evaluation point equals the anchor.
     """
-    alphas = profile.alphas.tolist()
-    g = g_of_L(latencies, alphas, profile.thetas.tolist(), params.gamma1)
-    g3l = [params.gamma3 * float(x) for x in latencies]
-    n = anchors.size
-    s_values = np.empty(n)
-    s_bar = 0.0
-    for i in range(n):
-        s_i = _weighted_log(float(anchors[i]), alphas, g3l, params.gamma2) - g
-        s_values[i] = s_i
-        s_bar += s_i / n
-    return s_bar, anchors.copy(), s_values
+    g = g_of_L(latencies, profile.alphas.tolist(), profile.thetas.tolist(), params.gamma1)
+    s_values = weighted_log(anchors, latencies, profile.alphas, params) - g
+    return _mean_in_order(s_values), anchors.copy(), s_values
+
+
+def _mean_in_order(values: np.ndarray) -> float:
+    """Mean accumulated sample by sample in order (a running sum of
+    value / n), so results do not depend on numpy's pairwise summation."""
+    return float(np.cumsum(values / values.size)[-1])
 
 
 def grad_L(xi_stars, latencies, profile: AspTypeProfile, params: UtilityParams) -> np.ndarray:
@@ -165,11 +151,13 @@ def grad_L(xi_stars, latencies, profile: AspTypeProfile, params: UtilityParams) 
     minus alpha_i*gamma1/theta_i.
     """
     xi = np.asarray(xi_stars, dtype=float)
-    lat = np.asarray(latencies, dtype=float)
-    denom = params.gamma2 * xi[:, None] + params.gamma3 * lat[None, :]
-    if np.any(denom <= 0.0):
-        raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
-    benefit = params.gamma3 * np.mean(1.0 / denom, axis=0)
+    inverse_sums = np.empty(len(latencies))
+    for i, lat_i in enumerate(np.asarray(latencies, dtype=float)):
+        denom = params.gamma2 * xi + params.gamma3 * lat_i
+        if np.any(denom <= 0.0):
+            raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
+        inverse_sums[i] = np.cumsum(1.0 / denom)[-1]  # in sample order
+    benefit = params.gamma3 * (inverse_sums / xi.size)
     return profile.alphas * (benefit - params.gamma1 / profile.thetas)
 
 
@@ -216,32 +204,41 @@ def iron_monotone(latencies, weights) -> np.ndarray:
 
 def bcd_step(
     state: BcdState,
-    samples,
+    anchors,
+    epsilon: float,
+    evaluate,
     profile: AspTypeProfile,
     params: UtilityParams,
-    ambiguity: AmbiguityConfig,
     bcd_cfg: BcdConfig,
-    inner_cfg: InnerSolverConfig,
 ) -> BcdState:
-    """One loop body: slack refresh, latency step + ironing, multiplier step,
-    objective re-evaluation."""
-    _, xi_stars, _ = objective(
-        state.latencies, state.lam, samples, ambiguity, profile, params, inner_cfg
-    )
-    new_lat = _latency_update(state.latencies, xi_stars, profile, params, bcd_cfg)
-    g_lam = grad_lambda(xi_stars, samples, ambiguity.epsilon)
-    new_lam = max(state.lam + bcd_cfg.eta_lambda * g_lam, 0.0)
-    omega, xi_new, s_new = objective(
-        new_lat, new_lam, samples, ambiguity, profile, params, inner_cfg
-    )
+    """One loop body: a latency step + ironing and a projected multiplier
+    step, both taken at the state's inner minimizers, then one objective
+    evaluation at the new point.
+
+    ``evaluate(lat, lam)`` returns (objective, xi_stars, s_values) and fixes
+    the inner rule.  Raises NumericError when the new iterate or its
+    objective is not finite, or the latencies decrease.
+    """
+    lat = _latency_update(state.latencies, state.xi_stars, profile, params, bcd_cfg)
+    g_lam = grad_lambda(state.xi_stars, anchors, epsilon)
+    lam = max(state.lam + bcd_cfg.eta_lambda * g_lam, 0.0)
+    if not math.isfinite(lam):  # lam >= 0 holds by the projection above
+        raise NumericError(f"multiplier iterate {lam!r} is not finite")
+    if np.any(np.diff(lat) < 0.0):
+        raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
+    omega, xi_stars, s_values = evaluate(lat, lam)
+    if not math.isfinite(omega):
+        raise NumericError(f"objective {omega!r} at lam={lam!r} is not finite")
     return BcdState(
-        latencies=new_lat, lam=new_lam, xi_stars=xi_new, s_values=s_new, objective=omega
+        latencies=lat, lam=lam, xi_stars=xi_stars, s_values=s_values, objective=omega
     )
 
 
 def _latency_update(latencies, xi_stars, profile, params, bcd_cfg) -> np.ndarray:
     g = grad_L(xi_stars, latencies, profile, params)
     stepped = np.asarray(latencies, dtype=float) + bcd_cfg.eta_L * g
+    if not np.all(np.isfinite(stepped)):
+        raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
     # zero-probability types get a tiny ironing weight so pooling stays defined
     weights = np.maximum(profile.alphas, 1e-12)
     ironed = iron_monotone(stepped, weights)
@@ -254,63 +251,52 @@ def solve(
     params: UtilityParams,
     ambiguity: AmbiguityConfig,
     bcd_cfg: BcdConfig = None,
-    inner_cfg: InnerSolverConfig = None,
 ) -> SolveReport:
     """Run the full block-coordinate loop and return the robust menu.
 
     Failing to converge within the iteration budget is reported, not raised.
     Identical inputs produce bitwise-identical traces.
     """
-    bcd_cfg = bcd_cfg or BcdConfig()
-    inner_cfg = inner_cfg or InnerSolverConfig()
-    inner_cfg.validate_for_diameter(ambiguity.support.diameter)
 
     def evaluate(lat, lam):
-        return objective(lat, lam, samples, ambiguity, profile, params, inner_cfg)
-
-    def refresh(lat, lam):
-        _, xi_stars, _ = evaluate(lat, lam)
-        return xi_stars
+        return objective(lat, lam, samples, ambiguity, profile, params)
 
     anchors = _sample_values(samples)
-    return _run_loop(
-        anchors, profile, params, bcd_cfg, evaluate, refresh, ambiguity.epsilon
-    )
+    bcd_cfg = bcd_cfg or BcdConfig()
+    return _run_loop(anchors, profile, params, bcd_cfg, evaluate, ambiguity.epsilon)
 
 
-def _run_loop(anchors, profile, params, bcd_cfg, evaluate, refresh, epsilon) -> SolveReport:
-    """Shared ascent engine; ``evaluate``/``refresh`` fix the inner rule."""
+def _run_loop(anchors, profile, params, bcd_cfg, evaluate, epsilon) -> SolveReport:
+    """Shared ascent engine; ``evaluate`` fixes the inner rule.  The
+    objective is evaluated once before the loop and once per iteration."""
     lat = bcd_cfg.initial_latencies(profile.n_types)
     lat = np.maximum(iron_monotone(lat, np.maximum(profile.alphas, 1e-12)), 0.0)
     lam = float(bcd_cfg.lambda_init)
+    omega, xi_stars, s_values = evaluate(lat, lam)
+    state = BcdState(latencies=lat, lam=lam, xi_stars=xi_stars, s_values=s_values, objective=omega)
 
     omega_star = -np.inf
     converged = False
     obj_trace, lam_trace, lat_trace = [], [], []
     for _ in range(bcd_cfg.max_iters):
-        xi_stars = refresh(lat, lam)
-        lat = _latency_update(lat, xi_stars, profile, params, bcd_cfg)
-        g_lam = grad_lambda(xi_stars, anchors, epsilon)
-        lam = max(lam + bcd_cfg.eta_lambda * g_lam, 0.0)
-        assert lam >= 0.0 and not np.any(np.diff(lat) < 0.0)
-        omega, _, _ = evaluate(lat, lam)
-        obj_trace.append(omega)
-        lam_trace.append(lam)
-        lat_trace.append(lat.copy())
-        if abs(omega_star - omega) <= bcd_cfg.conv_tol:
+        state = bcd_step(state, anchors, epsilon, evaluate, profile, params, bcd_cfg)
+        obj_trace.append(state.objective)
+        lam_trace.append(state.lam)
+        lat_trace.append(state.latencies.copy())
+        if abs(omega_star - state.objective) <= bcd_cfg.conv_tol:
             converged = True
             break
-        omega_star = omega
+        omega_star = state.objective
 
-    rewards = rewards_from_latencies(lat, profile, params.gamma1)
+    rewards = rewards_from_latencies(state.latencies, profile, params.gamma1)
     return SolveReport(
-        menu=ContractMenu(latencies=lat, rewards=rewards),
+        menu=ContractMenu(latencies=state.latencies, rewards=rewards),
         converged=converged,
         iterations_used=len(obj_trace),
         objective_trace=np.array(obj_trace),
         latency_trace=np.array(lat_trace),
         lambda_trace=np.array(lam_trace),
-        final_lambda=lam,
+        final_lambda=state.lam,
     )
 
 
@@ -321,16 +307,12 @@ def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     baselines: the multiplier gradient is identically zero, so the
     multiplier stays at its initial value.
     """
-    bcd_cfg = bcd_cfg or BcdConfig()
     anchors = _sample_values(anchors)
 
     def evaluate(lat, lam):
         return _pinned_objective(lat, lam, anchors, profile, params)
 
-    def refresh(lat, lam):
-        return anchors
-
-    return _run_loop(anchors, profile, params, bcd_cfg, evaluate, refresh, 0.0)
+    return _run_loop(anchors, profile, params, bcd_cfg or BcdConfig(), evaluate, 0.0)
 
 
 def write_trace_csv(report: SolveReport, path, method: str = None) -> None:

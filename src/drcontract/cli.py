@@ -127,7 +127,6 @@ def _solve_report(cfg: RunConfig, method: str):
             cfg.params(),
             cfg.ambiguity_for(train.n),
             cfg.bcd_config(),
-            cfg.inner_config(),
         ),
         train,
     )
@@ -187,7 +186,6 @@ def _cmd_bench(cfg: RunConfig, method: str, out: Path) -> None:
                 params=params,
                 ambiguity=ambiguity,
                 bcd_cfg=cfg.bcd_config(),
-                inner_cfg=cfg.inner_config(),
             )
         )
     write_metrics_csv(table, out / "metrics.csv")
@@ -201,9 +199,7 @@ def _cmd_oracle(cfg: RunConfig, method: str, out: Path) -> None:
     profile = cfg.profile()
     params = cfg.params()
     ambiguity = cfg.ambiguity_for(train.n)
-    report = train_method(
-        "dro", train, profile, params, ambiguity, cfg.bcd_config(), cfg.inner_config()
-    )
+    report = train_method("dro", train, profile, params, ambiguity, cfg.bcd_config())
     best_omega, best_lat = oracle_menu_search(
         profile,
         train,

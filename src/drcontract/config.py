@@ -24,7 +24,6 @@ from .ambiguity import AmbiguityConfig, QualitySampleSet, SupportInterval
 from .bcd import BcdConfig
 from .contracts import AspTypeProfile, UtilityParams
 from .errors import InvalidConfidence, ParseError, ValidationError
-from .inner import InnerSolverConfig
 from .seeding import rng_for
 
 DEFAULT_THETAS = (110.0, 140.0, 175.0, 200.0, 220.0, 235.0, 245.0, 250.0)
@@ -50,8 +49,6 @@ class RunConfig:
     eta_lambda: float = 1e-3
     lambda_init: float = 6.0
     l_init: float = 0.0
-    bisect_tol: float = 1e-8
-    max_bisect_iters: int = 64
     seed: int = 0
     shift_magnitudes: tuple = DEFAULT_SHIFTS
     extreme_counts: tuple = DEFAULT_EXTREME_COUNTS
@@ -71,7 +68,6 @@ class RunConfig:
         self.params()
         self.profile()
         self.bcd_config()
-        self.inner_config()
         if not 0.0 < self.tau < 1.0:
             raise InvalidConfidence(f"tau must lie in (0, 1), got {self.tau}")
         if self.n_train < 1 or self.n_eval < 1:
@@ -114,11 +110,6 @@ class RunConfig:
             eta_lambda=self.eta_lambda,
             L_init=self.l_init,
             lambda_init=self.lambda_init,
-        )
-
-    def inner_config(self) -> InnerSolverConfig:
-        return InnerSolverConfig(
-            bisect_tol=self.bisect_tol, max_bisect_iters=self.max_bisect_iters
         )
 
     def train_samples(self) -> QualitySampleSet:
@@ -175,7 +166,7 @@ def generate_quality_samples(
 
 _TUPLE_FLOAT_KEYS = {"thetas", "alphas", "shift_magnitudes"}
 _TUPLE_INT_KEYS = {"extreme_counts"}
-_INT_KEYS = {"n_train", "n_eval", "itr_max", "max_bisect_iters", "seed"}
+_INT_KEYS = {"n_train", "n_eval", "itr_max", "seed"}
 _STR_KEYS = {"train_csv", "eval_csv", "menu_csv"}
 
 

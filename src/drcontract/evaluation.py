@@ -22,18 +22,14 @@ from .ambiguity import (
 )
 from .baselines import solve_ro, solve_sp
 from .bcd import BcdConfig, SolveReport, solve
-from .contracts import (
-    AspTypeProfile,
-    ContractMenu,
-    UtilityParams,
-    expected_teleop_utility,
-)
+from .contracts import AspTypeProfile, ContractMenu, UtilityParams
 from .errors import (
     GridTooLarge,
     NonPositiveLogArgument,
+    SizeMismatch,
     ValidationError,
 )
-from .inner import InnerSolverConfig
+from .inner import weighted_log
 
 CANONICAL_METHODS = ("dro", "sp", "ro")
 
@@ -99,16 +95,19 @@ def eval_teleop_utility(
     profile: AspTypeProfile,
     params: UtilityParams,
 ) -> float:
-    """Mean over evaluation samples of the type-weighted operator utility."""
-    total = 0.0
-    for idx, xi in enumerate(eval_samples.samples):
-        try:
-            total += expected_teleop_utility(menu, profile, float(xi), params)
-        except NonPositiveLogArgument as exc:
-            raise NonPositiveLogArgument(
-                f"sample {idx} (xi={xi!r}): {exc}", sample_index=idx
-            ) from exc
-    return total / eval_samples.n
+    """Mean over evaluation samples of the type-weighted operator utility
+    ``sum_i alpha_i * (ln(gamma2*xi + gamma3*L_i) - R_i)``."""
+    if menu.n_types != profile.n_types:
+        raise SizeMismatch("menu and profile must have the same length")
+    xi = eval_samples.samples
+    try:
+        benefit = weighted_log(xi, menu.latencies, profile.alphas, params)
+    except NonPositiveLogArgument as exc:
+        idx = exc.sample_index
+        raise NonPositiveLogArgument(
+            f"sample {idx} (xi={float(xi[idx])!r}): {exc}", sample_index=idx
+        ) from exc
+    return float(np.mean(benefit)) - float(profile.alphas @ menu.rewards)
 
 
 def eval_asp_utilities(menu: ContractMenu, profile: AspTypeProfile, gamma1: float) -> np.ndarray:
@@ -123,11 +122,10 @@ def train_method(
     params: UtilityParams,
     ambiguity: AmbiguityConfig,
     bcd_cfg: BcdConfig = None,
-    inner_cfg: InnerSolverConfig = None,
 ) -> SolveReport:
     """Train one method on the given samples and return its report."""
     if method == "dro":
-        return solve(train_samples, profile, params, ambiguity, bcd_cfg, inner_cfg)
+        return solve(train_samples, profile, params, ambiguity, bcd_cfg)
     if method == "sp":
         return solve_sp(train_samples, profile, params, bcd_cfg)
     if method == "ro":
@@ -144,7 +142,6 @@ def run_benchmark(
     params: UtilityParams,
     ambiguity: AmbiguityConfig,
     bcd_cfg: BcdConfig = None,
-    inner_cfg: InnerSolverConfig = None,
 ) -> MetricsTable:
     """Train each requested method on (possibly contaminated) training data,
     then score it on the evaluation data at every shift magnitude.
@@ -163,9 +160,7 @@ def run_benchmark(
     for method in CANONICAL_METHODS:
         if method not in requested:
             continue
-        report = train_method(
-            method, contaminated, profile, params, ambiguity, bcd_cfg, inner_cfg
-        )
+        report = train_method(method, contaminated, profile, params, ambiguity, bcd_cfg)
         for magnitude in scenario.shift_magnitudes:
             shifted = shift_samples(scenario.eval_samples, magnitude)
             utility = eval_teleop_utility(report.menu, shifted, profile, params)
@@ -269,7 +264,7 @@ class _AffineInnerProfile:
     """
 
     def __init__(self, lat, anchors, profile, params, ambiguity):
-        g1, g2, g3 = params.gamma1, params.gamma2, params.gamma3
+        g1 = params.gamma1
         alphas, thetas = profile.alphas, profile.thetas
         lo, hi = ambiguity.support.lo, ambiguity.support.hi
         self.eps = ambiguity.epsilon
@@ -281,22 +276,16 @@ class _AffineInnerProfile:
         rewards = np.cumsum(g1 * increments / thetas[None, :], axis=1)
         self.g_of_rows = rewards @ alphas
 
-        def weighted_log(xi):
-            total = np.zeros(n_rows)
-            for i in range(lat.shape[1]):
-                total += alphas[i] * np.log(g2 * xi + g3 * lat[:, i])
-            return total
-
-        h_lo = weighted_log(lo)
-        h_hi = weighted_log(hi)
-        h_anchor = np.zeros((n_rows, n))
-        for i in range(lat.shape[1]):
-            h_anchor += alphas[i] * np.log(
-                g2 * anchors[None, :] + g3 * lat[:, i][:, None]
-            )
-
         in_sup = (anchors >= lo) & (anchors <= hi)
         above = anchors > hi
+
+        h_lo = weighted_log(lo, lat, alphas, params)
+        h_hi = weighted_log(hi, lat, alphas, params)
+        # anchors outside the support have no anchor branch; evaluating them
+        # at lo keeps every log argument in the support's positive range
+        h_anchor = weighted_log(
+            np.where(in_sup, anchors, lo)[None, :], lat[:, None, :], alphas, params
+        )
 
         # Two affine candidates (value A + lam * B) per (row, anchor):
         #   in support:    (h_anchor, 0)       and (h_lo, anchor - lo)

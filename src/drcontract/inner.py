@@ -1,26 +1,32 @@
-"""Per-sample inner minimization by candidate enumeration.
+"""Per-sample inner minimization in closed form.
 
 For a fixed latency vector and multiplier lam, the per-anchor inner function
 
-    f(xi) = sum_i alpha_i * ln(gamma2*xi + gamma3*L_i) + lam * |xi - anchor|
+    f(xi) = h(xi) + lam * |xi - anchor|,
+    h(xi) = sum_i alpha_i * ln(gamma2*xi + gamma3*L_i),
 
-is a strictly increasing concave log benefit plus a V-shaped transport
-penalty.  Its minimum over the support is always attained at one of at most
-four candidates: the support endpoints, the anchor itself (when it lies in
-the support), and the stationary point of the descending penalty branch.
-The stationary point solves
+is an increasing concave log benefit h plus a V-shaped transport penalty
+that is linear on each side of the anchor.  On each side f is therefore
+concave, and a concave function attains its minimum over an interval at an
+endpoint.  The only branch endpoints inside the support [lo, hi] are lo, the
+anchor and hi, so the minimum over the support sits at
 
-    sum_i alpha_i*gamma2 / (gamma2*xi + gamma3*L_i) = lam,
+* lo or the anchor, for an anchor inside the support: f is concave on
+  [lo, anchor] and increasing on [anchor, hi];
+* lo or hi, for an anchor above the support: one concave branch;
+* lo, for an anchor below the support: f is increasing on the support.
 
-whose left side is strictly decreasing in xi, so bisection finds the unique
-root when it is bracketed.  The root is only admitted strictly between the
-support floor and the anchor.
+A stationary point of the descending branch is that branch's maximum, never
+its minimum, so no root finding is needed.  Candidates are compared in the
+order lo < anchor < hi, and a later candidate wins only when strictly lower,
+so ties break toward the smaller xi.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .ambiguity import SupportInterval
 from .contracts import UtilityParams
@@ -34,34 +40,10 @@ _MONOTONE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class InnerSolverConfig:
-    """Bisection controls for the stationary-point search."""
-
-    bisect_tol: float = 1e-8
-    max_bisect_iters: int = 64
-
-    def __post_init__(self):
-        if not self.bisect_tol > 0.0:
-            raise ValidationError("bisect_tol must be > 0")
-        if self.max_bisect_iters < 1:
-            raise ValidationError("max_bisect_iters must be >= 1")
-
-    def validate_for_diameter(self, diameter: float) -> None:
-        """The iteration budget must cover the interval-halving depth."""
-        needed = math.ceil(math.log2(max(diameter / self.bisect_tol, 1.0)))
-        if self.max_bisect_iters < needed:
-            raise ValidationError(
-                f"max_bisect_iters={self.max_bisect_iters} cannot reach "
-                f"bisect_tol={self.bisect_tol} on a diameter-{diameter} support "
-                f"(needs >= {needed})"
-            )
-
-
-@dataclass(frozen=True)
 class InnerSolution:
     """Minimizer, minimum value, and which candidate won.
 
-    candidate_tag is one of "lo", "hi", "anchor", "stationary".
+    candidate_tag is one of "lo", "anchor", "hi".
     """
 
     xi_star: float
@@ -69,33 +51,91 @@ class InnerSolution:
     candidate_tag: str
 
 
-def _gamma3_latencies(latencies, params: UtilityParams):
-    return [params.gamma3 * float(x) for x in latencies]
+def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
+    """Log benefit h(xi) = sum_i alpha_i * ln(gamma2*xi + gamma3*L_i).
 
+    Type i's latency is ``latencies[..., i]``, which broadcasts against
+    ``xi``: a 1-D menu with an array of quality points gives one value per
+    point, and a ``(rows, 1, I)`` stack of menus with ``(1, n)`` points gives
+    a ``(rows, n)`` table.  Terms are accumulated type by type, in type
+    order, into one array of the broadcast shape.
 
-def _weighted_log(xi: float, alphas, g3l, gamma2: float) -> float:
-    total = 0.0
-    for a, gl in zip(alphas, g3l):
-        arg = gamma2 * xi + gl
-        if arg <= 0.0:
-            raise NonPositiveLogArgument(
-                f"log argument {arg!r} at xi={xi!r} must be > 0"
-            )
-        total += a * math.log(arg)
+    Raises NonPositiveLogArgument when a log argument is not strictly
+    positive; its ``sample_index`` is the first offending flat position.
+    """
+    lat = np.asarray(latencies, dtype=float)
+    total = np.zeros(np.broadcast_shapes(np.shape(xi), lat.shape[:-1]))
+    for i, alpha in enumerate(alphas):
+        arg = params.gamma2 * xi + params.gamma3 * lat[..., i]
+        try:
+            # ln of a negative argument is invalid and of zero divides by
+            # zero; trapping those flags costs nothing per element
+            with np.errstate(divide="raise", invalid="raise"):
+                log_arg = np.log(arg)
+        except FloatingPointError:
+            raise _nonpositive_log_argument(xi, lat, params, total.shape) from None
+        total += alpha * log_arg
     return total
 
 
-def _marginal_benefit(xi: float, alphas, g3l, gamma2: float) -> float:
-    total = 0.0
-    for a, gl in zip(alphas, g3l):
-        total += a * gamma2 / (gamma2 * xi + gl)
-    return total
+def _nonpositive_log_argument(xi, lat, params, shape) -> NonPositiveLogArgument:
+    """The error for the first flat position with a nonpositive argument in
+    any type (error path only, so the full argument table is affordable)."""
+    args = np.stack(
+        [
+            np.broadcast_to(params.gamma2 * xi + params.gamma3 * lat[..., i], shape)
+            for i in range(lat.shape[-1])
+        ],
+        axis=-1,
+    ).reshape(-1, lat.shape[-1])
+    k = int(np.argmax(np.any(args <= 0.0, axis=1)))
+    i = int(np.argmax(args[k] <= 0.0))
+    x = float(np.broadcast_to(xi, shape).reshape(-1)[k])
+    return NonPositiveLogArgument(
+        f"log argument {float(args[k, i])!r} at xi={x!r} must be > 0", sample_index=k
+    )
+
+
+def inner_minima(
+    latencies,
+    lam: float,
+    anchors,
+    support: SupportInterval,
+    params: UtilityParams,
+    alphas,
+):
+    """Minimize the penalized log benefit over the support for every anchor.
+
+    Returns ``(f_min, xi_star)``, one entry per anchor.  Each anchor's
+    minimum is the lowest of its closed-form candidates (see the module
+    docstring); the anchor candidate is evaluated only for anchors inside
+    the support.
+    """
+    if lam < 0.0:
+        raise ValidationError("lam must be >= 0")
+    anchors = np.asarray(anchors, dtype=float)
+    lo, hi = support.lo, support.hi
+    inside = (anchors >= lo) & (anchors <= hi)
+    h = weighted_log(np.concatenate(([lo, hi], anchors[inside])), latencies, alphas, params)
+    h_lo, h_hi, h_anchor = h[0], h[1], h[2:]
+
+    # lo, then the anchor, then hi; a later candidate must be strictly lower
+    f_min = h_lo + lam * np.abs(lo - anchors)
+    xi_star = np.full(anchors.shape, lo)
+    idx = np.flatnonzero(inside)
+    wins = h_anchor < f_min[idx]
+    f_min[idx[wins]] = h_anchor[wins]
+    xi_star[idx[wins]] = anchors[idx[wins]]
+    v_hi = h_hi + lam * np.abs(hi - anchors)
+    at_hi = v_hi < f_min
+    f_min[at_hi] = v_hi[at_hi]
+    xi_star[at_hi] = hi
+    return f_min, xi_star
 
 
 def f_n(xi: float, latencies, lam: float, anchor: float, params: UtilityParams, alphas) -> float:
     """Penalized log benefit at a single quality point."""
-    g3l = _gamma3_latencies(latencies, params)
-    return _weighted_log(xi, list(alphas), g3l, params.gamma2) + lam * abs(xi - anchor)
+    return float(weighted_log(xi, latencies, alphas, params)) + lam * abs(xi - anchor)
 
 
 def g_of_L(latencies, alphas, thetas, gamma1: float) -> float:
@@ -117,42 +157,6 @@ def g_of_L(latencies, alphas, thetas, gamma1: float) -> float:
     return total
 
 
-def solve_xi_p(
-    latencies,
-    lam: float,
-    interval,
-    params: UtilityParams,
-    alphas,
-    cfg: InnerSolverConfig,
-):
-    """Root of the stationarity condition inside the open interval, or None.
-
-    The marginal benefit is strictly decreasing, so the root exists in
-    (lo, hi) exactly when it is bracketed: marginal(lo) > lam > marginal(hi).
-    Absence is a value, not an error.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi or lam <= 0.0:
-        return None
-    alphas = list(alphas)
-    g3l = _gamma3_latencies(latencies, params)
-    g2 = params.gamma2
-    if _marginal_benefit(lo, alphas, g3l, g2) <= lam:
-        return None
-    if _marginal_benefit(hi, alphas, g3l, g2) >= lam:
-        return None
-    a, b = lo, hi
-    for _ in range(cfg.max_bisect_iters):
-        if b - a <= cfg.bisect_tol:
-            break
-        mid = 0.5 * (a + b)
-        if _marginal_benefit(mid, alphas, g3l, g2) > lam:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def solve_inner(
     latencies,
     lam: float,
@@ -160,37 +164,12 @@ def solve_inner(
     support: SupportInterval,
     params: UtilityParams,
     alphas,
-    cfg: InnerSolverConfig,
 ) -> InnerSolution:
-    """Minimize the penalized log benefit over the support.
-
-    The support endpoints are always evaluated; the anchor and the stationary
-    candidate only when the anchor lies inside the support.  Skips the
-    stationary search entirely for lam = 0 (the condition then has no finite
-    root).  Ties break toward the smallest xi.
-    """
-    if lam < 0.0:
-        raise ValidationError("lam must be >= 0")
-    alphas = list(alphas)
-    g3l = _gamma3_latencies(latencies, params)
-    g2 = params.gamma2
-    lo, hi = support.lo, support.hi
-
-    candidates = [(lo, "lo")]
-    if lo <= anchor <= hi:
-        if lam > 0.0:
-            xi_p = solve_xi_p(latencies, lam, (lo, anchor), params, alphas, cfg)
-            if xi_p is not None:
-                candidates.append((xi_p, "stationary"))
-        candidates.append((anchor, "anchor"))
-    candidates.append((hi, "hi"))
-
-    best = None
-    for xi, tag in candidates:  # ascending xi: first strict min wins ties
-        value = _weighted_log(xi, alphas, g3l, g2) + lam * abs(xi - anchor)
-        if best is None or value < best[1]:
-            best = (xi, value, tag)
-    return InnerSolution(xi_star=best[0], f_value=best[1], candidate_tag=best[2])
+    """Scalar view of :func:`inner_minima` for a single anchor."""
+    f_min, xi_star = inner_minima(latencies, lam, [anchor], support, params, alphas)
+    xi = float(xi_star[0])
+    tag = "lo" if xi == support.lo else ("anchor" if xi == anchor else "hi")
+    return InnerSolution(xi_star=xi, f_value=float(f_min[0]), candidate_tag=tag)
 
 
 def s_value(inner: InnerSolution, latencies, alphas, thetas, gamma1: float) -> float:

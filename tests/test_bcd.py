@@ -12,8 +12,8 @@ from drcontract import (
     AspTypeProfile,
     BcdConfig,
     BcdState,
-    InnerSolverConfig,
     NonPositiveDenominator,
+    NumericError,
     QualitySampleSet,
     SizeMismatch,
     SupportInterval,
@@ -28,10 +28,10 @@ from drcontract import (
     solve,
     write_trace_csv,
 )
+from drcontract import bcd
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
-INNER = InnerSolverConfig()
 
 
 def ambiguity(n, epsilon=None, tau=0.99):
@@ -45,7 +45,7 @@ class TestObjective:
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         samples = QualitySampleSet([70.0, 80.0, 95.0])
         omega, xi_stars, s_values = objective(
-            [0.0], 0.0, samples, ambiguity(3), profile, PARAMS, INNER
+            [0.0], 0.0, samples, ambiguity(3), profile, PARAMS
         )
         # every inner minimum sits at the support floor
         assert omega == pytest.approx(math.log(60.0), abs=1e-12)
@@ -57,20 +57,20 @@ class TestObjective:
         samples = QualitySampleSet([70.0, 90.0])
         for lam in (0.0, 1.0, 5.0):
             omega, _, s_values = objective(
-                [3.0, 9.0], lam, samples, ambiguity(2, epsilon=0.0), profile, PARAMS, INNER
+                [3.0, 9.0], lam, samples, ambiguity(2, epsilon=0.0), profile, PARAMS
             )
             assert omega == pytest.approx(np.mean(s_values))
 
     def test_single_sample_mean(self):
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         amb = ambiguity(1)
-        omega, _, s_values = objective([4.0], 2.0, QualitySampleSet([75.0]), amb, profile, PARAMS, INNER)
+        omega, _, s_values = objective([4.0], 2.0, QualitySampleSet([75.0]), amb, profile, PARAMS)
         assert omega == pytest.approx(-2.0 * amb.epsilon + s_values[0])
 
     def test_rejects_negative_lambda(self):
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         with pytest.raises(ValidationError):
-            objective([0.0], -0.5, QualitySampleSet([75.0]), ambiguity(1), profile, PARAMS, INNER)
+            objective([0.0], -0.5, QualitySampleSet([75.0]), ambiguity(1), profile, PARAMS)
 
 
 class TestGradients:
@@ -158,14 +158,18 @@ class TestIroning:
                 iron_monotone(vals, weights), pav_oracle(vals, weights), atol=1e-9
             )
 
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(22)
-        for _ in range(40):
-            n = int(rng.integers(1, 30))
-            vals = rng.uniform(-10, 10, n)
-            weights = rng.uniform(0.1, 3.0, n)
-            expected = scipy_isotonic(vals, weights=weights, increasing=True).x
-            np.testing.assert_allclose(iron_monotone(vals, weights), expected, atol=1e-9)
+    @given(
+        values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy(self, values, data):
+        vals = np.array(values)
+        weights = np.array(
+            data.draw(st.lists(st.floats(1e-3, 1e3), min_size=vals.size, max_size=vals.size))
+        )
+        expected = scipy_isotonic(vals, weights=weights, increasing=True).x
+        np.testing.assert_allclose(iron_monotone(vals, weights), expected, rtol=1e-9, atol=1e-9)
 
     @given(
         data=st.data(),
@@ -201,9 +205,17 @@ def small_instance(n_types=2, n_samples=12, seed=8, epsilon=None):
 
 class TestBcdStep:
     def _state(self, profile, samples, amb, lat, lam):
-        omega, xi, s = objective(lat, lam, samples, amb, profile, PARAMS, INNER)
+        omega, xi, s = objective(lat, lam, samples, amb, profile, PARAMS)
         return BcdState(
             latencies=np.asarray(lat, float), lam=lam, xi_stars=xi, s_values=s, objective=omega
+        )
+
+    def _step(self, state, samples, profile, amb, bcd_cfg=None):
+        def evaluate(lat, lam):
+            return objective(lat, lam, samples, amb, profile, PARAMS)
+
+        return bcd_step(
+            state, samples, amb.epsilon, evaluate, profile, PARAMS, bcd_cfg or BcdConfig()
         )
 
     def test_lambda_clamped_at_zero(self):
@@ -213,14 +225,14 @@ class TestBcdStep:
         # transport distance is positive; force a negative gradient via a
         # huge radius instead
         big = AmbiguityConfig(SUPPORT, 0.99, samples.n, 1e6)
-        stepped = bcd_step(state, samples, profile, PARAMS, big, BcdConfig(), INNER)
+        stepped = self._step(state, samples, profile, big)
         assert stepped.lam == 0.0
 
     def test_latencies_stay_monotone(self):
         profile, samples, amb = small_instance(n_types=5)
         state = self._state(profile, samples, amb, np.zeros(5), 6.0)
         for _ in range(5):
-            state = bcd_step(state, samples, profile, PARAMS, amb, BcdConfig(), INNER)
+            state = self._step(state, samples, profile, amb)
             assert np.all(np.diff(state.latencies) >= -1e-12)
             assert np.all(state.latencies >= 0.0)
             assert state.lam >= 0.0
@@ -232,25 +244,70 @@ class TestBcdStep:
         amb = AmbiguityConfig(SUPPORT, 0.99, 1, 20.0)
         lat = [150.0 - 60.0]  # gradient zero when the minimizer is the floor
         state = self._state(profile, samples, amb, lat, 0.0)
-        stepped = bcd_step(state, samples, profile, PARAMS, amb, BcdConfig(), INNER)
+        stepped = self._step(state, samples, profile, amb)
         assert stepped.latencies == pytest.approx(state.latencies, abs=1e-9)
         assert stepped.lam == 0.0
         assert stepped.objective == pytest.approx(state.objective, abs=1e-12)
+
+    def test_step_reuses_the_state_minimizers(self):
+        # the step reads the minimizers the last evaluation returned and
+        # evaluates the objective exactly once, at the new point
+        profile, samples, amb = small_instance(n_types=3)
+        state = self._state(profile, samples, amb, np.zeros(3), 6.0)
+        points = []
+
+        def evaluate(lat, lam):
+            points.append((lat.copy(), lam))
+            return objective(lat, lam, samples, amb, profile, PARAMS)
+
+        stepped = bcd_step(state, samples, amb.epsilon, evaluate, profile, PARAMS, BcdConfig())
+        assert len(points) == 1
+        np.testing.assert_array_equal(points[0][0], stepped.latencies)
+        assert points[0][1] == stepped.lam
+
+    def test_decreasing_latency_iterate_raises(self, monkeypatch):
+        profile, samples, amb = small_instance(n_types=2)
+        state = self._state(profile, samples, amb, [5.0, 9.0], 1.0)
+        monkeypatch.setattr(bcd, "iron_monotone", lambda values, weights: np.array([2.0, 1.0]))
+        with pytest.raises(NumericError, match="not nondecreasing"):
+            self._step(state, samples, profile, amb)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestNonFiniteIterates:
+    def test_multiplier_overflow(self):
+        # a radius below the mean floor distance makes the first step positive
+        profile, samples, amb = small_instance(epsilon=1.0)
+        cfg = BcdConfig(lambda_init=0.0, eta_lambda=1e308)
+        with pytest.raises(NumericError, match="multiplier"):
+            solve(samples, profile, PARAMS, amb, cfg)
+
+    def test_latency_step_overflow(self):
+        profile, samples, amb = small_instance()
+        params = UtilityParams(gamma2=1e-6)
+        with pytest.raises(NumericError, match="latency step"):
+            solve(samples, profile, params, amb, BcdConfig(eta_L=1e308))
+
+    def test_objective_overflow(self):
+        profile, samples, amb = small_instance()
+        cfg = BcdConfig(lambda_init=1e308, eta_lambda=0.0)
+        with pytest.raises(NumericError, match="objective"):
+            solve(samples, profile, PARAMS, amb, cfg)
 
 
 class TestSolve:
     def test_determinism_bitwise(self):
         profile, samples, amb = small_instance(n_types=3, n_samples=20)
         cfg = BcdConfig(max_iters=120)
-        a = solve(samples, profile, PARAMS, amb, cfg, INNER)
-        b = solve(samples, profile, PARAMS, amb, cfg, INNER)
+        a = solve(samples, profile, PARAMS, amb, cfg)
+        b = solve(samples, profile, PARAMS, amb, cfg)
         assert np.array_equal(a.objective_trace, b.objective_trace)
         assert np.array_equal(a.latency_trace, b.latency_trace)
         assert np.array_equal(a.menu.latencies, b.menu.latencies)
 
     def test_report_invariants(self):
         profile, samples, amb = small_instance(n_types=4, n_samples=15)
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=300), INNER)
+        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=300))
         assert report.objective_trace.size == report.iterations_used
         assert report.latency_trace.shape == (report.iterations_used, 4)
         assert np.all(np.diff(report.menu.latencies) >= -1e-12)
@@ -263,7 +320,7 @@ class TestSolve:
 
     def test_not_converging_is_reported_not_raised(self):
         profile, samples, amb = small_instance()
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=3, conv_tol=1e-15), INNER)
+        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=3, conv_tol=1e-15))
         assert report.converged is False
         assert report.iterations_used == 3
 
@@ -272,25 +329,25 @@ class TestSolve:
         rng = np.random.default_rng(31)
         samples = QualitySampleSet(rng.uniform(60, 100, 25))
         amb = ambiguity(25)
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(), INNER)
+        report = solve(samples, profile, PARAMS, amb, BcdConfig())
         assert report.converged
         best = -np.inf
         for lat in np.arange(0.0, 200.0, 0.5):
             for lam in np.arange(0.0, 0.055, 0.005):
-                omega, _, _ = objective([lat], lam, samples, amb, profile, PARAMS, INNER)
+                omega, _, _ = objective([lat], lam, samples, amb, profile, PARAMS)
                 best = max(best, omega)
         assert report.objective == pytest.approx(best, abs=1e-2)
 
     def test_theta_one_collapses_to_zero_latency(self):
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         samples = QualitySampleSet(np.linspace(60, 100, 10))
-        report = solve(samples, profile, PARAMS, ambiguity(10), BcdConfig(max_iters=50), INNER)
+        report = solve(samples, profile, PARAMS, ambiguity(10), BcdConfig(max_iters=50))
         assert report.menu.latencies[0] == 0.0
         assert report.menu.rewards[0] == 0.0
 
     def test_trace_csv(self, tmp_path):
         profile, samples, amb = small_instance()
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=10, conv_tol=1e-15), INNER)
+        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=10, conv_tol=1e-15))
         path = tmp_path / "trace.csv"
         write_trace_csv(report, path)
         lines = path.read_text().strip().splitlines()

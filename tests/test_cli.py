@@ -3,7 +3,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from drcontract.cli import EXIT_CONFIG, EXIT_DATA, main
+from drcontract.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 
 TOY_CONFIG = """
 thetas = 110, 140
@@ -157,3 +157,12 @@ class TestExitCodes:
         cfg.write_text(f"train_csv = {data}\n")
         code = run("solve", "--config", cfg, "--out", tmp_path / "o")
         assert code == EXIT_DATA
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_iterate_exits_four(self, tmp_path, capsys):
+        # from lam = 0 the multiplier gradient is positive, and this step
+        # size overflows it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lambda_init = 0\neta_lambda = 1e308\n")
+        assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_NUMERIC
+        assert "numeric failure: multiplier iterate inf" in capsys.readouterr().err

@@ -39,7 +39,6 @@ class TestDefaults:
         assert cfg.profile().n_types == 8
         assert cfg.ambiguity_for(200).epsilon == pytest.approx(8.5839, abs=1e-3)
         assert cfg.bcd_config().max_iters == 1500
-        assert cfg.inner_config().bisect_tol == 1e-8
 
 
 class TestParsing:

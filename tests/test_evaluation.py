@@ -9,7 +9,6 @@ from drcontract import (
     BcdConfig,
     ContractMenu,
     GridTooLarge,
-    InnerSolverConfig,
     NonPositiveLogArgument,
     QualitySampleSet,
     SupportInterval,
@@ -31,7 +30,6 @@ from drcontract.evaluation import EvaluationScenario, MetricsTable
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
-INNER = InnerSolverConfig()
 
 
 def menu_from(latencies, profile):
@@ -67,6 +65,13 @@ class TestEvalTeleopUtility:
         with pytest.raises(NonPositiveLogArgument) as err:
             eval_teleop_utility(menu, QualitySampleSet([70.0, -3.0]), profile, PARAMS)
         assert err.value.sample_index == 1
+        # the first offending sample in sample order, whichever type fails there
+        two = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
+        menu = ContractMenu(latencies=[5.0, 0.0], rewards=[0.0, 0.0])
+        with pytest.raises(NonPositiveLogArgument) as err:
+            eval_teleop_utility(menu, QualitySampleSet([70.0, -3.0, -10.0]), two, PARAMS)
+        assert err.value.sample_index == 1
+        assert "sample 1 (xi=-3.0)" in str(err.value)
 
     def test_monotone_in_downward_shift(self):
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.4, 0.6])
@@ -121,12 +126,12 @@ class TestOracle:
         for l1 in (0.0, 10.0, 42.5, 80.0):
             for l2 in (l1, l1 + 10.0, 99.5):
                 for lam in (0.0, 0.5, 1.0, 2.0):
-                    ref, _, _ = objective([l1, l2], lam, samples, amb, profile, PARAMS, INNER)
+                    ref, _, _ = objective([l1, l2], lam, samples, amb, profile, PARAMS)
                     assert omega >= ref - 1e-9
         # the reported maximizer reproduces its objective through the literal path
         best_lam_grid = np.arange(0.0, 2.0 + step / 2, step)
         best_via_literal = max(
-            objective(lat, lam, samples, amb, profile, PARAMS, INNER)[0]
+            objective(lat, lam, samples, amb, profile, PARAMS)[0]
             for lam in best_lam_grid
         )
         assert omega == pytest.approx(best_via_literal, abs=1e-9)
@@ -158,7 +163,7 @@ class TestOracle:
         profile = AspTypeProfile(thetas=[120.0, 180.0], alphas=[0.5, 0.5])
         samples = QualitySampleSet(rng.uniform(60, 100, 10))
         amb = AmbiguityConfig.derive(SUPPORT, 0.99, 10)
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(), INNER)
+        report = solve(samples, profile, PARAMS, amb, BcdConfig())
         omega, _ = oracle_menu_search(
             profile, samples, PARAMS, amb, 0.1, l_max=150.0, lambda_max=5.0
         )

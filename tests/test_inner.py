@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcontract import (
     AspTypeProfile,
-    InnerSolverConfig,
     NonMonotoneLatencies,
     NonPositiveLogArgument,
     SupportInterval,
@@ -13,14 +14,14 @@ from drcontract import (
     ValidationError,
     f_n,
     g_of_L,
+    inner_minima,
     rewards_from_latencies,
     s_value,
     solve_inner,
-    solve_xi_p,
+    weighted_log,
 )
 
 PARAMS = UtilityParams()
-CFG = InnerSolverConfig()
 SUPPORT = SupportInterval(60.0, 100.0)
 
 
@@ -95,65 +96,87 @@ class TestExpectedReward:
             g_of_L([3.0, 1.0], [0.5, 0.5], [110, 140], 1.0)
 
 
+def marginal_benefit(xi, latencies, alphas, params=PARAMS):
+    """h'(xi) = sum_i alpha_i * gamma2 / (gamma2*xi + gamma3*L_i)."""
+    return sum(
+        a * params.gamma2 / (params.gamma2 * xi + params.gamma3 * lat)
+        for a, lat in zip(alphas, latencies)
+    )
+
+
 class TestStationaryRoot:
+    """The root of h'(xi) = lam on [lo, anchor] is the maximum of that
+    concave branch, so the closed-form kernel never needs it."""
+
     def test_closed_form_root(self):
-        # single type, zero latency: marginal benefit 1/xi = lam at xi = 80
-        root = solve_xi_p([0.0], 1 / 80, (60.0, 90.0), PARAMS, [1.0], CFG)
-        assert root == pytest.approx(80.0, abs=CFG.bisect_tol * 10)
+        # single type, zero latency: h'(xi) = 1/xi = lam at xi = 80
+        lam, anchor = 1 / 80, 90.0
+        f_root = f_n(80.0, [0.0], lam, anchor, PARAMS, [1.0])
+        assert f_root > f_n(60.0, [0.0], lam, anchor, PARAMS, [1.0])
+        assert f_root > f_n(anchor, [0.0], lam, anchor, PARAMS, [1.0])
+        sol = solve_inner([0.0], lam, anchor, SUPPORT, PARAMS, [1.0])
+        assert sol.candidate_tag in ("lo", "anchor")
+        assert sol.f_value < f_root
 
     def test_root_outside_interval_absent(self):
-        assert solve_xi_p([0.0], 1 / 80, (60.0, 70.0), PARAMS, [1.0], CFG) is None
+        # the root at 80 lies beyond the anchor: the branch only increases
+        sol = solve_inner([0.0], 1 / 80, 70.0, SUPPORT, PARAMS, [1.0])
+        assert (sol.xi_star, sol.candidate_tag) == (60.0, "lo")
 
     def test_large_lambda_absent(self):
-        assert solve_xi_p([0.0], 10.0, (60.0, 90.0), PARAMS, [1.0], CFG) is None
+        # h' < lam everywhere: the branch only decreases towards the anchor
+        sol = solve_inner([0.0], 10.0, 90.0, SUPPORT, PARAMS, [1.0])
+        assert (sol.xi_star, sol.candidate_tag) == (90.0, "anchor")
 
     def test_zero_lambda_absent(self):
-        assert solve_xi_p([0.0], 0.0, (60.0, 90.0), PARAMS, [1.0], CFG) is None
+        # without a penalty f = h is increasing, so the floor wins everywhere
+        f_min, xi_star = inner_minima([3.0], 0.0, [10.0, 75.0, 130.0], SUPPORT, PARAMS, [1.0])
+        np.testing.assert_array_equal(xi_star, SUPPORT.lo)
+        np.testing.assert_allclose(f_min, math.log(63.0), atol=1e-12)
 
     def test_marginal_benefit_strictly_decreasing(self):
-        from drcontract.inner import _marginal_benefit
-
+        # h is increasing and concave: the premise of the closed form
         rng = np.random.default_rng(2)
+        xs = np.linspace(60.0, 100.0, 41)
         for _ in range(20):
             n = int(rng.integers(1, 6))
-            lat = np.sort(rng.uniform(0, 100, n)).tolist()
-            alphas = rng.dirichlet(np.ones(n)).tolist()
-            xs = np.linspace(60, 100, 41)
-            vals = [_marginal_benefit(float(x), alphas, [v for v in lat], 1.0) for x in xs]
-            assert all(b < a for a, b in zip(vals, vals[1:]))
+            lat = np.sort(rng.uniform(0, 100, n))
+            alphas = rng.dirichlet(np.ones(n))
+            h = weighted_log(xs, lat, alphas, PARAMS)
+            assert np.all(np.diff(h) > 0.0)
+            assert np.all(np.diff(h, 2) < 0.0)
 
     def test_multi_type_root_against_grid(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             n = int(rng.integers(1, 6))
-            lat = np.sort(rng.uniform(0, 60, n)).tolist()
-            alphas = rng.dirichlet(np.ones(n)).tolist()
+            lat = np.sort(rng.uniform(0, 60, n))
+            alphas = rng.dirichlet(np.ones(n))
             anchor = float(rng.uniform(61, 100))
-            # pick lam between the endpoint marginals so a root exists
-            from drcontract.inner import _marginal_benefit
-
-            m_lo = _marginal_benefit(60.0, alphas, lat, 1.0)
-            m_hi = _marginal_benefit(anchor, alphas, lat, 1.0)
-            lam = 0.5 * (m_lo + m_hi)
-            root = solve_xi_p(lat, lam, (60.0, anchor), PARAMS, alphas, CFG)
-            assert root is not None
-            assert _marginal_benefit(root, alphas, lat, 1.0) == pytest.approx(lam, rel=1e-6)
+            # lam between the endpoint marginals puts a root inside (lo, anchor)
+            m_lo, m_anchor = (marginal_benefit(x, lat, alphas) for x in (60.0, anchor))
+            lam = 0.5 * (m_lo + m_anchor)
+            sol = solve_inner(lat, lam, anchor, SUPPORT, PARAMS, alphas)
+            assert sol.xi_star in (SUPPORT.lo, anchor)
+            _, fmin = grid_min(lat, lam, anchor, SUPPORT, alphas)
+            assert sol.f_value == pytest.approx(fmin, abs=1e-4)
+            assert sol.f_value <= fmin + 1e-12
 
 
 class TestSolveInner:
     def test_zero_lambda_floor_wins(self):
-        sol = solve_inner([0.0], 0.0, 75.0, SUPPORT, PARAMS, [1.0], CFG)
+        sol = solve_inner([0.0], 0.0, 75.0, SUPPORT, PARAMS, [1.0])
         assert sol.xi_star == 60.0
         assert sol.candidate_tag == "lo"
         assert sol.f_value == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_outside_anchor_large_lambda_floor_wins(self):
-        sol = solve_inner([0.0], 50.0, 1.0, SUPPORT, PARAMS, [1.0], CFG)
+        sol = solve_inner([0.0], 50.0, 1.0, SUPPORT, PARAMS, [1.0])
         assert sol.xi_star == 60.0
         assert sol.candidate_tag == "lo"
 
     def test_huge_lambda_sticks_to_anchor(self):
-        sol = solve_inner([0.0], 1e6, 83.0, SUPPORT, PARAMS, [1.0], CFG)
+        sol = solve_inner([0.0], 1e6, 83.0, SUPPORT, PARAMS, [1.0])
         assert sol.xi_star == 83.0
         assert sol.candidate_tag == "anchor"
 
@@ -165,7 +188,7 @@ class TestSolveInner:
             alphas = rng.dirichlet(np.ones(n))
             lam = float(rng.uniform(0, 2))
             anchor = float(rng.uniform(0, 140))
-            sol = solve_inner(lat, lam, anchor, SUPPORT, PARAMS, alphas, CFG)
+            sol = solve_inner(lat, lam, anchor, SUPPORT, PARAMS, alphas)
             again = f_n(sol.xi_star, lat, lam, anchor, PARAMS, alphas)
             assert sol.f_value == pytest.approx(again, abs=1e-12)
             assert SUPPORT.lo <= sol.xi_star <= SUPPORT.hi
@@ -178,35 +201,135 @@ class TestSolveInner:
             alphas = rng.dirichlet(np.ones(n))
             lam = float(rng.uniform(0, 1))
             anchor = float(rng.uniform(0, 140))
-            sol = solve_inner(lat, lam, anchor, SUPPORT, PARAMS, alphas, CFG)
+            sol = solve_inner(lat, lam, anchor, SUPPORT, PARAMS, alphas)
             _, fmin = grid_min(lat, lam, anchor, SUPPORT, alphas)
             assert sol.f_value == pytest.approx(fmin, abs=1e-4)
             assert sol.f_value <= fmin + 1e-12  # never worse than any grid point
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):
-            solve_inner([0.0], -1.0, 80.0, SUPPORT, PARAMS, [1.0], CFG)
+            solve_inner([0.0], -1.0, 80.0, SUPPORT, PARAMS, [1.0])
 
 
 class TestSlackValue:
     def test_zero_latency_slack_is_inner_value(self):
-        sol = solve_inner([0.0], 0.0, 80.0, SUPPORT, PARAMS, [1.0], CFG)
+        sol = solve_inner([0.0], 0.0, 80.0, SUPPORT, PARAMS, [1.0])
         got = s_value(sol, [0.0], [1.0], [1.0], 1.0)
         assert got == pytest.approx(sol.f_value)
         assert got == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_deterministic(self):
-        sol = solve_inner([3.0, 8.0], 0.7, 77.0, SUPPORT, PARAMS, [0.6, 0.4], CFG)
+        sol = solve_inner([3.0, 8.0], 0.7, 77.0, SUPPORT, PARAMS, [0.6, 0.4])
         a = s_value(sol, [3.0, 8.0], [0.6, 0.4], [110, 140], 1.0)
         b = s_value(sol, [3.0, 8.0], [0.6, 0.4], [110, 140], 1.0)
         assert a == b
 
 
-class TestInnerSolverConfig:
-    def test_rejects_insufficient_budget(self):
-        cfg = InnerSolverConfig(bisect_tol=1e-8, max_bisect_iters=8)
-        with pytest.raises(ValidationError):
-            cfg.validate_for_diameter(40.0)
+def enumerate_candidates(latencies, lam, anchor, support, alphas, params=PARAMS):
+    """Scalar reference: (value, xi) of lo, the anchor when it lies in the
+    support, and hi, in that order, each summed type by type with math.log."""
 
-    def test_default_budget_covers_reference_support(self):
-        InnerSolverConfig().validate_for_diameter(40.0)
+    def f(xi):
+        total = 0.0
+        for a, lat in zip(alphas, latencies):
+            total += a * math.log(params.gamma2 * xi + params.gamma3 * lat)
+        return total + lam * abs(xi - anchor)
+
+    points = [support.lo]
+    if support.lo <= anchor <= support.hi:
+        points.append(anchor)
+    points.append(support.hi)
+    return [(f(xi), xi) for xi in points]
+
+
+@st.composite
+def inner_instances(draw):
+    n_types = draw(st.integers(1, 8))
+    lat = sorted(draw(st.lists(st.floats(0.0, 150.0), min_size=n_types, max_size=n_types)))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n_types, max_size=n_types))
+    alphas = np.array(weights) / sum(weights)
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    anchor = st.one_of(
+        st.sampled_from([SUPPORT.lo, SUPPORT.hi]),  # the anchor ties with an endpoint
+        st.floats(SUPPORT.lo, SUPPORT.hi),
+        st.floats(-50.0, 200.0),
+    )
+    anchors = np.array(draw(st.lists(anchor, min_size=1, max_size=12)))
+    return np.array(lat), alphas, lam, anchors
+
+
+class TestInnerKernel:
+    @given(inner_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_enumeration(self, instance):
+        lat, alphas, lam, anchors = instance
+        f_min, xi_star = inner_minima(lat, lam, anchors, SUPPORT, PARAMS, alphas)
+        for k, anchor in enumerate(anchors.tolist()):
+            candidates = enumerate_candidates(lat, lam, anchor, SUPPORT, alphas)
+            best_value, best_xi = candidates[0]
+            for value, xi in candidates[1:]:  # strictly lower wins: ties go to the smaller xi
+                if value < best_value:
+                    best_value, best_xi = value, xi
+            assert f_min[k] == pytest.approx(best_value, rel=1e-13, abs=1e-13)
+            # np.log and math.log may differ in the last bit, so a candidate
+            # within that noise of the minimum may legitimately win instead
+            noise = 1e-12 * abs(best_value) + 1e-13
+            near = [xi for value, xi in candidates if value - best_value <= noise]
+            if len(near) == 1:
+                assert xi_star[k] == best_xi
+            else:
+                assert xi_star[k] in near
+
+    @given(inner_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_grid(self, instance):
+        lat, alphas, lam, anchors = instance
+        f_min, xi_star = inner_minima(lat, lam, anchors, SUPPORT, PARAMS, alphas)
+        for k, anchor in enumerate(anchors.tolist()):
+            _, grid_value = grid_min(lat, lam, anchor, SUPPORT, alphas)
+            assert f_min[k] == pytest.approx(grid_value, abs=1e-4)
+            assert f_min[k] <= grid_value + 1e-12  # never worse than any grid point
+            assert f_min[k] == pytest.approx(
+                f_n(xi_star[k], lat, lam, anchor, PARAMS, alphas), abs=1e-12
+            )
+
+    def test_ties_break_toward_the_smaller_xi(self):
+        # an anchor on an endpoint makes two candidates one point; the
+        # earlier candidate in lo < anchor < hi order names it
+        at_lo = solve_inner([5.0], 0.3, SUPPORT.lo, SUPPORT, PARAMS, [1.0])
+        assert (at_lo.xi_star, at_lo.candidate_tag) == (SUPPORT.lo, "lo")
+        at_hi = solve_inner([5.0], 1e6, SUPPORT.hi, SUPPORT, PARAMS, [1.0])
+        assert (at_hi.xi_star, at_hi.candidate_tag) == (SUPPORT.hi, "anchor")
+
+    def test_exact_ties_with_the_floor_go_to_lo(self):
+        # walk lam by ulps until lo ties exactly with the anchor (inside the
+        # support) or with hi (anchor above it); lo must then win
+        for anchor, rival in ((80.0, 80.0), (130.0, SUPPORT.hi)):
+            h_lo, h_rival = weighted_log(np.array([SUPPORT.lo, rival]), [0.0], [1.0], PARAMS)
+            lam = (h_rival - h_lo) / (rival - SUPPORT.lo)
+            for _ in range(64):
+                v_lo = h_lo + lam * abs(SUPPORT.lo - anchor)
+                v_rival = h_rival + lam * abs(rival - anchor)
+                if v_lo == v_rival:
+                    break
+                lam = np.nextafter(lam, np.inf if v_lo < v_rival else -np.inf)
+            assert v_lo == v_rival
+            f_min, xi_star = inner_minima([0.0], lam, [anchor], SUPPORT, PARAMS, [1.0])
+            assert (xi_star[0], f_min[0]) == (SUPPORT.lo, v_lo)
+
+    def test_anchor_above_support_can_pick_hi(self):
+        sol = solve_inner([0.0], 1.0, 130.0, SUPPORT, PARAMS, [1.0])
+        assert (sol.xi_star, sol.candidate_tag) == (SUPPORT.hi, "hi")
+
+    def test_anchor_outside_support_is_never_evaluated(self):
+        # ln(gamma2 * anchor) is undefined here, but only lo and hi compete
+        f_min, xi_star = inner_minima([0.0], 0.5, [-20.0], SUPPORT, PARAMS, [1.0])
+        assert xi_star[0] == SUPPORT.lo
+        assert f_min[0] == pytest.approx(math.log(60.0) + 0.5 * 80.0, abs=1e-12)
+
+    def test_nonpositive_log_argument_names_the_first_point(self):
+        support = SupportInterval(-10.0, 10.0)
+        with pytest.raises(NonPositiveLogArgument) as err:
+            inner_minima([0.0, 30.0], 0.0, [1.0], support, PARAMS, [0.5, 0.5])
+        assert err.value.sample_index == 0
+        assert "at xi=-10.0" in str(err.value)
