@@ -15,7 +15,7 @@ from .ambiguity import (
     wasserstein_1d,
     write_samples_csv,
 )
-from .baselines import BaselineKind, solve_ro, solve_sp
+from .baselines import solve_ro, solve_sp
 from .bcd import (
     BcdConfig,
     BcdState,
@@ -41,7 +41,6 @@ from .contracts import (
     UtilityParams,
     asp_utility,
     check_feasibility,
-    expected_teleop_utility,
     read_menu_csv,
     read_profile_csv,
     rewards_from_latencies,
@@ -77,10 +76,8 @@ from .evaluation import (
 )
 from .inner import (
     InnerSolution,
-    f_n,
     g_of_L,
     inner_minima,
-    s_value,
     solve_inner,
     weighted_log,
 )

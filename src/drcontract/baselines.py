@@ -10,7 +10,7 @@ increasing in quality, so the floor is the worst point).
 
 from __future__ import annotations
 
-import enum
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,22 +19,9 @@ from .bcd import BcdConfig, SolveReport, solve_pinned
 from .contracts import AspTypeProfile, UtilityParams
 
 
-class BaselineKind(enum.Enum):
-    StochasticProgramming = "sp"
-    RobustOptimization = "ro"
-
-
 def _baseline_config(bcd_cfg: BcdConfig) -> BcdConfig:
     """Same loop controls, but the multiplier starts (and stays) at zero."""
-    bcd_cfg = bcd_cfg or BcdConfig()
-    return BcdConfig(
-        max_iters=bcd_cfg.max_iters,
-        conv_tol=bcd_cfg.conv_tol,
-        eta_L=bcd_cfg.eta_L,
-        eta_lambda=bcd_cfg.eta_lambda,
-        L_init=bcd_cfg.L_init,
-        lambda_init=0.0,
-    )
+    return replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
 
 
 def solve_sp(

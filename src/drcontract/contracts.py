@@ -217,21 +217,6 @@ def check_feasibility(
     return report
 
 
-def expected_teleop_utility(
-    menu: ContractMenu,
-    profile: AspTypeProfile,
-    xi: float,
-    params: UtilityParams,
-) -> float:
-    """Type-probability-weighted operator utility at a single quality point."""
-    if menu.n_types != profile.n_types:
-        raise SizeMismatch("menu and profile must have the same length")
-    total = 0.0
-    for alpha, lat, rew in zip(profile.alphas, menu.latencies, menu.rewards):
-        total += alpha * teleop_utility(xi, (lat, rew), params)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # CSV interfaces (type_index columns are 1-based)
 # ---------------------------------------------------------------------------

@@ -190,14 +190,26 @@ def oracle_menu_search(
     """Exhaustive search of the robust objective over a monotone latency grid
     and a multiplier grid.  Returns (best objective, best latency vector).
 
+    Every latency is a grid value ``k * grid_step``, so the log terms
+    ``ln(gamma2*x + gamma3*L)`` at the points x in {lo, hi, anchors} take only
+    ``n_l * (n + 2)`` distinct values, the same for every type.  They are
+    computed once into a table, scaled by each type's probability, and each
+    latency point's log benefits are gathered from it type by type in type
+    order: the same float sequence as :func:`weighted_log`, so the values are
+    bit-identical to evaluating it per point.
+
     For each latency point the per-anchor inner minimum is an exact min of
     at most two functions affine in the multiplier (the support endpoints
     dominate the remaining candidates; see the inner-solver module), so the
     objective is concave piecewise-linear in the multiplier.  The grid
     maximum over the multiplier axis is therefore found exactly by locating
-    the subgradient sign change and evaluating the two bracketing grid
-    points, which keeps the work at one inner evaluation per (latency point,
-    sample).  That product is the budgeted evaluation count.
+    the subgradient sign change and evaluating the bracketing grid points.
+
+    The evaluation budget caps (latency points) x (samples) at
+    ``_EVALUATION_BUDGET``: each pair costs one inner minimum at the lower
+    bracketing multiplier, and a second one only where the sign change lies
+    strictly between two grid points.  The flip points and their sort are
+    computed only when the subgradient at lam = 0 is positive.
     """
     if profile.n_types > 3:
         raise GridTooLarge("oracle supports at most 3 types")
@@ -213,45 +225,51 @@ def oracle_menu_search(
             f"the {_EVALUATION_BUDGET:.0e} evaluation budget"
         )
     values = grid_step * np.arange(n_l)
+    lo, hi = ambiguity.support.lo, ambiguity.support.hi
+    # anchors outside the support have no anchor branch; evaluating them
+    # at lo keeps every log argument in the support's positive range
+    points = np.concatenate(([lo, hi], np.where((anchors >= lo) & (anchors <= hi), anchors, lo)))
+    table = weighted_log(points, values[:, None, None], [1.0], params)
+    scaled = [alpha * table for alpha in profile.alphas]
 
     best_omega = -np.inf
     best_lat = None
-    for chunk in _monotone_chunks(values, n_types, anchors.size):
-        omega, idx = _chunk_best(
-            chunk, anchors, profile, params, ambiguity, grid_step, lambda_max
-        )
+    for chunk in _monotone_chunks(n_l, n_types, anchors.size):
+        h = scaled[0][chunk[:, 0]]
+        for i in range(1, n_types):
+            h += scaled[i][chunk[:, i]]
+        lat = values[chunk]
+        prof = _AffineInnerProfile(h, lat, anchors, profile, params, ambiguity)
+        omega, idx = _chunk_best(prof, grid_step, lambda_max)
         if omega > best_omega:
             best_omega = omega
-            best_lat = chunk[idx].copy()
+            best_lat = lat[idx].copy()
     return float(best_omega), best_lat
 
 
-def _monotone_chunks(values: np.ndarray, n_types: int, n_samples: int):
-    """Yield (rows, n_types) arrays of nondecreasing latency tuples."""
-    n_l = values.size
+def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
+    """Yield (rows, n_types) arrays of grid indices of the nondecreasing
+    latency tuples, in lexicographic order, ``2e6 // n_samples`` rows at a
+    time (fewer at the end of a block)."""
     chunk_rows = max(1, int(2e6 // max(n_samples, 1)))
     if n_types == 1:
-        grid = values[:, None]
         for start in range(0, n_l, chunk_rows):
-            yield grid[start : start + chunk_rows]
+            yield np.arange(start, min(start + chunk_rows, n_l))[:, None]
     elif n_types == 2:
-        ii, jj = np.triu_indices(n_l)
-        grid = np.stack([values[ii], values[jj]], axis=1)
-        for start in range(0, grid.shape[0], chunk_rows):
-            yield grid[start : start + chunk_rows]
+        # the pairs (i, j >= i) start at row starts[i]; each chunk unranks
+        # its own rows, so the full pair list is never held
+        starts = np.concatenate(([0], np.cumsum(np.arange(n_l, 0, -1))))
+        n_pairs = int(starts[-1])
+        for start in range(0, n_pairs, chunk_rows):
+            rows = np.arange(start, min(start + chunk_rows, n_pairs))
+            first = np.searchsorted(starts, rows, side="right") - 1
+            yield np.stack([first, first + rows - starts[first]], axis=1)
     else:
         for first in range(n_l):
             ii, jj = np.triu_indices(n_l - first)
-            grid = np.stack(
-                [
-                    np.full(ii.size, values[first]),
-                    values[first + ii],
-                    values[first + jj],
-                ],
-                axis=1,
-            )
-            for start in range(0, grid.shape[0], chunk_rows):
-                yield grid[start : start + chunk_rows]
+            block = np.stack([np.full(ii.size, first), first + ii, first + jj], axis=1)
+            for start in range(0, block.shape[0], chunk_rows):
+                yield block[start : start + chunk_rows]
 
 
 class _AffineInnerProfile:
@@ -261,76 +279,66 @@ class _AffineInnerProfile:
     in the multiplier: the anchor branch and a support-endpoint branch (the
     remaining candidates are dominated; see the inner-solver module).  The
     resulting objective is concave piecewise-linear in the multiplier.
+
+    ``h`` holds each row's log benefit at lo, hi and then at every anchor
+    (lo standing in for anchors outside the support).
     """
 
-    def __init__(self, lat, anchors, profile, params, ambiguity):
-        g1 = params.gamma1
-        alphas, thetas = profile.alphas, profile.thetas
+    def __init__(self, h, lat, anchors, profile, params, ambiguity):
         lo, hi = ambiguity.support.lo, ambiguity.support.hi
         self.eps = ambiguity.epsilon
-        n_rows = lat.shape[0]
-        n = anchors.size
-        self.n = n
+        self.n = anchors.size
+        self.diameter = hi - lo
 
         increments = np.diff(lat, axis=1, prepend=0.0)
-        rewards = np.cumsum(g1 * increments / thetas[None, :], axis=1)
-        self.g_of_rows = rewards @ alphas
+        rewards = np.cumsum(params.gamma1 * increments / profile.thetas[None, :], axis=1)
+        self.g_of_rows = rewards @ profile.alphas
 
-        in_sup = (anchors >= lo) & (anchors <= hi)
-        above = anchors > hi
-
-        h_lo = weighted_log(lo, lat, alphas, params)
-        h_hi = weighted_log(hi, lat, alphas, params)
-        # anchors outside the support have no anchor branch; evaluating them
-        # at lo keeps every log argument in the support's positive range
-        h_anchor = weighted_log(
-            np.where(in_sup, anchors, lo)[None, :], lat[:, None, :], alphas, params
-        )
+        self.in_sup = (anchors >= lo) & (anchors <= hi)
+        self.above = anchors > hi
+        self.h_lo, self.h_hi = h[:, 0], h[:, 1]
 
         # Two affine candidates (value A + lam * B) per (row, anchor):
         #   in support:    (h_anchor, 0)       and (h_lo, anchor - lo)
         #   below support: (h_lo, lo - anchor) twice (single branch)
         #   above support: (h_lo, anchor - lo) and (h_hi, anchor - hi)
-        self.a1 = np.where(in_sup[None, :], h_anchor, h_lo[:, None])
-        self.b1 = np.where(in_sup, 0.0, np.abs(anchors - lo))
-        self.a2 = np.where(above[None, :], h_hi[:, None], h_lo[:, None])
-        self.b2 = np.where(above, anchors - hi, np.abs(anchors - lo))
+        # Out-of-support columns of h are evaluated at lo, so A1 is h's
+        # anchor block as it stands.
+        self.a1 = h[:, 2:]
+        self.b1 = np.where(self.in_sup, 0.0, np.abs(anchors - lo))
+        if self.above.any():
+            self.a2 = np.where(self.above[None, :], self.h_hi[:, None], self.h_lo[:, None])
+        else:
+            self.a2 = self.h_lo[:, None]
+        self.b2 = np.where(self.above, anchors - hi, np.abs(anchors - lo))
 
-        # Active slope at lam=0+ and the lam at which each anchor's branch
-        # flips; the slope drop at a flip feeds the subgradient scan.
-        self.slope_start = np.where(above, anchors - lo, self.b2)
-        self.drops = np.where(in_sup, self.b2, np.where(above, hi - lo, 0.0))
-        flips = np.full((n_rows, n), np.inf)
-        flippable = in_sup & (self.b2 > 0.0)
-        if flippable.any():
-            flips[:, flippable] = (h_anchor[:, flippable] - h_lo[:, None]) / self.b2[
-                flippable
-            ]
-        if above.any():
-            flips[:, above] = ((h_hi - h_lo) / (hi - lo))[:, None]
-        self.flips = np.maximum(flips, 0.0)
+        # Active slope at lam=0+ and the slope drop at each anchor's flip,
+        # which feed the subgradient scan.
+        self.slope_start = np.where(self.above, anchors - lo, self.b2)
+        self.drops = np.where(self.in_sup, self.b2, np.where(self.above, self.diameter, 0.0))
 
-    def psi(self, lam_rows) -> np.ndarray:
-        """Objective value per row at the given per-row multiplier."""
-        lam_rows = np.asarray(lam_rows, dtype=float)
-        phi = np.minimum(
-            self.a1 + lam_rows[:, None] * self.b1[None, :],
-            self.a2 + lam_rows[:, None] * self.b2[None, :],
-        )
-        return phi.mean(axis=1) - self.g_of_rows - lam_rows * self.eps
+    def psi(self, lam_rows, rows=slice(None)) -> np.ndarray:
+        """Objective value per selected row at the given per-row multiplier."""
+        lam = np.asarray(lam_rows, dtype=float)[:, None]
+        # in place: two (rows, n) temporaries per call
+        phi = lam * self.b1
+        phi += self.a1[rows]
+        second = lam * self.b2
+        second += self.a2[rows]
+        np.minimum(phi, second, out=phi)
+        return phi.mean(axis=1) - self.g_of_rows[rows] - lam[:, 0] * self.eps
 
     def argmax_lambda(self, lambda_max: float) -> np.ndarray:
         """Continuous argmax of psi per row: where the subgradient
         (-eps + mean active slope) crosses zero, scanning flips in order."""
-        n_rows = self.flips.shape[0]
+        n_rows = self.g_of_rows.size
         s0 = -self.eps + float(self.slope_start.mean())
         if s0 <= 0.0:
             return np.zeros(n_rows)
-        order = np.argsort(self.flips, axis=1)
-        flips_sorted = np.take_along_axis(self.flips, order, axis=1)
-        drops_sorted = np.take_along_axis(
-            np.broadcast_to(self.drops, self.flips.shape), order, axis=1
-        )
+        flips = self._flips()
+        order = np.argsort(flips, axis=1)
+        flips_sorted = np.take_along_axis(flips, order, axis=1)
+        drops_sorted = np.take_along_axis(np.broadcast_to(self.drops, flips.shape), order, axis=1)
         slope_after = s0 - np.cumsum(drops_sorted, axis=1) / self.n
         crossed = slope_after <= 0.0
         has_cross = crossed.any(axis=1)
@@ -342,16 +350,30 @@ class _AffineInnerProfile:
         )
         return np.clip(lam_star, 0.0, lambda_max)
 
+    def _flips(self) -> np.ndarray:
+        """The lam at which each (row, anchor) switches to its second branch
+        (inf for a single branch)."""
+        flips = np.full((self.g_of_rows.size, self.n), np.inf)
+        flippable = self.in_sup & (self.b2 > 0.0)
+        if flippable.any():
+            flips[:, flippable] = (self.a1[:, flippable] - self.h_lo[:, None]) / self.b2[flippable]
+        if self.above.any():
+            flips[:, self.above] = ((self.h_hi - self.h_lo) / self.diameter)[:, None]
+        return np.maximum(flips, 0.0)
 
-def _chunk_best(lat, anchors, profile, params, ambiguity, grid_step, lambda_max):
+
+def _chunk_best(prof: _AffineInnerProfile, grid_step: float, lambda_max: float):
     """Best (objective, row index) over one latency chunk: locate the
-    continuous multiplier argmax per row, then evaluate the two bracketing
-    grid points (exact for a concave piecewise-linear profile)."""
-    prof = _AffineInnerProfile(lat, anchors, profile, params, ambiguity)
+    continuous multiplier argmax per row, then evaluate the bracketing grid
+    points (exact for a concave piecewise-linear profile); a row whose
+    argmax sits on a grid point is evaluated there once."""
     lam_star = prof.argmax_lambda(lambda_max)
     lam_floor = np.clip(np.floor(lam_star / grid_step) * grid_step, 0.0, lambda_max)
     lam_ceil = np.clip(np.ceil(lam_star / grid_step) * grid_step, 0.0, lambda_max)
-    omega = np.maximum(prof.psi(lam_floor), prof.psi(lam_ceil))
+    omega = prof.psi(lam_floor)
+    up = np.flatnonzero(lam_ceil != lam_floor)
+    if up.size:
+        omega[up] = np.maximum(omega[up], prof.psi(lam_ceil[up], up))
     idx = int(np.argmax(omega))
     return float(omega[idx]), idx
 

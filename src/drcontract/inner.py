@@ -133,11 +133,6 @@ def inner_minima(
     return f_min, xi_star
 
 
-def f_n(xi: float, latencies, lam: float, anchor: float, params: UtilityParams, alphas) -> float:
-    """Penalized log benefit at a single quality point."""
-    return float(weighted_log(xi, latencies, alphas, params)) + lam * abs(xi - anchor)
-
-
 def g_of_L(latencies, alphas, thetas, gamma1: float) -> float:
     """Expected reward of the constructed menu, accumulated in O(I).
 
@@ -171,7 +166,3 @@ def solve_inner(
     tag = "lo" if xi == support.lo else ("anchor" if xi == anchor else "hi")
     return InnerSolution(xi_star=xi, f_value=float(f_min[0]), candidate_tag=tag)
 
-
-def s_value(inner: InnerSolution, latencies, alphas, thetas, gamma1: float) -> float:
-    """Slack value: inner minimum net of the expected reward."""
-    return inner.f_value - g_of_L(latencies, alphas, thetas, gamma1)

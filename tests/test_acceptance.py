@@ -20,7 +20,6 @@ from drcontract import (
     UtilityParams,
     check_feasibility,
     eval_asp_utilities,
-    f_n,
     generate_alphas,
     oracle_menu_search,
     radius,

@@ -3,7 +3,6 @@ import pytest
 
 from drcontract import (
     AspTypeProfile,
-    BaselineKind,
     BcdConfig,
     QualitySampleSet,
     SupportInterval,
@@ -26,14 +25,6 @@ def instance(n_types=3, n_samples=30, seed=13):
     profile = AspTypeProfile(thetas=thetas, alphas=alphas / alphas.sum())
     samples = QualitySampleSet(rng.uniform(60, 100, n_samples))
     return profile, samples
-
-
-class TestBaselineKind:
-    def test_exactly_two_variants(self):
-        assert {k.name for k in BaselineKind} == {
-            "StochasticProgramming",
-            "RobustOptimization",
-        }
 
 
 class TestSampleAverage:

@@ -10,11 +10,12 @@ from drcontract import (
     ContractMenu,
     NonMonotoneLatencies,
     NonPositiveLogArgument,
+    QualitySampleSet,
     UtilityParams,
     ValidationError,
     asp_utility,
     check_feasibility,
-    expected_teleop_utility,
+    eval_teleop_utility,
     read_menu_csv,
     read_profile_csv,
     rewards_from_latencies,
@@ -196,6 +197,11 @@ def test_property_constructed_menus_always_feasible(data, n):
     profile = AspTypeProfile(thetas=thetas, alphas=alphas)
     menu = menu_from(lat, profile)
     assert check_feasibility(menu, profile, 1.0, tol=1e-9).feasible
+
+
+def expected_teleop_utility(menu, profile, xi, params):
+    """Type-probability-weighted operator utility at one quality point."""
+    return eval_teleop_utility(menu, QualitySampleSet([xi]), profile, params)
 
 
 class TestExpectedTeleopUtility:

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcontract import (
     AmbiguityConfig,
@@ -16,6 +19,7 @@ from drcontract import (
     ValidationError,
     eval_asp_utilities,
     eval_teleop_utility,
+    generate_alphas,
     objective,
     oracle_menu_search,
     rewards_from_latencies,
@@ -26,6 +30,7 @@ from drcontract import (
     write_asp_csv,
     write_metrics_csv,
 )
+from drcontract.config import generate_quality_samples
 from drcontract.evaluation import EvaluationScenario, MetricsTable
 
 PARAMS = UtilityParams()
@@ -36,6 +41,31 @@ def menu_from(latencies, profile):
     return ContractMenu(
         latencies=latencies, rewards=rewards_from_latencies(latencies, profile, 1.0)
     )
+
+
+@st.composite
+def oracle_instances(draw):
+    """Up to three types, anchors below, on, inside and above the support, a
+    radius small enough that the multiplier argmax usually leaves zero, and
+    a coarse grid whose multiplier range is a whole number of steps.  The
+    flip points lie near 0.01, so the small steps put grid points between
+    them and the large ones bracket them all in the first step."""
+    n_types = draw(st.integers(1, 3))
+    thetas = sorted(draw(st.lists(st.floats(100.0, 260.0), min_size=n_types, max_size=n_types)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_types, max_size=n_types))
+    profile = AspTypeProfile(thetas=thetas, alphas=np.array(weights) / sum(weights))
+    anchor = st.one_of(
+        st.floats(50.0, 59.5),
+        st.sampled_from([SUPPORT.lo, SUPPORT.hi]),
+        st.floats(SUPPORT.lo, SUPPORT.hi),
+        st.floats(100.5, 110.0),
+    )
+    samples = QualitySampleSet(draw(st.lists(anchor, min_size=1, max_size=6)))
+    amb = AmbiguityConfig(SUPPORT, 0.9, samples.n, draw(st.floats(0.0, 8.0)))
+    step = draw(st.sampled_from([0.002, 0.004, 2.0, 2.5]))
+    l_max = step * draw(st.integers(1, 8))
+    lambda_max = step * draw(st.integers(1, 10))
+    return profile, samples, amb, step, l_max, lambda_max
 
 
 class TestEvalTeleopUtility:
@@ -173,6 +203,55 @@ class TestOracle:
         # oracle by more than grid resolution.
         assert report.objective >= omega - 3e-2
         assert report.objective <= omega + 1e-3
+
+    # (objective, latencies) of the exhaustive search, pinned bit for bit
+    def test_pinned_criterion_05_instance(self):
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=generate_alphas(2, 0))
+        samples = generate_quality_samples(20, 0, "train-data", 85.0, 8.0, SUPPORT)
+        amb = AmbiguityConfig.derive(SUPPORT, 0.99, 20)
+        omega, lat = oracle_menu_search(
+            profile, samples, PARAMS, amb, 0.05, l_max=50.0, lambda_max=10.0
+        )
+        assert omega == 4.256970764931453
+        assert lat.tolist() == [29.5, 50.0]
+
+    def test_pinned_three_type_instance(self):
+        # a small radius puts the multiplier argmax above zero, and the
+        # anchors lie below, on the edges of, inside and above the support
+        profile = AspTypeProfile(thetas=[110.0, 140.0, 180.0], alphas=[0.25, 0.35, 0.4])
+        samples = QualitySampleSet([50.0, 60.0, 72.5, 81.0, 93.25, 100.0, 108.0])
+        amb = AmbiguityConfig(SUPPORT, 0.9, 7, 5.0)
+        omega, lat = oracle_menu_search(
+            profile, samples, PARAMS, amb, 1.0, l_max=130.0, lambda_max=3.0
+        )
+        assert omega == 4.324011596838207
+        assert lat.tolist() == [7.0, 52.0, 120.0]
+
+    def test_pinned_single_type_instance(self):
+        profile = AspTypeProfile(thetas=[150.0], alphas=[1.0])
+        samples = QualitySampleSet(np.linspace(61, 99, 10))
+        amb = AmbiguityConfig.derive(SUPPORT, 0.95, 10)
+        omega, lat = oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=120.0)
+        assert omega == 4.410635294096256
+        assert lat.tolist() == [90.0]
+
+    @given(oracle_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exhaustive_objective_grid(self, instance):
+        profile, samples, amb, step, l_max, lambda_max = instance
+        omega, lat = oracle_menu_search(
+            profile, samples, PARAMS, amb, step, l_max=l_max, lambda_max=lambda_max
+        )
+        values = step * np.arange(round(l_max / step) + 1)
+        lams = step * np.arange(round(lambda_max / step) + 1)
+        brute = max(
+            objective(list(point), lam, samples, amb, profile, PARAMS)[0]
+            for point in itertools.combinations_with_replacement(values, profile.n_types)
+            for lam in lams
+        )
+        assert omega == pytest.approx(brute, abs=1e-9)
+        at_argmax = max(objective(lat, lam, samples, amb, profile, PARAMS)[0] for lam in lams)
+        assert at_argmax == pytest.approx(omega, abs=1e-9)
 
 
 class TestRunBenchmark:

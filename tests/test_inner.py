@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drcontract import (
+    AmbiguityConfig,
     AspTypeProfile,
     NonMonotoneLatencies,
     NonPositiveLogArgument,
     SupportInterval,
     UtilityParams,
     ValidationError,
-    f_n,
     g_of_L,
     inner_minima,
+    objective,
     rewards_from_latencies,
-    s_value,
     solve_inner,
     weighted_log,
 )
@@ -42,6 +42,11 @@ def grid_min(latencies, lam, anchor, support, alphas, step=1e-3, params=PARAMS):
     total += lam * np.abs(xs - anchor)
     k = int(np.argmin(total))
     return float(xs[k]), float(total[k])
+
+
+def f_n(xi, latencies, lam, anchor, params, alphas):
+    """Penalized log benefit h(xi) + lam * |xi - anchor| at one quality point."""
+    return float(weighted_log(xi, latencies, alphas, params)) + lam * abs(xi - anchor)
 
 
 class TestPenalizedBenefit:
@@ -212,17 +217,26 @@ class TestSolveInner:
 
 
 class TestSlackValue:
+    """A slack is an anchor's inner minimum net of the expected reward: the
+    ``s_values`` the robust objective averages."""
+
+    AMB = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
+
     def test_zero_latency_slack_is_inner_value(self):
         sol = solve_inner([0.0], 0.0, 80.0, SUPPORT, PARAMS, [1.0])
-        got = s_value(sol, [0.0], [1.0], [1.0], 1.0)
+        profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
+        got = objective([0.0], 0.0, [80.0], self.AMB, profile, PARAMS)[2][0]
         assert got == pytest.approx(sol.f_value)
         assert got == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_deterministic(self):
         sol = solve_inner([3.0, 8.0], 0.7, 77.0, SUPPORT, PARAMS, [0.6, 0.4])
-        a = s_value(sol, [3.0, 8.0], [0.6, 0.4], [110, 140], 1.0)
-        b = s_value(sol, [3.0, 8.0], [0.6, 0.4], [110, 140], 1.0)
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.6, 0.4])
+        a = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[2][0]
+        b = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[2][0]
         assert a == b
+        reward = g_of_L([3.0, 8.0], [0.6, 0.4], [110.0, 140.0], PARAMS.gamma1)
+        assert a == pytest.approx(sol.f_value - reward, abs=1e-12)
 
 
 def enumerate_candidates(latencies, lam, anchor, support, alphas, params=PARAMS):
