@@ -21,28 +21,27 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from drcontract import eval_asp_utilities, eval_teleop_utility, shift_samples, solve
-from drcontract.config import RunConfig, generate_quality_samples, with_seed
+from drcontract import EvaluationScenario, run_benchmark
+from drcontract.config import RunConfig
 
 ETA_L_GRID = (1e3, 5e3, 1e4, 5e4, 1e5)
 N_TRAIN_GRID = (10, 50, 100, 200)
 TAU_GRID = (0.8, 0.85, 0.9, 0.95, 0.99)
 
 
-def train_and_score(cfg: RunConfig):
-    train = generate_quality_samples(
-        cfg.n_train, cfg.seed, "train-data", cfg.gen_mean, cfg.gen_sd, cfg.support()
+def score(cfg: RunConfig):
+    """The robust menu's metrics on uncontaminated training data."""
+    train = cfg.train_samples()
+    scenario = EvaluationScenario(cfg.eval_samples(), cfg.shift_magnitudes, seed=cfg.seed)
+    return run_benchmark(
+        scenario,
+        ("dro",),
+        train,
+        profile=cfg.profile(),
+        params=cfg.params(),
+        ambiguity=cfg.ambiguity_for(train.n),
+        bcd_cfg=cfg.bcd_config(),
     )
-    evals = cfg.eval_samples()
-    profile = cfg.profile()
-    params = cfg.params()
-    report = solve(train, profile, params, cfg.ambiguity_for(train.n), cfg.bcd_config())
-    teleop = [
-        (m, eval_teleop_utility(report.menu, shift_samples(evals, m), profile, params))
-        for m in cfg.shift_magnitudes
-    ]
-    asp = list(enumerate(eval_asp_utilities(report.menu, profile, params.gamma1), start=1))
-    return teleop, asp
 
 
 def run_sweep(name, settings, cfg_for, out: Path) -> None:
@@ -54,12 +53,12 @@ def run_sweep(name, settings, cfg_for, out: Path) -> None:
         m_writer.writerow([name, "shift", "mean_teleop_utility"])
         a_writer.writerow([name, "type_index", "asp_utility"])
         for value in settings:
-            teleop, asp = train_and_score(cfg_for(value))
-            for shift, utility in teleop:
+            table = score(cfg_for(value))
+            for _, _, shift, utility in table.teleop_rows:
                 m_writer.writerow([value, repr(float(shift)), repr(float(utility))])
-            for type_index, utility in asp:
+            for _, _, type_index, utility in table.asp_rows:
                 a_writer.writerow([value, type_index, repr(float(utility))])
-            print(f"{name}={value}: shift-0 utility {teleop[0][1]:.4f}")
+            print(f"{name}={value}: shift-0 utility {table.teleop_rows[0][3]:.4f}")
     print(f"wrote {metrics_path} and {asp_path}")
 
 
@@ -71,7 +70,7 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = with_seed(RunConfig(), args.seed)
+    base = RunConfig(seed=args.seed)
 
     run_sweep("eta_l", ETA_L_GRID, lambda v: replace(base, eta_l=v), out)
     run_sweep("n_train", N_TRAIN_GRID, lambda v: replace(base, n_train=v), out)

@@ -4,10 +4,8 @@ solver, baselines, and the benchmark harness."""
 
 from .ambiguity import (
     AmbiguityConfig,
-    EmpiricalDistribution,
     QualitySampleSet,
     SupportInterval,
-    empirical_distribution,
     inject_extreme_points,
     radius,
     read_samples_csv,
@@ -44,7 +42,6 @@ from .contracts import (
     read_menu_csv,
     read_profile_csv,
     rewards_from_latencies,
-    teleop_utility,
     write_menu_csv,
     write_profile_csv,
 )
@@ -75,10 +72,9 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .inner import (
-    InnerSolution,
+    candidate_points,
     g_of_L,
     inner_minima,
-    solve_inner,
     weighted_log,
 )
 from .seeding import rng_for

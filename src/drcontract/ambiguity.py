@@ -75,18 +75,6 @@ class QualitySampleSet:
 
 
 @dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Uniformly weighted atoms; duplicates are kept as distinct atoms."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.points.size)
-
-
-@dataclass(frozen=True)
 class AmbiguityConfig:
     """Support interval, confidence level, sample count, and ball radius."""
 
@@ -121,19 +109,12 @@ def radius(n_samples: int, tau: float, diameter: float) -> float:
     return diameter * math.sqrt((2.0 / n_samples) * math.log(1.0 / (1.0 - tau)))
 
 
-def empirical_distribution(samples: QualitySampleSet) -> EmpiricalDistribution:
-    """Uniform weights 1/N on every observation, duplicates preserved."""
-    pts = np.asarray(samples.samples, dtype=float)
-    weights = np.full(pts.size, 1.0 / pts.size)
-    return EmpiricalDistribution(points=pts, weights=weights)
-
-
-def _atoms(dist) -> np.ndarray:
-    if isinstance(dist, EmpiricalDistribution):
-        return np.asarray(dist.points, dtype=float)
-    if isinstance(dist, QualitySampleSet):
-        return np.asarray(dist.samples, dtype=float)
-    return np.asarray(dist, dtype=float)
+def sample_values(samples) -> np.ndarray:
+    """The observations of a sample set, or any sequence of reals, as a float
+    array."""
+    if isinstance(samples, QualitySampleSet):
+        return samples.samples
+    return np.asarray(samples, dtype=float)
 
 
 def wasserstein_1d(p, q) -> float:
@@ -142,8 +123,8 @@ def wasserstein_1d(p, q) -> float:
     Sorting both supports pairs the order statistics, which is the optimal
     coupling on the line; the cost is the mean absolute pairwise gap.
     """
-    a = _atoms(p)
-    b = _atoms(q)
+    a = sample_values(p)
+    b = sample_values(q)
     if a.size != b.size:
         raise SizeMismatch(f"sample counts differ: {a.size} vs {b.size}")
     if a.size == 0:

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ambiguity import QualitySampleSet, SupportInterval
+from .ambiguity import SupportInterval
 from .bcd import BcdConfig, SolveReport, solve_pinned
 from .contracts import AspTypeProfile, UtilityParams
 
@@ -35,8 +35,7 @@ def solve_sp(
     The latency gradient is the robust solver's with each inner minimizer
     replaced by its anchor; invariant to sample permutations.
     """
-    values = samples.samples if isinstance(samples, QualitySampleSet) else np.asarray(samples, dtype=float)
-    return solve_pinned(values, profile, params, _baseline_config(bcd_cfg))
+    return solve_pinned(samples, profile, params, _baseline_config(bcd_cfg))
 
 
 def solve_ro(

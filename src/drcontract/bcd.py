@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguityConfig, QualitySampleSet
+from .ambiguity import AmbiguityConfig, sample_values
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
 from .errors import NonPositiveDenominator, NumericError, SizeMismatch, ValidationError
 from .inner import g_of_L, inner_minima, weighted_log
@@ -92,12 +92,6 @@ class SolveReport:
         return float(self.objective_trace[-1])
 
 
-def _sample_values(samples) -> np.ndarray:
-    if isinstance(samples, QualitySampleSet):
-        return samples.samples
-    return np.asarray(samples, dtype=float)
-
-
 def objective(
     latencies,
     lam: float,
@@ -114,9 +108,9 @@ def objective(
     objective = -lam * epsilon + mean(s_values).
     """
     f_min, xi_stars = inner_minima(
-        latencies, lam, _sample_values(samples), ambiguity.support, params, profile.alphas
+        latencies, lam, sample_values(samples), ambiguity.support, params, profile.alphas
     )
-    g = g_of_L(latencies, profile.alphas.tolist(), profile.thetas.tolist(), params.gamma1)
+    g = g_of_L(latencies, profile, params.gamma1)
     s_values = f_min - g
     return -lam * ambiguity.epsilon + _mean_in_order(s_values), xi_stars, s_values
 
@@ -133,7 +127,7 @@ def _pinned_objective(
     Used by the sample-average and worst-case baselines; the transport
     penalty vanishes because the evaluation point equals the anchor.
     """
-    g = g_of_L(latencies, profile.alphas.tolist(), profile.thetas.tolist(), params.gamma1)
+    g = g_of_L(latencies, profile, params.gamma1)
     s_values = weighted_log(anchors, latencies, profile.alphas, params) - g
     return _mean_in_order(s_values), anchors.copy(), s_values
 
@@ -164,7 +158,7 @@ def grad_L(xi_stars, latencies, profile: AspTypeProfile, params: UtilityParams) 
 def grad_lambda(xi_stars, anchors, epsilon: float) -> float:
     """Multiplier gradient: mean transport distance minus the radius."""
     xi = np.asarray(xi_stars, dtype=float)
-    anc = _sample_values(anchors)
+    anc = sample_values(anchors)
     if xi.size != anc.size:
         raise SizeMismatch(f"xi_stars ({xi.size}) vs anchors ({anc.size})")
     return float(-epsilon + np.mean(np.abs(xi - anc)))
@@ -239,10 +233,14 @@ def _latency_update(latencies, xi_stars, profile, params, bcd_cfg) -> np.ndarray
     stepped = np.asarray(latencies, dtype=float) + bcd_cfg.eta_L * g
     if not np.all(np.isfinite(stepped)):
         raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
-    # zero-probability types get a tiny ironing weight so pooling stays defined
-    weights = np.maximum(profile.alphas, 1e-12)
-    ironed = iron_monotone(stepped, weights)
-    return np.maximum(ironed, 0.0)  # inverse latencies cannot go negative
+    return _project(stepped, profile)
+
+
+def _project(latencies, profile) -> np.ndarray:
+    """Iron onto the nondecreasing cone, then clip at zero: inverse
+    latencies cannot go negative.  Zero-probability types get a tiny
+    ironing weight so pooling stays defined."""
+    return np.maximum(iron_monotone(latencies, np.maximum(profile.alphas, 1e-12)), 0.0)
 
 
 def solve(
@@ -261,7 +259,7 @@ def solve(
     def evaluate(lat, lam):
         return objective(lat, lam, samples, ambiguity, profile, params)
 
-    anchors = _sample_values(samples)
+    anchors = sample_values(samples)
     bcd_cfg = bcd_cfg or BcdConfig()
     return _run_loop(anchors, profile, params, bcd_cfg, evaluate, ambiguity.epsilon)
 
@@ -269,8 +267,7 @@ def solve(
 def _run_loop(anchors, profile, params, bcd_cfg, evaluate, epsilon) -> SolveReport:
     """Shared ascent engine; ``evaluate`` fixes the inner rule.  The
     objective is evaluated once before the loop and once per iteration."""
-    lat = bcd_cfg.initial_latencies(profile.n_types)
-    lat = np.maximum(iron_monotone(lat, np.maximum(profile.alphas, 1e-12)), 0.0)
+    lat = _project(bcd_cfg.initial_latencies(profile.n_types), profile)
     lam = float(bcd_cfg.lambda_init)
     omega, xi_stars, s_values = evaluate(lat, lam)
     state = BcdState(latencies=lat, lam=lam, xi_stars=xi_stars, s_values=s_values, objective=omega)
@@ -307,7 +304,7 @@ def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     baselines: the multiplier gradient is identically zero, so the
     multiplier stays at its initial value.
     """
-    anchors = _sample_values(anchors)
+    anchors = sample_values(anchors)
 
     def evaluate(lat, lam):
         return _pinned_objective(lat, lam, anchors, profile, params)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .ambiguity import write_samples_csv
 from .bcd import write_trace_csv
-from .config import RunConfig, load_config, with_seed
+from .config import RunConfig, load_config
 from .contracts import read_menu_csv, write_menu_csv, write_profile_csv
 from .errors import (
     ContractSolverError,
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
-            cfg = with_seed(cfg, args.seed)
+            cfg = replace(cfg, seed=args.seed)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,7 @@ its parameters are config keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,10 @@ from .ambiguity import AmbiguityConfig, QualitySampleSet, SupportInterval
 from .bcd import BcdConfig
 from .contracts import AspTypeProfile, UtilityParams
 from .errors import InvalidConfidence, ParseError, ValidationError
+from .evaluation import DEFAULT_SHIFTS
 from .seeding import rng_for
 
 DEFAULT_THETAS = (110.0, 140.0, 175.0, 200.0, 220.0, 235.0, 245.0, 250.0)
-DEFAULT_SHIFTS = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_EXTREME_COUNTS = (0, 50, 100)
 
 
@@ -215,7 +215,3 @@ def _parse_value(key: str, value: str):
     if key in _INT_KEYS:
         return int(value)
     return float(value)
-
-
-def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    return replace(cfg, seed=int(seed))

@@ -12,18 +12,12 @@ rewards as free variables.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    NonMonotoneLatencies,
-    NonPositiveLogArgument,
-    SizeMismatch,
-    ValidationError,
-)
+from .errors import NonMonotoneLatencies, SizeMismatch, ValidationError
 
 MONOTONE_TOL = 1e-12
 
@@ -149,42 +143,27 @@ def asp_utility(theta: float, bundle, params: UtilityParams) -> float:
     return theta * reward - params.gamma1 * latency
 
 
-def teleop_utility(xi: float, bundle, params: UtilityParams) -> float:
-    """Operator utility ``ln(gamma2*xi + gamma3*L) - R`` for bundle (L, R)."""
-    latency, reward = bundle
-    arg = params.gamma2 * xi + params.gamma3 * latency
-    if arg <= 0.0:
-        raise NonPositiveLogArgument(
-            f"log argument gamma2*xi + gamma3*L = {arg!r} must be > 0"
-        )
-    return math.log(arg) - reward
-
-
 def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     """Rewards that bind the lowest type's participation constraint and every
     adjacent downward self-selection constraint.
 
     R_1 = gamma1 * L_1 / theta_1 and
     R_i = R_{i-1} + gamma1 * (L_i - L_{i-1}) / theta_i, so each increment of
-    latency is priced at the marginal rate of the type receiving it.
+    latency is priced at the marginal rate of the type receiving it.  The
+    types run along the last axis, so a stack of latency vectors gives one
+    reward vector per row.
     """
     lat = np.asarray(latencies, dtype=float)
-    if lat.size != profile.n_types:
+    if lat.shape[-1] != profile.n_types:
         raise SizeMismatch(
-            f"latencies ({lat.size}) and profile ({profile.n_types}) differ"
+            f"latencies ({lat.shape[-1]}) and profile ({profile.n_types}) differ"
         )
-    if lat.size and np.any(np.diff(lat) < -MONOTONE_TOL):
+    increments = np.diff(lat, axis=-1, prepend=0.0)
+    if np.any(increments[..., 1:] < -MONOTONE_TOL):
         raise NonMonotoneLatencies(
             f"latencies must be nondecreasing within {MONOTONE_TOL}"
         )
-    rewards = np.empty_like(lat)
-    thetas = profile.thetas
-    acc = gamma1 * lat[0] / thetas[0]
-    rewards[0] = acc
-    for i in range(1, lat.size):
-        acc += gamma1 * (lat[i] - lat[i - 1]) / thetas[i]
-        rewards[i] = acc
-    return rewards
+    return np.cumsum(gamma1 * increments / profile.thetas, axis=-1)
 
 
 def check_feasibility(

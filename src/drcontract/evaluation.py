@@ -22,14 +22,14 @@ from .ambiguity import (
 )
 from .baselines import solve_ro, solve_sp
 from .bcd import BcdConfig, SolveReport, solve
-from .contracts import AspTypeProfile, ContractMenu, UtilityParams
+from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
 from .errors import (
     GridTooLarge,
     NonPositiveLogArgument,
     SizeMismatch,
     ValidationError,
 )
-from .inner import weighted_log
+from .inner import candidate_points, weighted_log
 
 CANONICAL_METHODS = ("dro", "sp", "ro")
 
@@ -191,19 +191,20 @@ def oracle_menu_search(
     and a multiplier grid.  Returns (best objective, best latency vector).
 
     Every latency is a grid value ``k * grid_step``, so the log terms
-    ``ln(gamma2*x + gamma3*L)`` at the points x in {lo, hi, anchors} take only
-    ``n_l * (n + 2)`` distinct values, the same for every type.  They are
+    ``ln(gamma2*x + gamma3*L)`` at the inner minimum's candidate points x
+    (the floor lo and each anchor's projection onto the support) take only
+    ``n_l * (n + 1)`` distinct values, the same for every type.  They are
     computed once into a table, scaled by each type's probability, and each
     latency point's log benefits are gathered from it type by type in type
     order: the same float sequence as :func:`weighted_log`, so the values are
     bit-identical to evaluating it per point.
 
-    For each latency point the per-anchor inner minimum is an exact min of
-    at most two functions affine in the multiplier (the support endpoints
-    dominate the remaining candidates; see the inner-solver module), so the
-    objective is concave piecewise-linear in the multiplier.  The grid
-    maximum over the multiplier axis is therefore found exactly by locating
-    the subgradient sign change and evaluating the bracketing grid points.
+    For each latency point the per-anchor inner minimum is the lower of two
+    functions affine in the multiplier, the floor branch and the projection
+    branch (see the inner-solver module), so the objective is concave
+    piecewise-linear in the multiplier.  The grid maximum over the
+    multiplier axis is therefore found exactly by locating the subgradient
+    sign change and evaluating the bracketing grid points.
 
     The evaluation budget caps (latency points) x (samples) at
     ``_EVALUATION_BUDGET``: each pair costs one inner minimum at the lower
@@ -225,10 +226,7 @@ def oracle_menu_search(
             f"the {_EVALUATION_BUDGET:.0e} evaluation budget"
         )
     values = grid_step * np.arange(n_l)
-    lo, hi = ambiguity.support.lo, ambiguity.support.hi
-    # anchors outside the support have no anchor branch; evaluating them
-    # at lo keeps every log argument in the support's positive range
-    points = np.concatenate(([lo, hi], np.where((anchors >= lo) & (anchors <= hi), anchors, lo)))
+    points = candidate_points(anchors, ambiguity.support)
     table = weighted_log(points, values[:, None, None], [1.0], params)
     scaled = [alpha * table for alpha in profile.alphas]
 
@@ -239,7 +237,7 @@ def oracle_menu_search(
         for i in range(1, n_types):
             h += scaled[i][chunk[:, i]]
         lat = values[chunk]
-        prof = _AffineInnerProfile(h, lat, anchors, profile, params, ambiguity)
+        prof = _AffineInnerProfile(h, lat, points, anchors, profile, params, ambiguity.epsilon)
         omega, idx = _chunk_best(prof, grid_step, lambda_max)
         if omega > best_omega:
             best_omega = omega
@@ -249,9 +247,10 @@ def oracle_menu_search(
 
 def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
     """Yield (rows, n_types) arrays of grid indices of the nondecreasing
-    latency tuples, in lexicographic order, ``2e6 // n_samples`` rows at a
-    time (fewer at the end of a block)."""
-    chunk_rows = max(1, int(2e6 // max(n_samples, 1)))
+    latency tuples, in lexicographic order, ``1e6 // n_samples`` rows at a
+    time (fewer at the end of a block), so each (rows, samples) float table
+    of a chunk takes at most 8 MB."""
+    chunk_rows = max(1, int(1e6 // max(n_samples, 1)))
     if n_types == 1:
         for start in range(0, n_l, chunk_rows):
             yield np.arange(start, min(start + chunk_rows, n_l))[:, None]
@@ -276,66 +275,54 @@ class _AffineInnerProfile:
     """Exact inner minima for a latency chunk, as functions of the multiplier.
 
     Per (row, anchor) the inner minimum is the lower of two branches affine
-    in the multiplier: the anchor branch and a support-endpoint branch (the
-    remaining candidates are dominated; see the inner-solver module).  The
-    resulting objective is concave piecewise-linear in the multiplier.
+    in the multiplier (value A + lam * B; see the inner-solver module):
 
-    ``h`` holds each row's log benefit at lo, hi and then at every anchor
-    (lo standing in for anchors outside the support).
+    * floor branch: (h(lo), |anchor - lo|);
+    * projection branch: (h(p), |anchor - p|), p = clip(anchor, lo, hi).
+
+    The floor branch is active at lam = 0 (h is increasing), and past the
+    flip point (h(p) - h(lo)) / (p - lo) the projection branch takes over,
+    dropping the slope by p - lo.  The resulting objective is concave
+    piecewise-linear in the multiplier.
+
+    ``h`` holds each row's log benefit at the candidate ``points``: lo, then
+    every anchor's projection.
     """
 
-    def __init__(self, h, lat, anchors, profile, params, ambiguity):
-        lo, hi = ambiguity.support.lo, ambiguity.support.hi
-        self.eps = ambiguity.epsilon
+    def __init__(self, h, lat, points, anchors, profile, params, eps):
+        lo, p = points[0], points[1:]
+        self.eps = eps
         self.n = anchors.size
-        self.diameter = hi - lo
-
-        increments = np.diff(lat, axis=1, prepend=0.0)
-        rewards = np.cumsum(params.gamma1 * increments / profile.thetas[None, :], axis=1)
-        self.g_of_rows = rewards @ profile.alphas
-
-        self.in_sup = (anchors >= lo) & (anchors <= hi)
-        self.above = anchors > hi
-        self.h_lo, self.h_hi = h[:, 0], h[:, 1]
-
-        # Two affine candidates (value A + lam * B) per (row, anchor):
-        #   in support:    (h_anchor, 0)       and (h_lo, anchor - lo)
-        #   below support: (h_lo, lo - anchor) twice (single branch)
-        #   above support: (h_lo, anchor - lo) and (h_hi, anchor - hi)
-        # Out-of-support columns of h are evaluated at lo, so A1 is h's
-        # anchor block as it stands.
-        self.a1 = h[:, 2:]
-        self.b1 = np.where(self.in_sup, 0.0, np.abs(anchors - lo))
-        if self.above.any():
-            self.a2 = np.where(self.above[None, :], self.h_hi[:, None], self.h_lo[:, None])
-        else:
-            self.a2 = self.h_lo[:, None]
-        self.b2 = np.where(self.above, anchors - hi, np.abs(anchors - lo))
-
-        # Active slope at lam=0+ and the slope drop at each anchor's flip,
-        # which feed the subgradient scan.
-        self.slope_start = np.where(self.above, anchors - lo, self.b2)
-        self.drops = np.where(self.in_sup, self.b2, np.where(self.above, self.diameter, 0.0))
+        self.g_of_rows = rewards_from_latencies(lat, profile, params.gamma1) @ profile.alphas
+        self.h_lo, self.h_p = h[:, 0], h[:, 1:]
+        self.b_lo = np.abs(anchors - lo)
+        self.b_p = np.abs(anchors - p)
+        self.drops = p - lo
 
     def psi(self, lam_rows, rows=slice(None)) -> np.ndarray:
         """Objective value per selected row at the given per-row multiplier."""
         lam = np.asarray(lam_rows, dtype=float)[:, None]
         # in place: two (rows, n) temporaries per call
-        phi = lam * self.b1
-        phi += self.a1[rows]
-        second = lam * self.b2
-        second += self.a2[rows]
-        np.minimum(phi, second, out=phi)
+        phi = lam * self.b_p
+        phi += self.h_p[rows]
+        floor = lam * self.b_lo
+        floor += self.h_lo[rows, None]
+        np.minimum(phi, floor, out=phi)
         return phi.mean(axis=1) - self.g_of_rows[rows] - lam[:, 0] * self.eps
 
     def argmax_lambda(self, lambda_max: float) -> np.ndarray:
         """Continuous argmax of psi per row: where the subgradient
         (-eps + mean active slope) crosses zero, scanning flips in order."""
         n_rows = self.g_of_rows.size
-        s0 = -self.eps + float(self.slope_start.mean())
+        s0 = -self.eps + float(self.b_lo.mean())
         if s0 <= 0.0:
             return np.zeros(n_rows)
-        flips = self._flips()
+        flips = np.full((n_rows, self.n), np.inf)
+        flippable = self.drops > 0.0  # p = lo never flips
+        flips[:, flippable] = (
+            self.h_p[:, flippable] - self.h_lo[:, None]
+        ) / self.drops[flippable]
+        np.maximum(flips, 0.0, out=flips)
         order = np.argsort(flips, axis=1)
         flips_sorted = np.take_along_axis(flips, order, axis=1)
         drops_sorted = np.take_along_axis(np.broadcast_to(self.drops, flips.shape), order, axis=1)
@@ -349,17 +336,6 @@ class _AffineInnerProfile:
             lambda_max,
         )
         return np.clip(lam_star, 0.0, lambda_max)
-
-    def _flips(self) -> np.ndarray:
-        """The lam at which each (row, anchor) switches to its second branch
-        (inf for a single branch)."""
-        flips = np.full((self.g_of_rows.size, self.n), np.inf)
-        flippable = self.in_sup & (self.b2 > 0.0)
-        if flippable.any():
-            flips[:, flippable] = (self.a1[:, flippable] - self.h_lo[:, None]) / self.b2[flippable]
-        if self.above.any():
-            flips[:, self.above] = ((self.h_hi - self.h_lo) / self.diameter)[:, None]
-        return np.maximum(flips, 0.0)
 
 
 def _chunk_best(prof: _AffineInnerProfile, grid_step: float, lambda_max: float):

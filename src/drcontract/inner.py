@@ -8,47 +8,28 @@ For a fixed latency vector and multiplier lam, the per-anchor inner function
 is an increasing concave log benefit h plus a V-shaped transport penalty
 that is linear on each side of the anchor.  On each side f is therefore
 concave, and a concave function attains its minimum over an interval at an
-endpoint.  The only branch endpoints inside the support [lo, hi] are lo, the
-anchor and hi, so the minimum over the support sits at
+endpoint.  Over the support [lo, hi] the minimum is the lower of two
+candidates:
 
-* lo or the anchor, for an anchor inside the support: f is concave on
-  [lo, anchor] and increasing on [anchor, hi];
-* lo or hi, for an anchor above the support: one concave branch;
-* lo, for an anchor below the support: f is increasing on the support.
+* the support floor lo;
+* the anchor's projection p = clip(anchor, lo, hi).
 
-A stationary point of the descending branch is that branch's maximum, never
-its minimum, so no root finding is needed.  Candidates are compared in the
-order lo < anchor < hi, and a later candidate wins only when strictly lower,
-so ties break toward the smaller xi.
+For an anchor inside the support f is concave on [lo, anchor] and
+increasing on [anchor, hi], so hi never beats p = anchor; for an anchor
+above the support p = hi and f is one concave branch; for an anchor below
+it p = lo, f is increasing and the two candidates coincide.  A stationary
+point of the descending branch is that branch's maximum, never its minimum,
+so no root finding is needed.  p wins only when strictly lower, so ties
+break toward lo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ambiguity import SupportInterval
-from .contracts import UtilityParams
-from .errors import (
-    NonMonotoneLatencies,
-    NonPositiveLogArgument,
-    ValidationError,
-)
-
-_MONOTONE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class InnerSolution:
-    """Minimizer, minimum value, and which candidate won.
-
-    candidate_tag is one of "lo", "anchor", "hi".
-    """
-
-    xi_star: float
-    f_value: float
-    candidate_tag: str
+from .contracts import AspTypeProfile, UtilityParams, rewards_from_latencies
+from .errors import NonPositiveLogArgument, ValidationError
 
 
 def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
@@ -96,6 +77,12 @@ def _nonpositive_log_argument(xi, lat, params, shape) -> NonPositiveLogArgument:
     )
 
 
+def candidate_points(anchors, support: SupportInterval) -> np.ndarray:
+    """The floor lo followed by every anchor's projection clip(anchor, lo, hi):
+    the two candidates of each anchor's inner minimum."""
+    return np.concatenate(([support.lo], np.clip(anchors, support.lo, support.hi)))
+
+
 def inner_minima(
     latencies,
     lam: float,
@@ -106,63 +93,23 @@ def inner_minima(
 ):
     """Minimize the penalized log benefit over the support for every anchor.
 
-    Returns ``(f_min, xi_star)``, one entry per anchor.  Each anchor's
-    minimum is the lowest of its closed-form candidates (see the module
-    docstring); the anchor candidate is evaluated only for anchors inside
-    the support.
+    Returns ``(f_min, xi_star)``, one entry per anchor: the lower of the
+    floor and the anchor's projection, the projection winning only when
+    strictly lower (see the module docstring).
     """
     if lam < 0.0:
         raise ValidationError("lam must be >= 0")
     anchors = np.asarray(anchors, dtype=float)
-    lo, hi = support.lo, support.hi
-    inside = (anchors >= lo) & (anchors <= hi)
-    h = weighted_log(np.concatenate(([lo, hi], anchors[inside])), latencies, alphas, params)
-    h_lo, h_hi, h_anchor = h[0], h[1], h[2:]
-
-    # lo, then the anchor, then hi; a later candidate must be strictly lower
-    f_min = h_lo + lam * np.abs(lo - anchors)
-    xi_star = np.full(anchors.shape, lo)
-    idx = np.flatnonzero(inside)
-    wins = h_anchor < f_min[idx]
-    f_min[idx[wins]] = h_anchor[wins]
-    xi_star[idx[wins]] = anchors[idx[wins]]
-    v_hi = h_hi + lam * np.abs(hi - anchors)
-    at_hi = v_hi < f_min
-    f_min[at_hi] = v_hi[at_hi]
-    xi_star[at_hi] = hi
-    return f_min, xi_star
+    points = candidate_points(anchors, support)
+    h = weighted_log(points, latencies, alphas, params)
+    lo, p = points[0], points[1:]
+    v_lo = h[0] + lam * np.abs(anchors - lo)
+    v_p = h[1:] + lam * np.abs(anchors - p)
+    return np.minimum(v_lo, v_p), np.where(v_p < v_lo, p, lo)
 
 
-def g_of_L(latencies, alphas, thetas, gamma1: float) -> float:
-    """Expected reward of the constructed menu, accumulated in O(I).
-
-    Equals dot(alphas, rewards_from_latencies(latencies)) via the telescoping
-    reward recursion.
-    """
-    lat = [float(x) for x in latencies]
-    if any(b - a < -_MONOTONE_TOL for a, b in zip(lat, lat[1:])):
-        raise NonMonotoneLatencies("latencies must be nondecreasing")
-    total = 0.0
-    reward = 0.0
-    prev = 0.0
-    for lat_i, alpha_i, theta_i in zip(lat, alphas, thetas):
-        reward += gamma1 * (lat_i - prev) / theta_i
-        prev = lat_i
-        total += alpha_i * reward
-    return total
-
-
-def solve_inner(
-    latencies,
-    lam: float,
-    anchor: float,
-    support: SupportInterval,
-    params: UtilityParams,
-    alphas,
-) -> InnerSolution:
-    """Scalar view of :func:`inner_minima` for a single anchor."""
-    f_min, xi_star = inner_minima(latencies, lam, [anchor], support, params, alphas)
-    xi = float(xi_star[0])
-    tag = "lo" if xi == support.lo else ("anchor" if xi == anchor else "hi")
-    return InnerSolution(xi_star=xi, f_value=float(f_min[0]), candidate_tag=tag)
-
+def g_of_L(latencies, profile: AspTypeProfile, gamma1: float) -> float:
+    """Expected reward ``sum_i alpha_i * R_i`` of the constructed menu,
+    accumulated type by type in order."""
+    rewards = rewards_from_latencies(latencies, profile, gamma1)
+    return float(np.cumsum(profile.alphas * rewards)[-1])

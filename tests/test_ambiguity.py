@@ -15,7 +15,6 @@ from drcontract import (
     SizeMismatch,
     SupportInterval,
     ValidationError,
-    empirical_distribution,
     inject_extreme_points,
     radius,
     read_samples_csv,
@@ -69,21 +68,28 @@ class TestRadius:
 
 
 class TestEmpiricalDistribution:
+    """A sample set is the uniform empirical distribution on its
+    observations: every observation is one atom of weight 1/N."""
+
     def test_single_atom(self):
-        dist = empirical_distribution(QualitySampleSet([5.0]))
-        assert dist.n == 1
-        assert dist.weights[0] == 1.0
+        samples = QualitySampleSet([5.0])
+        assert samples.n == 1
+        assert wasserstein_1d(samples, [6.0]) == 1.0  # the one atom carries all the mass
 
     def test_duplicates_preserved(self):
-        dist = empirical_distribution(QualitySampleSet([1.0, 1.0, 2.0]))
-        assert dist.n == 3
-        np.testing.assert_allclose(dist.weights, [1 / 3] * 3)
-        assert np.sum(dist.points == 1.0) == 2
+        samples = QualitySampleSet([1.0, 1.0, 2.0])
+        assert samples.n == 3
+        assert np.sum(samples.samples == 1.0) == 2
+        # moving one of the duplicates moves a third of the mass
+        assert wasserstein_1d(samples, [1.0, 2.0, 2.0]) == pytest.approx(1 / 3)
 
     def test_two_hundred_atoms(self):
-        dist = empirical_distribution(QualitySampleSet(np.linspace(60, 100, 200)))
-        assert dist.n == 200
-        np.testing.assert_allclose(dist.weights, 0.005)
+        points = np.linspace(60, 100, 200)
+        samples = QualitySampleSet(points)
+        assert samples.n == 200
+        moved = points.copy()
+        moved[-1] += 1.0
+        assert wasserstein_1d(samples, moved) == pytest.approx(0.005)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySampleSet):
@@ -106,7 +112,8 @@ class TestWasserstein:
 
     def test_accepts_sample_sets_and_distributions(self):
         s = QualitySampleSet([1.0, 2.0])
-        assert wasserstein_1d(s, empirical_distribution(s)) == 0.0
+        assert wasserstein_1d(s, s.samples) == 0.0
+        assert wasserstein_1d([2.0, 1.0], s) == 0.0
 
     @given(a=floats_list, b=st.data())
     @settings(max_examples=80, deadline=None)

@@ -19,7 +19,6 @@ from drcontract import (
     read_menu_csv,
     read_profile_csv,
     rewards_from_latencies,
-    teleop_utility,
     write_menu_csv,
     write_profile_csv,
 )
@@ -96,17 +95,26 @@ class TestAspUtility:
         assert scaled == pytest.approx(scale * base, rel=1e-12, abs=1e-9)
 
 
+def one_bundle_utility(xi, bundle, params):
+    """Operator utility ln(gamma2*xi + gamma3*L) - R of one bundle (L, R),
+    scored through the one-type, one-sample case of eval_teleop_utility."""
+    latency, reward = bundle
+    menu = ContractMenu(latencies=[latency], rewards=[reward])
+    profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
+    return eval_teleop_utility(menu, QualitySampleSet([xi]), profile, params)
+
+
 class TestTeleopUtility:
     def test_log_one(self):
-        assert teleop_utility(1.0, (0.0, 0.0), UtilityParams()) == 0.0
+        assert one_bundle_utility(1.0, (0.0, 0.0), UtilityParams()) == 0.0
 
     def test_direct_evaluation(self):
-        got = teleop_utility(60.0, (0.0, 0.0), UtilityParams())
+        got = one_bundle_utility(60.0, (0.0, 0.0), UtilityParams())
         assert got == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_zero_quality_raises(self):
         with pytest.raises(NonPositiveLogArgument):
-            teleop_utility(0.0, (0.0, 5.0), UtilityParams())
+            one_bundle_utility(0.0, (0.0, 5.0), UtilityParams())
 
 
 class TestRewardsFromLatencies:
@@ -127,6 +135,8 @@ class TestRewardsFromLatencies:
         profile = AspTypeProfile(thetas=[110, 140], alphas=[0.5, 0.5])
         with pytest.raises(NonMonotoneLatencies):
             rewards_from_latencies([20, 10], profile, 1.0)
+        with pytest.raises(NonMonotoneLatencies):  # one bad row in a stack
+            rewards_from_latencies([[1.0, 2.0], [20.0, 10.0]], profile, 1.0)
 
     def test_lowest_type_participation_binds_exactly(self):
         rng = np.random.default_rng(3)
@@ -145,6 +155,21 @@ class TestRewardsFromLatencies:
             lat = np.cumsum(rng.uniform(0.5, 10.0, n))
             rewards = rewards_from_latencies(lat, profile, 1.0)
             assert np.all(np.diff(rewards) > 0)
+
+    def test_stacked_rows_match_the_scalar_recursion(self):
+        # the types run along the last axis; each row must be the recursion
+        # R_i = R_{i-1} + gamma1 * (L_i - L_{i-1}) / theta_i, bit for bit
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            profile, _ = random_monotone_instance(rng)
+            rows = np.sort(rng.uniform(0.0, 300.0, (5, profile.n_types)), axis=1)
+            got = rewards_from_latencies(rows, profile, 1.7)
+            for row, rewards in zip(rows, got):
+                acc, prev = 0.0, 0.0
+                for i, lat in enumerate(row):
+                    acc += 1.7 * (lat - prev) / profile.thetas[i]
+                    prev = lat
+                    assert rewards[i] == acc
 
 
 class TestCheckFeasibility:
@@ -209,7 +234,7 @@ class TestExpectedTeleopUtility:
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         menu = ContractMenu(latencies=[7.0], rewards=[0.3])
         got = expected_teleop_utility(menu, profile, 80.0, UtilityParams())
-        assert got == pytest.approx(teleop_utility(80.0, (7.0, 0.3), UtilityParams()))
+        assert got == pytest.approx(math.log(87.0) - 0.3, abs=1e-12)
 
     def test_zero_menu_at_unit_quality(self):
         profile = AspTypeProfile(thetas=[110, 140], alphas=[0.5, 0.5])

@@ -13,11 +13,11 @@ from drcontract import (
     SupportInterval,
     UtilityParams,
     ValidationError,
+    candidate_points,
     g_of_L,
     inner_minima,
     objective,
     rewards_from_latencies,
-    solve_inner,
     weighted_log,
 )
 
@@ -74,13 +74,13 @@ class TestPenalizedBenefit:
 
 class TestExpectedReward:
     def test_zero_latencies(self):
-        assert g_of_L([0.0, 0.0], [0.5, 0.5], [110, 140], 1.0) == 0.0
+        assert g_of_L([0.0, 0.0], AspTypeProfile([110, 140], [0.5, 0.5]), 1.0) == 0.0
 
     def test_single_type(self):
-        assert g_of_L([5.0], [1.0], [1.0], 1.0) == pytest.approx(5.0)
+        assert g_of_L([5.0], AspTypeProfile([1.0], [1.0]), 1.0) == pytest.approx(5.0)
 
     def test_hand_evaluated(self):
-        got = g_of_L([10.0, 20.0], [0.25, 0.75], [110.0, 140.0], 1.0)
+        got = g_of_L([10.0, 20.0], AspTypeProfile([110.0, 140.0], [0.25, 0.75]), 1.0)
         assert got == pytest.approx(0.25 * (10 / 110) + 0.75 * (10 / 110 + 10 / 140), abs=1e-12)
 
     def test_matches_reward_dot_product(self):
@@ -92,13 +92,27 @@ class TestExpectedReward:
             profile = AspTypeProfile(thetas=thetas, alphas=alphas / alphas.sum())
             lat = np.sort(rng.uniform(0, 200, n))
             rewards = rewards_from_latencies(lat, profile, 1.0)
-            assert g_of_L(lat, profile.alphas, thetas, 1.0) == pytest.approx(
+            assert g_of_L(lat, profile, 1.0) == pytest.approx(
                 float(profile.alphas @ rewards), abs=1e-12
             )
 
+    def test_accumulates_in_type_order(self):
+        # sum_i alpha_i * R_i added type by type, bit for bit
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(1, 65))
+            thetas = np.sort(rng.uniform(50, 400, n))
+            alphas = rng.dirichlet(np.ones(n))
+            profile = AspTypeProfile(thetas=thetas, alphas=alphas / alphas.sum())
+            lat = np.sort(rng.uniform(0, 200, n))
+            total = 0.0
+            for alpha, reward in zip(profile.alphas, rewards_from_latencies(lat, profile, 1.0)):
+                total += alpha * reward
+            assert g_of_L(lat, profile, 1.0) == total
+
     def test_rejects_decreasing(self):
         with pytest.raises(NonMonotoneLatencies):
-            g_of_L([3.0, 1.0], [0.5, 0.5], [110, 140], 1.0)
+            g_of_L([3.0, 1.0], AspTypeProfile([110, 140], [0.5, 0.5]), 1.0)
 
 
 def marginal_benefit(xi, latencies, alphas, params=PARAMS):
@@ -119,19 +133,19 @@ class TestStationaryRoot:
         f_root = f_n(80.0, [0.0], lam, anchor, PARAMS, [1.0])
         assert f_root > f_n(60.0, [0.0], lam, anchor, PARAMS, [1.0])
         assert f_root > f_n(anchor, [0.0], lam, anchor, PARAMS, [1.0])
-        sol = solve_inner([0.0], lam, anchor, SUPPORT, PARAMS, [1.0])
-        assert sol.candidate_tag in ("lo", "anchor")
-        assert sol.f_value < f_root
+        f_min, xi_star = inner_minima([0.0], lam, [anchor], SUPPORT, PARAMS, [1.0])
+        assert xi_star[0] in (SUPPORT.lo, anchor)
+        assert f_min[0] < f_root
 
     def test_root_outside_interval_absent(self):
         # the root at 80 lies beyond the anchor: the branch only increases
-        sol = solve_inner([0.0], 1 / 80, 70.0, SUPPORT, PARAMS, [1.0])
-        assert (sol.xi_star, sol.candidate_tag) == (60.0, "lo")
+        _, xi_star = inner_minima([0.0], 1 / 80, [70.0], SUPPORT, PARAMS, [1.0])
+        assert xi_star[0] == SUPPORT.lo
 
     def test_large_lambda_absent(self):
         # h' < lam everywhere: the branch only decreases towards the anchor
-        sol = solve_inner([0.0], 10.0, 90.0, SUPPORT, PARAMS, [1.0])
-        assert (sol.xi_star, sol.candidate_tag) == (90.0, "anchor")
+        _, xi_star = inner_minima([0.0], 10.0, [90.0], SUPPORT, PARAMS, [1.0])
+        assert xi_star[0] == 90.0
 
     def test_zero_lambda_absent(self):
         # without a penalty f = h is increasing, so the floor wins everywhere
@@ -161,29 +175,26 @@ class TestStationaryRoot:
             # lam between the endpoint marginals puts a root inside (lo, anchor)
             m_lo, m_anchor = (marginal_benefit(x, lat, alphas) for x in (60.0, anchor))
             lam = 0.5 * (m_lo + m_anchor)
-            sol = solve_inner(lat, lam, anchor, SUPPORT, PARAMS, alphas)
-            assert sol.xi_star in (SUPPORT.lo, anchor)
+            f_min, xi_star = inner_minima(lat, lam, [anchor], SUPPORT, PARAMS, alphas)
+            assert xi_star[0] in (SUPPORT.lo, anchor)
             _, fmin = grid_min(lat, lam, anchor, SUPPORT, alphas)
-            assert sol.f_value == pytest.approx(fmin, abs=1e-4)
-            assert sol.f_value <= fmin + 1e-12
+            assert f_min[0] == pytest.approx(fmin, abs=1e-4)
+            assert f_min[0] <= fmin + 1e-12
 
 
 class TestSolveInner:
     def test_zero_lambda_floor_wins(self):
-        sol = solve_inner([0.0], 0.0, 75.0, SUPPORT, PARAMS, [1.0])
-        assert sol.xi_star == 60.0
-        assert sol.candidate_tag == "lo"
-        assert sol.f_value == pytest.approx(math.log(60.0), abs=1e-12)
+        f_min, xi_star = inner_minima([0.0], 0.0, [75.0], SUPPORT, PARAMS, [1.0])
+        assert xi_star[0] == SUPPORT.lo
+        assert f_min[0] == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_outside_anchor_large_lambda_floor_wins(self):
-        sol = solve_inner([0.0], 50.0, 1.0, SUPPORT, PARAMS, [1.0])
-        assert sol.xi_star == 60.0
-        assert sol.candidate_tag == "lo"
+        _, xi_star = inner_minima([0.0], 50.0, [1.0], SUPPORT, PARAMS, [1.0])
+        assert xi_star[0] == SUPPORT.lo
 
     def test_huge_lambda_sticks_to_anchor(self):
-        sol = solve_inner([0.0], 1e6, 83.0, SUPPORT, PARAMS, [1.0])
-        assert sol.xi_star == 83.0
-        assert sol.candidate_tag == "anchor"
+        _, xi_star = inner_minima([0.0], 1e6, [83.0], SUPPORT, PARAMS, [1.0])
+        assert xi_star[0] == 83.0
 
     def test_value_consistent_with_f(self):
         rng = np.random.default_rng(14)
@@ -193,10 +204,10 @@ class TestSolveInner:
             alphas = rng.dirichlet(np.ones(n))
             lam = float(rng.uniform(0, 2))
             anchor = float(rng.uniform(0, 140))
-            sol = solve_inner(lat, lam, anchor, SUPPORT, PARAMS, alphas)
-            again = f_n(sol.xi_star, lat, lam, anchor, PARAMS, alphas)
-            assert sol.f_value == pytest.approx(again, abs=1e-12)
-            assert SUPPORT.lo <= sol.xi_star <= SUPPORT.hi
+            f_min, xi_star = inner_minima(lat, lam, [anchor], SUPPORT, PARAMS, alphas)
+            again = f_n(xi_star[0], lat, lam, anchor, PARAMS, alphas)
+            assert f_min[0] == pytest.approx(again, abs=1e-12)
+            assert SUPPORT.lo <= xi_star[0] <= SUPPORT.hi
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(15)
@@ -206,14 +217,14 @@ class TestSolveInner:
             alphas = rng.dirichlet(np.ones(n))
             lam = float(rng.uniform(0, 1))
             anchor = float(rng.uniform(0, 140))
-            sol = solve_inner(lat, lam, anchor, SUPPORT, PARAMS, alphas)
+            f_min, _ = inner_minima(lat, lam, [anchor], SUPPORT, PARAMS, alphas)
             _, fmin = grid_min(lat, lam, anchor, SUPPORT, alphas)
-            assert sol.f_value == pytest.approx(fmin, abs=1e-4)
-            assert sol.f_value <= fmin + 1e-12  # never worse than any grid point
+            assert f_min[0] == pytest.approx(fmin, abs=1e-4)
+            assert f_min[0] <= fmin + 1e-12  # never worse than any grid point
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):
-            solve_inner([0.0], -1.0, 80.0, SUPPORT, PARAMS, [1.0])
+            inner_minima([0.0], -1.0, [80.0], SUPPORT, PARAMS, [1.0])
 
 
 class TestSlackValue:
@@ -223,20 +234,20 @@ class TestSlackValue:
     AMB = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
 
     def test_zero_latency_slack_is_inner_value(self):
-        sol = solve_inner([0.0], 0.0, 80.0, SUPPORT, PARAMS, [1.0])
+        f_min, _ = inner_minima([0.0], 0.0, [80.0], SUPPORT, PARAMS, [1.0])
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         got = objective([0.0], 0.0, [80.0], self.AMB, profile, PARAMS)[2][0]
-        assert got == pytest.approx(sol.f_value)
+        assert got == pytest.approx(f_min[0])
         assert got == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_deterministic(self):
-        sol = solve_inner([3.0, 8.0], 0.7, 77.0, SUPPORT, PARAMS, [0.6, 0.4])
+        f_min, _ = inner_minima([3.0, 8.0], 0.7, [77.0], SUPPORT, PARAMS, [0.6, 0.4])
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.6, 0.4])
         a = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[2][0]
         b = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[2][0]
         assert a == b
-        reward = g_of_L([3.0, 8.0], [0.6, 0.4], [110.0, 140.0], PARAMS.gamma1)
-        assert a == pytest.approx(sol.f_value - reward, abs=1e-12)
+        reward = g_of_L([3.0, 8.0], profile, PARAMS.gamma1)
+        assert a == pytest.approx(f_min[0] - reward, abs=1e-12)
 
 
 def enumerate_candidates(latencies, lam, anchor, support, alphas, params=PARAMS):
@@ -308,12 +319,11 @@ class TestInnerKernel:
             )
 
     def test_ties_break_toward_the_smaller_xi(self):
-        # an anchor on an endpoint makes two candidates one point; the
-        # earlier candidate in lo < anchor < hi order names it
-        at_lo = solve_inner([5.0], 0.3, SUPPORT.lo, SUPPORT, PARAMS, [1.0])
-        assert (at_lo.xi_star, at_lo.candidate_tag) == (SUPPORT.lo, "lo")
-        at_hi = solve_inner([5.0], 1e6, SUPPORT.hi, SUPPORT, PARAMS, [1.0])
-        assert (at_hi.xi_star, at_hi.candidate_tag) == (SUPPORT.hi, "anchor")
+        # an anchor on an endpoint makes two candidates one point
+        _, at_lo = inner_minima([5.0], 0.3, [SUPPORT.lo], SUPPORT, PARAMS, [1.0])
+        assert at_lo[0] == SUPPORT.lo
+        _, at_hi = inner_minima([5.0], 1e6, [SUPPORT.hi], SUPPORT, PARAMS, [1.0])
+        assert at_hi[0] == SUPPORT.hi
 
     def test_exact_ties_with_the_floor_go_to_lo(self):
         # walk lam by ulps until lo ties exactly with the anchor (inside the
@@ -331,9 +341,13 @@ class TestInnerKernel:
             f_min, xi_star = inner_minima([0.0], lam, [anchor], SUPPORT, PARAMS, [1.0])
             assert (xi_star[0], f_min[0]) == (SUPPORT.lo, v_lo)
 
+    def test_candidates_are_the_floor_and_the_projection(self):
+        points = candidate_points(np.array([10.0, 60.0, 75.0, 100.0, 130.0]), SUPPORT)
+        np.testing.assert_array_equal(points, [60.0, 60.0, 60.0, 75.0, 100.0, 100.0])
+
     def test_anchor_above_support_can_pick_hi(self):
-        sol = solve_inner([0.0], 1.0, 130.0, SUPPORT, PARAMS, [1.0])
-        assert (sol.xi_star, sol.candidate_tag) == (SUPPORT.hi, "hi")
+        _, xi_star = inner_minima([0.0], 1.0, [130.0], SUPPORT, PARAMS, [1.0])
+        assert xi_star[0] == SUPPORT.hi
 
     def test_anchor_outside_support_is_never_evaluated(self):
         # ln(gamma2 * anchor) is undefined here, but only lo and hi compete
