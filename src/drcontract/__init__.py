@@ -1,6 +1,6 @@
 """Distributionally robust contract menus for edge offloading under quality
 uncertainty: utility models, ambiguity machinery, the block-coordinate
-solver, baselines, and the benchmark harness."""
+solver (robust, sample-average and worst-case), and the benchmark harness."""
 
 from .ambiguity import (
     AmbiguityConfig,
@@ -13,7 +13,6 @@ from .ambiguity import (
     wasserstein_1d,
     write_samples_csv,
 )
-from .baselines import solve_ro, solve_sp
 from .bcd import (
     BcdConfig,
     BcdState,
@@ -24,6 +23,7 @@ from .bcd import (
     iron_monotone,
     objective,
     solve,
+    solve_pinned,
     write_trace_csv,
 )
 from .config import (
@@ -37,7 +37,6 @@ from .contracts import (
     ContractMenu,
     FeasibilityReport,
     UtilityParams,
-    asp_utility,
     check_feasibility,
     read_menu_csv,
     read_profile_csv,

@@ -43,9 +43,6 @@ class SupportInterval:
     def diameter(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class QualitySampleSet:
@@ -76,26 +73,20 @@ class QualitySampleSet:
 
 @dataclass(frozen=True)
 class AmbiguityConfig:
-    """Support interval, confidence level, sample count, and ball radius."""
+    """Support interval and ball radius: what the solver reads."""
 
     support: SupportInterval
-    tau: float
-    n_samples: int
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise InvalidConfidence(f"tau must lie in (0, 1), got {self.tau}")
-        if self.n_samples < 1:
-            raise ValidationError("n_samples must be >= 1")
         if self.epsilon < 0.0:
             raise ValidationError("epsilon must be >= 0")
 
     @classmethod
     def derive(cls, support: SupportInterval, tau: float, n_samples: int) -> "AmbiguityConfig":
-        """Build a config whose radius follows the closed-form sample bound."""
-        eps = radius(n_samples, tau, support.diameter)
-        return cls(support=support, tau=tau, n_samples=n_samples, epsilon=eps)
+        """Build a config whose radius follows the closed-form sample bound
+        at confidence ``tau``."""
+        return cls(support, radius(n_samples, tau, support.diameter))
 
 
 def radius(n_samples: int, tau: float, diameter: float) -> float:
@@ -197,9 +188,12 @@ def read_samples_csv(path) -> QualitySampleSet:
             if not row:
                 continue
             try:
-                values.append(float(row[0]))
+                value = float(row[0])
             except (ValueError, IndexError):
                 raise ParseError(f"bad row {row!r}", path=str(path), line=lineno)
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {row[0]!r}", path=str(path), line=lineno)
+            values.append(value)
     if not values:
         raise EmptySampleSet(f"{path} contains no observations")
     return QualitySampleSet(samples=np.array(values), provenance=str(path))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class BcdConfig:
     conv_tol: float = 1e-3
     eta_L: float = 1e4
     eta_lambda: float = 1e-3
-    L_init: object = None
+    L_init: float = 0.0
     lambda_init: float = 6.0
 
     def __post_init__(self):
@@ -52,16 +52,7 @@ class BcdConfig:
             raise ValidationError("lambda_init must be >= 0")
 
     def initial_latencies(self, n_types: int) -> np.ndarray:
-        if self.L_init is None:
-            return np.zeros(n_types)
-        arr = np.asarray(self.L_init, dtype=float)
-        if arr.ndim == 0:
-            return np.full(n_types, float(arr))
-        if arr.size != n_types:
-            raise ValidationError(
-                f"L_init has {arr.size} entries for {n_types} types"
-            )
-        return arr.astype(float).copy()
+        return np.full(n_types, float(self.L_init))
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,6 @@ class SolveReport:
     objective_trace: np.ndarray
     latency_trace: np.ndarray
     lambda_trace: np.ndarray
-    final_lambda: float = 0.0
 
     @property
     def objective(self) -> float:
@@ -122,11 +112,9 @@ def _pinned_objective(
     profile: AspTypeProfile,
     params: UtilityParams,
 ):
-    """Objective with the inner point pinned to each anchor (no adversary).
-
-    Used by the sample-average and worst-case baselines; the transport
-    penalty vanishes because the evaluation point equals the anchor.
-    """
+    """Objective with the inner point pinned to each anchor (no adversary):
+    the transport penalty vanishes because the evaluation point equals the
+    anchor."""
     g = g_of_L(latencies, profile, params.gamma1)
     s_values = weighted_log(anchors, latencies, profile.alphas, params) - g
     return _mean_in_order(s_values), anchors.copy(), s_values
@@ -293,23 +281,23 @@ def _run_loop(anchors, profile, params, bcd_cfg, evaluate, epsilon) -> SolveRepo
         objective_trace=np.array(obj_trace),
         latency_trace=np.array(lat_trace),
         lambda_trace=np.array(lam_trace),
-        final_lambda=state.lam,
     )
 
 
 def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     """Ascent with the inner point pinned to each anchor and a zero radius.
 
-    This is the shared engine behind the sample-average and worst-case
-    baselines: the multiplier gradient is identically zero, so the
-    multiplier stays at its initial value.
+    The multiplier gradient is identically zero, so the multiplier is held
+    at zero from the start whatever ``bcd_cfg.lambda_init`` says; the loop
+    controls and stopping rule are otherwise the robust solver's.
     """
     anchors = sample_values(anchors)
 
     def evaluate(lat, lam):
         return _pinned_objective(lat, lam, anchors, profile, params)
 
-    return _run_loop(anchors, profile, params, bcd_cfg or BcdConfig(), evaluate, 0.0)
+    bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
+    return _run_loop(anchors, profile, params, bcd_cfg, evaluate, 0.0)
 
 
 def write_trace_csv(report: SolveReport, path, method: str = None) -> None:

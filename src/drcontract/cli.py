@@ -24,8 +24,8 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
+    CANONICAL_METHODS,
     EvaluationScenario,
-    MetricsTable,
     eval_asp_utilities,
     eval_teleop_utility,
     oracle_menu_search,
@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default="", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
-        "--method", choices=("dro", "sp", "ro"), default="dro", help="solver for solve/trace"
+        "--method", choices=CANONICAL_METHODS, default="dro", help="solver for solve/trace"
     )
     parser.add_argument("--out", default="out", help="output directory")
     return parser
@@ -120,21 +120,13 @@ def _cmd_gen_data(cfg: RunConfig, method: str, out: Path) -> None:
 
 def _solve_report(cfg: RunConfig, method: str):
     train = cfg.train_samples()
-    return (
-        train_method(
-            method,
-            train,
-            cfg.profile(),
-            cfg.params(),
-            cfg.ambiguity_for(train.n),
-            cfg.bcd_config(),
-        ),
-        train,
+    return train_method(
+        method, train, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg.bcd_config()
     )
 
 
 def _cmd_solve(cfg: RunConfig, method: str, out: Path) -> None:
-    report, _ = _solve_report(cfg, method)
+    report = _solve_report(cfg, method)
     write_menu_csv(report.menu, out / "menu.csv")
     write_trace_csv(report, out / "trace.csv", method=None if method == "dro" else method)
     status = "converged" if report.converged else "max iterations reached"
@@ -146,7 +138,7 @@ def _cmd_solve(cfg: RunConfig, method: str, out: Path) -> None:
 
 
 def _cmd_trace(cfg: RunConfig, method: str, out: Path) -> None:
-    report, _ = _solve_report(cfg, method)
+    report = _solve_report(cfg, method)
     write_trace_csv(report, out / "trace.csv", method=None if method == "dro" else method)
     print(f"wrote {out / 'trace.csv'} ({report.iterations_used} iterations)")
 
@@ -165,30 +157,22 @@ def _cmd_evaluate(cfg: RunConfig, method: str, out: Path) -> None:
 
 def _cmd_bench(cfg: RunConfig, method: str, out: Path) -> None:
     train = cfg.train_samples()
-    evals = cfg.eval_samples()
-    profile = cfg.profile()
-    params = cfg.params()
-    ambiguity = cfg.ambiguity_for(train.n)
-    table = MetricsTable()
-    for extreme_count in cfg.extreme_counts:
-        scenario = EvaluationScenario(
-            eval_samples=evals,
-            shift_magnitudes=cfg.shift_magnitudes,
-            extreme_count=extreme_count,
-            extreme_value=cfg.extreme_value,
-            seed=cfg.seed,
-        )
-        table.extend(
-            run_benchmark(
-                scenario,
-                ("dro", "sp", "ro"),
-                train,
-                profile=profile,
-                params=params,
-                ambiguity=ambiguity,
-                bcd_cfg=cfg.bcd_config(),
-            )
-        )
+    scenario = EvaluationScenario(
+        eval_samples=cfg.eval_samples(),
+        shift_magnitudes=cfg.shift_magnitudes,
+        extreme_counts=cfg.extreme_counts,
+        extreme_value=cfg.extreme_value,
+        seed=cfg.seed,
+    )
+    table = run_benchmark(
+        scenario,
+        CANONICAL_METHODS,
+        train,
+        profile=cfg.profile(),
+        params=cfg.params(),
+        ambiguity=cfg.ambiguity_for(train.n),
+        bcd_cfg=cfg.bcd_config(),
+    )
     write_metrics_csv(table, out / "metrics.csv")
     write_asp_csv(table, out / "asp_utility.csv")
     print(f"wrote {out / 'metrics.csv'} ({len(table.teleop_rows)} rows)")

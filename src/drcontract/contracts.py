@@ -12,6 +12,7 @@ rewards as free variables.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,6 +103,8 @@ class ContractMenu:
         object.__setattr__(self, "rewards", _as_readonly_array(self.rewards))
         if self.latencies.size != self.rewards.size:
             raise ValidationError("latencies and rewards must have equal length")
+        if not (np.all(np.isfinite(self.latencies)) and np.all(np.isfinite(self.rewards))):
+            raise ValidationError("latencies and rewards must be finite")
         if np.any(self.latencies < 0.0):
             raise ValidationError("latencies are inverse latencies and must be >= 0")
 
@@ -133,14 +136,6 @@ class FeasibilityReport:
             and self.latencies_monotone
             and self.rewards_monotone
         )
-
-
-def asp_utility(theta: float, bundle, params: UtilityParams) -> float:
-    """Provider utility ``theta * R - gamma1 * L`` for bundle (L, R)."""
-    if not theta > 0.0:
-        raise ValidationError("theta must be > 0")
-    latency, reward = bundle
-    return theta * reward - params.gamma1 * latency
 
 
 def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
@@ -256,6 +251,8 @@ def _read_indexed_rows(path, expected_header):
                 raise ParseError(f"bad row {row!r}", path=str(path), line=lineno)
             if len(values) != len(expected_header) - 1:
                 raise ParseError(f"bad row {row!r}", path=str(path), line=lineno)
+            if not all(math.isfinite(v) for v in values):
+                raise ParseError(f"non-finite value in row {row!r}", path=str(path), line=lineno)
             rows[idx] = values
     if not rows:
         raise ParseError("no data rows", path=str(path), line=1)

@@ -20,8 +20,7 @@ from .ambiguity import (
     inject_extreme_points,
     shift_samples,
 )
-from .baselines import solve_ro, solve_sp
-from .bcd import BcdConfig, SolveReport, solve
+from .bcd import BcdConfig, SolveReport, solve, solve_pinned
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
 from .errors import (
     GridTooLarge,
@@ -40,15 +39,14 @@ _EVALUATION_BUDGET = 1e8
 
 @dataclass(frozen=True)
 class EvaluationScenario:
-    """One benchmark cell family: evaluation data, shift ladder, and the
-    training-contamination level."""
+    """The benchmark grid: evaluation data, shift ladder, and the
+    training-contamination levels."""
 
     eval_samples: QualitySampleSet
     shift_magnitudes: tuple = DEFAULT_SHIFTS
-    extreme_count: int = 0
+    extreme_counts: tuple = (0,)
     extreme_value: float = 1.0
     seed: int = 0
-    menu: ContractMenu = None
 
     def __post_init__(self):
         shifts = tuple(float(m) for m in self.shift_magnitudes)
@@ -57,8 +55,8 @@ class EvaluationScenario:
             raise ValidationError("shift magnitudes must be nonnegative")
         if list(shifts) != sorted(shifts):
             raise ValidationError("shift magnitudes must be sorted ascending")
-        if self.extreme_count < 0:
-            raise ValidationError("extreme_count must be >= 0")
+        if any(c < 0 for c in self.extreme_counts):
+            raise ValidationError("extreme counts must be nonnegative")
 
 
 @dataclass
@@ -72,21 +70,11 @@ class MetricsTable:
     teleop_rows: list = field(default_factory=list)
     asp_rows: list = field(default_factory=list)
 
-    def extend(self, other: "MetricsTable") -> None:
-        self.teleop_rows.extend(other.teleop_rows)
-        self.asp_rows.extend(other.asp_rows)
-
     def teleop(self, method: str, shift: float, extreme_count: int = None) -> float:
         for m, ec, s, v in self.teleop_rows:
             if m == method and s == shift and (extreme_count is None or ec == extreme_count):
                 return v
         raise KeyError((method, shift, extreme_count))
-
-    def asp(self, method: str, type_index: int, extreme_count: int = None) -> float:
-        for m, ec, t, v in self.asp_rows:
-            if m == method and t == type_index and (extreme_count is None or ec == extreme_count):
-                return v
-        raise KeyError((method, type_index, extreme_count))
 
 
 def eval_teleop_utility(
@@ -123,13 +111,21 @@ def train_method(
     ambiguity: AmbiguityConfig,
     bcd_cfg: BcdConfig = None,
 ) -> SolveReport:
-    """Train one method on the given samples and return its report."""
+    """Train one method on the given samples and return its report.
+
+    ``dro`` climbs the robust objective; ``sp`` the mean operator utility at
+    the observed scores; ``ro`` the utility at the support floor, ignoring
+    the samples (the log benefit increases with quality, so the floor is
+    the worst point).  sp and ro pin the inner point to each anchor
+    (:func:`solve_pinned`).  All three run the same ascent engine and
+    stopping rule, so benchmark differences come from the objective alone.
+    """
     if method == "dro":
         return solve(train_samples, profile, params, ambiguity, bcd_cfg)
     if method == "sp":
-        return solve_sp(train_samples, profile, params, bcd_cfg)
+        return solve_pinned(train_samples, profile, params, bcd_cfg)
     if method == "ro":
-        return solve_ro(ambiguity.support, profile, params, bcd_cfg)
+        return solve_pinned([ambiguity.support.lo], profile, params, bcd_cfg)
     raise ValidationError(f"unknown method {method!r}; expected one of {CANONICAL_METHODS}")
 
 
@@ -143,34 +139,32 @@ def run_benchmark(
     ambiguity: AmbiguityConfig,
     bcd_cfg: BcdConfig = None,
 ) -> MetricsTable:
-    """Train each requested method on (possibly contaminated) training data,
-    then score it on the evaluation data at every shift magnitude.
+    """At each contamination level, train each requested method on the
+    contaminated training data, then score it on the evaluation data at
+    every shift magnitude.
 
-    Methods always run in the canonical order so output files are
-    deterministic for a given seed.
+    Levels run in the scenario's order and methods in the canonical order,
+    so output files are deterministic for a given seed.
     """
     requested = set(methods)
     unknown = requested.difference(CANONICAL_METHODS)
     if unknown:
         raise ValidationError(f"unknown methods {sorted(unknown)}")
-    contaminated = inject_extreme_points(
-        train_samples, scenario.extreme_count, scenario.extreme_value, scenario.seed
-    )
     table = MetricsTable()
-    for method in CANONICAL_METHODS:
-        if method not in requested:
-            continue
-        report = train_method(method, contaminated, profile, params, ambiguity, bcd_cfg)
-        for magnitude in scenario.shift_magnitudes:
-            shifted = shift_samples(scenario.eval_samples, magnitude)
-            utility = eval_teleop_utility(report.menu, shifted, profile, params)
-            table.teleop_rows.append(
-                (method, scenario.extreme_count, magnitude, utility)
-            )
-        for i, utility in enumerate(eval_asp_utilities(report.menu, profile, params.gamma1)):
-            table.asp_rows.append(
-                (method, scenario.extreme_count, i + 1, float(utility))
-            )
+    for count in scenario.extreme_counts:
+        contaminated = inject_extreme_points(
+            train_samples, count, scenario.extreme_value, scenario.seed
+        )
+        for method in CANONICAL_METHODS:
+            if method not in requested:
+                continue
+            report = train_method(method, contaminated, profile, params, ambiguity, bcd_cfg)
+            for magnitude in scenario.shift_magnitudes:
+                shifted = shift_samples(scenario.eval_samples, magnitude)
+                utility = eval_teleop_utility(report.menu, shifted, profile, params)
+                table.teleop_rows.append((method, count, magnitude, utility))
+            for i, utility in enumerate(eval_asp_utilities(report.menu, profile, params.gamma1)):
+                table.asp_rows.append((method, count, i + 1, float(utility)))
     return table
 
 
@@ -216,6 +210,8 @@ def oracle_menu_search(
         raise GridTooLarge("oracle supports at most 3 types")
     if not grid_step > 0.0:
         raise ValidationError("grid_step must be > 0")
+    if not (l_max >= 0.0 and lambda_max >= 0.0):
+        raise ValidationError("l_max and lambda_max must be >= 0")
     n_l = int(math.floor(l_max / grid_step + 1e-9)) + 1
     n_types = profile.n_types
     n_tuples = math.comb(n_l + n_types - 1, n_types)

@@ -28,8 +28,7 @@ from drcontract import (
     run_benchmark,
     shift_samples,
     solve,
-    solve_ro,
-    solve_sp,
+    train_method,
     wasserstein_1d,
 )
 from drcontract.cli import main as cli_main
@@ -81,25 +80,23 @@ def dro_report(seed0_train, seed0_profile, seed0_ambiguity):
 @pytest.fixture(scope="module")
 def benchmark_tables(seed0_train, seed0_eval, seed0_profile, seed0_ambiguity, default_cfg):
     t0 = time.perf_counter()
-    tables = {}
-    for extreme_count in (0, 50, 100):
-        scenario = EvaluationScenario(
-            eval_samples=seed0_eval,
-            shift_magnitudes=default_cfg.shift_magnitudes,
-            extreme_count=extreme_count,
-            extreme_value=default_cfg.extreme_value,
-            seed=default_cfg.seed,
-        )
-        tables[extreme_count] = run_benchmark(
-            scenario,
-            ("dro", "sp", "ro"),
-            seed0_train,
-            profile=seed0_profile,
-            params=PARAMS,
-            ambiguity=seed0_ambiguity,
-            bcd_cfg=default_cfg.bcd_config(),
-        )
-    return tables, time.perf_counter() - t0
+    scenario = EvaluationScenario(
+        eval_samples=seed0_eval,
+        shift_magnitudes=default_cfg.shift_magnitudes,
+        extreme_counts=(0, 50, 100),
+        extreme_value=default_cfg.extreme_value,
+        seed=default_cfg.seed,
+    )
+    table = run_benchmark(
+        scenario,
+        ("dro", "sp", "ro"),
+        seed0_train,
+        profile=seed0_profile,
+        params=PARAMS,
+        ambiguity=seed0_ambiguity,
+        bcd_cfg=default_cfg.bcd_config(),
+    )
+    return table, time.perf_counter() - t0
 
 
 def test_criterion_01_feasibility_suite():
@@ -207,8 +204,10 @@ def test_criterion_07_asp_utility_monotonicity(
     dro_report, seed0_train, seed0_profile, seed0_ambiguity
 ):
     menus = {"dro": dro_report.menu}
-    menus["sp"] = solve_sp(seed0_train, seed0_profile, PARAMS, BcdConfig()).menu
-    menus["ro"] = solve_ro(SUPPORT, seed0_profile, PARAMS, BcdConfig()).menu
+    for method in ("sp", "ro"):
+        menus[method] = train_method(
+            method, seed0_train, seed0_profile, PARAMS, seed0_ambiguity, BcdConfig()
+        ).menu
     worst_first, ok = 0.0, True
     for method, menu in menus.items():
         utilities = eval_asp_utilities(menu, seed0_profile, PARAMS.gamma1)
@@ -224,13 +223,11 @@ def test_criterion_07_asp_utility_monotonicity(
 
 
 def test_criterion_08_robustness_ordering(benchmark_tables):
-    tables, elapsed = benchmark_tables
+    table, elapsed = benchmark_tables
     shifts = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
-    clean = tables[0]
-    ro_dominated = all(clean.teleop("ro", s) <= clean.teleop("dro", s) for s in shifts)
-    dirty = tables[100]
-    dro_beats_sp = dirty.teleop("dro", 60.0) >= dirty.teleop("sp", 60.0)
-    d0, s0 = clean.teleop("dro", 0.0), clean.teleop("sp", 0.0)
+    ro_dominated = all(table.teleop("ro", s, 0) <= table.teleop("dro", s, 0) for s in shifts)
+    dro_beats_sp = table.teleop("dro", 60.0, 100) >= table.teleop("sp", 60.0, 100)
+    d0, s0 = table.teleop("dro", 0.0, 0), table.teleop("sp", 0.0, 0)
     rel_gap = abs(d0 - s0) / abs(s0)
     ok = ro_dominated and dro_beats_sp and rel_gap <= 0.05 and elapsed < 300.0
     _report(
@@ -245,22 +242,32 @@ def test_criterion_08_robustness_ordering(benchmark_tables):
 
 def test_criterion_09_linear_sample_scaling(seed0_profile):
     bcd_cfg = BcdConfig(max_iters=60, conv_tol=1e-15)
+    sizes = (10_000, 20_000)
+    inputs = {
+        n: (
+            generate_quality_samples(n, 0, "train-data", 85.0, 8.0, SUPPORT),
+            AmbiguityConfig.derive(SUPPORT, 0.99, n),
+        )
+        for n in sizes
+    }
 
     def per_iter_seconds(n):
-        samples = generate_quality_samples(n, 0, "train-data", 85.0, 8.0, SUPPORT)
-        amb = AmbiguityConfig.derive(SUPPORT, 0.99, n)
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            report = solve(samples, seed0_profile, PARAMS, amb, bcd_cfg)
-            best = min(best, (time.perf_counter() - t0) / report.iterations_used)
-        return best
+        samples, amb = inputs[n]
+        t0 = time.perf_counter()
+        report = solve(samples, seed0_profile, PARAMS, amb, bcd_cfg)
+        return (time.perf_counter() - t0) / report.iterations_used
 
     # Measured where per-sample work dominates the fixed per-iteration
     # overhead (about 0.2 ms); at N = 100/200 the vectorized iteration is
     # nearly all overhead and the ratio reads about 1.0 whatever the scaling.
+    # The two sizes alternate over the rounds, so a transient slowdown of
+    # the machine hits both sides alike; each side keeps its fastest round.
     per_iter_seconds(10_000)  # warm-up
-    ratio = per_iter_seconds(20_000) / per_iter_seconds(10_000)
+    best = {n: float("inf") for n in sizes}
+    for _ in range(5):
+        for n in sizes:
+            best[n] = min(best[n], per_iter_seconds(n))
+    ratio = best[20_000] / best[10_000]
     _report(
         9,
         1.5 <= ratio <= 3.0,

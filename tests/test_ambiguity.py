@@ -215,10 +215,10 @@ class TestAmbiguityConfig:
 
     def test_rejects_bad_tau(self):
         with pytest.raises(InvalidConfidence):
-            AmbiguityConfig(SupportInterval(60, 100), 1.2, 10, 1.0)
+            AmbiguityConfig.derive(SupportInterval(60, 100), 1.2, 10)
 
     def test_explicit_zero_radius_allowed(self):
-        AmbiguityConfig(SupportInterval(60, 100), 0.5, 10, 0.0)
+        AmbiguityConfig(SupportInterval(60, 100), 0.0)
 
 
 class TestSamplesCsv:

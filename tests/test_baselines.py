@@ -1,7 +1,11 @@
+"""The sample-average (sp) and worst-case (ro) menus, trained through
+``train_method`` on the pinned ascent engine."""
+
 import numpy as np
 import pytest
 
 from drcontract import (
+    AmbiguityConfig,
     AspTypeProfile,
     BcdConfig,
     QualitySampleSet,
@@ -9,13 +13,20 @@ from drcontract import (
     UtilityParams,
     check_feasibility,
     eval_teleop_utility,
-    solve_ro,
-    solve_sp,
+    solve_pinned,
+    train_method,
 )
-from drcontract.bcd import solve_pinned
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
+
+
+def train_sp(samples, profile, bcd_cfg=None):
+    return train_method("sp", samples, profile, PARAMS, AmbiguityConfig(SUPPORT, 0.0), bcd_cfg)
+
+
+def train_ro(support, profile, samples=QualitySampleSet([80.0])):
+    return train_method("ro", samples, profile, PARAMS, AmbiguityConfig(support, 0.0))
 
 
 def instance(n_types=3, n_samples=30, seed=13):
@@ -29,25 +40,20 @@ def instance(n_types=3, n_samples=30, seed=13):
 
 class TestSampleAverage:
     def test_engine_reduction_equivalence(self):
-        # the baseline IS the shared engine run in pinned mode with zero
-        # radius and a resting multiplier
+        # sp IS the shared engine run in pinned mode, and the engine holds
+        # the multiplier at zero whatever the configured initial value
         profile, samples = instance()
-        direct = solve_sp(samples, profile, PARAMS, BcdConfig())
-        engine = solve_pinned(
-            samples.samples,
-            profile,
-            PARAMS,
-            BcdConfig(lambda_init=0.0),
-        )
-        assert direct.objective == pytest.approx(engine.objective, abs=1e-6)
-        np.testing.assert_allclose(direct.menu.latencies, engine.menu.latencies, atol=1e-9)
+        direct = train_sp(samples, profile, BcdConfig(lambda_init=6.0))
+        engine = solve_pinned(samples.samples, profile, PARAMS, BcdConfig(lambda_init=0.0))
+        assert direct.objective == engine.objective
+        np.testing.assert_array_equal(direct.menu.latencies, engine.menu.latencies)
         assert np.all(direct.lambda_trace == 0.0)
 
     def test_permutation_invariance(self):
         profile, samples = instance()
         shuffled = QualitySampleSet(samples.samples[::-1].copy())
-        a = solve_sp(samples, profile, PARAMS)
-        b = solve_sp(shuffled, profile, PARAMS)
+        a = train_sp(samples, profile)
+        b = train_sp(shuffled, profile)
         assert a.objective == pytest.approx(b.objective, abs=1e-12)
         np.testing.assert_allclose(a.menu.latencies, b.menu.latencies, atol=1e-12)
 
@@ -57,7 +63,7 @@ class TestSampleAverage:
         # is also the scalar grid optimum
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         samples = QualitySampleSet(np.linspace(60, 100, 20))
-        report = solve_sp(samples, profile, PARAMS)
+        report = train_sp(samples, profile)
         assert report.menu.latencies[0] == 0.0
         values = samples.samples
         grid = np.arange(0.0, 50.0, 0.01)
@@ -68,7 +74,7 @@ class TestSampleAverage:
         profile = AspTypeProfile(thetas=[200.0], alphas=[1.0])
         rng = np.random.default_rng(17)
         samples = QualitySampleSet(rng.uniform(60, 100, 40))
-        report = solve_sp(samples, profile, PARAMS)
+        report = train_sp(samples, profile)
         values = samples.samples
         grid = np.arange(0.0, 250.0, 0.01)
         objs = np.array(
@@ -81,21 +87,24 @@ class TestSampleAverage:
 
     def test_menu_feasible(self):
         profile, samples = instance(n_types=5)
-        report = solve_sp(samples, profile, PARAMS)
+        report = train_sp(samples, profile)
         assert check_feasibility(report.menu, profile, 1.0, tol=1e-9).feasible
 
 
 class TestWorstCase:
     def test_ignores_samples_entirely(self):
         profile, samples = instance()
-        a = solve_ro(SUPPORT, profile, PARAMS)
+        a = train_ro(SUPPORT, profile, samples)
+        b = train_ro(SUPPORT, profile, QualitySampleSet([1.0, 500.0]))
         assert a.iterations_used > 0
+        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+        np.testing.assert_array_equal(a.menu.latencies, b.menu.latencies)
 
     def test_equals_sample_average_on_floor_constants(self):
         profile, _ = instance(n_types=4)
         constant = QualitySampleSet(np.full(25, SUPPORT.lo))
-        ro = solve_ro(SUPPORT, profile, PARAMS)
-        sp = solve_sp(constant, profile, PARAMS)
+        ro = train_ro(SUPPORT, profile)
+        sp = train_sp(constant, profile)
         np.testing.assert_allclose(ro.menu.latencies, sp.menu.latencies, atol=1e-6)
         assert ro.objective == pytest.approx(sp.objective, abs=1e-6)
 
@@ -103,21 +112,21 @@ class TestWorstCase:
         profile, _ = instance(n_types=2)
         tiny = SupportInterval(60.0, 60.0 + 1e-6)
         constant = QualitySampleSet(np.full(10, 60.0))
-        ro = solve_ro(tiny, profile, PARAMS)
-        sp = solve_sp(constant, profile, PARAMS)
+        ro = train_ro(tiny, profile)
+        sp = train_sp(constant, profile)
         np.testing.assert_allclose(ro.menu.latencies, sp.menu.latencies, atol=1e-3)
 
     def test_menu_feasible(self):
         profile, _ = instance(n_types=6)
-        report = solve_ro(SUPPORT, profile, PARAMS)
+        report = train_ro(SUPPORT, profile)
         assert check_feasibility(report.menu, profile, 1.0, tol=1e-9).feasible
 
     def test_conservative_on_clean_data(self):
         # scoring each menu on its own training objective: the worst-case
         # menu cannot beat the sample-average menu on in-support data
         profile, samples = instance(n_types=3, seed=5)
-        ro = solve_ro(SUPPORT, profile, PARAMS)
-        sp = solve_sp(samples, profile, PARAMS)
+        ro = train_ro(SUPPORT, profile)
+        sp = train_sp(samples, profile)
         u_ro = eval_teleop_utility(ro.menu, samples, profile, PARAMS)
         u_sp = eval_teleop_utility(sp.menu, samples, profile, PARAMS)
         assert ro.objective <= sp.objective

@@ -37,7 +37,7 @@ SUPPORT = SupportInterval(60.0, 100.0)
 def ambiguity(n, epsilon=None, tau=0.99):
     if epsilon is None:
         return AmbiguityConfig.derive(SUPPORT, tau, n)
-    return AmbiguityConfig(SUPPORT, tau, n, epsilon)
+    return AmbiguityConfig(SUPPORT, epsilon)
 
 
 class TestObjective:
@@ -224,7 +224,7 @@ class TestBcdStep:
         # with lam = 0 the inner minimizers sit at the floor, so the mean
         # transport distance is positive; force a negative gradient via a
         # huge radius instead
-        big = AmbiguityConfig(SUPPORT, 0.99, samples.n, 1e6)
+        big = AmbiguityConfig(SUPPORT, 1e6)
         stepped = self._step(state, samples, profile, big)
         assert stepped.lam == 0.0
 
@@ -241,7 +241,7 @@ class TestBcdStep:
         # at a constructed stationary point both gradients vanish
         profile = AspTypeProfile(thetas=[150.0], alphas=[1.0])
         samples = QualitySampleSet([80.0])
-        amb = AmbiguityConfig(SUPPORT, 0.99, 1, 20.0)
+        amb = AmbiguityConfig(SUPPORT, 20.0)
         lat = [150.0 - 60.0]  # gradient zero when the minimizer is the floor
         state = self._state(profile, samples, amb, lat, 0.0)
         stepped = self._step(state, samples, profile, amb)

@@ -158,6 +158,28 @@ class TestExitCodes:
         code = run("solve", "--config", cfg, "--out", tmp_path / "o")
         assert code == EXIT_DATA
 
+    def test_non_finite_training_row_exits_three(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_text("xi\n80.0\nnan\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"train_csv = {data}\n")
+        assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
+        assert f"data error: {data}:3:" in capsys.readouterr().err
+
+    def test_non_finite_menu_latency_exits_three(self, tmp_path, toy_config, capsys):
+        menu = tmp_path / "menu.csv"
+        menu.write_text("type_index,L,R\n1,0.0,0.0\n2,nan,0.1\n")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(TOY_CONFIG + f"menu_csv = {menu}\n")
+        assert run("evaluate", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
+        assert f"data error: {menu}:3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["oracle_l_max = -1", "oracle_lambda_max = -2"])
+    def test_negative_oracle_bound_exits_two(self, tmp_path, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"thetas = 110, 140\nn_train = 20\nitr_max = 20\noracle_grid_step = 0.5\n{key}\n")
+        assert run("oracle", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_iterate_exits_four(self, tmp_path, capsys):
         # from lam = 0 the multiplier gradient is positive, and this step

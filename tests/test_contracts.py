@@ -10,11 +10,12 @@ from drcontract import (
     ContractMenu,
     NonMonotoneLatencies,
     NonPositiveLogArgument,
+    ParseError,
     QualitySampleSet,
     UtilityParams,
     ValidationError,
-    asp_utility,
     check_feasibility,
+    eval_asp_utilities,
     eval_teleop_utility,
     read_menu_csv,
     read_profile_csv,
@@ -69,6 +70,15 @@ class TestUtilityParams:
     def test_rejects_bad_gammas(self, kwargs):
         with pytest.raises(ValidationError):
             UtilityParams(**kwargs)
+
+
+def asp_utility(theta, bundle, params):
+    """Provider utility theta * R - gamma1 * L of one bundle (L, R), scored
+    through the one-type case of eval_asp_utilities."""
+    latency, reward = bundle
+    menu = ContractMenu(latencies=[latency], rewards=[reward])
+    profile = AspTypeProfile(thetas=[theta], alphas=[1.0])
+    return float(eval_asp_utilities(menu, profile, params.gamma1)[0])
 
 
 class TestAspUtility:
@@ -251,6 +261,16 @@ class TestExpectedTeleopUtility:
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+class TestContractMenu:
+    @pytest.mark.parametrize(
+        "latencies, rewards",
+        [([0.0, float("nan")], [0.0, 0.1]), ([0.0, 1.0], [0.0, float("inf")])],
+    )
+    def test_rejects_non_finite_entries(self, latencies, rewards):
+        with pytest.raises(ValidationError):
+            ContractMenu(latencies=latencies, rewards=rewards)
+
+
 class TestCsvRoundTrip:
     def test_profile_round_trip(self, tmp_path, default_profile):
         path = tmp_path / "profile.csv"
@@ -267,3 +287,10 @@ class TestCsvRoundTrip:
         back = read_menu_csv(path)
         np.testing.assert_array_equal(back.latencies, menu.latencies)
         np.testing.assert_array_equal(back.rewards, menu.rewards)
+
+    def test_non_finite_value_names_the_line(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("type_index,theta,alpha\n1,110.0,0.5\n2,inf,0.5\n")
+        with pytest.raises(ParseError) as info:
+            read_profile_csv(path)
+        assert (info.value.path, info.value.line) == (str(path), 3)

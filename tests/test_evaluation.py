@@ -60,7 +60,7 @@ def oracle_instances(draw):
         st.floats(100.5, 110.0),
     )
     samples = QualitySampleSet(draw(st.lists(anchor, min_size=1, max_size=6)))
-    amb = AmbiguityConfig(SUPPORT, 0.9, samples.n, draw(st.floats(0.0, 8.0)))
+    amb = AmbiguityConfig(SUPPORT, draw(st.floats(0.0, 8.0)))
     step = draw(st.sampled_from([0.002, 0.004, 2.0, 2.5]))
     l_max = step * draw(st.integers(1, 8))
     lambda_max = step * draw(st.integers(1, 10))
@@ -137,7 +137,7 @@ class TestOracle:
         # 1/(lo + L) = 1/theta, i.e. L = theta - lo
         profile = AspTypeProfile(thetas=[150.0], alphas=[1.0])
         samples = QualitySampleSet(np.linspace(61, 99, 10))
-        amb = AmbiguityConfig(SUPPORT, 0.99, 10, 1e3)
+        amb = AmbiguityConfig(SUPPORT, 1e3)
         step = 0.05
         omega, lat = oracle_menu_search(profile, samples, PARAMS, amb, step, l_max=120.0)
         assert lat[0] == pytest.approx(150.0 - 60.0, abs=step + 1e-9)
@@ -219,7 +219,7 @@ class TestOracle:
         # anchors lie below, on the edges of, inside and above the support
         profile = AspTypeProfile(thetas=[110.0, 140.0, 180.0], alphas=[0.25, 0.35, 0.4])
         samples = QualitySampleSet([50.0, 60.0, 72.5, 81.0, 93.25, 100.0, 108.0])
-        amb = AmbiguityConfig(SUPPORT, 0.9, 7, 5.0)
+        amb = AmbiguityConfig(SUPPORT, 5.0)
         omega, lat = oracle_menu_search(
             profile, samples, PARAMS, amb, 1.0, l_max=130.0, lambda_max=3.0
         )
@@ -272,19 +272,34 @@ class TestRunBenchmark:
         assert len(table.asp_rows) == 3 * 2
         assert [r[0] for r in table.teleop_rows] == ["dro", "dro", "sp", "sp", "ro", "ro"]
 
+    def test_levels_then_methods_then_shifts(self):
+        profile, train, evals, amb = self._inputs()
+        scenario = EvaluationScenario(
+            eval_samples=evals, shift_magnitudes=(0.0, 10.0), extreme_counts=(0, 5)
+        )
+        table = run_benchmark(
+            scenario, {"sp", "dro"}, train, profile=profile, params=PARAMS, ambiguity=amb
+        )
+        assert [r[:3] for r in table.teleop_rows] == [
+            (m, c, s) for c in (0, 5) for m in ("dro", "sp") for s in (0.0, 10.0)
+        ]
+        assert [r[:3] for r in table.asp_rows] == [
+            (m, c, t) for c in (0, 5) for m in ("dro", "sp") for t in (1, 2)
+        ]
+
     def test_contamination_hits_training_only(self):
         profile, train, evals, amb = self._inputs()
-        clean = EvaluationScenario(eval_samples=evals, shift_magnitudes=(0.0,), extreme_count=0)
-        dirty = EvaluationScenario(eval_samples=evals, shift_magnitudes=(0.0,), extreme_count=40)
-        t_clean = run_benchmark(clean, {"ro"}, train, profile=profile, params=PARAMS, ambiguity=amb)
-        t_dirty = run_benchmark(dirty, {"ro"}, train, profile=profile, params=PARAMS, ambiguity=amb)
+        scenario = EvaluationScenario(
+            eval_samples=evals, shift_magnitudes=(0.0,), extreme_counts=(0, 40)
+        )
+        table = run_benchmark(scenario, {"ro"}, train, profile=profile, params=PARAMS, ambiguity=amb)
         # the worst-case solver never reads samples, and evaluation data is
         # untouched, so full contamination changes nothing for it
-        assert t_clean.teleop("ro", 0.0) == pytest.approx(t_dirty.teleop("ro", 0.0), abs=1e-12)
+        assert table.teleop("ro", 0.0, 0) == pytest.approx(table.teleop("ro", 0.0, 40), abs=1e-12)
 
     def test_deterministic(self):
         profile, train, evals, amb = self._inputs()
-        scenario = EvaluationScenario(eval_samples=evals, extreme_count=5, seed=11)
+        scenario = EvaluationScenario(eval_samples=evals, extreme_counts=(5,), seed=11)
         a = run_benchmark(scenario, {"dro", "sp"}, train, profile=profile, params=PARAMS, ambiguity=amb)
         b = run_benchmark(scenario, {"dro", "sp"}, train, profile=profile, params=PARAMS, ambiguity=amb)
         assert a.teleop_rows == b.teleop_rows
@@ -311,6 +326,10 @@ class TestRunBenchmark:
 
 
 class TestScenarioValidation:
+    def test_rejects_negative_extreme_count(self):
+        with pytest.raises(ValidationError):
+            EvaluationScenario(eval_samples=QualitySampleSet([70.0]), extreme_counts=(0, -1))
+
     def test_rejects_unsorted_shifts(self):
         with pytest.raises(ValidationError):
             EvaluationScenario(
