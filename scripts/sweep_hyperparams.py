@@ -16,13 +16,13 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from drcontract import EvaluationScenario, run_benchmark
 from drcontract.config import RunConfig
+from drcontract.csvio import write_table
 
 ETA_L_GRID = (1e3, 5e3, 1e4, 5e4, 1e5)
 N_TRAIN_GRID = (10, 50, 100, 200)
@@ -45,20 +45,16 @@ def score(cfg: RunConfig):
 
 
 def run_sweep(name, settings, cfg_for, out: Path) -> None:
+    metrics_rows, asp_rows = [], []
+    for value in settings:
+        table = score(cfg_for(value))
+        metrics_rows += [(value, s, u) for _, _, s, u in table.teleop_rows]
+        asp_rows += [(value, i, u) for _, _, i, u in table.asp_rows]
+        print(f"{name}={value}: shift-0 utility {table.teleop_rows[0][3]:.4f}")
     metrics_path = out / f"sweep_{name}_metrics.csv"
     asp_path = out / f"sweep_{name}_asp.csv"
-    with open(metrics_path, "w", newline="") as m_fh, open(asp_path, "w", newline="") as a_fh:
-        m_writer = csv.writer(m_fh)
-        a_writer = csv.writer(a_fh)
-        m_writer.writerow([name, "shift", "mean_teleop_utility"])
-        a_writer.writerow([name, "type_index", "asp_utility"])
-        for value in settings:
-            table = score(cfg_for(value))
-            for _, _, shift, utility in table.teleop_rows:
-                m_writer.writerow([value, repr(float(shift)), repr(float(utility))])
-            for _, _, type_index, utility in table.asp_rows:
-                a_writer.writerow([value, type_index, repr(float(utility))])
-            print(f"{name}={value}: shift-0 utility {table.teleop_rows[0][3]:.4f}")
+    write_table(metrics_path, [name, "shift", "mean_teleop_utility"], metrics_rows)
+    write_table(asp_path, [name, "type_index", "asp_utility"], asp_rows)
     print(f"wrote {metrics_path} and {asp_path}")
 
 

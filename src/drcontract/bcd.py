@@ -15,7 +15,6 @@ in practice the trajectory climbs monotonically on the tested instances.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .ambiguity import AmbiguityConfig, sample_values
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
+from .csvio import write_table
 from .errors import NonPositiveDenominator, NumericError, SizeMismatch, ValidationError
 from .inner import g_of_L, inner_minima, weighted_log
 
@@ -46,9 +46,11 @@ class BcdConfig:
             raise ValidationError("max_iters must be >= 1")
         if not self.conv_tol > 0.0:
             raise ValidationError("conv_tol must be > 0")
-        if self.eta_L < 0.0 or self.eta_lambda < 0.0:
+        if not (self.eta_L >= 0.0 and self.eta_lambda >= 0.0):
             raise ValidationError("step sizes must be >= 0")
-        if self.lambda_init < 0.0:
+        if not math.isfinite(self.L_init):
+            raise ValidationError("L_init must be finite")
+        if not self.lambda_init >= 0.0:
             raise ValidationError("lambda_init must be >= 0")
 
     def initial_latencies(self, n_types: int) -> np.ndarray:
@@ -57,12 +59,11 @@ class BcdConfig:
 
 @dataclass(frozen=True)
 class BcdState:
-    """One iterate: latencies, multiplier, inner minimizers, slacks, objective."""
+    """One iterate: latencies, multiplier, inner minimizers, objective."""
 
     latencies: np.ndarray
     lam: float
     xi_stars: np.ndarray
-    s_values: np.ndarray
     objective: float
 
 
@@ -94,30 +95,28 @@ def objective(
 
     Takes every anchor's inner minimum at once, forms each slack as the
     inner minimum net of the expected reward, and returns
-    (objective, xi_stars, s_values) with
-    objective = -lam * epsilon + mean(s_values).
+    (objective, xi_stars) with objective = -lam * epsilon + mean(s_values).
     """
     f_min, xi_stars = inner_minima(
         latencies, lam, sample_values(samples), ambiguity.support, params, profile.alphas
     )
     g = g_of_L(latencies, profile, params.gamma1)
     s_values = f_min - g
-    return -lam * ambiguity.epsilon + _mean_in_order(s_values), xi_stars, s_values
+    return -lam * ambiguity.epsilon + _mean_in_order(s_values), xi_stars
 
 
 def _pinned_objective(
     latencies,
-    lam: float,
     anchors: np.ndarray,
     profile: AspTypeProfile,
     params: UtilityParams,
 ):
     """Objective with the inner point pinned to each anchor (no adversary):
     the transport penalty vanishes because the evaluation point equals the
-    anchor."""
+    anchor, so the anchors are the inner points returned."""
     g = g_of_L(latencies, profile, params.gamma1)
     s_values = weighted_log(anchors, latencies, profile.alphas, params) - g
-    return _mean_in_order(s_values), anchors.copy(), s_values
+    return _mean_in_order(s_values), anchors
 
 
 def _mean_in_order(values: np.ndarray) -> float:
@@ -197,7 +196,7 @@ def bcd_step(
     step, both taken at the state's inner minimizers, then one objective
     evaluation at the new point.
 
-    ``evaluate(lat, lam)`` returns (objective, xi_stars, s_values) and fixes
+    ``evaluate(lat, lam)`` returns (objective, xi_stars) and fixes
     the inner rule.  Raises NumericError when the new iterate or its
     objective is not finite, or the latencies decrease.
     """
@@ -208,12 +207,10 @@ def bcd_step(
         raise NumericError(f"multiplier iterate {lam!r} is not finite")
     if np.any(np.diff(lat) < 0.0):
         raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
-    omega, xi_stars, s_values = evaluate(lat, lam)
+    omega, xi_stars = evaluate(lat, lam)
     if not math.isfinite(omega):
         raise NumericError(f"objective {omega!r} at lam={lam!r} is not finite")
-    return BcdState(
-        latencies=lat, lam=lam, xi_stars=xi_stars, s_values=s_values, objective=omega
-    )
+    return BcdState(latencies=lat, lam=lam, xi_stars=xi_stars, objective=omega)
 
 
 def _latency_update(latencies, xi_stars, profile, params, bcd_cfg) -> np.ndarray:
@@ -257,8 +254,8 @@ def _run_loop(anchors, profile, params, bcd_cfg, evaluate, epsilon) -> SolveRepo
     objective is evaluated once before the loop and once per iteration."""
     lat = _project(bcd_cfg.initial_latencies(profile.n_types), profile)
     lam = float(bcd_cfg.lambda_init)
-    omega, xi_stars, s_values = evaluate(lat, lam)
-    state = BcdState(latencies=lat, lam=lam, xi_stars=xi_stars, s_values=s_values, objective=omega)
+    omega, xi_stars = evaluate(lat, lam)
+    state = BcdState(latencies=lat, lam=lam, xi_stars=xi_stars, objective=omega)
 
     omega_star = -np.inf
     converged = False
@@ -294,7 +291,7 @@ def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     anchors = sample_values(anchors)
 
     def evaluate(lat, lam):
-        return _pinned_objective(lat, lam, anchors, profile, params)
+        return _pinned_objective(lat, anchors, profile, params)
 
     bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
     return _run_loop(anchors, profile, params, bcd_cfg, evaluate, 0.0)
@@ -307,17 +304,9 @@ def write_trace_csv(report: SolveReport, path, method: str = None) -> None:
     """
     n_types = report.menu.n_types
     header = ["iter", "objective", "lambda"] + [f"L_{i + 1}" for i in range(n_types)]
+    traces = zip(report.objective_trace, report.lambda_trace, report.latency_trace)
+    rows = ([t, obj, lam, *lat] for t, (obj, lam, lat) in enumerate(traces, start=1))
     if method is not None:
         header = ["method"] + header
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(report.iterations_used):
-            row = [
-                t + 1,
-                repr(float(report.objective_trace[t])),
-                repr(float(report.lambda_trace[t])),
-            ] + [repr(float(v)) for v in report.latency_trace[t]]
-            if method is not None:
-                row = [method] + row
-            writer.writerow(row)
+        rows = ([method] + row for row in rows)
+    write_table(path, header, rows)

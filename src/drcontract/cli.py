@@ -1,7 +1,7 @@
 """Command-line surface for data generation, solving, scoring, benchmarking,
 and oracle verification.
 
-Subcommands: gen-data, solve, evaluate, bench, oracle, trace.
+Subcommands: gen-data, solve, evaluate, bench, oracle.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -35,7 +35,7 @@ from .evaluation import (
     write_metrics_csv,
 )
 
-SUBCOMMANDS = ("gen-data", "solve", "evaluate", "bench", "oracle", "trace")
+SUBCOMMANDS = ("gen-data", "solve", "evaluate", "bench", "oracle")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,7 +67,6 @@ def dispatch(subcommand: str, cfg: RunConfig, method: str = "dro", out=Path("out
         "evaluate": _cmd_evaluate,
         "bench": _cmd_bench,
         "oracle": _cmd_oracle,
-        "trace": _cmd_trace,
     }
     if subcommand not in handlers:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
@@ -101,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default="", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
-        "--method", choices=CANONICAL_METHODS, default="dro", help="solver for solve/trace"
+        "--method", choices=CANONICAL_METHODS, default="dro", help="solver for solve"
     )
     parser.add_argument("--out", default="out", help="output directory")
     return parser
@@ -118,15 +117,11 @@ def _cmd_gen_data(cfg: RunConfig, method: str, out: Path) -> None:
     print(f"wrote {out / 'profile.csv'} ({cfg.n_types} types)")
 
 
-def _solve_report(cfg: RunConfig, method: str):
+def _cmd_solve(cfg: RunConfig, method: str, out: Path) -> None:
     train = cfg.train_samples()
-    return train_method(
+    report = train_method(
         method, train, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg.bcd_config()
     )
-
-
-def _cmd_solve(cfg: RunConfig, method: str, out: Path) -> None:
-    report = _solve_report(cfg, method)
     write_menu_csv(report.menu, out / "menu.csv")
     write_trace_csv(report, out / "trace.csv", method=None if method == "dro" else method)
     status = "converged" if report.converged else "max iterations reached"
@@ -135,12 +130,6 @@ def _cmd_solve(cfg: RunConfig, method: str, out: Path) -> None:
         f"objective {report.objective:.6f}"
     )
     print(f"wrote {out / 'menu.csv'} and {out / 'trace.csv'}")
-
-
-def _cmd_trace(cfg: RunConfig, method: str, out: Path) -> None:
-    report = _solve_report(cfg, method)
-    write_trace_csv(report, out / "trace.csv", method=None if method == "dro" else method)
-    print(f"wrote {out / 'trace.csv'} ({report.iterations_used} iterations)")
 
 
 def _cmd_evaluate(cfg: RunConfig, method: str, out: Path) -> None:

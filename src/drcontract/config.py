@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import AmbiguityConfig, QualitySampleSet, SupportInterval
+from .ambiguity import AmbiguityConfig, QualitySampleSet, SupportInterval, read_samples_csv
 from .bcd import BcdConfig
 from .contracts import AspTypeProfile, UtilityParams
 from .errors import InvalidConfidence, ParseError, ValidationError
@@ -29,6 +29,10 @@ from .seeding import rng_for
 
 DEFAULT_THETAS = (110.0, 140.0, 175.0, 200.0, 220.0, 235.0, 245.0, 250.0)
 DEFAULT_EXTREME_COUNTS = (0, 50, 100)
+# Rounds of the quality-score rejection sampler.  Each round draws more than
+# twice the scores still missing; the reference setup needs 1 round, and a
+# support holding 1e-3 of the normal's mass needs about 2000 for 200 scores.
+_MAX_REJECTION_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -72,12 +76,16 @@ class RunConfig:
             raise InvalidConfidence(f"tau must lie in (0, 1), got {self.tau}")
         if self.n_train < 1 or self.n_eval < 1:
             raise ValidationError("n_train and n_eval must be >= 1")
-        if any(m < 0 for m in self.shift_magnitudes):
+        if not all(m >= 0 for m in self.shift_magnitudes):
             raise ValidationError("shift magnitudes must be nonnegative")
         if any(c < 0 for c in self.extreme_counts):
             raise ValidationError("extreme counts must be nonnegative")
-        if self.gen_sd <= 0:
+        if not self.gen_sd > 0:
             raise ValidationError("gen_sd must be > 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in _STR_KEYS and not np.all(np.isfinite(value)):
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
     @property
     def n_types(self) -> int:
@@ -113,8 +121,6 @@ class RunConfig:
         )
 
     def train_samples(self) -> QualitySampleSet:
-        from .ambiguity import read_samples_csv
-
         if self.train_csv:
             return read_samples_csv(self.train_csv)
         return generate_quality_samples(
@@ -122,8 +128,6 @@ class RunConfig:
         )
 
     def eval_samples(self) -> QualitySampleSet:
-        from .ambiguity import read_samples_csv
-
         if self.eval_csv:
             return read_samples_csv(self.eval_csv)
         return generate_quality_samples(
@@ -148,16 +152,25 @@ def generate_quality_samples(
     sd: float,
     support: SupportInterval,
 ) -> QualitySampleSet:
-    """Truncated-normal quality scores on the support, via rejection."""
+    """Truncated-normal quality scores on the support, via rejection.
+
+    Raises ValidationError after ``_MAX_REJECTION_ROUNDS`` rounds short of
+    ``n`` scores: the normal then puts (almost) no mass on the support.
+    """
     rng = rng_for(seed, label)
     out = np.empty(n)
     filled = 0
-    while filled < n:
+    for _ in range(_MAX_REJECTION_ROUNDS):
         draw = rng.normal(mean, sd, size=2 * (n - filled) + 8)
         keep = draw[(draw >= support.lo) & (draw <= support.hi)][: n - filled]
         out[filled : filled + keep.size] = keep
         filled += keep.size
-    return QualitySampleSet(samples=out, provenance=f"generated:{label}:seed={seed}")
+        if filled == n:
+            return QualitySampleSet(samples=out, provenance=f"generated:{label}:seed={seed}")
+    raise ValidationError(
+        f"normal(mean={mean!r}, sd={sd!r}) gave {filled} of {n} scores on the support "
+        f"[{support.lo!r}, {support.hi!r}] in {_MAX_REJECTION_ROUNDS} rejection rounds"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,11 @@ rewards as free variables.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_indexed_table, write_table
 from .errors import NonMonotoneLatencies, SizeMismatch, ValidationError
 
 MONOTONE_TOL = 1e-12
@@ -59,7 +57,7 @@ class AspTypeProfile:
             raise ValidationError("thetas must be nondecreasing")
         if np.any(self.alphas < 0.0):
             raise ValidationError("alphas must be nonnegative")
-        if abs(float(self.alphas.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.alphas.sum()) - 1.0) <= 1e-12:
             raise ValidationError(
                 f"alphas must sum to 1 within 1e-12, got {self.alphas.sum()!r}"
             )
@@ -87,7 +85,7 @@ class UtilityParams:
             raise ValidationError("gamma1 must be > 0")
         if not self.gamma2 > 0.0:
             raise ValidationError("gamma2 must be > 0")
-        if self.gamma3 < 0.0:
+        if not self.gamma3 >= 0.0:
             raise ValidationError("gamma3 must be >= 0")
 
 
@@ -196,67 +194,20 @@ def check_feasibility(
 # ---------------------------------------------------------------------------
 
 def write_profile_csv(profile: AspTypeProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["type_index", "theta", "alpha"])
-        for i in range(profile.n_types):
-            writer.writerow([i + 1, repr(float(profile.thetas[i])), repr(float(profile.alphas[i]))])
+    rows = zip(range(1, profile.n_types + 1), profile.thetas, profile.alphas)
+    write_table(path, ["type_index", "theta", "alpha"], rows)
 
 
 def read_profile_csv(path) -> AspTypeProfile:
-    rows = _read_indexed_rows(path, ["type_index", "theta", "alpha"])
-    thetas = [v[0] for v in rows]
-    alphas = [v[1] for v in rows]
-    return AspTypeProfile(thetas=np.array(thetas), alphas=np.array(alphas))
+    table = read_indexed_table(path, ["type_index", "theta", "alpha"])
+    return AspTypeProfile(thetas=table[:, 0], alphas=table[:, 1])
 
 
 def write_menu_csv(menu: ContractMenu, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["type_index", "L", "R"])
-        for i in range(menu.n_types):
-            writer.writerow([i + 1, repr(float(menu.latencies[i])), repr(float(menu.rewards[i]))])
+    rows = zip(range(1, menu.n_types + 1), menu.latencies, menu.rewards)
+    write_table(path, ["type_index", "L", "R"], rows)
 
 
 def read_menu_csv(path) -> ContractMenu:
-    rows = _read_indexed_rows(path, ["type_index", "L", "R"])
-    return ContractMenu(
-        latencies=np.array([v[0] for v in rows]),
-        rewards=np.array([v[1] for v in rows]),
-    )
-
-
-def _read_indexed_rows(path, expected_header):
-    from .errors import ParseError
-
-    path = Path(path)
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", path=str(path), line=1)
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(
-                f"expected header {','.join(expected_header)}", path=str(path), line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                idx = int(row[0])
-                values = tuple(float(x) for x in row[1:])
-            except (ValueError, IndexError):
-                raise ParseError(f"bad row {row!r}", path=str(path), line=lineno)
-            if len(values) != len(expected_header) - 1:
-                raise ParseError(f"bad row {row!r}", path=str(path), line=lineno)
-            if not all(math.isfinite(v) for v in values):
-                raise ParseError(f"non-finite value in row {row!r}", path=str(path), line=lineno)
-            rows[idx] = values
-    if not rows:
-        raise ParseError("no data rows", path=str(path), line=1)
-    ordered = [rows[i] for i in sorted(rows)]
-    if sorted(rows) != list(range(1, len(rows) + 1)):
-        raise ParseError("type_index must enumerate 1..I", path=str(path), line=1)
-    return ordered
+    table = read_indexed_table(path, ["type_index", "L", "R"])
+    return ContractMenu(latencies=table[:, 0], rewards=table[:, 1])

@@ -8,7 +8,6 @@ so larger shifts remain distinguishable below the support floor.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +21,7 @@ from .ambiguity import (
 )
 from .bcd import BcdConfig, SolveReport, solve, solve_pinned
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
+from .csvio import write_table
 from .errors import (
     GridTooLarge,
     NonPositiveLogArgument,
@@ -51,7 +51,7 @@ class EvaluationScenario:
     def __post_init__(self):
         shifts = tuple(float(m) for m in self.shift_magnitudes)
         object.__setattr__(self, "shift_magnitudes", shifts)
-        if any(m < 0.0 for m in shifts):
+        if not all(m >= 0.0 for m in shifts):
             raise ValidationError("shift magnitudes must be nonnegative")
         if list(shifts) != sorted(shifts):
             raise ValidationError("shift magnitudes must be sorted ascending")
@@ -355,16 +355,9 @@ def _chunk_best(prof: _AffineInnerProfile, grid_step: float, lambda_max: float):
 # ---------------------------------------------------------------------------
 
 def write_metrics_csv(table: MetricsTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "extreme_count", "shift", "mean_teleop_utility"])
-        for method, ec, shift, value in table.teleop_rows:
-            writer.writerow([method, ec, repr(float(shift)), repr(float(value))])
+    header = ["method", "extreme_count", "shift", "mean_teleop_utility"]
+    write_table(path, header, table.teleop_rows)
 
 
 def write_asp_csv(table: MetricsTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "extreme_count", "type_index", "asp_utility"])
-        for method, ec, type_index, value in table.asp_rows:
-            writer.writerow([method, ec, type_index, repr(float(value))])
+    write_table(path, ["method", "extreme_count", "type_index", "asp_utility"], table.asp_rows)

@@ -13,7 +13,6 @@ _LABEL_CODES = {
     "eval-data": 2,
     "alphas": 3,
     "extreme-points": 4,
-    "instances": 5,
 }
 
 

@@ -180,7 +180,6 @@ class TestShiftSamples:
         with pytest.raises(ValidationError):
             shift_samples(QualitySampleSet([1.0]), -1.0)
 
-
 class TestInjectExtremePoints:
     def test_zero_count_identity(self):
         s = QualitySampleSet([80.0, 90.0])
@@ -219,6 +218,10 @@ class TestAmbiguityConfig:
 
     def test_explicit_zero_radius_allowed(self):
         AmbiguityConfig(SupportInterval(60, 100), 0.0)
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValidationError):
+            AmbiguityConfig(SupportInterval(60, 100), math.nan)
 
 
 class TestSamplesCsv:

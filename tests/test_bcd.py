@@ -21,8 +21,10 @@ from drcontract import (
     ValidationError,
     bcd_step,
     check_feasibility,
+    g_of_L,
     grad_L,
     grad_lambda,
+    inner_minima,
     iron_monotone,
     objective,
     solve,
@@ -40,32 +42,37 @@ def ambiguity(n, epsilon=None, tau=0.99):
     return AmbiguityConfig(SUPPORT, epsilon)
 
 
+def slacks(latencies, lam, samples, profile):
+    """Each anchor's inner minimum net of the expected reward."""
+    f_min, _ = inner_minima(latencies, lam, samples.samples, SUPPORT, PARAMS, profile.alphas)
+    return f_min - g_of_L(latencies, profile, PARAMS.gamma1)
+
+
 class TestObjective:
     def test_zero_lambda_unit_type(self):
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         samples = QualitySampleSet([70.0, 80.0, 95.0])
-        omega, xi_stars, s_values = objective(
-            [0.0], 0.0, samples, ambiguity(3), profile, PARAMS
-        )
+        omega, xi_stars = objective([0.0], 0.0, samples, ambiguity(3), profile, PARAMS)
         # every inner minimum sits at the support floor
         assert omega == pytest.approx(math.log(60.0), abs=1e-12)
         np.testing.assert_array_equal(xi_stars, 60.0)
-        np.testing.assert_allclose(s_values, math.log(60.0))
+        np.testing.assert_allclose(slacks([0.0], 0.0, samples, profile), math.log(60.0))
 
     def test_zero_radius_drops_penalty_term(self):
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
         samples = QualitySampleSet([70.0, 90.0])
         for lam in (0.0, 1.0, 5.0):
-            omega, _, s_values = objective(
+            omega, _ = objective(
                 [3.0, 9.0], lam, samples, ambiguity(2, epsilon=0.0), profile, PARAMS
             )
-            assert omega == pytest.approx(np.mean(s_values))
+            assert omega == pytest.approx(np.mean(slacks([3.0, 9.0], lam, samples, profile)))
 
     def test_single_sample_mean(self):
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         amb = ambiguity(1)
-        omega, _, s_values = objective([4.0], 2.0, QualitySampleSet([75.0]), amb, profile, PARAMS)
-        assert omega == pytest.approx(-2.0 * amb.epsilon + s_values[0])
+        samples = QualitySampleSet([75.0])
+        omega, _ = objective([4.0], 2.0, samples, amb, profile, PARAMS)
+        assert omega == pytest.approx(-2.0 * amb.epsilon + slacks([4.0], 2.0, samples, profile)[0])
 
     def test_rejects_negative_lambda(self):
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
@@ -205,10 +212,8 @@ def small_instance(n_types=2, n_samples=12, seed=8, epsilon=None):
 
 class TestBcdStep:
     def _state(self, profile, samples, amb, lat, lam):
-        omega, xi, s = objective(lat, lam, samples, amb, profile, PARAMS)
-        return BcdState(
-            latencies=np.asarray(lat, float), lam=lam, xi_stars=xi, s_values=s, objective=omega
-        )
+        omega, xi = objective(lat, lam, samples, amb, profile, PARAMS)
+        return BcdState(latencies=np.asarray(lat, float), lam=lam, xi_stars=xi, objective=omega)
 
     def _step(self, state, samples, profile, amb, bcd_cfg=None):
         def evaluate(lat, lam):
@@ -334,7 +339,7 @@ class TestSolve:
         best = -np.inf
         for lat in np.arange(0.0, 200.0, 0.5):
             for lam in np.arange(0.0, 0.055, 0.005):
-                omega, _, _ = objective([lat], lam, samples, amb, profile, PARAMS)
+                omega, _ = objective([lat], lam, samples, amb, profile, PARAMS)
                 best = max(best, omega)
         assert report.objective == pytest.approx(best, abs=1e-2)
 

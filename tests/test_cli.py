@@ -65,12 +65,6 @@ class TestSolve:
         assert run("solve", "--config", cfg2, "--method", "sp", "--out", out) == 0
         assert (out / "trace.csv").read_text().splitlines()[0].startswith("method,iter")
 
-    def test_trace_subcommand(self, tmp_path, toy_config):
-        out = tmp_path / "out"
-        assert run("trace", "--config", toy_config, "--out", out) == 0
-        assert (out / "trace.csv").exists()
-        assert not (out / "menu.csv").exists()
-
 
 class TestEvaluate:
     def test_round_trip_solve_then_evaluate(self, tmp_path, toy_config, capsys):
@@ -179,6 +173,33 @@ class TestExitCodes:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"thetas = 110, 140\nn_train = 20\nitr_max = 20\noracle_grid_step = 0.5\n{key}\n")
         assert run("oracle", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "eta_l = nan",
+            "eta_lambda = nan",
+            "lambda_init = nan",
+            "gamma3 = nan",
+            "l_init = nan",
+            "l_init = inf",
+            "extreme_value = nan",
+            "extreme_value = inf",
+            "shift_magnitudes = 0, nan",
+            "gen_mean = nan",
+            "gen_mean = inf",
+            "gen_sd = nan",
+            "gen_sd = inf",
+            "eta_l = inf",
+            "support_hi = inf",
+            # finite, but no mass on the support [60, 100]
+            "gen_mean = 1000",
+        ],
+    )
+    def test_non_finite_or_hopeless_setting_exits_two(self, tmp_path, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"thetas = 110, 140\nn_train = 20\nitr_max = 20\n{key}\n")
+        assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_iterate_exits_four(self, tmp_path, capsys):

@@ -138,3 +138,8 @@ class TestGenerateSamples:
         c = generate_quality_samples(50, 0, "eval-data", 85.0, 8.0, sup)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+    def test_support_without_mass_raises(self):
+        sup = SupportInterval(60.0, 100.0)
+        with pytest.raises(ValidationError, match=r"mean=1000\.0, sd=8\.0.*\[60\.0, 100\.0\]"):
+            generate_quality_samples(200, 0, "train-data", 1000.0, 8.0, sup)

@@ -50,6 +50,10 @@ class TestProfileInvariants:
         with pytest.raises(ValidationError):
             AspTypeProfile(thetas=[110, 140], alphas=[0.5, 0.6])
 
+    def test_rejects_nan_alpha(self):
+        with pytest.raises(ValidationError):
+            AspTypeProfile(thetas=[110, 140], alphas=[float("nan"), 1.0])
+
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValidationError):
             AspTypeProfile(thetas=[110, 140], alphas=[-0.1, 1.1])
@@ -66,7 +70,10 @@ class TestUtilityParams:
     def test_gamma3_zero_allowed(self):
         UtilityParams(gamma1=1.0, gamma2=1.0, gamma3=0.0)
 
-    @pytest.mark.parametrize("kwargs", [dict(gamma1=0.0), dict(gamma2=0.0), dict(gamma3=-1.0)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(gamma1=0.0), dict(gamma2=0.0), dict(gamma3=-1.0), dict(gamma3=float("nan"))],
+    )
     def test_rejects_bad_gammas(self, kwargs):
         with pytest.raises(ValidationError):
             UtilityParams(**kwargs)

@@ -155,7 +155,7 @@ class TestOracle:
         for l1 in (0.0, 10.0, 42.5, 80.0):
             for l2 in (l1, l1 + 10.0, 99.5):
                 for lam in (0.0, 0.5, 1.0, 2.0):
-                    ref, _, _ = objective([l1, l2], lam, samples, amb, profile, PARAMS)
+                    ref, _ = objective([l1, l2], lam, samples, amb, profile, PARAMS)
                     assert omega >= ref - 1e-9
         # the reported maximizer reproduces its objective through the literal path
         best_lam_grid = np.arange(0.0, 2.0 + step / 2, step)
@@ -340,4 +340,10 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             EvaluationScenario(
                 eval_samples=QualitySampleSet([70.0]), shift_magnitudes=(-1.0,)
+            )
+
+    def test_rejects_nan_shift(self):
+        with pytest.raises(ValidationError):
+            EvaluationScenario(
+                eval_samples=QualitySampleSet([70.0]), shift_magnitudes=(0.0, float("nan"))
             )

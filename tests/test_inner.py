@@ -229,22 +229,24 @@ class TestSolveInner:
 
 class TestSlackValue:
     """A slack is an anchor's inner minimum net of the expected reward: the
-    ``s_values`` the robust objective averages."""
+    value the robust objective averages, so with one anchor the objective is
+    the slack less ``lam * epsilon``."""
 
     AMB = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
 
     def test_zero_latency_slack_is_inner_value(self):
         f_min, _ = inner_minima([0.0], 0.0, [80.0], SUPPORT, PARAMS, [1.0])
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
-        got = objective([0.0], 0.0, [80.0], self.AMB, profile, PARAMS)[2][0]
+        got = objective([0.0], 0.0, [80.0], self.AMB, profile, PARAMS)[0]
         assert got == pytest.approx(f_min[0])
         assert got == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_deterministic(self):
         f_min, _ = inner_minima([3.0, 8.0], 0.7, [77.0], SUPPORT, PARAMS, [0.6, 0.4])
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.6, 0.4])
-        a = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[2][0]
-        b = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[2][0]
+        penalty = 0.7 * self.AMB.epsilon
+        a = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[0] + penalty
+        b = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[0] + penalty
         assert a == b
         reward = g_of_L([3.0, 8.0], profile, PARAMS.gamma1)
         assert a == pytest.approx(f_min[0] - reward, abs=1e-12)
