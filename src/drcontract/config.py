@@ -15,6 +15,7 @@ its parameters are config keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -105,10 +106,8 @@ class RunConfig:
     def support(self) -> SupportInterval:
         return SupportInterval(lo=self.support_lo, hi=self.support_hi)
 
-    def ambiguity_for(self, n_samples: int = None) -> AmbiguityConfig:
-        return AmbiguityConfig.derive(
-            self.support(), self.tau, self.n_train if n_samples is None else n_samples
-        )
+    def ambiguity_for(self, n_samples: int) -> AmbiguityConfig:
+        return AmbiguityConfig.derive(self.support(), self.tau, n_samples)
 
     def bcd_config(self) -> BcdConfig:
         return BcdConfig(
@@ -154,9 +153,17 @@ def generate_quality_samples(
 ) -> QualitySampleSet:
     """Truncated-normal quality scores on the support, via rejection.
 
-    Raises ValidationError after ``_MAX_REJECTION_ROUNDS`` rounds short of
-    ``n`` scores: the normal then puts (almost) no mass on the support.
+    Raises ValidationError before any draw when the support's mass under the
+    normal is 0.0 in float64 (both ends about 8 sd out on the same side),
+    and after ``_MAX_REJECTION_ROUNDS`` rounds short of ``n`` scores: the
+    normal then puts almost no mass on the support.
     """
+    scale = sd * math.sqrt(2.0)
+    if math.erf((support.hi - mean) / scale) == math.erf((support.lo - mean) / scale):
+        raise ValidationError(
+            f"normal(mean={mean!r}, sd={sd!r}) puts no mass on the support "
+            f"[{support.lo!r}, {support.hi!r}]"
+        )
     rng = rng_for(seed, label)
     out = np.empty(n)
     filled = 0

@@ -206,8 +206,6 @@ def oracle_menu_search(
     strictly between two grid points.  The flip points and their sort are
     computed only when the subgradient at lam = 0 is positive.
     """
-    if profile.n_types > 3:
-        raise GridTooLarge("oracle supports at most 3 types")
     if not grid_step > 0.0:
         raise ValidationError("grid_step must be > 0")
     if not (l_max >= 0.0 and lambda_max >= 0.0):
@@ -244,27 +242,27 @@ def oracle_menu_search(
 def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
     """Yield (rows, n_types) arrays of grid indices of the nondecreasing
     latency tuples, in lexicographic order, ``1e6 // n_samples`` rows at a
-    time (fewer at the end of a block), so each (rows, samples) float table
-    of a chunk takes at most 8 MB."""
-    chunk_rows = max(1, int(1e6 // max(n_samples, 1)))
-    if n_types == 1:
-        for start in range(0, n_l, chunk_rows):
-            yield np.arange(start, min(start + chunk_rows, n_l))[:, None]
-    elif n_types == 2:
-        # the pairs (i, j >= i) start at row starts[i]; each chunk unranks
-        # its own rows, so the full pair list is never held
-        starts = np.concatenate(([0], np.cumsum(np.arange(n_l, 0, -1))))
-        n_pairs = int(starts[-1])
-        for start in range(0, n_pairs, chunk_rows):
-            rows = np.arange(start, min(start + chunk_rows, n_pairs))
-            first = np.searchsorted(starts, rows, side="right") - 1
-            yield np.stack([first, first + rows - starts[first]], axis=1)
-    else:
-        for first in range(n_l):
-            ii, jj = np.triu_indices(n_l - first)
-            block = np.stack([np.full(ii.size, first), first + ii, first + jj], axis=1)
-            for start in range(0, block.shape[0], chunk_rows):
-                yield block[start : start + chunk_rows]
+    time, so each (rows, samples) float table of a chunk takes at most 8 MB.
+    Each chunk unranks its own ranks, so the full list is never held: with
+    ``counts[m][k]`` nondecreasing (m + 1)-tuples on k grid values, each index
+    is the highest with as many tuples from it on as from the rank on, or more."""
+    counts = [np.arange(n_l + 1)]
+    for _ in range(1, n_types):
+        counts.append(np.cumsum(counts[-1]))
+    n_tuples = int(counts[-1][n_l])
+    chunk_rows = max(1, int(1e6 // n_samples))
+    for start in range(0, n_tuples, chunk_rows):
+        rank = np.arange(start, min(start + chunk_rows, n_tuples))
+        chunk = np.empty((rank.size, n_types), dtype=rank.dtype)
+        low = np.zeros_like(rank)
+        for i in range(n_types - 1):
+            tail = counts[n_types - 1 - i]
+            rank -= tail[n_l - low]  # -rank tuples from here to the block's end
+            span = np.searchsorted(tail, -rank)
+            rank += tail[span]  # in place, so few (rows,) arrays outlive the yield
+            low = chunk[:, i] = n_l - span
+        chunk[:, -1] = low + rank
+        yield chunk
 
 
 class _AffineInnerProfile:

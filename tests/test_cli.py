@@ -127,6 +127,20 @@ class TestOracleCommand:
         gap_line = [l for l in printed.splitlines() if l.startswith("gap ")][0]
         assert abs(float(gap_line.split()[1])) <= 1e-2
 
+    def test_four_types_within_budget(self, tmp_path, capsys):
+        # 11 grid values per type: 1001 latency tuples x 20 samples
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text(
+            "thetas = 110, 140, 175, 200\n"
+            "n_train = 20\n"
+            "itr_max = 20\n"
+            "oracle_grid_step = 5\n"
+        )
+        assert run("oracle", "--config", cfg, "--seed", "0", "--out", tmp_path / "o") == 0
+        printed = capsys.readouterr().out
+        lat_line = [l for l in printed.splitlines() if l.startswith("oracle_latencies ")][0]
+        assert len(lat_line.split()[1].split(",")) == 4
+
 
 class TestExitCodes:
     def test_bad_config_exits_two(self, tmp_path):

@@ -8,6 +8,7 @@ from drcontract import (
     generate_alphas,
     load_config,
 )
+from drcontract import config
 from drcontract.config import (
     DEFAULT_THETAS,
     RunConfig,
@@ -143,3 +144,19 @@ class TestGenerateSamples:
         sup = SupportInterval(60.0, 100.0)
         with pytest.raises(ValidationError, match=r"mean=1000\.0, sd=8\.0.*\[60\.0, 100\.0\]"):
             generate_quality_samples(200, 0, "train-data", 1000.0, 8.0, sup)
+
+    def test_zero_mass_raises_before_any_draw(self, monkeypatch):
+        # both ends lie over 100 sd below the mean: erf reads -1.0 at each
+        def no_draw(*args):
+            pytest.fail("the sampler drew from the generator")
+
+        monkeypatch.setattr(config, "rng_for", no_draw)
+        sup = SupportInterval(60.0, 100.0)
+        with pytest.raises(ValidationError, match="no mass"):
+            generate_quality_samples(20_000, 0, "train-data", 1000.0, 8.0, sup)
+
+    def test_tiny_mass_raises_after_round_cap(self):
+        # the support sits 6.5 sd below the mean: mass about 4e-11, not 0.0
+        sup = SupportInterval(60.0, 100.0)
+        with pytest.raises(ValidationError, match="rejection rounds"):
+            generate_quality_samples(1, 0, "train-data", 152.0, 8.0, sup)

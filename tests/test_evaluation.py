@@ -30,7 +30,7 @@ from drcontract import (
     write_metrics_csv,
 )
 from drcontract.config import generate_quality_samples
-from drcontract.evaluation import EvaluationScenario, MetricsTable
+from drcontract.evaluation import EvaluationScenario, MetricsTable, _monotone_chunks
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
@@ -44,12 +44,12 @@ def menu_from(latencies, profile):
 
 @st.composite
 def oracle_instances(draw):
-    """Up to three types, anchors below, on, inside and above the support, a
+    """Up to four types, anchors below, on, inside and above the support, a
     radius small enough that the multiplier argmax usually leaves zero, and
     a coarse grid whose multiplier range is a whole number of steps.  The
     flip points lie near 0.01, so the small steps put grid points between
     them and the large ones bracket them all in the first step."""
-    n_types = draw(st.integers(1, 3))
+    n_types = draw(st.integers(1, 4))
     thetas = sorted(draw(st.lists(st.floats(100.0, 260.0), min_size=n_types, max_size=n_types)))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_types, max_size=n_types))
     profile = AspTypeProfile(thetas=thetas, alphas=np.array(weights) / sum(weights))
@@ -179,6 +179,17 @@ class TestOracle:
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
         with pytest.raises(GridTooLarge):
             oracle_menu_search(profile, samples, PARAMS, amb, 0.05)
+
+    @pytest.mark.parametrize("n_types", [1, 2, 3, 4])
+    def test_monotone_chunks_match_lexicographic_enumeration(self, n_types):
+        # one sample puts every tuple in one chunk; 3e5 samples give 3-row
+        # chunks, which end inside first-index blocks
+        for n_l in (1, 2, 5, 17):
+            expected = list(itertools.combinations_with_replacement(range(n_l), n_types))
+            for n_samples, chunk_rows in ((1, 10**6), (300_000, 3)):
+                chunks = list(_monotone_chunks(n_l, n_types, n_samples))
+                assert all(c.shape[0] == chunk_rows for c in chunks[:-1])
+                assert [tuple(row) for c in chunks for row in c.tolist()] == expected
 
     def test_rejects_oversized_grid(self):
         profile = AspTypeProfile(thetas=[1.0, 2.0, 3.0], alphas=[0.3, 0.3, 0.4])
