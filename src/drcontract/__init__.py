@@ -15,9 +15,7 @@ from .ambiguity import (
 )
 from .bcd import (
     BcdConfig,
-    BcdState,
     SolveReport,
-    bcd_step,
     grad_L,
     grad_lambda,
     iron_monotone,

@@ -1,12 +1,15 @@
-"""Block-coordinate ascent over the slack, latency, and multiplier blocks.
+"""Block-coordinate ascent over the latency and multiplier blocks.
 
-Each iteration (1) takes a fixed-step approximate-gradient ascent step on
-the latency vector and projects it back onto the nondecreasing cone by
-weighted pool-adjacent-violators ironing, (2) takes a projected gradient
-step on the multiplier, both at the per-sample inner minimizers of the
-current point, and (3) evaluates the objective at the new point, which also
-yields the inner minimizers for the next iteration.  The loop stops when
-consecutive objective values differ by at most the convergence threshold.
+One loop, :func:`_ascend`, serves every solver.  It projects the start
+point, evaluates it, and on each iteration (1) takes a fixed-step
+approximate-gradient ascent step on the latency vector, irons it back onto
+the nondecreasing cone by weighted pool-adjacent-violators and clips it at
+zero, (2) takes a projected gradient step on the multiplier, both at the
+inner minimizers of the last evaluation, and (3) evaluates the objective at
+the new point, which also yields the inner minimizers for the next
+iteration.  The loop stops when consecutive objective values differ by at
+most the convergence threshold.  :func:`solve` evaluates the robust
+objective; :func:`solve_pinned` pins the inner point to each anchor.
 
 The latency gradient deliberately treats the inner minimizers as constants,
 so per-step objective improvement is not guaranteed and is not asserted;
@@ -57,16 +60,6 @@ class BcdConfig:
         return np.full(n_types, float(self.L_init))
 
 
-@dataclass(frozen=True)
-class BcdState:
-    """One iterate: latencies, multiplier, inner minimizers, objective."""
-
-    latencies: np.ndarray
-    lam: float
-    xi_stars: np.ndarray
-    objective: float
-
-
 @dataclass
 class SolveReport:
     """Solver output: the contract menu plus the convergence trajectory."""
@@ -103,20 +96,6 @@ def objective(
     g = g_of_L(latencies, profile, params.gamma1)
     s_values = f_min - g
     return -lam * ambiguity.epsilon + _mean_in_order(s_values), xi_stars
-
-
-def _pinned_objective(
-    latencies,
-    anchors: np.ndarray,
-    profile: AspTypeProfile,
-    params: UtilityParams,
-):
-    """Objective with the inner point pinned to each anchor (no adversary):
-    the transport penalty vanishes because the evaluation point equals the
-    anchor, so the anchors are the inner points returned."""
-    g = g_of_L(latencies, profile, params.gamma1)
-    s_values = weighted_log(anchors, latencies, profile.alphas, params) - g
-    return _mean_in_order(s_values), anchors
 
 
 def _mean_in_order(values: np.ndarray) -> float:
@@ -183,51 +162,6 @@ def iron_monotone(latencies, weights) -> np.ndarray:
     return out
 
 
-def bcd_step(
-    state: BcdState,
-    anchors,
-    epsilon: float,
-    evaluate,
-    profile: AspTypeProfile,
-    params: UtilityParams,
-    bcd_cfg: BcdConfig,
-) -> BcdState:
-    """One loop body: a latency step + ironing and a projected multiplier
-    step, both taken at the state's inner minimizers, then one objective
-    evaluation at the new point.
-
-    ``evaluate(lat, lam)`` returns (objective, xi_stars) and fixes
-    the inner rule.  Raises NumericError when the new iterate or its
-    objective is not finite, or the latencies decrease.
-    """
-    lat = _latency_update(state.latencies, state.xi_stars, profile, params, bcd_cfg)
-    g_lam = grad_lambda(state.xi_stars, anchors, epsilon)
-    lam = max(state.lam + bcd_cfg.eta_lambda * g_lam, 0.0)
-    if not math.isfinite(lam):  # lam >= 0 holds by the projection above
-        raise NumericError(f"multiplier iterate {lam!r} is not finite")
-    if np.any(np.diff(lat) < 0.0):
-        raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
-    omega, xi_stars = evaluate(lat, lam)
-    if not math.isfinite(omega):
-        raise NumericError(f"objective {omega!r} at lam={lam!r} is not finite")
-    return BcdState(latencies=lat, lam=lam, xi_stars=xi_stars, objective=omega)
-
-
-def _latency_update(latencies, xi_stars, profile, params, bcd_cfg) -> np.ndarray:
-    g = grad_L(xi_stars, latencies, profile, params)
-    stepped = np.asarray(latencies, dtype=float) + bcd_cfg.eta_L * g
-    if not np.all(np.isfinite(stepped)):
-        raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
-    return _project(stepped, profile)
-
-
-def _project(latencies, profile) -> np.ndarray:
-    """Iron onto the nondecreasing cone, then clip at zero: inverse
-    latencies cannot go negative.  Zero-probability types get a tiny
-    ironing weight so pooling stays defined."""
-    return np.maximum(iron_monotone(latencies, np.maximum(profile.alphas, 1e-12)), 0.0)
-
-
 def solve(
     samples,
     profile: AspTypeProfile,
@@ -245,56 +179,75 @@ def solve(
         return objective(lat, lam, samples, ambiguity, profile, params)
 
     anchors = sample_values(samples)
-    bcd_cfg = bcd_cfg or BcdConfig()
-    return _run_loop(anchors, profile, params, bcd_cfg, evaluate, ambiguity.epsilon)
+    return _ascend(anchors, ambiguity.epsilon, evaluate, profile, params, bcd_cfg or BcdConfig())
 
 
-def _run_loop(anchors, profile, params, bcd_cfg, evaluate, epsilon) -> SolveReport:
-    """Shared ascent engine; ``evaluate`` fixes the inner rule.  The
-    objective is evaluated once before the loop and once per iteration."""
-    lat = _project(bcd_cfg.initial_latencies(profile.n_types), profile)
-    lam = float(bcd_cfg.lambda_init)
+def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
+    """Ascent with the inner point pinned to each anchor and a zero radius.
+
+    The transport penalty vanishes because the evaluation point equals the
+    anchor, so the anchors are the inner minimizers and the multiplier
+    gradient is identically zero: the multiplier is held at zero from the
+    start whatever ``bcd_cfg.lambda_init`` says.  The loop controls and
+    stopping rule are otherwise the robust solver's.
+    """
+    anchors = sample_values(anchors)
+
+    def evaluate(lat, lam):
+        g = g_of_L(lat, profile, params.gamma1)
+        s_values = weighted_log(anchors, lat, profile.alphas, params) - g
+        return _mean_in_order(s_values), anchors
+
+    bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
+    return _ascend(anchors, 0.0, evaluate, profile, params, bcd_cfg)
+
+
+def _ascend(anchors, epsilon, evaluate, profile, params, cfg: BcdConfig) -> SolveReport:
+    """The ascent engine.  ``evaluate(lat, lam)`` returns (objective,
+    xi_stars) and fixes the inner rule; it runs once at the start point and
+    once per iteration.  Raises NumericError when an iterate or its
+    objective is not finite, or the latencies decrease."""
+    # Zero-probability types get a tiny ironing weight so pooling stays defined.
+    weights = np.maximum(profile.alphas, 1e-12)
+    # Latencies are ironed onto the nondecreasing cone, then clipped at zero:
+    # inverse latencies cannot go negative.
+    lat = np.maximum(iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
+    lam = float(cfg.lambda_init)
     omega, xi_stars = evaluate(lat, lam)
-    state = BcdState(latencies=lat, lam=lam, xi_stars=xi_stars, objective=omega)
 
-    omega_star = -np.inf
+    omega_prev = -np.inf
     converged = False
     obj_trace, lam_trace, lat_trace = [], [], []
-    for _ in range(bcd_cfg.max_iters):
-        state = bcd_step(state, anchors, epsilon, evaluate, profile, params, bcd_cfg)
-        obj_trace.append(state.objective)
-        lam_trace.append(state.lam)
-        lat_trace.append(state.latencies.copy())
-        if abs(omega_star - state.objective) <= bcd_cfg.conv_tol:
+    for _ in range(cfg.max_iters):
+        stepped = lat + cfg.eta_L * grad_L(xi_stars, lat, profile, params)
+        if not np.all(np.isfinite(stepped)):
+            raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
+        lat = np.maximum(iron_monotone(stepped, weights), 0.0)
+        lam = max(lam + cfg.eta_lambda * grad_lambda(xi_stars, anchors, epsilon), 0.0)
+        if not math.isfinite(lam):  # lam >= 0 holds by the projection above
+            raise NumericError(f"multiplier iterate {lam!r} is not finite")
+        if np.any(np.diff(lat) < 0.0):
+            raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
+        omega, xi_stars = evaluate(lat, lam)
+        if not math.isfinite(omega):
+            raise NumericError(f"objective {omega!r} at lam={lam!r} is not finite")
+        obj_trace.append(omega)
+        lam_trace.append(lam)
+        lat_trace.append(lat)
+        if abs(omega_prev - omega) <= cfg.conv_tol:
             converged = True
             break
-        omega_star = state.objective
+        omega_prev = omega
 
-    rewards = rewards_from_latencies(state.latencies, profile, params.gamma1)
+    rewards = rewards_from_latencies(lat, profile, params.gamma1)
     return SolveReport(
-        menu=ContractMenu(latencies=state.latencies, rewards=rewards),
+        menu=ContractMenu(latencies=lat, rewards=rewards),
         converged=converged,
         iterations_used=len(obj_trace),
         objective_trace=np.array(obj_trace),
         latency_trace=np.array(lat_trace),
         lambda_trace=np.array(lam_trace),
     )
-
-
-def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
-    """Ascent with the inner point pinned to each anchor and a zero radius.
-
-    The multiplier gradient is identically zero, so the multiplier is held
-    at zero from the start whatever ``bcd_cfg.lambda_init`` says; the loop
-    controls and stopping rule are otherwise the robust solver's.
-    """
-    anchors = sample_values(anchors)
-
-    def evaluate(lat, lam):
-        return _pinned_objective(lat, anchors, profile, params)
-
-    bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
-    return _run_loop(anchors, profile, params, bcd_cfg, evaluate, 0.0)
 
 
 def write_trace_csv(report: SolveReport, path, method: str = None) -> None:

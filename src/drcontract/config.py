@@ -24,7 +24,7 @@ import numpy as np
 from .ambiguity import AmbiguityConfig, QualitySampleSet, SupportInterval, read_samples_csv
 from .bcd import BcdConfig
 from .contracts import AspTypeProfile, UtilityParams
-from .errors import InvalidConfidence, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .evaluation import DEFAULT_SHIFTS
 from .seeding import rng_for
 
@@ -68,15 +68,17 @@ class RunConfig:
     oracle_lambda_max: float = 10.0
 
     def __post_init__(self):
+        # the seed feeds every draw, the Dirichlet one in profile() included
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must lie in [0, 2**64 - 1], got {self.seed!r}")
         # Constructing the component objects runs every invariant check.
         self.support()
         self.params()
         self.profile()
         self.bcd_config()
-        if not 0.0 < self.tau < 1.0:
-            raise InvalidConfidence(f"tau must lie in (0, 1), got {self.tau}")
         if self.n_train < 1 or self.n_eval < 1:
             raise ValidationError("n_train and n_eval must be >= 1")
+        self.ambiguity_for(self.n_train)
         if not all(m >= 0 for m in self.shift_magnitudes):
             raise ValidationError("shift magnitudes must be nonnegative")
         if any(c < 0 for c in self.extreme_counts):
@@ -85,7 +87,10 @@ class RunConfig:
             raise ValidationError("gen_sd must be > 0")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name not in _STR_KEYS and not np.all(np.isfinite(value)):
+            # Python ints are finite, and np.isfinite rejects those past int64
+            if f.name in _STR_KEYS | _INT_KEYS | _TUPLE_INT_KEYS:
+                continue
+            if not np.all(np.isfinite(value)):
                 raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
     @property

@@ -35,6 +35,7 @@ CANONICAL_METHODS = ("dro", "sp", "ro")
 DEFAULT_SHIFTS = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 
 _EVALUATION_BUDGET = 1e8
+_GRID_TABLE_BUDGET = 1e7  # 8-byte entries in the oracle's grid-sized tables: 80 MB
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,12 @@ def oracle_menu_search(
     ``_EVALUATION_BUDGET``: each pair costs one inner minimum at the lower
     bracketing multiplier, and a second one only where the sign change lies
     strictly between two grid points.  The flip points and their sort are
-    computed only when the subgradient at lam = 0 is positive.
+    computed only when the subgradient at lam = 0 is positive.  A second
+    term caps the tables sized by the grid (the grid values, the log table,
+    its per-type scaled copies and the per-type tuple counts) at
+    ``_GRID_TABLE_BUDGET`` = 1e7 entries, 80 MB; the criterion-05 instance at
+    grid step 0.025 needs about 1.3e5.  Either excess raises GridTooLarge
+    before any table is built.
     """
     if not grid_step > 0.0:
         raise ValidationError("grid_step must be > 0")
@@ -218,6 +224,12 @@ def oracle_menu_search(
         raise GridTooLarge(
             f"{n_tuples} latency points x {anchors.size} samples exceeds "
             f"the {_EVALUATION_BUDGET:.0e} evaluation budget"
+        )
+    table_entries = n_l * (1 + (n_types + 1) * (anchors.size + 1)) + n_types * (n_l + 1)
+    if table_entries > _GRID_TABLE_BUDGET:
+        raise GridTooLarge(
+            f"{n_l} grid values x {anchors.size} samples need {table_entries} table "
+            f"entries, over the {_GRID_TABLE_BUDGET:.0e} table budget"
         )
     values = grid_step * np.arange(n_l)
     points = candidate_points(anchors, ambiguity.support)

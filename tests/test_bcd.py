@@ -11,15 +11,14 @@ from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
     BcdConfig,
-    BcdState,
     NonPositiveDenominator,
     NumericError,
     QualitySampleSet,
+    RunConfig,
     SizeMismatch,
     SupportInterval,
     UtilityParams,
     ValidationError,
-    bcd_step,
     check_feasibility,
     g_of_L,
     grad_L,
@@ -28,6 +27,7 @@ from drcontract import (
     iron_monotone,
     objective,
     solve,
+    train_method,
     write_trace_csv,
 )
 from drcontract import bcd
@@ -211,71 +211,77 @@ def small_instance(n_types=2, n_samples=12, seed=8, epsilon=None):
 
 
 class TestBcdStep:
-    def _state(self, profile, samples, amb, lat, lam):
-        omega, xi = objective(lat, lam, samples, amb, profile, PARAMS)
-        return BcdState(latencies=np.asarray(lat, float), lam=lam, xi_stars=xi, objective=omega)
-
-    def _step(self, state, samples, profile, amb, bcd_cfg=None):
-        def evaluate(lat, lam):
-            return objective(lat, lam, samples, amb, profile, PARAMS)
-
-        return bcd_step(
-            state, samples, amb.epsilon, evaluate, profile, PARAMS, bcd_cfg or BcdConfig()
-        )
+    """Single iterations of the ascent loop, driven through ``solve`` with a
+    small iteration budget from a chosen start point."""
 
     def test_lambda_clamped_at_zero(self):
-        profile, samples, amb = small_instance()
-        state = self._state(profile, samples, amb, [5.0, 9.0], 0.0)
-        # with lam = 0 the inner minimizers sit at the floor, so the mean
-        # transport distance is positive; force a negative gradient via a
-        # huge radius instead
+        profile, samples, _ = small_instance()
+        # a huge radius makes the multiplier gradient hugely negative
         big = AmbiguityConfig(SUPPORT, 1e6)
-        stepped = self._step(state, samples, profile, big)
-        assert stepped.lam == 0.0
+        report = solve(samples, profile, PARAMS, big, BcdConfig(max_iters=1, L_init=5.0))
+        assert report.lambda_trace.tolist() == [0.0]
 
     def test_latencies_stay_monotone(self):
         profile, samples, amb = small_instance(n_types=5)
-        state = self._state(profile, samples, amb, np.zeros(5), 6.0)
-        for _ in range(5):
-            state = self._step(state, samples, profile, amb)
-            assert np.all(np.diff(state.latencies) >= -1e-12)
-            assert np.all(state.latencies >= 0.0)
-            assert state.lam >= 0.0
+        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=5, conv_tol=1e-15))
+        assert report.iterations_used == 5
+        assert np.all(np.diff(report.latency_trace, axis=1) >= -1e-12)
+        assert np.all(report.latency_trace >= 0.0)
+        assert np.all(report.lambda_trace >= 0.0)
 
     def test_near_fixed_point_state_preserved(self):
         # at a constructed stationary point both gradients vanish
         profile = AspTypeProfile(thetas=[150.0], alphas=[1.0])
         samples = QualitySampleSet([80.0])
         amb = AmbiguityConfig(SUPPORT, 20.0)
-        lat = [150.0 - 60.0]  # gradient zero when the minimizer is the floor
-        state = self._state(profile, samples, amb, lat, 0.0)
-        stepped = self._step(state, samples, profile, amb)
-        assert stepped.latencies == pytest.approx(state.latencies, abs=1e-9)
-        assert stepped.lam == 0.0
-        assert stepped.objective == pytest.approx(state.objective, abs=1e-12)
+        lat = 150.0 - 60.0  # gradient zero when the minimizer is the floor
+        start, _ = objective([lat], 0.0, samples, amb, profile, PARAMS)
+        cfg = BcdConfig(max_iters=1, L_init=lat, lambda_init=0.0)
+        report = solve(samples, profile, PARAMS, amb, cfg)
+        assert report.latency_trace[0] == pytest.approx([lat], abs=1e-9)
+        assert report.lambda_trace[0] == 0.0
+        assert report.objective_trace[0] == pytest.approx(start, abs=1e-12)
 
-    def test_step_reuses_the_state_minimizers(self):
-        # the step reads the minimizers the last evaluation returned and
-        # evaluates the objective exactly once, at the new point
+    def test_step_reuses_the_state_minimizers(self, monkeypatch):
+        # each step reads the minimizers the last evaluation returned, and
+        # the objective is evaluated once per iteration, at the traced point
         profile, samples, amb = small_instance(n_types=3)
-        state = self._state(profile, samples, amb, np.zeros(3), 6.0)
-        points = []
+        points, returned, read = [], [], []
 
-        def evaluate(lat, lam):
+        def traced_objective(lat, lam, *args):
             points.append((lat.copy(), lam))
-            return objective(lat, lam, samples, amb, profile, PARAMS)
+            omega, xi = objective(lat, lam, *args)
+            returned.append(xi)
+            return omega, xi
 
-        stepped = bcd_step(state, samples, amb.epsilon, evaluate, profile, PARAMS, BcdConfig())
-        assert len(points) == 1
-        np.testing.assert_array_equal(points[0][0], stepped.latencies)
-        assert points[0][1] == stepped.lam
+        def traced_grad_L(xi, *args):
+            read.append(xi)
+            return grad_L(xi, *args)
+
+        monkeypatch.setattr(bcd, "objective", traced_objective)
+        monkeypatch.setattr(bcd, "grad_L", traced_grad_L)
+        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=3, conv_tol=1e-15))
+        assert len(points) == 1 + report.iterations_used == 4
+        assert all(xi is returned[k] for k, xi in enumerate(read))
+        for (lat, lam), traced_lat, traced_lam in zip(
+            points[1:], report.latency_trace, report.lambda_trace
+        ):
+            np.testing.assert_array_equal(lat, traced_lat)
+            assert lam == traced_lam
 
     def test_decreasing_latency_iterate_raises(self, monkeypatch):
         profile, samples, amb = small_instance(n_types=2)
-        state = self._state(profile, samples, amb, [5.0, 9.0], 1.0)
-        monkeypatch.setattr(bcd, "iron_monotone", lambda values, weights: np.array([2.0, 1.0]))
+        calls = []
+
+        def bad_iron(values, weights):
+            # the start point is projected honestly; the first step is not
+            calls.append(values)
+            return iron_monotone(values, weights) if len(calls) == 1 else np.array([2.0, 1.0])
+
+        monkeypatch.setattr(bcd, "iron_monotone", bad_iron)
+        cfg = BcdConfig(max_iters=1, L_init=5.0, lambda_init=1.0)
         with pytest.raises(NumericError, match="not nondecreasing"):
-            self._step(state, samples, profile, amb)
+            solve(samples, profile, PARAMS, amb, cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -361,3 +367,52 @@ class TestSolve:
         path2 = tmp_path / "trace_sp.csv"
         write_trace_csv(report, path2, method="sp")
         assert path2.read_text().splitlines()[0] == "method,iter,objective,lambda,L_1,L_2"
+
+
+@pytest.fixture(scope="module")
+def reference_components():
+    cfg = RunConfig()
+    train = cfg.train_samples()
+    return train, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg.bcd_config()
+
+
+class TestReferenceSolves:
+    """The seed-0 reference solves, pinned bit for bit: iterations, final
+    objective and menu of each method."""
+
+    EXPECTED = {
+        "dro": (
+            700,
+            "4.3697634359604365",
+            [29.730205338458795, 58.37087107767291, 92.0094488818048, 116.7669538304858,
+             136.76846749694644, 151.64448400200743, 161.45802934763762, 167.06151771391688],
+            [0.270274593985989, 0.4748507778375184, 0.6670712224325578, 0.7908587471759628,
+             0.8817747183871476, 0.9450769162810242, 0.9851322034060453, 1.0075461568711623],
+        ),
+        "sp": (
+            11,
+            "4.5360294063868025",
+            [20.605387794623997, 38.00096808336001, 40.3490590712918, 44.75698022204587,
+             54.763930337968446, 54.763930337968446, 54.763930337968446, 91.54124198234486],
+            [0.18732170722385452, 0.31157585214339745, 0.32499351493157913, 0.34703312068534947,
+             0.39251925757590667, 0.39251925757590667, 0.39251925757590667, 0.5396285041534123],
+        ),
+        "ro": (
+            12,
+            "4.323076455125673",
+            [42.18921007087048, 59.06782643123191, 60.64140992762793, 64.44042103698749,
+             74.87634745730061, 74.87634745730061, 74.87634745730061, 116.24833879369454],
+            [0.38353827337154983, 0.5040998188027028, 0.5130917244963944, 0.5320867800431922,
+             0.5795228092264337, 0.5795228092264337, 0.5795228092264337, 0.7450107745720095],
+        ),
+    }
+
+    @pytest.mark.parametrize("method", ["dro", "sp", "ro"])
+    def test_seed_zero_solve(self, reference_components, method):
+        report = train_method(method, *reference_components)
+        iterations, objective_repr, latencies, rewards = self.EXPECTED[method]
+        assert report.converged
+        assert report.iterations_used == iterations
+        assert repr(report.objective) == objective_repr
+        assert report.menu.latencies.tolist() == latencies
+        assert report.menu.rewards.tolist() == rewards

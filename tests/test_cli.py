@@ -148,6 +148,12 @@ class TestExitCodes:
         bad.write_text("tau = 1.5\n")
         assert run("solve", "--config", bad, "--out", tmp_path / "o") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range_exits_two(self, tmp_path, capsys, seed):
+        assert run("gen-data", "--seed", seed, "--out", tmp_path / "o") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: seed must lie in [0, 2**64 - 1], got {seed}\n"
+
     def test_unparseable_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("no equals sign here\n")
@@ -208,6 +214,9 @@ class TestExitCodes:
             "support_hi = inf",
             # finite, but no mass on the support [60, 100]
             "gen_mean = 1000",
+            # outside the seed range [0, 2**64 - 1]
+            "seed = -3",
+            "seed = 18446744073709551616",
         ],
     )
     def test_non_finite_or_hopeless_setting_exits_two(self, tmp_path, key):

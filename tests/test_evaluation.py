@@ -198,6 +198,15 @@ class TestOracle:
         with pytest.raises(GridTooLarge):
             oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=100.0)
 
+    def test_rejects_grid_tables_over_memory_budget(self):
+        # 1e8 grid values x 1 sample fits the evaluation budget, but the log
+        # table and its copies would take about 5 GB
+        profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
+        samples = QualitySampleSet([70.0])
+        amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
+        with pytest.raises(GridTooLarge, match="table budget"):
+            oracle_menu_search(profile, samples, PARAMS, amb, 1.0, l_max=1e8 - 1)
+
     def test_bcd_reaches_oracle_value_on_tiny_instance(self):
         rng = np.random.default_rng(33)
         profile = AspTypeProfile(thetas=[120.0, 180.0], alphas=[0.5, 0.5])
