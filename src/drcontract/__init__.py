@@ -69,8 +69,9 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .inner import (
-    candidate_points,
+    InnerCandidates,
     g_of_L,
+    inner_candidates,
     inner_minima,
     weighted_log,
 )

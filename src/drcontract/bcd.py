@@ -27,7 +27,14 @@ from .ambiguity import AmbiguityConfig, sample_values
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
 from .csvio import write_table
 from .errors import NonPositiveDenominator, NumericError, SizeMismatch, ValidationError
-from .inner import g_of_L, inner_minima, weighted_log
+from .inner import (
+    InnerCandidates,
+    g_of_L,
+    inner_candidates,
+    inner_minima,
+    type_blocks,
+    weighted_log,
+)
 
 
 @dataclass(frozen=True)
@@ -83,16 +90,20 @@ def objective(
     ambiguity: AmbiguityConfig,
     profile: AspTypeProfile,
     params: UtilityParams,
+    candidates: InnerCandidates = None,
 ):
     """Evaluate the robust objective at (latencies, lam).
 
     Takes every anchor's inner minimum at once, forms each slack as the
     inner minimum net of the expected reward, and returns
     (objective, xi_stars) with objective = -lam * epsilon + mean(s_values).
+    ``candidates`` is ``inner_candidates(sample_values(samples),
+    ambiguity.support)``, which a solve builds once and passes to every
+    call; it is built here when not given.
     """
-    f_min, xi_stars = inner_minima(
-        latencies, lam, sample_values(samples), ambiguity.support, params, profile.alphas
-    )
+    if candidates is None:
+        candidates = inner_candidates(sample_values(samples), ambiguity.support)
+    f_min, xi_stars = inner_minima(latencies, lam, candidates, params, profile.alphas)
     g = g_of_L(latencies, profile, params.gamma1)
     s_values = f_min - g
     return -lam * ambiguity.epsilon + _mean_in_order(s_values), xi_stars
@@ -109,14 +120,22 @@ def grad_L(xi_stars, latencies, profile: AspTypeProfile, params: UtilityParams) 
 
     Component i is mean_n [alpha_i*gamma3/(gamma2*xi_n + gamma3*L_i)]
     minus alpha_i*gamma1/theta_i.
+
+    Types are taken in blocks (:func:`inner.type_blocks`): each block is
+    one ``(k, N)`` denominator table with one sign check and one row-wise
+    ``cumsum``.  A cumsum adds strictly in sample order, unlike numpy's
+    pairwise ``sum``, so each type's sum is the same float sequence
+    whatever the block size.
     """
     xi = np.asarray(xi_stars, dtype=float)
-    inverse_sums = np.empty(len(latencies))
-    for i, lat_i in enumerate(np.asarray(latencies, dtype=float)):
-        denom = params.gamma2 * xi + params.gamma3 * lat_i
-        if np.any(denom <= 0.0):
+    lat = np.asarray(latencies, dtype=float)
+    scaled_xi = params.gamma2 * xi
+    inverse_sums = np.empty(lat.size)
+    for block in type_blocks(lat.size, xi.size):
+        denom = scaled_xi + params.gamma3 * lat[block, None]
+        if (denom <= 0.0).any():
             raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
-        inverse_sums[i] = np.cumsum(1.0 / denom)[-1]  # in sample order
+        inverse_sums[block] = np.cumsum(1.0 / denom, axis=1)[:, -1]
     benefit = params.gamma3 * (inverse_sums / xi.size)
     return profile.alphas * (benefit - params.gamma1 / profile.thetas)
 
@@ -127,23 +146,27 @@ def grad_lambda(xi_stars, anchors, epsilon: float) -> float:
     anc = sample_values(anchors)
     if xi.size != anc.size:
         raise SizeMismatch(f"xi_stars ({xi.size}) vs anchors ({anc.size})")
-    return float(-epsilon + np.mean(np.abs(xi - anc)))
+    return float(-epsilon + np.abs(xi - anc).mean())
 
 
 def iron_monotone(latencies, weights) -> np.ndarray:
     """Weighted least-squares projection onto the nondecreasing cone.
 
     Pool-adjacent-violators: scan left to right, merging any block whose
-    weighted mean falls below its predecessor's.  Idempotent; inputs that
-    are already nondecreasing come back unchanged.
+    weighted mean falls below its predecessor's.  An input that is already
+    nondecreasing comes back unchanged up to one rounding per entry: each
+    singleton block is written back as (w*v)/w, which is within 1 ulp of v
+    while w*v stays a normal float, and often differs from v in the last
+    bit.  Neighbours less than 2 ulps apart (ties, say) can therefore cross
+    after rounding and get pooled, which moves them by a few ulps more.
     """
     vals = np.asarray(latencies, dtype=float)
     w = np.asarray(weights, dtype=float)
     if vals.size != w.size:
         raise SizeMismatch("latencies and weights must have equal length")
-    if np.any(~np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValidationError("latencies must be finite")
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ValidationError("weights must be strictly positive")
     # blocks of (weight sum, weighted value sum, member count)
     blocks = []
@@ -175,10 +198,12 @@ def solve(
     Identical inputs produce bitwise-identical traces.
     """
 
-    def evaluate(lat, lam):
-        return objective(lat, lam, samples, ambiguity, profile, params)
-
     anchors = sample_values(samples)
+    candidates = inner_candidates(anchors, ambiguity.support)
+
+    def evaluate(lat, lam):
+        return objective(lat, lam, samples, ambiguity, profile, params, candidates)
+
     return _ascend(anchors, ambiguity.epsilon, evaluate, profile, params, bcd_cfg or BcdConfig())
 
 
@@ -220,13 +245,13 @@ def _ascend(anchors, epsilon, evaluate, profile, params, cfg: BcdConfig) -> Solv
     obj_trace, lam_trace, lat_trace = [], [], []
     for _ in range(cfg.max_iters):
         stepped = lat + cfg.eta_L * grad_L(xi_stars, lat, profile, params)
-        if not np.all(np.isfinite(stepped)):
+        if not np.isfinite(stepped).all():
             raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
         lat = np.maximum(iron_monotone(stepped, weights), 0.0)
         lam = max(lam + cfg.eta_lambda * grad_lambda(xi_stars, anchors, epsilon), 0.0)
         if not math.isfinite(lam):  # lam >= 0 holds by the projection above
             raise NumericError(f"multiplier iterate {lam!r} is not finite")
-        if np.any(np.diff(lat) < 0.0):
+        if (lat[1:] < lat[:-1]).any():
             raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
         omega, xi_stars = evaluate(lat, lam)
         if not math.isfinite(omega):

@@ -152,7 +152,7 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
             f"latencies ({lat.shape[-1]}) and profile ({profile.n_types}) differ"
         )
     increments = np.diff(lat, axis=-1, prepend=0.0)
-    if np.any(increments[..., 1:] < -MONOTONE_TOL):
+    if (increments[..., 1:] < -MONOTONE_TOL).any():
         raise NonMonotoneLatencies(
             f"latencies must be nondecreasing within {MONOTONE_TOL}"
         )

@@ -28,7 +28,7 @@ from .errors import (
     SizeMismatch,
     ValidationError,
 )
-from .inner import candidate_points, weighted_log
+from .inner import inner_candidates, weighted_log
 
 CANONICAL_METHODS = ("dro", "sp", "ro")
 
@@ -232,7 +232,7 @@ def oracle_menu_search(
             f"entries, over the {_GRID_TABLE_BUDGET:.0e} table budget"
         )
     values = grid_step * np.arange(n_l)
-    points = candidate_points(anchors, ambiguity.support)
+    points = inner_candidates(anchors, ambiguity.support).points
     table = weighted_log(points, values[:, None, None], [1.0], params)
     scaled = [alpha * table for alpha in profile.alphas]
 

@@ -21,6 +21,7 @@ from drcontract import (
     check_feasibility,
     eval_asp_utilities,
     generate_alphas,
+    inner_candidates,
     inner_minima,
     oracle_menu_search,
     radius,
@@ -144,7 +145,9 @@ def test_criterion_03_inner_solver_oracle():
         alphas = rng.dirichlet(np.ones(n))
         lam = float(rng.uniform(0.0, 2.0))
         anchor = float(rng.uniform(0.0, 140.0))
-        f_min, _ = inner_minima(lat, lam, np.array([anchor]), SUPPORT, PARAMS, alphas)
+        f_min, _ = inner_minima(
+            lat, lam, inner_candidates(np.array([anchor]), SUPPORT), PARAMS, alphas
+        )
         grid = xs if not SUPPORT.lo <= anchor <= SUPPORT.hi else np.append(xs, anchor)
         total = np.zeros_like(grid)
         for a, l in zip(alphas, lat):

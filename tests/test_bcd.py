@@ -23,6 +23,7 @@ from drcontract import (
     g_of_L,
     grad_L,
     grad_lambda,
+    inner_candidates,
     inner_minima,
     iron_monotone,
     objective,
@@ -31,6 +32,7 @@ from drcontract import (
     write_trace_csv,
 )
 from drcontract import bcd
+from drcontract.inner import TYPE_BLOCK_POINTS
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
@@ -44,7 +46,9 @@ def ambiguity(n, epsilon=None, tau=0.99):
 
 def slacks(latencies, lam, samples, profile):
     """Each anchor's inner minimum net of the expected reward."""
-    f_min, _ = inner_minima(latencies, lam, samples.samples, SUPPORT, PARAMS, profile.alphas)
+    f_min, _ = inner_minima(
+        latencies, lam, inner_candidates(samples.samples, SUPPORT), PARAMS, profile.alphas
+    )
     return f_min - g_of_L(latencies, profile, PARAMS.gamma1)
 
 
@@ -80,6 +84,19 @@ class TestObjective:
             objective([0.0], -0.5, QualitySampleSet([75.0]), ambiguity(1), profile, PARAMS)
 
 
+def per_type_grad_L(xi_stars, latencies, profile, params=PARAMS):
+    """Reference: the per-type loop the blocked latency gradient replaced."""
+    xi = np.asarray(xi_stars, dtype=float)
+    inverse_sums = np.empty(len(latencies))
+    for i, lat_i in enumerate(np.asarray(latencies, dtype=float)):
+        denom = params.gamma2 * xi + params.gamma3 * lat_i
+        if np.any(denom <= 0.0):
+            raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
+        inverse_sums[i] = np.cumsum(1.0 / denom)[-1]
+    benefit = params.gamma3 * (inverse_sums / xi.size)
+    return profile.alphas * (benefit - params.gamma1 / profile.thetas)
+
+
 class TestGradients:
     def test_latency_gradient_hand_case(self):
         profile = AspTypeProfile(thetas=[100.0], alphas=[1.0])
@@ -102,6 +119,36 @@ class TestGradients:
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         with pytest.raises(NonPositiveDenominator):
             grad_L(np.array([-5.0]), [0.0], profile, params)
+
+    @given(
+        n_types=st.integers(1, 64),
+        n_samples=st.one_of(
+            st.integers(1, 600),
+            st.sampled_from([TYPE_BLOCK_POINTS // k + d for k in (64, 7, 2, 1) for d in (0, 1)]),
+            st.integers(600, 40_000),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        scalar=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_latency_gradient_matches_the_per_type_loop(self, n_types, n_samples, seed, scalar):
+        rng = np.random.default_rng(seed)
+        profile = AspTypeProfile(
+            thetas=np.sort(rng.uniform(100.0, 260.0, n_types)),
+            alphas=rng.dirichlet(np.ones(n_types)),
+        )
+        xi = float(rng.uniform(60.0, 100.0)) if scalar else rng.uniform(60.0, 100.0, n_samples)
+        lat = np.sort(rng.uniform(0.0, 150.0, n_types))
+        got = grad_L(xi, lat, profile, PARAMS)
+        assert np.array_equal(got, per_type_grad_L(xi, lat, profile))
+        # a nonpositive denominator in a later block raises as the loop does
+        per_block = max(1, TYPE_BLOCK_POINTS // np.size(xi))
+        bad = int(rng.integers(min(per_block, n_types - 1), n_types))
+        lat[bad:] = -2.0 * PARAMS.gamma2 * float(np.max(xi)) / PARAMS.gamma3
+        with pytest.raises(NonPositiveDenominator):
+            per_type_grad_L(xi, lat, profile)
+        with pytest.raises(NonPositiveDenominator):
+            grad_L(xi, lat, profile, PARAMS)
 
     def test_lambda_gradient_at_anchors(self):
         xi = np.array([70.0, 80.0])
@@ -194,6 +241,22 @@ class TestIroning:
         d_out = float(np.dot(weights, (out - target) ** 2))
         d_in = float(np.dot(weights, (vals - target) ** 2))
         assert d_out <= d_in + 1e-9
+
+    @given(data=st.data(), n=st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_nondecreasing_input_moves_at_most_one_ulp(self, data, n):
+        # neighbours more than 2 ulps apart, so no rounded singleton mean can
+        # cross its neighbour's; magnitudes keep w * v a normal float
+        value = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
+        drawn = sorted(data.draw(st.lists(value, min_size=n, max_size=n)))
+        vals = [drawn[0]]
+        for v in drawn[1:]:
+            if v - vals[-1] > 2 * np.spacing(max(abs(v), abs(vals[-1]))):
+                vals.append(v)
+        vals, n = np.array(vals), len(vals)
+        weights = np.array(data.draw(st.lists(st.floats(1e-12, 1e3), min_size=n, max_size=n)))
+        out = iron_monotone(vals, weights)
+        assert np.all(np.abs(out - vals) <= np.spacing(np.abs(vals)))
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValidationError):

@@ -13,13 +13,14 @@ from drcontract import (
     SupportInterval,
     UtilityParams,
     ValidationError,
-    candidate_points,
     g_of_L,
+    inner_candidates,
     inner_minima,
     objective,
     rewards_from_latencies,
     weighted_log,
 )
+from drcontract.inner import TYPE_BLOCK_POINTS, type_blocks
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
@@ -123,7 +124,7 @@ def marginal_benefit(xi, latencies, alphas, params=PARAMS):
     )
 
 
-class TestStationaryRoot:
+class TestNoStationaryCandidate:
     """The root of h'(xi) = lam on [lo, anchor] is the maximum of that
     concave branch, so the closed-form kernel never needs it."""
 
@@ -133,23 +134,27 @@ class TestStationaryRoot:
         f_root = f_n(80.0, [0.0], lam, anchor, PARAMS, [1.0])
         assert f_root > f_n(60.0, [0.0], lam, anchor, PARAMS, [1.0])
         assert f_root > f_n(anchor, [0.0], lam, anchor, PARAMS, [1.0])
-        f_min, xi_star = inner_minima([0.0], lam, [anchor], SUPPORT, PARAMS, [1.0])
+        f_min, xi_star = inner_minima(
+            [0.0], lam, inner_candidates([anchor], SUPPORT), PARAMS, [1.0]
+        )
         assert xi_star[0] in (SUPPORT.lo, anchor)
         assert f_min[0] < f_root
 
     def test_root_outside_interval_absent(self):
         # the root at 80 lies beyond the anchor: the branch only increases
-        _, xi_star = inner_minima([0.0], 1 / 80, [70.0], SUPPORT, PARAMS, [1.0])
+        _, xi_star = inner_minima([0.0], 1 / 80, inner_candidates([70.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.lo
 
     def test_large_lambda_absent(self):
         # h' < lam everywhere: the branch only decreases towards the anchor
-        _, xi_star = inner_minima([0.0], 10.0, [90.0], SUPPORT, PARAMS, [1.0])
+        _, xi_star = inner_minima([0.0], 10.0, inner_candidates([90.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == 90.0
 
     def test_zero_lambda_absent(self):
         # without a penalty f = h is increasing, so the floor wins everywhere
-        f_min, xi_star = inner_minima([3.0], 0.0, [10.0, 75.0, 130.0], SUPPORT, PARAMS, [1.0])
+        f_min, xi_star = inner_minima(
+            [3.0], 0.0, inner_candidates([10.0, 75.0, 130.0], SUPPORT), PARAMS, [1.0]
+        )
         np.testing.assert_array_equal(xi_star, SUPPORT.lo)
         np.testing.assert_allclose(f_min, math.log(63.0), atol=1e-12)
 
@@ -175,25 +180,27 @@ class TestStationaryRoot:
             # lam between the endpoint marginals puts a root inside (lo, anchor)
             m_lo, m_anchor = (marginal_benefit(x, lat, alphas) for x in (60.0, anchor))
             lam = 0.5 * (m_lo + m_anchor)
-            f_min, xi_star = inner_minima(lat, lam, [anchor], SUPPORT, PARAMS, alphas)
+            f_min, xi_star = inner_minima(
+                lat, lam, inner_candidates([anchor], SUPPORT), PARAMS, alphas
+            )
             assert xi_star[0] in (SUPPORT.lo, anchor)
             _, fmin = grid_min(lat, lam, anchor, SUPPORT, alphas)
             assert f_min[0] == pytest.approx(fmin, abs=1e-4)
             assert f_min[0] <= fmin + 1e-12
 
 
-class TestSolveInner:
+class TestInnerMinima:
     def test_zero_lambda_floor_wins(self):
-        f_min, xi_star = inner_minima([0.0], 0.0, [75.0], SUPPORT, PARAMS, [1.0])
+        f_min, xi_star = inner_minima([0.0], 0.0, inner_candidates([75.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.lo
         assert f_min[0] == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_outside_anchor_large_lambda_floor_wins(self):
-        _, xi_star = inner_minima([0.0], 50.0, [1.0], SUPPORT, PARAMS, [1.0])
+        _, xi_star = inner_minima([0.0], 50.0, inner_candidates([1.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.lo
 
     def test_huge_lambda_sticks_to_anchor(self):
-        _, xi_star = inner_minima([0.0], 1e6, [83.0], SUPPORT, PARAMS, [1.0])
+        _, xi_star = inner_minima([0.0], 1e6, inner_candidates([83.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == 83.0
 
     def test_value_consistent_with_f(self):
@@ -204,7 +211,9 @@ class TestSolveInner:
             alphas = rng.dirichlet(np.ones(n))
             lam = float(rng.uniform(0, 2))
             anchor = float(rng.uniform(0, 140))
-            f_min, xi_star = inner_minima(lat, lam, [anchor], SUPPORT, PARAMS, alphas)
+            f_min, xi_star = inner_minima(
+                lat, lam, inner_candidates([anchor], SUPPORT), PARAMS, alphas
+            )
             again = f_n(xi_star[0], lat, lam, anchor, PARAMS, alphas)
             assert f_min[0] == pytest.approx(again, abs=1e-12)
             assert SUPPORT.lo <= xi_star[0] <= SUPPORT.hi
@@ -217,14 +226,14 @@ class TestSolveInner:
             alphas = rng.dirichlet(np.ones(n))
             lam = float(rng.uniform(0, 1))
             anchor = float(rng.uniform(0, 140))
-            f_min, _ = inner_minima(lat, lam, [anchor], SUPPORT, PARAMS, alphas)
+            f_min, _ = inner_minima(lat, lam, inner_candidates([anchor], SUPPORT), PARAMS, alphas)
             _, fmin = grid_min(lat, lam, anchor, SUPPORT, alphas)
             assert f_min[0] == pytest.approx(fmin, abs=1e-4)
             assert f_min[0] <= fmin + 1e-12  # never worse than any grid point
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):
-            inner_minima([0.0], -1.0, [80.0], SUPPORT, PARAMS, [1.0])
+            inner_minima([0.0], -1.0, inner_candidates([80.0], SUPPORT), PARAMS, [1.0])
 
 
 class TestSlackValue:
@@ -235,14 +244,16 @@ class TestSlackValue:
     AMB = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
 
     def test_zero_latency_slack_is_inner_value(self):
-        f_min, _ = inner_minima([0.0], 0.0, [80.0], SUPPORT, PARAMS, [1.0])
+        f_min, _ = inner_minima([0.0], 0.0, inner_candidates([80.0], SUPPORT), PARAMS, [1.0])
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         got = objective([0.0], 0.0, [80.0], self.AMB, profile, PARAMS)[0]
         assert got == pytest.approx(f_min[0])
         assert got == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_deterministic(self):
-        f_min, _ = inner_minima([3.0, 8.0], 0.7, [77.0], SUPPORT, PARAMS, [0.6, 0.4])
+        f_min, _ = inner_minima(
+            [3.0, 8.0], 0.7, inner_candidates([77.0], SUPPORT), PARAMS, [0.6, 0.4]
+        )
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.6, 0.4])
         penalty = 0.7 * self.AMB.epsilon
         a = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[0] + penalty
@@ -290,7 +301,7 @@ class TestInnerKernel:
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_enumeration(self, instance):
         lat, alphas, lam, anchors = instance
-        f_min, xi_star = inner_minima(lat, lam, anchors, SUPPORT, PARAMS, alphas)
+        f_min, xi_star = inner_minima(lat, lam, inner_candidates(anchors, SUPPORT), PARAMS, alphas)
         for k, anchor in enumerate(anchors.tolist()):
             candidates = enumerate_candidates(lat, lam, anchor, SUPPORT, alphas)
             best_value, best_xi = candidates[0]
@@ -311,7 +322,7 @@ class TestInnerKernel:
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_grid(self, instance):
         lat, alphas, lam, anchors = instance
-        f_min, xi_star = inner_minima(lat, lam, anchors, SUPPORT, PARAMS, alphas)
+        f_min, xi_star = inner_minima(lat, lam, inner_candidates(anchors, SUPPORT), PARAMS, alphas)
         for k, anchor in enumerate(anchors.tolist()):
             _, grid_value = grid_min(lat, lam, anchor, SUPPORT, alphas)
             assert f_min[k] == pytest.approx(grid_value, abs=1e-4)
@@ -322,9 +333,9 @@ class TestInnerKernel:
 
     def test_ties_break_toward_the_smaller_xi(self):
         # an anchor on an endpoint makes two candidates one point
-        _, at_lo = inner_minima([5.0], 0.3, [SUPPORT.lo], SUPPORT, PARAMS, [1.0])
+        _, at_lo = inner_minima([5.0], 0.3, inner_candidates([SUPPORT.lo], SUPPORT), PARAMS, [1.0])
         assert at_lo[0] == SUPPORT.lo
-        _, at_hi = inner_minima([5.0], 1e6, [SUPPORT.hi], SUPPORT, PARAMS, [1.0])
+        _, at_hi = inner_minima([5.0], 1e6, inner_candidates([SUPPORT.hi], SUPPORT), PARAMS, [1.0])
         assert at_hi[0] == SUPPORT.hi
 
     def test_exact_ties_with_the_floor_go_to_lo(self):
@@ -340,26 +351,123 @@ class TestInnerKernel:
                     break
                 lam = np.nextafter(lam, np.inf if v_lo < v_rival else -np.inf)
             assert v_lo == v_rival
-            f_min, xi_star = inner_minima([0.0], lam, [anchor], SUPPORT, PARAMS, [1.0])
+            f_min, xi_star = inner_minima(
+                [0.0], lam, inner_candidates([anchor], SUPPORT), PARAMS, [1.0]
+            )
             assert (xi_star[0], f_min[0]) == (SUPPORT.lo, v_lo)
 
     def test_candidates_are_the_floor_and_the_projection(self):
-        points = candidate_points(np.array([10.0, 60.0, 75.0, 100.0, 130.0]), SUPPORT)
+        points = inner_candidates(np.array([10.0, 60.0, 75.0, 100.0, 130.0]), SUPPORT).points
         np.testing.assert_array_equal(points, [60.0, 60.0, 60.0, 75.0, 100.0, 100.0])
 
     def test_anchor_above_support_can_pick_hi(self):
-        _, xi_star = inner_minima([0.0], 1.0, [130.0], SUPPORT, PARAMS, [1.0])
+        _, xi_star = inner_minima([0.0], 1.0, inner_candidates([130.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.hi
 
     def test_anchor_outside_support_is_never_evaluated(self):
         # ln(gamma2 * anchor) is undefined here, but only lo and hi compete
-        f_min, xi_star = inner_minima([0.0], 0.5, [-20.0], SUPPORT, PARAMS, [1.0])
+        f_min, xi_star = inner_minima([0.0], 0.5, inner_candidates([-20.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.lo
         assert f_min[0] == pytest.approx(math.log(60.0) + 0.5 * 80.0, abs=1e-12)
 
     def test_nonpositive_log_argument_names_the_first_point(self):
         support = SupportInterval(-10.0, 10.0)
         with pytest.raises(NonPositiveLogArgument) as err:
-            inner_minima([0.0, 30.0], 0.0, [1.0], support, PARAMS, [0.5, 0.5])
+            inner_minima([0.0, 30.0], 0.0, inner_candidates([1.0], support), PARAMS, [0.5, 0.5])
         assert err.value.sample_index == 0
         assert "at xi=-10.0" in str(err.value)
+
+
+def per_type_weighted_log(xi, latencies, alphas, params=PARAMS):
+    """Reference: the per-type loop the blocked kernel replaced, one log per
+    type.  Returns the total, or the first flat position whose argument is
+    not positive in any type when a log fails."""
+    lat = np.asarray(latencies, dtype=float)
+    total = np.zeros(np.broadcast_shapes(np.shape(xi), lat.shape[:-1]))
+    for i, alpha in enumerate(alphas):
+        arg = params.gamma2 * xi + params.gamma3 * lat[..., i]
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                log_arg = np.log(arg)
+        except FloatingPointError:
+            args = [
+                np.broadcast_to(params.gamma2 * xi + params.gamma3 * lat[..., j], total.shape)
+                for j in range(len(alphas))
+            ]
+            return int(np.argmax(np.any(np.stack(args) <= 0.0, axis=0).reshape(-1)))
+        total += alpha * log_arg
+    return total
+
+
+# Points per type on both sides of the block bound: many types per block,
+# exactly at and next to a block edge, and one type per block.
+BLOCK_POINTS = st.one_of(
+    st.integers(1, 600),
+    st.sampled_from([TYPE_BLOCK_POINTS // k + d for k in (64, 7, 2, 1) for d in (0, 1)]),
+    st.integers(600, 40_000),
+)
+
+
+@st.composite
+def log_tables(draw):
+    """(xi, latencies, alphas) in one of the kernel's three layouts: scalar
+    xi and a menu, 1-D xi and a menu, or the oracle's (rows, 1, I) stack of
+    menus against a row of points."""
+    n_types = draw(st.integers(1, 64))
+    points = draw(BLOCK_POINTS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["scalar", "points", "stack"]))
+    if layout == "scalar":
+        xi, lat = float(rng.uniform(60.0, 100.0)), np.sort(rng.uniform(0.0, 150.0, n_types))
+    elif layout == "points":
+        xi, lat = rng.uniform(60.0, 100.0, points), np.sort(rng.uniform(0.0, 150.0, n_types))
+    else:
+        rows = draw(st.integers(1, 8))
+        n_points = max(1, points // rows)
+        # a (1, n) row or, as the oracle passes it, a 1-D array of points
+        xi = rng.uniform(60.0, 100.0, draw(st.sampled_from([(1, n_points), (n_points,)])))
+        lat = np.sort(rng.uniform(0.0, 150.0, (rows, 1, n_types)), axis=-1)
+    alphas = rng.dirichlet(np.ones(n_types))
+    return xi, lat, alphas
+
+
+class TestTypeBlocks:
+    """The type-blocked kernels against the per-type loops they replaced,
+    bit for bit."""
+
+    def test_blocks_cover_the_types_in_order(self):
+        for n_types, points in ((8, 200), (64, 20_000), (64, 1000), (3, 0), (1, 10**6)):
+            blocks = type_blocks(n_types, points)
+            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_types))
+            size = max(1, TYPE_BLOCK_POINTS // max(points, 1))
+            assert all(b.stop - b.start <= size for b in blocks)
+        assert len(type_blocks(8, 200)) == 1
+        assert len(type_blocks(64, 20_000)) == 64
+
+    @given(log_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_weighted_log_matches_the_per_type_loop(self, table):
+        xi, lat, alphas = table
+        expected = per_type_weighted_log(xi, lat, alphas)
+        assert np.array_equal(weighted_log(xi, lat, alphas, PARAMS), expected)
+
+    @given(log_tables(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nonpositive_argument_in_a_later_block(self, table, data):
+        xi, lat, alphas = table
+        n_types = lat.shape[-1]
+        points = int(np.prod(np.broadcast_shapes(np.shape(xi), lat.shape[:-1])))
+        per_block = max(1, TYPE_BLOCK_POINTS // points)
+        bad = data.draw(st.integers(min(per_block, n_types - 1), n_types - 1))
+        # a latency that makes the argument nonpositive at the points below
+        # a drawn threshold quality, so the first offender is not always 0
+        threshold = data.draw(st.floats(60.0, 100.0))
+        lat = lat.copy()
+        lat[..., bad:] = -PARAMS.gamma2 * threshold / PARAMS.gamma3
+        expected = per_type_weighted_log(xi, lat, alphas)
+        if not isinstance(expected, int):  # every point lies above the threshold
+            assert np.array_equal(weighted_log(xi, lat, alphas, PARAMS), expected)
+            return
+        with pytest.raises(NonPositiveLogArgument) as err:
+            weighted_log(xi, lat, alphas, PARAMS)
+        assert err.value.sample_index == expected
