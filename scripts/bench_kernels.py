@@ -14,7 +14,8 @@ Every kernel call is the public one (``objective`` with samples and
 ambiguity set, so it builds its inner candidates on each call); the solve
 figure is total solve time over iterations, one start-point evaluation
 included.  BLAS/OpenMP threads are pinned to 1.  Each figure is the best of
-``--repeats`` timed loops of about ``--budget`` seconds each.
+``REPEATS`` timed loops of about ``BUDGET_S`` seconds each (the solve: best
+of ``REPEATS`` solves); both are stored with each run.
 
 ``--src DIR`` imports ``drcontract`` from DIR, another checkout's ``src``,
 so before and after numbers come from one machine.  Each run stores its
@@ -39,16 +40,18 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 11
+BUDGET_S = 0.2
 
 
-def best_us_per_call(fn, budget: float, repeats: int) -> float:
-    """Best per-call time, in microseconds, over ``repeats`` loops whose
-    call count is sized so one loop takes about ``budget`` seconds."""
+def best_us_per_call(fn) -> float:
+    """Best per-call time, in microseconds, over ``REPEATS`` loops whose
+    call count is sized so one loop takes about ``BUDGET_S`` seconds."""
     start = time.perf_counter()
     fn()
-    calls = max(1, int(budget / max(time.perf_counter() - start, 1e-9)))
+    calls = max(1, int(BUDGET_S / max(time.perf_counter() - start, 1e-9)))
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(calls):
             fn()
@@ -68,7 +71,7 @@ def instances():
     return [("I8_N200", reference, BcdConfig()), ("I64_N20000", wide, BcdConfig(max_iters=10))]
 
 
-def measure(cfg, solve_cfg, budget: float, repeats: int) -> dict:
+def measure(cfg, solve_cfg) -> dict:
     import numpy as np
     from drcontract import bcd, contracts, inner
 
@@ -89,9 +92,9 @@ def measure(cfg, solve_cfg, budget: float, repeats: int) -> dict:
             lat, profile, params.gamma1
         ),
     }
-    result = {name: best_us_per_call(fn, budget, repeats) for name, fn in kernels.items()}
+    result = {name: best_us_per_call(fn) for name, fn in kernels.items()}
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         report = bcd.solve(samples, profile, params, amb, solve_cfg)
         best = min(best, (time.perf_counter() - start) / report.iterations_used)
@@ -135,14 +138,12 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="key to store this run under")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="drcontract source dir")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernels.json")
-    parser.add_argument("--budget", type=float, default=0.2, help="seconds per timed loop")
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
-    run = {"source_sha256": source_hash(args.src)}
+    run = {"source_sha256": source_hash(args.src), "repeats": REPEATS, "budget_s": BUDGET_S}
     for name, cfg, solve_cfg in instances():
-        run[name] = measure(cfg, solve_cfg, args.budget, args.repeats)
+        run[name] = measure(cfg, solve_cfg)
         print(name, json.dumps(run[name]))
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}

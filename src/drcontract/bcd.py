@@ -90,7 +90,7 @@ def objective(
     ambiguity: AmbiguityConfig,
     profile: AspTypeProfile,
     params: UtilityParams,
-    candidates: InnerCandidates = None,
+    candidates: InnerCandidates | None = None,
 ):
     """Evaluate the robust objective at (latencies, lam).
 
@@ -99,10 +99,14 @@ def objective(
     (objective, xi_stars) with objective = -lam * epsilon + mean(s_values).
     ``candidates`` is ``inner_candidates(sample_values(samples),
     ambiguity.support)``, which a solve builds once and passes to every
-    call; it is built here when not given.
+    call; it is built here when not given.  When it is given, the sample
+    values and ``ambiguity.support`` are not read: only the sample count is
+    checked against it (SizeMismatch).
     """
     if candidates is None:
         candidates = inner_candidates(sample_values(samples), ambiguity.support)
+    elif candidates.points.size != sample_values(samples).size + 1:
+        raise SizeMismatch(f"{candidates.points.size - 1} candidate anchors vs the sample count")
     f_min, xi_stars = inner_minima(latencies, lam, candidates, params, profile.alphas)
     g = g_of_L(latencies, profile, params.gamma1)
     s_values = f_min - g

@@ -83,6 +83,23 @@ class TestObjective:
         with pytest.raises(ValidationError):
             objective([0.0], -0.5, QualitySampleSet([75.0]), ambiguity(1), profile, PARAMS)
 
+    def test_prebuilt_candidates_give_the_same_bits(self):
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.4, 0.6])
+        samples = QualitySampleSet([55.0, 70.0, 90.0, 104.0])
+        amb = ambiguity(4)
+        built = objective([3.0, 9.0], 0.7, samples, amb, profile, PARAMS)
+        candidates = inner_candidates(samples.samples, amb.support)
+        given = objective([3.0, 9.0], 0.7, samples, amb, profile, PARAMS, candidates)
+        assert built[0] == given[0]
+        np.testing.assert_array_equal(built[1], given[1])
+
+    def test_rejects_candidates_for_another_sample_count(self):
+        profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
+        samples = QualitySampleSet([70.0, 80.0])
+        candidates = inner_candidates([70.0, 80.0, 95.0], SUPPORT)
+        with pytest.raises(SizeMismatch):
+            objective([0.0], 0.0, samples, ambiguity(2), profile, PARAMS, candidates)
+
 
 def per_type_grad_L(xi_stars, latencies, profile, params=PARAMS):
     """Reference: the per-type loop the blocked latency gradient replaced."""
