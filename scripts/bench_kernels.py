@@ -10,10 +10,12 @@ plus one iteration of ``bcd.solve``:
 * ``I64_N20000``: 64 types (thetas ``linspace(110, 250, 64)``) and 20 000
   training samples; the solve is capped at 10 iterations.
 
-Every kernel call is the public one (``objective`` with samples and
-ambiguity set, so it builds its inner candidates on each call); the solve
-figure is total solve time over iterations, one start-point evaluation
-included.  BLAS/OpenMP threads are pinned to 1.  Each figure is the best of
+Each kernel is called as a solve calls it: ``objective`` takes the inner
+candidates that a solve builds once (``inner.inner_candidates``), so their
+construction is not timed.  :func:`kernels` builds the callables and
+:func:`measure` times them.  The solve figure is total solve time over
+iterations, one start-point evaluation included.  BLAS/OpenMP threads are
+pinned to 1 when the script runs.  Each figure is the best of
 ``REPEATS`` timed loops of about ``BUDGET_S`` seconds each (the solve: best
 of ``REPEATS`` solves); both are stored with each run.
 
@@ -25,14 +27,10 @@ numbers under ``--label`` in ``--out``, keeping the other labels:
     python scripts/bench_kernels.py --label after
 """
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
@@ -71,20 +69,23 @@ def instances():
     return [("I8_N200", reference, BcdConfig()), ("I64_N20000", wide, BcdConfig(max_iters=10))]
 
 
-def measure(cfg, solve_cfg) -> dict:
+def kernels(cfg, solve_cfg):
+    """The timed calls on one instance: the per-iteration kernels by name,
+    and a call that runs the whole solve and returns its report."""
     import numpy as np
     from drcontract import bcd, contracts, inner
 
     profile, params = cfg.profile(), cfg.params()
     samples = cfg.train_samples()
     amb = cfg.ambiguity_for(samples.n)
+    candidates = inner.inner_candidates(samples.samples, amb.support)
     n_types = profile.n_types
     lat = np.linspace(0.0, 100.0, n_types)
     xi = np.clip(samples.samples, amb.support.lo, amb.support.hi)
     rough = lat + np.random.default_rng(0).normal(0.0, 5.0, n_types)  # PAVA pools
     weights = np.maximum(profile.alphas, 1e-12)
-    kernels = {
-        "objective": lambda: bcd.objective(lat, 0.5, samples, amb, profile, params),
+    calls = {
+        "objective": lambda: bcd.objective(lat, 0.5, candidates, amb.epsilon, profile, params),
         "weighted_log": lambda: inner.weighted_log(xi, lat, profile.alphas, params),
         "grad_L": lambda: bcd.grad_L(xi, lat, profile, params),
         "iron_monotone": lambda: bcd.iron_monotone(rough, weights),
@@ -92,11 +93,16 @@ def measure(cfg, solve_cfg) -> dict:
             lat, profile, params.gamma1
         ),
     }
-    result = {name: best_us_per_call(fn) for name, fn in kernels.items()}
+    return calls, lambda: bcd.solve(samples, profile, params, amb, solve_cfg)
+
+
+def measure(cfg, solve_cfg) -> dict:
+    calls, solve = kernels(cfg, solve_cfg)
+    result = {name: best_us_per_call(fn) for name, fn in calls.items()}
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        report = bcd.solve(samples, profile, params, amb, solve_cfg)
+        report = solve()
         best = min(best, (time.perf_counter() - start) / report.iterations_used)
     result["solve_per_iteration"] = 1e6 * best
     result["solve_iterations"] = report.iterations_used
@@ -134,6 +140,9 @@ def machine_record() -> dict:
 
 
 def main(argv=None) -> int:
+    # before numpy is first imported, so its thread pools start with one thread
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key to store this run under")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="drcontract source dir")

@@ -29,10 +29,10 @@ from .csvio import write_table
 from .errors import NonPositiveDenominator, NumericError, SizeMismatch, ValidationError
 from .inner import (
     InnerCandidates,
+    argument_blocks,
     g_of_L,
     inner_candidates,
     inner_minima,
-    type_blocks,
     weighted_log,
 )
 
@@ -86,31 +86,23 @@ class SolveReport:
 def objective(
     latencies,
     lam: float,
-    samples,
-    ambiguity: AmbiguityConfig,
+    candidates: InnerCandidates,
+    epsilon: float,
     profile: AspTypeProfile,
     params: UtilityParams,
-    candidates: InnerCandidates | None = None,
 ):
     """Evaluate the robust objective at (latencies, lam).
 
-    Takes every anchor's inner minimum at once, forms each slack as the
-    inner minimum net of the expected reward, and returns
-    (objective, xi_stars) with objective = -lam * epsilon + mean(s_values).
-    ``candidates`` is ``inner_candidates(sample_values(samples),
-    ambiguity.support)``, which a solve builds once and passes to every
-    call; it is built here when not given.  When it is given, the sample
-    values and ``ambiguity.support`` are not read: only the sample count is
-    checked against it (SizeMismatch).
+    Takes every anchor's inner minimum at once over ``candidates``
+    (``inner_candidates(anchors, support)``, which a solve builds once and
+    passes to every call), forms each slack as the inner minimum net of the
+    expected reward, and returns (objective, xi_stars) with
+    objective = -lam * epsilon + mean(s_values).
     """
-    if candidates is None:
-        candidates = inner_candidates(sample_values(samples), ambiguity.support)
-    elif candidates.points.size != sample_values(samples).size + 1:
-        raise SizeMismatch(f"{candidates.points.size - 1} candidate anchors vs the sample count")
     f_min, xi_stars = inner_minima(latencies, lam, candidates, params, profile.alphas)
     g = g_of_L(latencies, profile, params.gamma1)
     s_values = f_min - g
-    return -lam * ambiguity.epsilon + _mean_in_order(s_values), xi_stars
+    return -lam * epsilon + _mean_in_order(s_values), xi_stars
 
 
 def _mean_in_order(values: np.ndarray) -> float:
@@ -125,21 +117,18 @@ def grad_L(xi_stars, latencies, profile: AspTypeProfile, params: UtilityParams) 
     Component i is mean_n [alpha_i*gamma3/(gamma2*xi_n + gamma3*L_i)]
     minus alpha_i*gamma1/theta_i.
 
-    Types are taken in blocks (:func:`inner.type_blocks`): each block is
-    one ``(k, N)`` denominator table with one sign check and one row-wise
-    ``cumsum``.  A cumsum adds strictly in sample order, unlike numpy's
-    pairwise ``sum``, so each type's sum is the same float sequence
-    whatever the block size.
+    The denominators come from :func:`inner.argument_blocks`, one
+    ``(k, N)`` table per block of types over the 1-D minimizers, each with
+    one sign check and one row-wise ``cumsum``.  A cumsum adds strictly in
+    sample order, unlike numpy's pairwise ``sum``, so each type's sum is the
+    same float sequence whatever the block size.
     """
     xi = np.asarray(xi_stars, dtype=float)
-    lat = np.asarray(latencies, dtype=float)
-    scaled_xi = params.gamma2 * xi
-    inverse_sums = np.empty(lat.size)
-    for block in type_blocks(lat.size, xi.size):
-        denom = scaled_xi + params.gamma3 * lat[block, None]
+    inverse_sums = np.empty(np.size(latencies))
+    for types, denom in argument_blocks(xi, latencies, params):
         if (denom <= 0.0).any():
             raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
-        inverse_sums[block] = np.cumsum(1.0 / denom, axis=1)[:, -1]
+        inverse_sums[types] = np.cumsum(1.0 / denom, axis=1)[:, -1]
     benefit = params.gamma3 * (inverse_sums / xi.size)
     return profile.alphas * (benefit - params.gamma1 / profile.thetas)
 
@@ -206,7 +195,7 @@ def solve(
     candidates = inner_candidates(anchors, ambiguity.support)
 
     def evaluate(lat, lam):
-        return objective(lat, lam, samples, ambiguity, profile, params, candidates)
+        return objective(lat, lam, candidates, ambiguity.epsilon, profile, params)
 
     return _ascend(anchors, ambiguity.epsilon, evaluate, profile, params, bcd_cfg or BcdConfig())
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import read_indexed_table, write_table
-from .errors import NonMonotoneLatencies, SizeMismatch, ValidationError
+from .errors import NonMonotoneLatencies, ParseError, SizeMismatch, ValidationError
 
 MONOTONE_TOL = 1e-12
 
@@ -199,8 +199,7 @@ def write_profile_csv(profile: AspTypeProfile, path) -> None:
 
 
 def read_profile_csv(path) -> AspTypeProfile:
-    table = read_indexed_table(path, ["type_index", "theta", "alpha"])
-    return AspTypeProfile(thetas=table[:, 0], alphas=table[:, 1])
+    return _read_type_table(path, ["type_index", "theta", "alpha"], AspTypeProfile)
 
 
 def write_menu_csv(menu: ContractMenu, path) -> None:
@@ -209,5 +208,13 @@ def write_menu_csv(menu: ContractMenu, path) -> None:
 
 
 def read_menu_csv(path) -> ContractMenu:
-    table = read_indexed_table(path, ["type_index", "L", "R"])
-    return ContractMenu(latencies=table[:, 0], rewards=table[:, 1])
+    return _read_type_table(path, ["type_index", "L", "R"], ContractMenu)
+
+
+def _read_type_table(path, header, build):
+    """``build`` of a type table's two columns; a ParseError names the file."""
+    table = read_indexed_table(path, header)
+    try:
+        return build(table[:, 0], table[:, 1])
+    except ValidationError as exc:
+        raise ParseError(str(exc), str(path)) from exc

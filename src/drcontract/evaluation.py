@@ -28,7 +28,7 @@ from .errors import (
     SizeMismatch,
     ValidationError,
 )
-from .inner import inner_candidates, weighted_log
+from .inner import InnerCandidates, inner_candidates, log_blocks, weighted_log
 
 CANONICAL_METHODS = ("dro", "sp", "ro")
 
@@ -101,6 +101,8 @@ def eval_teleop_utility(
 
 def eval_asp_utilities(menu: ContractMenu, profile: AspTypeProfile, gamma1: float) -> np.ndarray:
     """Per-type provider utility theta_i * R_i - gamma1 * L_i."""
+    if menu.n_types != profile.n_types:
+        raise SizeMismatch("menu and profile must have the same length")
     return profile.thetas * menu.rewards - gamma1 * menu.latencies
 
 
@@ -189,7 +191,8 @@ def oracle_menu_search(
     ``ln(gamma2*x + gamma3*L)`` at the inner minimum's candidate points x
     (the floor lo and each anchor's projection onto the support) take only
     ``n_l * (n + 1)`` distinct values, the same for every type.  They are
-    computed once into a table, scaled by each type's probability, and each
+    computed once into a table by :func:`inner.log_blocks`, the grid values
+    taking the place of types, scaled by each type's probability, and each
     latency point's log benefits are gathered from it type by type in type
     order: the same float sequence as :func:`weighted_log`, so the values are
     bit-identical to evaluating it per point.
@@ -232,8 +235,10 @@ def oracle_menu_search(
             f"entries, over the {_GRID_TABLE_BUDGET:.0e} table budget"
         )
     values = grid_step * np.arange(n_l)
-    points = inner_candidates(anchors, ambiguity.support).points
-    table = weighted_log(points, values[:, None, None], [1.0], params)
+    candidates = inner_candidates(anchors, ambiguity.support)
+    table = np.empty((n_l, candidates.points.size))
+    for rows, logs in log_blocks(candidates.points, values, params):
+        table[rows] = logs
     scaled = [alpha * table for alpha in profile.alphas]
 
     best_omega = -np.inf
@@ -243,7 +248,7 @@ def oracle_menu_search(
         for i in range(1, n_types):
             h += scaled[i][chunk[:, i]]
         lat = values[chunk]
-        prof = _AffineInnerProfile(h, lat, points, anchors, profile, params, ambiguity.epsilon)
+        prof = _AffineInnerProfile(h, lat, candidates, profile, params, ambiguity.epsilon)
         omega, idx = _chunk_best(prof, grid_step, lambda_max)
         if omega > best_omega:
             best_omega = omega
@@ -291,19 +296,18 @@ class _AffineInnerProfile:
     dropping the slope by p - lo.  The resulting objective is concave
     piecewise-linear in the multiplier.
 
-    ``h`` holds each row's log benefit at the candidate ``points``: lo, then
-    every anchor's projection.
+    ``h`` holds each row's log benefit at the points of ``candidates``
+    (:func:`inner.inner_candidates`): lo, then every anchor's projection.
     """
 
-    def __init__(self, h, lat, points, anchors, profile, params, eps):
-        lo, p = points[0], points[1:]
+    def __init__(self, h, lat, candidates: InnerCandidates, profile, params, eps):
         self.eps = eps
-        self.n = anchors.size
+        self.n = candidates.lo_distance.size
         self.g_of_rows = rewards_from_latencies(lat, profile, params.gamma1) @ profile.alphas
         self.h_lo, self.h_p = h[:, 0], h[:, 1:]
-        self.b_lo = np.abs(anchors - lo)
-        self.b_p = np.abs(anchors - p)
-        self.drops = p - lo
+        self.b_lo = candidates.lo_distance
+        self.b_p = candidates.p_distance
+        self.drops = candidates.points[1:] - candidates.points[0]
 
     def psi(self, lam_rows, rows=slice(None)) -> np.ndarray:
         """Objective value per selected row at the given per-row multiplier."""

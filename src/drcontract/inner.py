@@ -31,7 +31,7 @@ import numpy as np
 
 from .ambiguity import SupportInterval
 from .contracts import AspTypeProfile, UtilityParams, rewards_from_latencies
-from .errors import NonPositiveLogArgument, ValidationError
+from .errors import NonPositiveLogArgument, SizeMismatch, ValidationError
 
 
 # Points per table of a type-blocked kernel: a block of types holds at most
@@ -42,69 +42,63 @@ from .errors import NonPositiveLogArgument, ValidationError
 TYPE_BLOCK_POINTS = 2**15
 
 
-def type_blocks(n_types: int, points: int):
-    """Consecutive type slices of ``max(1, TYPE_BLOCK_POINTS // points)``
-    types each, in type order."""
-    step = max(1, TYPE_BLOCK_POINTS // max(points, 1))
-    return [slice(start, min(start + step, n_types)) for start in range(0, n_types, step)]
-
-
-def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
-    """Log benefit h(xi) = sum_i alpha_i * ln(gamma2*xi + gamma3*L_i).
-
-    Type i's latency is ``latencies[..., i]``, which broadcasts against
-    ``xi``: a 1-D menu with an array of quality points gives one value per
-    point, and a ``(rows, 1, I)`` stack of menus with ``(1, n)`` points gives
-    a ``(rows, n)`` table.
-
-    Types are taken in blocks (:func:`type_blocks`): each block's log
-    arguments form one ``(k, *shape)`` table with one ``np.log`` call, so the
-    per-call overhead is paid per block, not per type.  The weighted logs
-    are still accumulated into the total type by type, in type order, so
-    every value is the same float sequence as a per-type loop.
-
-    Raises NonPositiveLogArgument when a log argument is not strictly
-    positive; its ``sample_index`` is the first offending flat position.
-    """
+def argument_blocks(xi, latencies, params: UtilityParams):
+    """Yield ``(types, table)`` for consecutive blocks of types, in type
+    order: ``types`` is a slice of ``latencies`` and ``table`` the ``(k, N)``
+    array of ``gamma2*xi + gamma3*L_i`` over the block's k types and the N
+    points of ``xi``.  A block holds ``max(1, TYPE_BLOCK_POINTS // N)``
+    types."""
     lat = np.asarray(latencies, dtype=float)
-    shape = np.broadcast_shapes(np.shape(xi), lat.shape[:-1])
-    total = np.zeros(shape)
-    scaled_xi = params.gamma2 * xi
-    # types on a leading axis, padded so that a block of k types broadcasts
-    # against xi to (k, *shape), as each lat[..., i] does to shape
-    pad = (1,) * (len(shape) - lat.ndim + 1)
-    by_type = lat.transpose(-1, *range(lat.ndim - 1))
-    by_type = by_type.reshape(lat.shape[-1:] + pad + lat.shape[:-1])
-    for block in type_blocks(len(alphas), total.size):
-        arg = scaled_xi + params.gamma3 * by_type[block]
+    scaled_xi = params.gamma2 * np.asarray(xi, dtype=float)
+    step = max(1, TYPE_BLOCK_POINTS // max(scaled_xi.size, 1))
+    for start in range(0, lat.size, step):
+        types = slice(start, min(start + step, lat.size))
+        yield types, scaled_xi + params.gamma3 * lat[types, None]
+
+
+def log_blocks(xi, latencies, params: UtilityParams):
+    """:func:`argument_blocks` with the natural log of each table taken in
+    place.  Raises NonPositiveLogArgument when an argument is not strictly
+    positive; its ``sample_index`` is the first point of ``xi`` with a
+    nonpositive argument in any type."""
+    for types, table in argument_blocks(xi, latencies, params):
         try:
             # ln of a negative argument is invalid and of zero divides by
             # zero; trapping those flags costs nothing per element
             with np.errstate(divide="raise", invalid="raise"):
-                log_arg = np.log(arg, out=arg)
+                np.log(table, out=table)
         except FloatingPointError:
-            raise _nonpositive_log_argument(xi, lat, params, shape) from None
-        for alpha, log_i in zip(alphas[block], log_arg, strict=True):
+            raise _nonpositive_log_argument(xi, latencies, params) from None
+        yield types, table
+
+
+def _nonpositive_log_argument(xi, latencies, params) -> NonPositiveLogArgument:
+    """The error for the first point with a nonpositive argument in any type
+    (error path only, so the full argument table is affordable)."""
+    args = np.concatenate([table for _, table in argument_blocks(xi, latencies, params)])
+    bad = args <= 0.0
+    k = int(np.argmax(bad.any(axis=0)))
+    arg, x = float(args[np.argmax(bad[:, k]), k]), float(np.asarray(xi)[k])
+    return NonPositiveLogArgument(f"log argument {arg!r} at xi={x!r} must be > 0", sample_index=k)
+
+
+def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
+    """Log benefit h(xi) = sum_i alpha_i * ln(gamma2*xi + gamma3*L_i), one
+    value per point of the 1-D array ``xi``.
+
+    The logs come from :func:`log_blocks`, one ``np.log`` call per block of
+    types, and are accumulated into the total type by type, in type order:
+    the same float sequence as a per-type loop.  Raises SizeMismatch unless
+    there is one alpha per latency.
+    """
+    lat = np.asarray(latencies, dtype=float)
+    if len(alphas) != lat.size:
+        raise SizeMismatch(f"{len(alphas)} alphas vs {lat.size} latencies")
+    total = np.zeros(np.shape(xi))
+    for types, logs in log_blocks(xi, lat, params):
+        for alpha, log_i in zip(alphas[types], logs, strict=True):
             total += alpha * log_i
     return total
-
-
-def _nonpositive_log_argument(xi, lat, params, shape) -> NonPositiveLogArgument:
-    """The error for the first flat position with a nonpositive argument in
-    any type (error path only, so the full argument table is affordable)."""
-    args = np.stack(
-        [
-            np.broadcast_to(params.gamma2 * xi + params.gamma3 * lat[..., i], shape)
-            for i in range(lat.shape[-1])
-        ],
-        axis=-1,
-    ).reshape(-1, lat.shape[-1])
-    k = int(np.argmax(np.any(args <= 0.0, axis=1)))
-    i = int(np.argmax(args[k] <= 0.0))
-    x = float(np.broadcast_to(xi, shape).reshape(-1)[k])
-    return NonPositiveLogArgument(
-        f"log argument {float(args[k, i])!r} at xi={x!r} must be > 0", sample_index=k
-    )
 
 
 class InnerCandidates(NamedTuple):

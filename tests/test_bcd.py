@@ -56,7 +56,8 @@ class TestObjective:
     def test_zero_lambda_unit_type(self):
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         samples = QualitySampleSet([70.0, 80.0, 95.0])
-        omega, xi_stars = objective([0.0], 0.0, samples, ambiguity(3), profile, PARAMS)
+        candidates = inner_candidates(samples.samples, SUPPORT)
+        omega, xi_stars = objective([0.0], 0.0, candidates, ambiguity(3).epsilon, profile, PARAMS)
         # every inner minimum sits at the support floor
         assert omega == pytest.approx(math.log(60.0), abs=1e-12)
         np.testing.assert_array_equal(xi_stars, 60.0)
@@ -65,40 +66,23 @@ class TestObjective:
     def test_zero_radius_drops_penalty_term(self):
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
         samples = QualitySampleSet([70.0, 90.0])
+        candidates = inner_candidates(samples.samples, SUPPORT)
         for lam in (0.0, 1.0, 5.0):
-            omega, _ = objective(
-                [3.0, 9.0], lam, samples, ambiguity(2, epsilon=0.0), profile, PARAMS
-            )
+            omega, _ = objective([3.0, 9.0], lam, candidates, 0.0, profile, PARAMS)
             assert omega == pytest.approx(np.mean(slacks([3.0, 9.0], lam, samples, profile)))
 
     def test_single_sample_mean(self):
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         amb = ambiguity(1)
         samples = QualitySampleSet([75.0])
-        omega, _ = objective([4.0], 2.0, samples, amb, profile, PARAMS)
+        candidates = inner_candidates(samples.samples, SUPPORT)
+        omega, _ = objective([4.0], 2.0, candidates, amb.epsilon, profile, PARAMS)
         assert omega == pytest.approx(-2.0 * amb.epsilon + slacks([4.0], 2.0, samples, profile)[0])
 
     def test_rejects_negative_lambda(self):
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         with pytest.raises(ValidationError):
-            objective([0.0], -0.5, QualitySampleSet([75.0]), ambiguity(1), profile, PARAMS)
-
-    def test_prebuilt_candidates_give_the_same_bits(self):
-        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.4, 0.6])
-        samples = QualitySampleSet([55.0, 70.0, 90.0, 104.0])
-        amb = ambiguity(4)
-        built = objective([3.0, 9.0], 0.7, samples, amb, profile, PARAMS)
-        candidates = inner_candidates(samples.samples, amb.support)
-        given = objective([3.0, 9.0], 0.7, samples, amb, profile, PARAMS, candidates)
-        assert built[0] == given[0]
-        np.testing.assert_array_equal(built[1], given[1])
-
-    def test_rejects_candidates_for_another_sample_count(self):
-        profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
-        samples = QualitySampleSet([70.0, 80.0])
-        candidates = inner_candidates([70.0, 80.0, 95.0], SUPPORT)
-        with pytest.raises(SizeMismatch):
-            objective([0.0], 0.0, samples, ambiguity(2), profile, PARAMS, candidates)
+            objective([0.0], -0.5, inner_candidates([75.0], SUPPORT), 1.0, profile, PARAMS)
 
 
 def per_type_grad_L(xi_stars, latencies, profile, params=PARAMS):
@@ -315,7 +299,8 @@ class TestBcdStep:
         samples = QualitySampleSet([80.0])
         amb = AmbiguityConfig(SUPPORT, 20.0)
         lat = 150.0 - 60.0  # gradient zero when the minimizer is the floor
-        start, _ = objective([lat], 0.0, samples, amb, profile, PARAMS)
+        candidates = inner_candidates(samples.samples, SUPPORT)
+        start, _ = objective([lat], 0.0, candidates, amb.epsilon, profile, PARAMS)
         cfg = BcdConfig(max_iters=1, L_init=lat, lambda_init=0.0)
         report = solve(samples, profile, PARAMS, amb, cfg)
         assert report.latency_trace[0] == pytest.approx([lat], abs=1e-9)
@@ -423,9 +408,10 @@ class TestSolve:
         report = solve(samples, profile, PARAMS, amb, BcdConfig())
         assert report.converged
         best = -np.inf
+        candidates = inner_candidates(samples.samples, SUPPORT)
         for lat in np.arange(0.0, 200.0, 0.5):
             for lam in np.arange(0.0, 0.055, 0.005):
-                omega, _ = objective([lat], lam, samples, amb, profile, PARAMS)
+                omega, _ = objective([lat], lam, candidates, amb.epsilon, profile, PARAMS)
                 best = max(best, omega)
         assert report.objective == pytest.approx(best, abs=1e-2)
 

@@ -188,6 +188,15 @@ class TestExitCodes:
         assert run("evaluate", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
         assert f"data error: {menu}:3:" in capsys.readouterr().err
 
+    def test_negative_menu_latency_exits_three(self, tmp_path, toy_config, capsys):
+        menu = tmp_path / "menu.csv"
+        menu.write_text("type_index,L,R\n1,0.0,0.0\n2,-1.0,0.1\n")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(TOY_CONFIG + f"menu_csv = {menu}\n")
+        assert run("evaluate", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {menu}: latencies are inverse latencies and must be >= 0\n"
+
     @pytest.mark.parametrize("key", ["oracle_l_max = -1", "oracle_lambda_max = -2"])
     def test_negative_oracle_bound_exits_two(self, tmp_path, key):
         cfg = tmp_path / "c.cfg"

@@ -301,3 +301,11 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError) as info:
             read_profile_csv(path)
         assert (info.value.path, info.value.line) == (str(path), 3)
+
+    def test_invalid_profile_names_the_file(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("type_index,theta,alpha\n1,110.0,0.5\n2,140.0,0.6\n")
+        with pytest.raises(ParseError) as info:
+            read_profile_csv(path)
+        assert info.value.path == str(path)
+        assert "alphas must sum to 1" in str(info.value)

@@ -14,12 +14,14 @@ from drcontract import (
     GridTooLarge,
     NonPositiveLogArgument,
     QualitySampleSet,
+    SizeMismatch,
     SupportInterval,
     UtilityParams,
     ValidationError,
     eval_asp_utilities,
     eval_teleop_utility,
     generate_alphas,
+    inner_candidates,
     objective,
     oracle_menu_search,
     rewards_from_latencies,
@@ -130,8 +132,23 @@ class TestEvalAspUtilities:
         menu = ContractMenu(latencies=[0.0, 0.0], rewards=[0.0, 0.0])
         np.testing.assert_array_equal(eval_asp_utilities(menu, profile, 1.0), [0.0, 0.0])
 
+    def test_rejects_a_menu_for_another_type_count(self):
+        profile = AspTypeProfile(thetas=[110.0, 140.0, 175.0], alphas=[0.2, 0.3, 0.5])
+        menu = ContractMenu(latencies=[5.0], rewards=[0.1])
+        with pytest.raises(SizeMismatch):
+            eval_asp_utilities(menu, profile, 1.0)
+
 
 class TestOracle:
+    def test_nonpositive_log_argument_names_the_floor_at_zero_latency(self):
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
+        amb = AmbiguityConfig(SupportInterval(-10.0, 100.0), 5.0)
+        samples = QualitySampleSet([50.0, 70.0])
+        with pytest.raises(NonPositiveLogArgument) as err:
+            oracle_menu_search(profile, samples, PARAMS, amb, 0.5, l_max=5.0)
+        assert err.value.sample_index == 0
+        assert str(err.value) == "log argument -10.0 at xi=-10.0 must be > 0"
+
     def test_single_type_analytic_argmax(self):
         # huge radius floors the adversary, so the best latency solves
         # 1/(lo + L) = 1/theta, i.e. L = theta - lo
@@ -152,15 +169,16 @@ class TestOracle:
             profile, samples, PARAMS, amb, step, l_max=100.0, lambda_max=2.0
         )
         # every on-grid point the loop visited is dominated by the reported max
+        candidates = inner_candidates(samples.samples, SUPPORT)
         for l1 in (0.0, 10.0, 42.5, 80.0):
             for l2 in (l1, l1 + 10.0, 99.5):
                 for lam in (0.0, 0.5, 1.0, 2.0):
-                    ref, _ = objective([l1, l2], lam, samples, amb, profile, PARAMS)
+                    ref, _ = objective([l1, l2], lam, candidates, amb.epsilon, profile, PARAMS)
                     assert omega >= ref - 1e-9
         # the reported maximizer reproduces its objective through the literal path
         best_lam_grid = np.arange(0.0, 2.0 + step / 2, step)
         best_via_literal = max(
-            objective(lat, lam, samples, amb, profile, PARAMS)[0]
+            objective(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0]
             for lam in best_lam_grid
         )
         assert omega == pytest.approx(best_via_literal, abs=1e-9)
@@ -263,13 +281,16 @@ class TestOracle:
         )
         values = step * np.arange(round(l_max / step) + 1)
         lams = step * np.arange(round(lambda_max / step) + 1)
+        candidates = inner_candidates(samples.samples, SUPPORT)
         brute = max(
-            objective(list(point), lam, samples, amb, profile, PARAMS)[0]
+            objective(list(point), lam, candidates, amb.epsilon, profile, PARAMS)[0]
             for point in itertools.combinations_with_replacement(values, profile.n_types)
             for lam in lams
         )
         assert omega == pytest.approx(brute, abs=1e-9)
-        at_argmax = max(objective(lat, lam, samples, amb, profile, PARAMS)[0] for lam in lams)
+        at_argmax = max(
+            objective(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0] for lam in lams
+        )
         assert at_argmax == pytest.approx(omega, abs=1e-9)
 
 

@@ -10,6 +10,7 @@ from drcontract import (
     AspTypeProfile,
     NonMonotoneLatencies,
     NonPositiveLogArgument,
+    SizeMismatch,
     SupportInterval,
     UtilityParams,
     ValidationError,
@@ -20,7 +21,7 @@ from drcontract import (
     rewards_from_latencies,
     weighted_log,
 )
-from drcontract.inner import TYPE_BLOCK_POINTS, type_blocks
+from drcontract.inner import TYPE_BLOCK_POINTS, argument_blocks, log_blocks
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
@@ -47,7 +48,8 @@ def grid_min(latencies, lam, anchor, support, alphas, step=1e-3, params=PARAMS):
 
 def f_n(xi, latencies, lam, anchor, params, alphas):
     """Penalized log benefit h(xi) + lam * |xi - anchor| at one quality point."""
-    return float(weighted_log(xi, latencies, alphas, params)) + lam * abs(xi - anchor)
+    h = weighted_log(np.array([xi]), latencies, alphas, params)[0]
+    return float(h) + lam * abs(xi - anchor)
 
 
 class TestPenalizedBenefit:
@@ -246,7 +248,8 @@ class TestSlackValue:
     def test_zero_latency_slack_is_inner_value(self):
         f_min, _ = inner_minima([0.0], 0.0, inner_candidates([80.0], SUPPORT), PARAMS, [1.0])
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
-        got = objective([0.0], 0.0, [80.0], self.AMB, profile, PARAMS)[0]
+        candidates = inner_candidates([80.0], SUPPORT)
+        got = objective([0.0], 0.0, candidates, self.AMB.epsilon, profile, PARAMS)[0]
         assert got == pytest.approx(f_min[0])
         assert got == pytest.approx(math.log(60.0), abs=1e-12)
 
@@ -256,8 +259,9 @@ class TestSlackValue:
         )
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.6, 0.4])
         penalty = 0.7 * self.AMB.epsilon
-        a = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[0] + penalty
-        b = objective([3.0, 8.0], 0.7, [77.0], self.AMB, profile, PARAMS)[0] + penalty
+        candidates = inner_candidates([77.0], SUPPORT)
+        a = objective([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
+        b = objective([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
         assert a == b
         reward = g_of_L([3.0, 8.0], profile, PARAMS.gamma1)
         assert a == pytest.approx(f_min[0] - reward, abs=1e-12)
@@ -380,21 +384,17 @@ class TestInnerKernel:
 
 def per_type_weighted_log(xi, latencies, alphas, params=PARAMS):
     """Reference: the per-type loop the blocked kernel replaced, one log per
-    type.  Returns the total, or the first flat position whose argument is
-    not positive in any type when a log fails."""
-    lat = np.asarray(latencies, dtype=float)
-    total = np.zeros(np.broadcast_shapes(np.shape(xi), lat.shape[:-1]))
+    type.  Returns the total, or the first point whose argument is not
+    positive in any type when a log fails."""
+    total = np.zeros(np.shape(xi))
     for i, alpha in enumerate(alphas):
-        arg = params.gamma2 * xi + params.gamma3 * lat[..., i]
+        arg = params.gamma2 * xi + params.gamma3 * latencies[i]
         try:
             with np.errstate(divide="raise", invalid="raise"):
                 log_arg = np.log(arg)
         except FloatingPointError:
-            args = [
-                np.broadcast_to(params.gamma2 * xi + params.gamma3 * lat[..., j], total.shape)
-                for j in range(len(alphas))
-            ]
-            return int(np.argmax(np.any(np.stack(args) <= 0.0, axis=0).reshape(-1)))
+            args = [params.gamma2 * xi + params.gamma3 * lat_j for lat_j in latencies]
+            return int(np.argmax(np.any(np.stack(args) <= 0.0, axis=0)))
         total += alpha * log_arg
     return total
 
@@ -410,23 +410,11 @@ BLOCK_POINTS = st.one_of(
 
 @st.composite
 def log_tables(draw):
-    """(xi, latencies, alphas) in one of the kernel's three layouts: scalar
-    xi and a menu, 1-D xi and a menu, or the oracle's (rows, 1, I) stack of
-    menus against a row of points."""
+    """(xi, latencies, alphas): a 1-D array of quality points and a menu."""
     n_types = draw(st.integers(1, 64))
     points = draw(BLOCK_POINTS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["scalar", "points", "stack"]))
-    if layout == "scalar":
-        xi, lat = float(rng.uniform(60.0, 100.0)), np.sort(rng.uniform(0.0, 150.0, n_types))
-    elif layout == "points":
-        xi, lat = rng.uniform(60.0, 100.0, points), np.sort(rng.uniform(0.0, 150.0, n_types))
-    else:
-        rows = draw(st.integers(1, 8))
-        n_points = max(1, points // rows)
-        # a (1, n) row or, as the oracle passes it, a 1-D array of points
-        xi = rng.uniform(60.0, 100.0, draw(st.sampled_from([(1, n_points), (n_points,)])))
-        lat = np.sort(rng.uniform(0.0, 150.0, (rows, 1, n_types)), axis=-1)
+    xi, lat = rng.uniform(60.0, 100.0, points), np.sort(rng.uniform(0.0, 150.0, n_types))
     alphas = rng.dirichlet(np.ones(n_types))
     return xi, lat, alphas
 
@@ -437,12 +425,24 @@ class TestTypeBlocks:
 
     def test_blocks_cover_the_types_in_order(self):
         for n_types, points in ((8, 200), (64, 20_000), (64, 1000), (3, 0), (1, 10**6)):
-            blocks = type_blocks(n_types, points)
-            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_types))
+            xi, lat = np.full(points, 70.0), np.arange(n_types, dtype=float)
+            blocks = list(argument_blocks(xi, lat, PARAMS))
+            types = [b for b, _ in blocks]
+            assert [i for b in types for i in range(b.start, b.stop)] == list(range(n_types))
             size = max(1, TYPE_BLOCK_POINTS // max(points, 1))
-            assert all(b.stop - b.start <= size for b in blocks)
-        assert len(type_blocks(8, 200)) == 1
-        assert len(type_blocks(64, 20_000)) == 64
+            assert all(b.stop - b.start <= size for b in types)
+            for b, table in blocks:
+                assert np.array_equal(table, PARAMS.gamma2 * xi + PARAMS.gamma3 * lat[b, None])
+        assert len(list(argument_blocks(np.ones(200), np.zeros(8), PARAMS))) == 1
+        assert len(list(argument_blocks(np.ones(20_000), np.zeros(64), PARAMS))) == 64
+
+    def test_log_blocks_yield_outside_the_float_trap(self):
+        # the caller's code between blocks runs under its own error settings
+        outside = np.geterr()
+        xi, lat = np.full(TYPE_BLOCK_POINTS, 70.0), np.zeros(3)
+        for _, logs in log_blocks(xi, lat, PARAMS):
+            assert np.geterr() == outside
+            assert np.array_equal(logs, np.log(PARAMS.gamma2 * xi)[None, :])
 
     @given(log_tables())
     @settings(max_examples=80, deadline=None)
@@ -451,19 +451,23 @@ class TestTypeBlocks:
         expected = per_type_weighted_log(xi, lat, alphas)
         assert np.array_equal(weighted_log(xi, lat, alphas, PARAMS), expected)
 
+    @pytest.mark.parametrize("alphas", [[1.0], [0.2, 0.3, 0.4, 0.1]])
+    def test_weighted_log_needs_one_alpha_per_latency(self, alphas):
+        with pytest.raises(SizeMismatch):
+            weighted_log(np.array([70.0, 80.0]), [0.0, 1.0, 2.0], alphas, PARAMS)
+
     @given(log_tables(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_nonpositive_argument_in_a_later_block(self, table, data):
         xi, lat, alphas = table
-        n_types = lat.shape[-1]
-        points = int(np.prod(np.broadcast_shapes(np.shape(xi), lat.shape[:-1])))
-        per_block = max(1, TYPE_BLOCK_POINTS // points)
+        n_types = lat.size
+        per_block = max(1, TYPE_BLOCK_POINTS // xi.size)
         bad = data.draw(st.integers(min(per_block, n_types - 1), n_types - 1))
         # a latency that makes the argument nonpositive at the points below
         # a drawn threshold quality, so the first offender is not always 0
         threshold = data.draw(st.floats(60.0, 100.0))
         lat = lat.copy()
-        lat[..., bad:] = -PARAMS.gamma2 * threshold / PARAMS.gamma3
+        lat[bad:] = -PARAMS.gamma2 * threshold / PARAMS.gamma3
         expected = per_type_weighted_log(xi, lat, alphas)
         if not isinstance(expected, int):  # every point lies above the threshold
             assert np.array_equal(weighted_log(xi, lat, alphas, PARAMS), expected)
