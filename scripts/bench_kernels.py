@@ -10,6 +10,11 @@ plus one iteration of ``bcd.solve``:
 * ``I64_N20000``: 64 types (thetas ``linspace(110, 250, 64)``) and 20 000
   training samples; the solve is capped at 10 iterations.
 
+and, under ``oracle``, two whole ``evaluation.oracle_menu_search`` calls
+(:func:`oracle_calls`): the criterion-05 instance at grid step 0.025, and a
+three-type instance whose multiplier argmax leaves zero, where the oracle's
+bound prunes few latency points.
+
 Each kernel is called as a solve calls it: ``objective`` takes the inner
 candidates that a solve builds once (``inner.inner_candidates``), so their
 construction is not timed.  :func:`kernels` builds the callables and
@@ -25,6 +30,13 @@ numbers under ``--label`` in ``--out``, keeping the other labels:
 
     python scripts/bench_kernels.py --src ../parent/src --label before
     python scripts/bench_kernels.py --label after
+
+``--src`` runs this script's calls against the other package, so it works
+only while the timed kernels keep their signatures.  Across a signature
+change, record "before" with the other checkout's own script, writing into
+this checkout's file:
+
+    python ../parent/scripts/bench_kernels.py --label before --out BENCH_kernels.json
 """
 
 import argparse
@@ -96,6 +108,36 @@ def kernels(cfg, solve_cfg):
     return calls, lambda: bcd.solve(samples, profile, params, amb, solve_cfg)
 
 
+def oracle_calls():
+    """The timed oracle searches by name: the criterion-05 instance (two
+    types, 20 training samples) at the perfbench ``oracle`` workload's grid
+    step 0.025, and a three-type, seven-anchor instance with radius 5, whose
+    multiplier argmax is positive."""
+    from drcontract import evaluation
+    from drcontract.ambiguity import AmbiguityConfig, QualitySampleSet, SupportInterval
+    from drcontract.config import RunConfig
+    from drcontract.contracts import AspTypeProfile, UtilityParams
+
+    cfg = replace(RunConfig(seed=0), thetas=(110.0, 140.0), n_train=20)
+    samples = cfg.train_samples()
+    criterion_05 = (cfg.profile(), samples, cfg.params(), cfg.ambiguity_for(samples.n), 0.025)
+    three_type = (
+        AspTypeProfile(thetas=[110.0, 140.0, 180.0], alphas=[0.25, 0.35, 0.4]),
+        QualitySampleSet([50.0, 60.0, 72.5, 81.0, 93.25, 100.0, 108.0]),
+        UtilityParams(),
+        AmbiguityConfig(SupportInterval(60.0, 100.0), 5.0),
+        1.0,
+    )
+    return {
+        "oracle_criterion_05": lambda: evaluation.oracle_menu_search(
+            *criterion_05, l_max=cfg.oracle_l_max, lambda_max=cfg.oracle_lambda_max
+        ),
+        "oracle_three_type": lambda: evaluation.oracle_menu_search(
+            *three_type, l_max=130.0, lambda_max=3.0
+        ),
+    }
+
+
 def measure(cfg, solve_cfg) -> dict:
     calls, solve = kernels(cfg, solve_cfg)
     result = {name: best_us_per_call(fn) for name, fn in calls.items()}
@@ -154,6 +196,8 @@ def main(argv=None) -> int:
     for name, cfg, solve_cfg in instances():
         run[name] = measure(cfg, solve_cfg)
         print(name, json.dumps(run[name]))
+    run["oracle"] = {name: best_us_per_call(fn) for name, fn in oracle_calls().items()}
+    print("oracle", json.dumps(run["oracle"]))
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["unit"] = "us per call; solve_per_iteration in us per iteration"

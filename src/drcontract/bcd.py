@@ -121,7 +121,8 @@ def grad_L(xi_stars, latencies, profile: AspTypeProfile, params: UtilityParams) 
     ``(k, N)`` table per block of types over the 1-D minimizers, each with
     one sign check and one row-wise ``cumsum``.  A cumsum adds strictly in
     sample order, unlike numpy's pairwise ``sum``, so each type's sum is the
-    same float sequence whatever the block size.
+    same float sequence whatever the block size.  Raises ValidationError
+    unless ``xi_stars`` is 1-D.
     """
     xi = np.asarray(xi_stars, dtype=float)
     inverse_sums = np.empty(np.size(latencies))

@@ -151,7 +151,10 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
         raise SizeMismatch(
             f"latencies ({lat.shape[-1]}) and profile ({profile.n_types}) differ"
         )
-    increments = np.diff(lat, axis=-1, prepend=0.0)
+    # lat[..., 0] - 0.0 == lat[..., 0], so this is np.diff(prepend=0.0)
+    # bit for bit, at a fraction of its cost
+    increments = lat.copy()
+    increments[..., 1:] -= lat[..., :-1]
     if (increments[..., 1:] < -MONOTONE_TOL).any():
         raise NonMonotoneLatencies(
             f"latencies must be nondecreasing within {MONOTONE_TOL}"

@@ -36,6 +36,8 @@ DEFAULT_SHIFTS = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 
 _EVALUATION_BUDGET = 1e8
 _GRID_TABLE_BUDGET = 1e7  # 8-byte entries in the oracle's grid-sized tables: 80 MB
+_CHUNK_ENTRIES = 10**6  # (rows x samples) entries per oracle chunk: 8 MB per float table
+_BOUND_SLACK = 2.0**-51  # four unit roundoffs per rounding step; see _RowBound
 
 
 @dataclass(frozen=True)
@@ -202,23 +204,37 @@ def oracle_menu_search(
     branch (see the inner-solver module), so the objective is concave
     piecewise-linear in the multiplier.  The grid maximum over the
     multiplier axis is therefore found exactly by locating the subgradient
-    sign change and evaluating the bracketing grid points.
+    sign change and evaluating the bracketing grid points
+    (:func:`_chunk_best`).
+
+    Only latency points that can still win are evaluated exactly.  Each
+    chunk of points gets :class:`_RowBound`'s upper bound, O(types) per
+    point.  A chunk whose largest bound is below the incumbent is skipped.
+    Otherwise the point with the largest bound is evaluated exactly first,
+    then every point whose bound is at least the larger of the incumbent and
+    that point's value.  A pruned point can beat neither, so the chunk's
+    first maximal point is evaluated whenever it beats the incumbent.  The
+    survivors keep chunk order, so ties still go to the first point within
+    a chunk, and a later chunk replaces the incumbent only when strictly
+    better: the result is bit-identical to evaluating every point.  Each
+    point's value depends on that point alone, provided the expected
+    rewards are computed over the whole chunk (a matrix-vector product over
+    a subset of rows can round differently).  On the criterion-05 instance
+    at grid step 0.025, 7 of the 41 chunks are skipped and 34 of the
+    2,003,001 points are evaluated exactly.
 
     The evaluation budget caps (latency points) x (samples) at
-    ``_EVALUATION_BUDGET``: each pair costs one inner minimum at the lower
-    bracketing multiplier, and a second one only where the sign change lies
-    strictly between two grid points.  The flip points and their sort are
-    computed only when the subgradient at lam = 0 is positive.  A second
-    term caps the tables sized by the grid (the grid values, the log table,
-    its per-type scaled copies and the per-type tuple counts) at
-    ``_GRID_TABLE_BUDGET`` = 1e7 entries, 80 MB; the criterion-05 instance at
-    grid step 0.025 needs about 1.3e5.  Either excess raises GridTooLarge
-    before any table is built.
+    ``_EVALUATION_BUDGET``, the work if nothing were pruned.  A second term
+    caps the tables sized by the grid (the grid values, the log table, its
+    per-type scaled copies, their per-type sample means and the per-type
+    tuple counts) at ``_GRID_TABLE_BUDGET`` = 1e7 entries, 80 MB; the
+    criterion-05 instance at grid step 0.025 needs about 1.4e5.  Either
+    excess raises GridTooLarge before any table is built.
     """
     if not grid_step > 0.0:
         raise ValidationError("grid_step must be > 0")
-    if not (l_max >= 0.0 and lambda_max >= 0.0):
-        raise ValidationError("l_max and lambda_max must be >= 0")
+    if not (0.0 <= l_max < math.inf and 0.0 <= lambda_max < math.inf):
+        raise ValidationError("l_max and lambda_max must be finite and >= 0")
     n_l = int(math.floor(l_max / grid_step + 1e-9)) + 1
     n_types = profile.n_types
     n_tuples = math.comb(n_l + n_types - 1, n_types)
@@ -228,7 +244,7 @@ def oracle_menu_search(
             f"{n_tuples} latency points x {anchors.size} samples exceeds "
             f"the {_EVALUATION_BUDGET:.0e} evaluation budget"
         )
-    table_entries = n_l * (1 + (n_types + 1) * (anchors.size + 1)) + n_types * (n_l + 1)
+    table_entries = n_l * (1 + (n_types + 1) * (anchors.size + 1) + n_types) + n_types * (n_l + 1)
     if table_entries > _GRID_TABLE_BUDGET:
         raise GridTooLarge(
             f"{n_l} grid values x {anchors.size} samples need {table_entries} table "
@@ -236,38 +252,127 @@ def oracle_menu_search(
         )
     values = grid_step * np.arange(n_l)
     candidates = inner_candidates(anchors, ambiguity.support)
-    table = np.empty((n_l, candidates.points.size))
-    for rows, logs in log_blocks(candidates.points, values, params):
-        table[rows] = logs
-    scaled = [alpha * table for alpha in profile.alphas]
+    eps = ambiguity.epsilon
+    scaled = _scaled_tables(candidates.points, values, profile, params)
+    row_bound = _RowBound(scaled, candidates, eps, lambda_max)
+
+    def exact_best(chunk, g, rows):
+        prof = _AffineInnerProfile(_gather(scaled, chunk[rows]), g[rows], candidates, eps)
+        return _chunk_best(prof, grid_step, lambda_max)
 
     best_omega = -np.inf
     best_lat = None
     for chunk in _monotone_chunks(n_l, n_types, anchors.size):
-        h = scaled[0][chunk[:, 0]]
-        for i in range(1, n_types):
-            h += scaled[i][chunk[:, i]]
         lat = values[chunk]
-        prof = _AffineInnerProfile(h, lat, candidates, profile, params, ambiguity.epsilon)
-        omega, idx = _chunk_best(prof, grid_step, lambda_max)
+        g = rewards_from_latencies(lat, profile, params.gamma1) @ profile.alphas
+        bound = row_bound(chunk, g)
+        top = int(np.argmax(bound))
+        if bound[top] < best_omega:
+            continue
+        threshold = max(best_omega, exact_best(chunk, g, [top])[0])
+        survivors = np.flatnonzero(bound >= threshold)
+        omega, idx = exact_best(chunk, g, survivors)
         if omega > best_omega:
             best_omega = omega
-            best_lat = lat[idx].copy()
+            best_lat = lat[survivors[idx]].copy()
     return float(best_omega), best_lat
+
+
+def _scaled_tables(points, values, profile: AspTypeProfile, params: UtilityParams):
+    """Per type, ``alpha_i * ln(gamma2*x + gamma3*v)`` over the grid values
+    v (rows) and the candidate points x (columns)."""
+    table = np.empty((values.size, points.size))
+    for rows, logs in log_blocks(points, values, params):
+        table[rows] = logs
+    return [alpha * table for alpha in profile.alphas]
+
+
+def _gather(tables, chunk) -> np.ndarray:
+    """Sum over types of ``tables[i][chunk[:, i]]``, accumulated in type
+    order."""
+    total = tables[0][chunk[:, 0]]
+    for i in range(1, len(tables)):
+        total += tables[i][chunk[:, i]]
+    return total
+
+
+class _RowBound:
+    """Upper bound on each latency point's objective over lam in
+    [0, lambda_max], from per-type tables, O(types) per point.
+
+    **Bound.**  With ``s_lo = mean|anchor - lo| - eps`` and
+    ``s_p = mean|anchor - p| - eps``, the mean of a minimum is at most the
+    minimum of the means, so a point's objective at lam is at most
+    ``min(h(lo) + lam*s_lo, mean_n h(p_n) + lam*s_p) - g``, g being its
+    expected reward, and over lam in [0, lambda_max] at most
+
+        U = min(h(lo) + max(s_lo, 0)*lambda_max,
+                mean_n h(p_n) + max(s_p, 0)*lambda_max) - g.
+
+    ``h(lo)`` is gathered from column 0 of the scaled tables, the float the
+    exact evaluation uses, and ``mean_n h(p_n)`` is the sum over types of the
+    per-type means ``m_i = mean(scaled_i[:, 1:], axis=1)``, computed once
+    per grid value.
+
+    **Slack.**  Both U and the objective are computed in floats.  Let
+    u = 2**-53 and gamma_m = m*u / (1 - m*u), which bounds the error of a
+    sum of m + 1 terms relative to the sum of their magnitudes, pairwise
+    sums included (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., §3.1 and §4.2).  Every term either side adds is
+    at most ``T = A + D + g`` in magnitude, with ``A`` the sum over types of
+    the largest magnitude in the type's scaled table, ``D = lambda_max * (max|anchor - lo| +
+    eps)`` (as |anchor - p| <= |anchor - lo|) and g >= 0 on the grid.  The
+    objective sums k types, then n samples, and subtracts two terms; U
+    takes n-sample means, sums k types, adds and subtracts g.  Each errs by
+    at most gamma_{n+k+4} * T, so together by less than
+    ``2 * (2n + 2k + 8) * u * T`` while (2n + 2k + 8) * u <= 1/2, which the
+    oracle's table budget guarantees.  The slack
+    ``_BOUND_SLACK * (n + k + 5) * T``, with ``_BOUND_SLACK = 4u``, covers
+    that, and the rounding of the slack and of its addition too.
+    """
+
+    def __init__(self, scaled, candidates: InnerCandidates, eps: float, lambda_max: float):
+        self.lo = [s[:, 0] for s in scaled]
+        self.p_mean = [s[:, 1:].mean(axis=1) for s in scaled]
+        self.rise_lo = _rise(candidates.lo_distance, eps, lambda_max)
+        self.rise_p = _rise(candidates.p_distance, eps, lambda_max)
+        self.magnitude = sum(float(np.abs(s).max()) for s in scaled)
+        self.magnitude += lambda_max * (float(candidates.lo_distance.max()) + eps)
+        self.slack_rate = _BOUND_SLACK * (candidates.lo_distance.size + len(scaled) + 5)
+
+    def __call__(self, chunk, g) -> np.ndarray:
+        """U plus the slack for each row of grid indices in ``chunk``, whose
+        expected rewards are ``g``."""
+        bound = _gather(self.lo, chunk)
+        bound += self.rise_lo
+        p_branch = _gather(self.p_mean, chunk)
+        p_branch += self.rise_p
+        np.minimum(bound, p_branch, out=bound)
+        bound -= g
+        bound += self.slack_rate * (self.magnitude + g)
+        return bound
+
+
+def _rise(distances, eps: float, lambda_max: float) -> float:
+    """Largest gain over lam in [0, lambda_max] of a line with slope
+    ``mean(distances) - eps``."""
+    slope = float(distances.mean()) - eps
+    return slope * lambda_max if slope > 0.0 else 0.0
 
 
 def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
     """Yield (rows, n_types) arrays of grid indices of the nondecreasing
-    latency tuples, in lexicographic order, ``1e6 // n_samples`` rows at a
-    time, so each (rows, samples) float table of a chunk takes at most 8 MB.
-    Each chunk unranks its own ranks, so the full list is never held: with
-    ``counts[m][k]`` nondecreasing (m + 1)-tuples on k grid values, each index
-    is the highest with as many tuples from it on as from the rank on, or more."""
+    latency tuples, in lexicographic order, ``_CHUNK_ENTRIES // n_samples``
+    rows at a time, so each (rows, samples) float table of a chunk takes at
+    most 8 MB.  Each chunk unranks its own ranks, so the full list is never
+    held: with ``counts[m][k]`` nondecreasing (m + 1)-tuples on k grid
+    values, each index is the highest with as many tuples from it on as from
+    the rank on, or more."""
     counts = [np.arange(n_l + 1)]
     for _ in range(1, n_types):
         counts.append(np.cumsum(counts[-1]))
     n_tuples = int(counts[-1][n_l])
-    chunk_rows = max(1, int(1e6 // n_samples))
+    chunk_rows = max(1, _CHUNK_ENTRIES // n_samples)
     for start in range(0, n_tuples, chunk_rows):
         rank = np.arange(start, min(start + chunk_rows, n_tuples))
         chunk = np.empty((rank.size, n_types), dtype=rank.dtype)
@@ -297,13 +402,14 @@ class _AffineInnerProfile:
     piecewise-linear in the multiplier.
 
     ``h`` holds each row's log benefit at the points of ``candidates``
-    (:func:`inner.inner_candidates`): lo, then every anchor's projection.
+    (:func:`inner.inner_candidates`): lo, then every anchor's projection,
+    and ``g_of_rows`` each row's expected reward.
     """
 
-    def __init__(self, h, lat, candidates: InnerCandidates, profile, params, eps):
+    def __init__(self, h, g_of_rows, candidates: InnerCandidates, eps):
         self.eps = eps
         self.n = candidates.lo_distance.size
-        self.g_of_rows = rewards_from_latencies(lat, profile, params.gamma1) @ profile.alphas
+        self.g_of_rows = g_of_rows
         self.h_lo, self.h_p = h[:, 0], h[:, 1:]
         self.b_lo = candidates.lo_distance
         self.b_p = candidates.p_distance

@@ -47,9 +47,12 @@ def argument_blocks(xi, latencies, params: UtilityParams):
     order: ``types`` is a slice of ``latencies`` and ``table`` the ``(k, N)``
     array of ``gamma2*xi + gamma3*L_i`` over the block's k types and the N
     points of ``xi``.  A block holds ``max(1, TYPE_BLOCK_POINTS // N)``
-    types."""
+    types.  Raises ValidationError unless ``xi`` is 1-D."""
     lat = np.asarray(latencies, dtype=float)
-    scaled_xi = params.gamma2 * np.asarray(xi, dtype=float)
+    points = np.asarray(xi, dtype=float)
+    if points.ndim != 1:
+        raise ValidationError(f"points must be a 1-D array, got shape {points.shape}")
+    scaled_xi = params.gamma2 * points
     step = max(1, TYPE_BLOCK_POINTS // max(scaled_xi.size, 1))
     for start in range(0, lat.size, step):
         types = slice(start, min(start + step, lat.size))
@@ -88,8 +91,9 @@ def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
 
     The logs come from :func:`log_blocks`, one ``np.log`` call per block of
     types, and are accumulated into the total type by type, in type order:
-    the same float sequence as a per-type loop.  Raises SizeMismatch unless
-    there is one alpha per latency.
+    the same float sequence as a per-type loop.  Raises ValidationError
+    unless ``xi`` is 1-D, and SizeMismatch unless there is one alpha per
+    latency.
     """
     lat = np.asarray(latencies, dtype=float)
     if len(alphas) != lat.size:

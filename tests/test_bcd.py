@@ -129,27 +129,32 @@ class TestGradients:
             st.integers(600, 40_000),
         ),
         seed=st.integers(0, 2**32 - 1),
-        scalar=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_latency_gradient_matches_the_per_type_loop(self, n_types, n_samples, seed, scalar):
+    def test_latency_gradient_matches_the_per_type_loop(self, n_types, n_samples, seed):
         rng = np.random.default_rng(seed)
         profile = AspTypeProfile(
             thetas=np.sort(rng.uniform(100.0, 260.0, n_types)),
             alphas=rng.dirichlet(np.ones(n_types)),
         )
-        xi = float(rng.uniform(60.0, 100.0)) if scalar else rng.uniform(60.0, 100.0, n_samples)
+        xi = rng.uniform(60.0, 100.0, n_samples)
         lat = np.sort(rng.uniform(0.0, 150.0, n_types))
         got = grad_L(xi, lat, profile, PARAMS)
         assert np.array_equal(got, per_type_grad_L(xi, lat, profile))
         # a nonpositive denominator in a later block raises as the loop does
-        per_block = max(1, TYPE_BLOCK_POINTS // np.size(xi))
+        per_block = max(1, TYPE_BLOCK_POINTS // xi.size)
         bad = int(rng.integers(min(per_block, n_types - 1), n_types))
         lat[bad:] = -2.0 * PARAMS.gamma2 * float(np.max(xi)) / PARAMS.gamma3
         with pytest.raises(NonPositiveDenominator):
             per_type_grad_L(xi, lat, profile)
         with pytest.raises(NonPositiveDenominator):
             grad_L(xi, lat, profile, PARAMS)
+
+    @pytest.mark.parametrize("xi", [70.0, np.array(70.0), np.full((2, 3), 70.0)])
+    def test_latency_gradient_needs_1d_minimizers(self, xi):
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
+        with pytest.raises(ValidationError, match="1-D"):
+            grad_L(xi, [5.0, 9.0], profile, PARAMS)
 
     def test_lambda_gradient_at_anchors(self):
         xi = np.array([70.0, 80.0])

@@ -36,3 +36,12 @@ def test_every_kernel_runs_once_on_a_small_instance():
     report = solve()
     assert isinstance(report, SolveReport)
     assert report.iterations_used <= 2
+
+
+def test_every_oracle_call_runs_once():
+    bench = load_bench_script()
+    calls = bench.oracle_calls()
+    assert list(calls) == ["oracle_criterion_05", "oracle_three_type"]
+    for n_types, call in zip((2, 3), calls.values()):
+        omega, lat = call()
+        assert np.isfinite(omega) and lat.shape == (n_types,)

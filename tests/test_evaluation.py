@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +32,18 @@ from drcontract import (
     write_asp_csv,
     write_metrics_csv,
 )
+from drcontract import evaluation
 from drcontract.config import generate_quality_samples
-from drcontract.evaluation import EvaluationScenario, MetricsTable, _monotone_chunks
+from drcontract.evaluation import (
+    EvaluationScenario,
+    MetricsTable,
+    _AffineInnerProfile,
+    _chunk_best,
+    _gather,
+    _monotone_chunks,
+    _RowBound,
+    _scaled_tables,
+)
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
@@ -67,6 +78,52 @@ def oracle_instances(draw):
     l_max = step * draw(st.integers(1, 8))
     lambda_max = step * draw(st.integers(1, 10))
     return profile, samples, amb, step, l_max, lambda_max
+
+
+@st.composite
+def pruning_instances(draw):
+    """One to three types with zero probabilities and duplicate thetas
+    allowed; anchors below, on and above the support, so the projection
+    often is the floor (h(p) == h(lo)); a radius on either side of the mean
+    distance to the floor, so the multiplier slope at zero takes both
+    signs; and a multiplier range that may be zero."""
+    n_types = draw(st.integers(1, 3))
+    per_type = {"min_size": n_types, "max_size": n_types}
+    thetas = sorted(draw(st.lists(st.sampled_from([110.0, 140.0, 180.0]), **per_type)))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]), **per_type))
+    if sum(weights) == 0.0:
+        weights[-1] = 1.0
+    profile = AspTypeProfile(thetas=thetas, alphas=np.array(weights) / sum(weights))
+    anchor = st.one_of(
+        st.floats(40.0, 59.5),
+        st.sampled_from([SUPPORT.lo, SUPPORT.hi]),
+        st.floats(SUPPORT.lo, SUPPORT.hi),
+        st.floats(100.5, 120.0),
+    )
+    anchors = draw(st.lists(anchor, min_size=1, max_size=8))
+    mean_lo_distance = float(np.mean(np.abs(np.array(anchors) - SUPPORT.lo)))
+    amb = AmbiguityConfig(SUPPORT, mean_lo_distance * draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])))
+    step = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    l_max = step * draw(st.integers(0, {1: 150, 2: 30, 3: 12}[n_types]))
+    lambda_max = step * draw(st.integers(0, 12))
+    return profile, QualitySampleSet(anchors), amb, step, l_max, lambda_max
+
+
+def unpruned_oracle(profile, samples, amb, step, l_max, lambda_max):
+    """Reference: the oracle loop without the bound, every latency point of
+    every chunk evaluated exactly."""
+    values = step * np.arange(int(math.floor(l_max / step + 1e-9)) + 1)
+    candidates = inner_candidates(samples.samples, amb.support)
+    scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
+    best_omega, best_lat = -np.inf, None
+    for chunk in _monotone_chunks(values.size, profile.n_types, samples.n):
+        lat = values[chunk]
+        g = rewards_from_latencies(lat, profile, PARAMS.gamma1) @ profile.alphas
+        prof = _AffineInnerProfile(_gather(scaled, chunk), g, candidates, amb.epsilon)
+        omega, idx = _chunk_best(prof, step, lambda_max)
+        if omega > best_omega:
+            best_omega, best_lat = omega, lat[idx].copy()
+    return float(best_omega), best_lat
 
 
 class TestEvalTeleopUtility:
@@ -191,6 +248,14 @@ class TestOracle:
         fine, _ = oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=60.0)
         assert fine >= coarse - 1e-9
 
+    @pytest.mark.parametrize("l_max, lambda_max", [(math.inf, 1.0), (5.0, math.inf), (5.0, -1.0)])
+    def test_rejects_ranges_that_are_not_finite_and_nonnegative(self, l_max, lambda_max):
+        profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
+        amb = AmbiguityConfig(SUPPORT, 5.0)
+        samples = QualitySampleSet([70.0])
+        with pytest.raises(ValidationError, match="finite"):
+            oracle_menu_search(profile, samples, PARAMS, amb, 1.0, l_max, lambda_max)
+
     def test_rejects_too_many_types(self):
         profile = AspTypeProfile(thetas=[1.0, 2.0, 3.0, 4.0], alphas=[0.25] * 4)
         samples = QualitySampleSet([70.0])
@@ -252,6 +317,17 @@ class TestOracle:
         assert omega == 4.256970764931453
         assert lat.tolist() == [29.5, 50.0]
 
+    def test_pinned_criterion_05_instance_at_benchmark_step(self):
+        # the perfbench oracle workload's instance
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=generate_alphas(2, 0))
+        samples = generate_quality_samples(20, 0, "train-data", 85.0, 8.0, SUPPORT)
+        amb = AmbiguityConfig.derive(SUPPORT, 0.99, 20)
+        omega, lat = oracle_menu_search(
+            profile, samples, PARAMS, amb, 0.025, l_max=50.0, lambda_max=10.0
+        )
+        assert omega == 4.256970765256351
+        assert lat.tolist() == [29.475, 50.0]
+
     def test_pinned_three_type_instance(self):
         # a small radius puts the multiplier argmax above zero, and the
         # anchors lie below, on the edges of, inside and above the support
@@ -292,6 +368,73 @@ class TestOracle:
             objective(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0] for lam in lams
         )
         assert at_argmax == pytest.approx(omega, abs=1e-9)
+
+
+class TestPrune:
+    """The bound-and-prune search against the loop that evaluates every
+    latency point."""
+
+    @given(pruning_instances(), st.integers(1, 60))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_unpruned_loop_bit_for_bit(self, instance, chunk_entries):
+        profile, samples, amb, step, l_max, lambda_max = instance
+        # small chunks, so incumbents carry across many of them
+        with mock.patch.object(evaluation, "_CHUNK_ENTRIES", chunk_entries):
+            omega, lat = oracle_menu_search(
+                profile, samples, PARAMS, amb, step, l_max=l_max, lambda_max=lambda_max
+            )
+            ref_omega, ref_lat = unpruned_oracle(profile, samples, amb, step, l_max, lambda_max)
+        assert omega == ref_omega
+        assert lat.tolist() == ref_lat.tolist()
+
+    @given(pruning_instances())
+    @settings(max_examples=120, deadline=None)
+    def test_bound_holds_at_every_grid_multiplier(self, instance):
+        profile, samples, amb, step, l_max, lambda_max = instance
+        values = step * np.arange(round(l_max / step) + 1)
+        candidates = inner_candidates(samples.samples, amb.support)
+        scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
+        (chunk,) = _monotone_chunks(values.size, profile.n_types, samples.n)
+        g = rewards_from_latencies(values[chunk], profile, PARAMS.gamma1) @ profile.alphas
+        bound = _RowBound(scaled, candidates, amb.epsilon, lambda_max)(chunk, g)
+        prof = _AffineInnerProfile(_gather(scaled, chunk), g, candidates, amb.epsilon)
+        for lam in step * np.arange(round(lambda_max / step) + 1):
+            assert np.all(bound >= prof.psi(np.full(g.size, lam)))
+
+    def test_rewards_come_from_the_whole_chunk(self):
+        # rewards recomputed over the few surviving rows round the winner's
+        # 1 ulp differently here (a matrix-vector product's sums depend on
+        # its row count), which moves the objective's last bit
+        profile = AspTypeProfile(
+            thetas=[194.03665531651757, 247.69404443910784],
+            alphas=[0.5554191533555473, 0.4445808466444527],
+        )
+        samples = QualitySampleSet(
+            [100.0, 70.19440982045167, 60.0, 45.93933992553932, 108.12177817023122]
+        )
+        amb = AmbiguityConfig(SUPPORT, 3.7442489952105493)
+        omega, lat = oracle_menu_search(
+            profile, samples, PARAMS, amb, 1.0, l_max=30.0, lambda_max=0.0
+        )
+        ref_omega, ref_lat = unpruned_oracle(profile, samples, amb, 1.0, 30.0, 0.0)
+        assert omega == ref_omega
+        assert lat.tolist() == ref_lat.tolist()
+
+    def test_prunes_all_but_a_few_points_on_the_criterion_05_instance(self):
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=generate_alphas(2, 0))
+        samples = generate_quality_samples(20, 0, "train-data", 85.0, 8.0, SUPPORT)
+        amb = AmbiguityConfig.derive(SUPPORT, 0.99, 20)
+        evaluated = []
+
+        class Counting(_AffineInnerProfile):
+            def __init__(self, h, *args):
+                evaluated.append(h.shape[0])
+                super().__init__(h, *args)
+
+        with mock.patch.object(evaluation, "_AffineInnerProfile", Counting):
+            oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=50.0, lambda_max=10.0)
+        # 501,501 latency points in 11 chunks
+        assert 0 < sum(evaluated) <= 2 * 11
 
 
 class TestRunBenchmark:

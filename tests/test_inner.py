@@ -456,6 +456,11 @@ class TestTypeBlocks:
         with pytest.raises(SizeMismatch):
             weighted_log(np.array([70.0, 80.0]), [0.0, 1.0, 2.0], alphas, PARAMS)
 
+    @pytest.mark.parametrize("xi", [70.0, np.array(70.0), np.full((2, 3), 70.0)])
+    def test_weighted_log_needs_1d_points(self, xi):
+        with pytest.raises(ValidationError, match="1-D"):
+            weighted_log(xi, [1.0, 2.0], [0.5, 0.5], PARAMS)
+
     @given(log_tables(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_nonpositive_argument_in_a_later_block(self, table, data):
