@@ -33,6 +33,7 @@ from .inner import (
     g_of_L,
     inner_candidates,
     inner_minima,
+    unbounded,
     weighted_log,
 )
 
@@ -69,10 +70,11 @@ class BcdConfig:
 
 @dataclass
 class SolveReport:
-    """Solver output: the contract menu plus the convergence trajectory."""
+    """Solver output: menu, trajectory, and stop reason: tol, max_iters or unbounded."""
 
     menu: ContractMenu
     converged: bool
+    stop_reason: str
     iterations_used: int
     objective_trace: np.ndarray
     latency_trace: np.ndarray
@@ -188,8 +190,9 @@ def solve(
 ) -> SolveReport:
     """Run the full block-coordinate loop and return the robust menu.
 
-    Failing to converge within the iteration budget is reported, not raised.
-    Identical inputs produce bitwise-identical traces.
+    Failing to converge within the iteration budget is reported, not raised,
+    and so is an :func:`inner.unbounded` objective, whatever stopped the
+    loop.  Identical inputs produce bitwise-identical traces.
     """
 
     anchors = sample_values(samples)
@@ -198,7 +201,10 @@ def solve(
     def evaluate(lat, lam):
         return objective(lat, lam, candidates, ambiguity.epsilon, profile, params)
 
-    return _ascend(anchors, ambiguity.epsilon, evaluate, profile, params, bcd_cfg or BcdConfig())
+    report = _ascend(anchors, ambiguity.epsilon, evaluate, profile, params, bcd_cfg or BcdConfig())
+    if unbounded(candidates, ambiguity.epsilon):
+        report.stop_reason = "unbounded"
+    return report
 
 
 def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
@@ -262,6 +268,7 @@ def _ascend(anchors, epsilon, evaluate, profile, params, cfg: BcdConfig) -> Solv
     return SolveReport(
         menu=ContractMenu(latencies=lat, rewards=rewards),
         converged=converged,
+        stop_reason="tol" if converged else "max_iters",
         iterations_used=len(obj_trace),
         objective_trace=np.array(obj_trace),
         latency_trace=np.array(lat_trace),

@@ -127,7 +127,7 @@ def _cmd_solve(cfg: RunConfig, method: str, out: Path) -> None:
     status = "converged" if report.converged else "max iterations reached"
     print(
         f"{method}: {status} after {report.iterations_used} iterations, "
-        f"objective {report.objective:.6f}"
+        f"objective {report.objective:.6f}, stop reason {report.stop_reason}"
     )
     print(f"wrote {out / 'menu.csv'} and {out / 'trace.csv'}")
 

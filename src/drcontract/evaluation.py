@@ -28,7 +28,14 @@ from .errors import (
     SizeMismatch,
     ValidationError,
 )
-from .inner import InnerCandidates, inner_candidates, log_blocks, weighted_log
+from .inner import (
+    InnerCandidates,
+    branch_minima,
+    inner_candidates,
+    log_blocks,
+    multiplier_argmax,
+    weighted_log,
+)
 
 CANONICAL_METHODS = ("dro", "sp", "ro")
 
@@ -199,13 +206,10 @@ def oracle_menu_search(
     order: the same float sequence as :func:`weighted_log`, so the values are
     bit-identical to evaluating it per point.
 
-    For each latency point the per-anchor inner minimum is the lower of two
-    functions affine in the multiplier, the floor branch and the projection
-    branch (see the inner-solver module), so the objective is concave
-    piecewise-linear in the multiplier.  The grid maximum over the
-    multiplier axis is therefore found exactly by locating the subgradient
-    sign change and evaluating the bracketing grid points
-    (:func:`_chunk_best`).
+    Each point's objective is concave and piecewise linear in the
+    multiplier (:func:`inner.branch_minima`), so its grid maximum is found
+    exactly at the grid points that bracket its continuous argmax
+    (:func:`inner.multiplier_argmax`; :func:`_chunk_best`).
 
     Only latency points that can still win are evaluated exactly.  Each
     chunk of points gets :class:`_RowBound`'s upper bound, O(types) per
@@ -257,8 +261,8 @@ def oracle_menu_search(
     row_bound = _RowBound(scaled, candidates, eps, lambda_max)
 
     def exact_best(chunk, g, rows):
-        prof = _AffineInnerProfile(_gather(scaled, chunk[rows]), g[rows], candidates, eps)
-        return _chunk_best(prof, grid_step, lambda_max)
+        h = _gather(scaled, chunk[rows])
+        return _chunk_best(h, g[rows], candidates, eps, grid_step, lambda_max)
 
     best_omega = -np.inf
     best_lat = None
@@ -387,87 +391,24 @@ def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
         yield chunk
 
 
-class _AffineInnerProfile:
-    """Exact inner minima for a latency chunk, as functions of the multiplier.
-
-    Per (row, anchor) the inner minimum is the lower of two branches affine
-    in the multiplier (value A + lam * B; see the inner-solver module):
-
-    * floor branch: (h(lo), |anchor - lo|);
-    * projection branch: (h(p), |anchor - p|), p = clip(anchor, lo, hi).
-
-    The floor branch is active at lam = 0 (h is increasing), and past the
-    flip point (h(p) - h(lo)) / (p - lo) the projection branch takes over,
-    dropping the slope by p - lo.  The resulting objective is concave
-    piecewise-linear in the multiplier.
-
-    ``h`` holds each row's log benefit at the points of ``candidates``
-    (:func:`inner.inner_candidates`): lo, then every anchor's projection,
-    and ``g_of_rows`` each row's expected reward.
-    """
-
-    def __init__(self, h, g_of_rows, candidates: InnerCandidates, eps):
-        self.eps = eps
-        self.n = candidates.lo_distance.size
-        self.g_of_rows = g_of_rows
-        self.h_lo, self.h_p = h[:, 0], h[:, 1:]
-        self.b_lo = candidates.lo_distance
-        self.b_p = candidates.p_distance
-        self.drops = candidates.points[1:] - candidates.points[0]
-
-    def psi(self, lam_rows, rows=slice(None)) -> np.ndarray:
-        """Objective value per selected row at the given per-row multiplier."""
-        lam = np.asarray(lam_rows, dtype=float)[:, None]
-        # in place: two (rows, n) temporaries per call
-        phi = lam * self.b_p
-        phi += self.h_p[rows]
-        floor = lam * self.b_lo
-        floor += self.h_lo[rows, None]
-        np.minimum(phi, floor, out=phi)
-        return phi.mean(axis=1) - self.g_of_rows[rows] - lam[:, 0] * self.eps
-
-    def argmax_lambda(self, lambda_max: float) -> np.ndarray:
-        """Continuous argmax of psi per row: where the subgradient
-        (-eps + mean active slope) crosses zero, scanning flips in order."""
-        n_rows = self.g_of_rows.size
-        s0 = -self.eps + float(self.b_lo.mean())
-        if s0 <= 0.0:
-            return np.zeros(n_rows)
-        flips = np.full((n_rows, self.n), np.inf)
-        flippable = self.drops > 0.0  # p = lo never flips
-        flips[:, flippable] = (
-            self.h_p[:, flippable] - self.h_lo[:, None]
-        ) / self.drops[flippable]
-        np.maximum(flips, 0.0, out=flips)
-        order = np.argsort(flips, axis=1)
-        flips_sorted = np.take_along_axis(flips, order, axis=1)
-        drops_sorted = np.take_along_axis(np.broadcast_to(self.drops, flips.shape), order, axis=1)
-        slope_after = s0 - np.cumsum(drops_sorted, axis=1) / self.n
-        crossed = slope_after <= 0.0
-        has_cross = crossed.any(axis=1)
-        first_k = np.argmax(crossed, axis=1)
-        lam_star = np.where(
-            has_cross,
-            np.take_along_axis(flips_sorted, first_k[:, None], axis=1)[:, 0],
-            lambda_max,
-        )
-        return np.clip(lam_star, 0.0, lambda_max)
-
-
-def _chunk_best(prof: _AffineInnerProfile, grid_step: float, lambda_max: float):
-    """Best (objective, row index) over one latency chunk: locate the
-    continuous multiplier argmax per row, then evaluate the bracketing grid
-    points (exact for a concave piecewise-linear profile); a row whose
-    argmax sits on a grid point is evaluated there once."""
-    lam_star = prof.argmax_lambda(lambda_max)
+def _chunk_best(h, g, candidates: InnerCandidates, eps, grid_step: float, lambda_max: float):
+    """Best (objective, row index) over latency points with log benefits
+    ``h`` (rows) and expected rewards ``g``: evaluate the grid points that
+    bracket each row's multiplier argmax clipped to [0, lambda_max], or the
+    grid point it sits on."""
+    lam_star = np.clip(multiplier_argmax(h, candidates, eps), 0.0, lambda_max)
     lam_floor = np.clip(np.floor(lam_star / grid_step) * grid_step, 0.0, lambda_max)
     lam_ceil = np.clip(np.ceil(lam_star / grid_step) * grid_step, 0.0, lambda_max)
-    omega = prof.psi(lam_floor)
+    omega = _psi(h, g, lam_floor, candidates, eps)
     up = np.flatnonzero(lam_ceil != lam_floor)
-    if up.size:
-        omega[up] = np.maximum(omega[up], prof.psi(lam_ceil[up], up))
+    omega[up] = np.maximum(omega[up], _psi(h[up], g[up], lam_ceil[up], candidates, eps))
     idx = int(np.argmax(omega))
     return float(omega[idx]), idx
+
+
+def _psi(h, g, lam, candidates: InnerCandidates, eps: float) -> np.ndarray:
+    """Objective per row of ``h`` at that row's multiplier ``lam``."""
+    return branch_minima(h, lam, candidates).mean(axis=1) - g - lam * eps
 
 
 # ---------------------------------------------------------------------------

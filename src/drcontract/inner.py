@@ -21,6 +21,14 @@ it p = lo, f is increasing and the two candidates coincide.  A stationary
 point of the descending branch is that branch's maximum, never its minimum,
 so no root finding is needed.  p wins only when strictly lower, so ties
 break toward lo.
+
+For a fixed menu both candidates are affine in lam, so each anchor's
+minimum (:func:`branch_minima`) is concave and piecewise linear in lam: the
+floor is the lower up to the flip point (h(p) - h(lo)) / (p - lo), the
+projection after it.  So is the objective -lam*eps + mean_n minimum_n: its
+slope falls from mean|anchor - lo| - eps by (p_n - lo)/N at each flip, to
+mean|anchor - p| - eps, and its argmax is the flip where the slope reaches
+zero (:func:`multiplier_argmax`), if it does (else :func:`unbounded`).
 """
 
 from __future__ import annotations
@@ -142,9 +150,52 @@ def inner_minima(
         raise ValidationError("lam must be >= 0")
     points = candidates.points
     h = weighted_log(points, latencies, alphas, params)
-    v_lo = h[0] + lam * candidates.lo_distance
-    v_p = h[1:] + lam * candidates.p_distance
-    return np.minimum(v_lo, v_p), np.where(v_p < v_lo, points[1:], points[0])
+    f_min = branch_minima(h, lam, candidates)
+    return f_min, np.where(f_min < h[0] + lam * candidates.lo_distance, points[1:], points[0])
+
+
+def branch_minima(h, lam, candidates: InnerCandidates) -> np.ndarray:
+    """Each anchor's min(h(lo) + lam*|anchor - lo|, h(p) + lam*|anchor - p|),
+    ``h`` being the log benefit at ``candidates.points``, for one menu (1-D
+    ``h``, scalar ``lam``) or a stack (a row of ``h`` and a ``lam`` each)."""
+    lam = np.asarray(lam, dtype=float)[..., None]
+    # in place: two temporaries of the result's shape
+    minima = lam * candidates.p_distance
+    minima += h[..., 1:]
+    floor = lam * candidates.lo_distance
+    floor += h[..., :1]
+    np.minimum(minima, floor, out=minima)
+    return minima
+
+
+def multiplier_argmax(h, candidates: InnerCandidates, eps: float):
+    """Per row of ``h`` (a menu's log benefit at ``candidates.points``), the
+    lam >= 0 maximizing -lam*eps + mean(branch_minima): ``inf`` if
+    :func:`unbounded`, 0 if the slope at 0 is not positive, else the first
+    flip point where the slope reaches zero (see the module docstring)."""
+    if unbounded(candidates, eps):
+        return np.full(h.shape[0], np.inf)
+    s0 = -eps + float(candidates.lo_distance.mean())
+    if s0 <= 0.0:
+        return np.zeros(h.shape[0])
+    drops = candidates.points[1:] - candidates.points[0]
+    flippable = drops > 0.0  # p = lo never flips
+    rises = h[:, 1:] - h[:, :1]
+    flips = np.divide(rises, drops, out=np.full_like(rises, np.inf), where=flippable)
+    np.maximum(flips, 0.0, out=flips)
+    order = np.argsort(flips, axis=1)
+    drops_sorted = np.take_along_axis(np.broadcast_to(drops, flips.shape), order, axis=1)
+    crossed = s0 - np.cumsum(drops_sorted, axis=1) / drops.size <= 0.0
+    # the slope ends at mean|anchor - p| - eps <= 0, rounding aside
+    crossed[:, np.count_nonzero(flippable) - 1] = True
+    first = np.take_along_axis(order, np.argmax(crossed, axis=1)[:, None], axis=1)
+    return np.take_along_axis(flips, first, axis=1)[:, 0]
+
+
+def unbounded(candidates: InnerCandidates, eps: float) -> bool:
+    """Whether the anchors lie farther than eps from the support on average,
+    mean|anchor - p| > eps, so the robust objective is unbounded in lam."""
+    return float(candidates.p_distance.mean()) > eps
 
 
 def g_of_L(latencies, profile: AspTypeProfile, gamma1: float) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from drcontract import (
     g_of_L,
     grad_L,
     grad_lambda,
+    inject_extreme_points,
     inner_candidates,
     inner_minima,
     iron_monotone,
@@ -487,3 +489,29 @@ class TestReferenceSolves:
         assert repr(report.objective) == objective_repr
         assert report.menu.latencies.tolist() == latencies
         assert report.menu.rewards.tolist() == rewards
+
+
+class TestStopReason:
+    """Each solve names why it stopped."""
+
+    @pytest.mark.parametrize("method", ["dro", "sp", "ro"])
+    def test_reference_solves_stop_on_tol(self, reference_components, method):
+        report = train_method(method, *reference_components)
+        assert (report.converged, report.stop_reason) == (True, "tol")
+
+    def test_iteration_budget(self, reference_components):
+        train, profile, params, amb, cfg = reference_components
+        report = train_method("dro", train, profile, params, amb, replace(cfg, max_iters=3))
+        assert (report.converged, report.iterations_used, report.stop_reason) == (
+            False,
+            3,
+            "max_iters",
+        )
+
+    def test_contaminated_dro_solve_is_unbounded(self, reference_components):
+        # 50 training points at 1.0, 59 below the support floor: the mean
+        # distance to the support is 14.75, over the 8.58 radius
+        train, profile, params, amb, cfg = reference_components
+        contaminated = inject_extreme_points(train, 50, 1.0, 0)
+        report = train_method("dro", contaminated, profile, params, amb, cfg)
+        assert (report.converged, report.stop_reason) == (False, "unbounded")

@@ -52,6 +52,12 @@ class TestSolve:
         trace_header = (out / "trace.csv").read_text().splitlines()[0]
         assert trace_header.startswith("iter,objective,lambda,L_1")
 
+    def test_status_line_names_the_stop_reason(self, tmp_path, capsys):
+        assert run("solve", "--out", tmp_path / "out", "--seed", "0") == 0
+        status = capsys.readouterr().out.splitlines()[0]
+        assert status.startswith("dro: converged after 700 iterations")
+        assert status.endswith("stop reason tol")
+
     def test_solve_consumes_generated_data(self, tmp_path, toy_config):
         data_dir = tmp_path / "data"
         assert run("gen-data", "--config", toy_config, "--out", data_dir) == 0

@@ -37,10 +37,10 @@ from drcontract.config import generate_quality_samples
 from drcontract.evaluation import (
     EvaluationScenario,
     MetricsTable,
-    _AffineInnerProfile,
     _chunk_best,
     _gather,
     _monotone_chunks,
+    _psi,
     _RowBound,
     _scaled_tables,
 )
@@ -119,8 +119,8 @@ def unpruned_oracle(profile, samples, amb, step, l_max, lambda_max):
     for chunk in _monotone_chunks(values.size, profile.n_types, samples.n):
         lat = values[chunk]
         g = rewards_from_latencies(lat, profile, PARAMS.gamma1) @ profile.alphas
-        prof = _AffineInnerProfile(_gather(scaled, chunk), g, candidates, amb.epsilon)
-        omega, idx = _chunk_best(prof, step, lambda_max)
+        h = _gather(scaled, chunk)
+        omega, idx = _chunk_best(h, g, candidates, amb.epsilon, step, lambda_max)
         if omega > best_omega:
             best_omega, best_lat = omega, lat[idx].copy()
     return float(best_omega), best_lat
@@ -397,9 +397,9 @@ class TestPrune:
         (chunk,) = _monotone_chunks(values.size, profile.n_types, samples.n)
         g = rewards_from_latencies(values[chunk], profile, PARAMS.gamma1) @ profile.alphas
         bound = _RowBound(scaled, candidates, amb.epsilon, lambda_max)(chunk, g)
-        prof = _AffineInnerProfile(_gather(scaled, chunk), g, candidates, amb.epsilon)
+        h = _gather(scaled, chunk)
         for lam in step * np.arange(round(lambda_max / step) + 1):
-            assert np.all(bound >= prof.psi(np.full(g.size, lam)))
+            assert np.all(bound >= _psi(h, g, np.full(g.size, lam), candidates, amb.epsilon))
 
     def test_rewards_come_from_the_whole_chunk(self):
         # rewards recomputed over the few surviving rows round the winner's
@@ -426,12 +426,11 @@ class TestPrune:
         amb = AmbiguityConfig.derive(SUPPORT, 0.99, 20)
         evaluated = []
 
-        class Counting(_AffineInnerProfile):
-            def __init__(self, h, *args):
-                evaluated.append(h.shape[0])
-                super().__init__(h, *args)
+        def counting(h, *args):
+            evaluated.append(h.shape[0])
+            return _chunk_best(h, *args)
 
-        with mock.patch.object(evaluation, "_AffineInnerProfile", Counting):
+        with mock.patch.object(evaluation, "_chunk_best", counting):
             oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=50.0, lambda_max=10.0)
         # 501,501 latency points in 11 chunks
         assert 0 < sum(evaluated) <= 2 * 11

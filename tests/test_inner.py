@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
+    BcdConfig,
     NonMonotoneLatencies,
     NonPositiveLogArgument,
     SizeMismatch,
@@ -15,13 +16,21 @@ from drcontract import (
     UtilityParams,
     ValidationError,
     g_of_L,
+    inject_extreme_points,
     inner_candidates,
     inner_minima,
     objective,
     rewards_from_latencies,
+    solve,
     weighted_log,
 )
-from drcontract.inner import TYPE_BLOCK_POINTS, argument_blocks, log_blocks
+from drcontract.inner import (
+    TYPE_BLOCK_POINTS,
+    argument_blocks,
+    branch_minima,
+    log_blocks,
+    multiplier_argmax,
+)
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
@@ -380,6 +389,100 @@ class TestInnerKernel:
             inner_minima([0.0, 30.0], 0.0, inner_candidates([1.0], support), PARAMS, [0.5, 0.5])
         assert err.value.sample_index == 0
         assert "at xi=-10.0" in str(err.value)
+
+
+@st.composite
+def argmax_instances(draw):
+    """One menu of one to four types; anchors below, on, inside and above
+    the support (off the floor by at least 0.5, so every flip point is
+    positive); a radius below, at or above mean|anchor - lo| or
+    mean|anchor - p|."""
+    n_types = draw(st.integers(1, 4))
+    per_type = {"min_size": n_types, "max_size": n_types}
+    thetas = sorted(draw(st.lists(st.floats(100.0, 260.0), **per_type)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), **per_type))
+    profile = AspTypeProfile(thetas=thetas, alphas=np.array(weights) / sum(weights))
+    lat = np.array(sorted(draw(st.lists(st.floats(0.0, 150.0), **per_type))))
+    anchor = st.one_of(
+        st.floats(30.0, 59.5),
+        st.sampled_from([SUPPORT.lo, SUPPORT.hi]),
+        st.floats(SUPPORT.lo + 0.5, SUPPORT.hi),
+        st.floats(100.5, 140.0),
+    )
+    candidates = inner_candidates(draw(st.lists(anchor, min_size=1, max_size=12)), SUPPORT)
+    distance = draw(st.sampled_from([candidates.lo_distance, candidates.p_distance]))
+    eps = float(distance.mean()) * draw(st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.1, 2.0]))
+    return profile, lat, candidates, eps
+
+
+class TestMultiplierArgmax:
+    @given(argmax_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_dense_objective_grid(self, instance):
+        profile, lat, candidates, eps = instance
+        h = weighted_log(candidates.points, lat, profile.alphas, PARAMS)
+        (lam_star,) = multiplier_argmax(h[None], candidates, eps)
+        # every flip point is a mean slope of h over [lo, p], at most 1/lo
+        grid = np.linspace(0.0, 3.0 / SUPPORT.lo, 301)
+        values = np.array([objective(lat, x, candidates, eps, profile, PARAMS)[0] for x in grid])
+        slope_at_zero = float(np.mean(candidates.lo_distance)) - eps
+        assert (lam_star == 0.0) == (slope_at_zero <= 0.0)
+        unbounded = float(np.mean(candidates.p_distance)) > eps
+        assert (lam_star == math.inf) == unbounded
+        if unbounded:
+            assert np.all(np.diff(values) >= -1e-12)
+        else:
+            at_star = objective(lat, lam_star, candidates, eps, profile, PARAMS)[0]
+            assert at_star >= values.max() - 1e-9
+
+    def test_zero_radius_inside_the_support_is_bounded(self):
+        # mean|anchor - p| = eps = 0: the slope ends at zero, so the argmax
+        # is the last flip point, however the slope's running sum rounds
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            candidates = inner_candidates(rng.uniform(60.5, 100.0, 12), SUPPORT)
+            h = weighted_log(candidates.points, [0.0, 10.0], [0.5, 0.5], PARAMS)
+            flips = (h[1:] - h[0]) / (candidates.points[1:] - SUPPORT.lo)
+            assert multiplier_argmax(h[None], candidates, 0.0)[0] == flips.max()
+
+    def test_contaminated_training_data_are_unbounded(
+        self, default_cfg, default_profile, train_samples
+    ):
+        # the bench's contamination levels: extreme points of value 1.0,
+        # seed 0, against a radius of about 8.58
+        amb = default_cfg.ambiguity_for(train_samples.n)
+        zero_menu = np.zeros(default_profile.n_types)
+        dro_menu = solve(train_samples, default_profile, PARAMS, amb, BcdConfig()).menu.latencies
+        for count, distance in ((0, 0.0), (50, 14.75), (100, 29.5)):
+            contaminated = inject_extreme_points(train_samples, count, 1.0, 0)
+            candidates = inner_candidates(contaminated.samples, amb.support)
+            assert float(candidates.p_distance.mean()) == pytest.approx(distance)
+            h = np.array(
+                [
+                    weighted_log(candidates.points, lat, default_profile.alphas, PARAMS)
+                    for lat in (zero_menu, dro_menu)
+                ]
+            )
+            lam_stars = multiplier_argmax(h, candidates, amb.epsilon).tolist()
+            if count:
+                assert lam_stars == [math.inf, math.inf]
+            else:
+                assert all(math.isfinite(lam) for lam in lam_stars)
+                assert lam_stars[0] == pytest.approx(0.014, abs=5e-4)
+
+    @given(inner_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_a_stack_of_menus_matches_each_menu(self, instance):
+        lat, alphas, lam, anchors = instance
+        candidates = inner_candidates(anchors, SUPPORT)
+        menus = [lat, lat + 1.0, np.zeros_like(lat)]
+        h = np.array([weighted_log(candidates.points, m, alphas, PARAMS) for m in menus])
+        lams = np.array([lam, 2.0 * lam, 0.0])
+        stacked = branch_minima(h, lams, candidates)
+        argmax = multiplier_argmax(h, candidates, 1.0)
+        for k in range(len(menus)):
+            assert stacked[k].tolist() == branch_minima(h[k], lams[k], candidates).tolist()
+            assert argmax[k] == multiplier_argmax(h[k : k + 1], candidates, 1.0)[0]
 
 
 def per_type_weighted_log(xi, latencies, alphas, params=PARAMS):
