@@ -2,7 +2,8 @@
 """Hyperparameter sweeps for the robust solver on seed-controlled synthetic
 data: latency step size, training-sample count, and confidence level.
 
-For each setting the robust menu is retrained, then scored as
+For each setting the robust menu is retrained on uncontaminated training
+data (contamination level 0, whatever the config's levels), then scored as
 (a) mean operator utility on evaluation data at every shift magnitude and
 (b) per-type provider utility.  One pair of CSVs per sweep:
 
@@ -20,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from drcontract import EvaluationScenario, run_benchmark
+from drcontract import run_benchmark
 from drcontract.config import RunConfig
 from drcontract.csvio import write_table
 
@@ -29,25 +30,10 @@ N_TRAIN_GRID = (10, 50, 100, 200)
 TAU_GRID = (0.8, 0.85, 0.9, 0.95, 0.99)
 
 
-def score(cfg: RunConfig):
-    """The robust menu's metrics on uncontaminated training data."""
-    train = cfg.train_samples()
-    scenario = EvaluationScenario(cfg.eval_samples(), cfg.shift_magnitudes, seed=cfg.seed)
-    return run_benchmark(
-        scenario,
-        ("dro",),
-        train,
-        profile=cfg.profile(),
-        params=cfg.params(),
-        ambiguity=cfg.ambiguity_for(train.n),
-        bcd_cfg=cfg.bcd_config(),
-    )
-
-
 def run_sweep(name, settings, cfg_for, out: Path) -> None:
     metrics_rows, asp_rows = [], []
     for value in settings:
-        table = score(cfg_for(value))
+        table = run_benchmark(replace(cfg_for(value), extreme_counts=(0,)), ("dro",))
         metrics_rows += [(value, s, u) for _, _, s, u in table.teleop_rows]
         asp_rows += [(value, i, u) for _, _, i, u in table.asp_rows]
         print(f"{name}={value}: shift-0 utility {table.teleop_rows[0][3]:.4f}")

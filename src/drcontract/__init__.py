@@ -58,7 +58,6 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    EvaluationScenario,
     MetricsTable,
     eval_asp_utilities,
     eval_teleop_utility,

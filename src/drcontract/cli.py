@@ -25,7 +25,6 @@ from .errors import (
 )
 from .evaluation import (
     CANONICAL_METHODS,
-    EvaluationScenario,
     eval_asp_utilities,
     eval_teleop_utility,
     oracle_menu_search,
@@ -34,6 +33,7 @@ from .evaluation import (
     write_asp_csv,
     write_metrics_csv,
 )
+from .inner import inner_candidates, unbounded
 
 SUBCOMMANDS = ("gen-data", "solve", "evaluate", "bench", "oracle")
 
@@ -145,23 +145,7 @@ def _cmd_evaluate(cfg: RunConfig, method: str, out: Path) -> None:
 
 
 def _cmd_bench(cfg: RunConfig, method: str, out: Path) -> None:
-    train = cfg.train_samples()
-    scenario = EvaluationScenario(
-        eval_samples=cfg.eval_samples(),
-        shift_magnitudes=cfg.shift_magnitudes,
-        extreme_counts=cfg.extreme_counts,
-        extreme_value=cfg.extreme_value,
-        seed=cfg.seed,
-    )
-    table = run_benchmark(
-        scenario,
-        CANONICAL_METHODS,
-        train,
-        profile=cfg.profile(),
-        params=cfg.params(),
-        ambiguity=cfg.ambiguity_for(train.n),
-        bcd_cfg=cfg.bcd_config(),
-    )
+    table = run_benchmark(cfg)
     write_metrics_csv(table, out / "metrics.csv")
     write_asp_csv(table, out / "asp_utility.csv")
     print(f"wrote {out / 'metrics.csv'} ({len(table.teleop_rows)} rows)")
@@ -173,6 +157,13 @@ def _cmd_oracle(cfg: RunConfig, method: str, out: Path) -> None:
     profile = cfg.profile()
     params = cfg.params()
     ambiguity = cfg.ambiguity_for(train.n)
+    candidates = inner_candidates(train.samples, ambiguity.support)
+    if unbounded(candidates, ambiguity.epsilon):
+        raise DataError(
+            f"mean distance {float(candidates.p_distance.mean())!r} of the training data "
+            f"to the support exceeds the radius epsilon = {ambiguity.epsilon!r}: the "
+            "robust objective is unbounded in the multiplier"
+        )
     report = train_method("dro", train, profile, params, ambiguity, cfg.bcd_config())
     best_omega, best_lat = oracle_menu_search(
         profile,

@@ -11,6 +11,9 @@ from a seeded symmetric Dirichlet draw (concentration 1).  The real quality
 scores behind the reference experiments are external, so the bundled
 generator draws a truncated normal stand-in (mean 85, sd 8 by default);
 its parameters are config keys.
+
+Evaluation-time shift magnitudes must be nonnegative and sorted ascending;
+contamination levels (extreme counts) must be nonnegative.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from .ambiguity import AmbiguityConfig, QualitySampleSet, SupportInterval, read_
 from .bcd import BcdConfig
 from .contracts import AspTypeProfile, UtilityParams
 from .errors import ParseError, ValidationError
-from .evaluation import DEFAULT_SHIFTS
 from .seeding import rng_for
 
 DEFAULT_THETAS = (110.0, 140.0, 175.0, 200.0, 220.0, 235.0, 245.0, 250.0)
 DEFAULT_EXTREME_COUNTS = (0, 50, 100)
+DEFAULT_SHIFTS = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 # Rounds of the quality-score rejection sampler.  Each round draws more than
 # twice the scores still missing; the reference setup needs 1 round, and a
 # support holding 1e-3 of the normal's mass needs about 2000 for 200 scores.
@@ -81,6 +84,8 @@ class RunConfig:
         self.ambiguity_for(self.n_train)
         if not all(m >= 0 for m in self.shift_magnitudes):
             raise ValidationError("shift magnitudes must be nonnegative")
+        if list(self.shift_magnitudes) != sorted(self.shift_magnitudes):
+            raise ValidationError("shift magnitudes must be sorted ascending")
         if any(c < 0 for c in self.extreme_counts):
             raise ValidationError("extreme counts must be nonnegative")
         if not self.gen_sd > 0:

@@ -20,6 +20,7 @@ from .ambiguity import (
     shift_samples,
 )
 from .bcd import BcdConfig, SolveReport, solve, solve_pinned
+from .config import RunConfig
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
 from .csvio import write_table
 from .errors import (
@@ -39,34 +40,10 @@ from .inner import (
 
 CANONICAL_METHODS = ("dro", "sp", "ro")
 
-DEFAULT_SHIFTS = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
-
 _EVALUATION_BUDGET = 1e8
 _GRID_TABLE_BUDGET = 1e7  # 8-byte entries in the oracle's grid-sized tables: 80 MB
 _CHUNK_ENTRIES = 10**6  # (rows x samples) entries per oracle chunk: 8 MB per float table
 _BOUND_SLACK = 2.0**-51  # four unit roundoffs per rounding step; see _RowBound
-
-
-@dataclass(frozen=True)
-class EvaluationScenario:
-    """The benchmark grid: evaluation data, shift ladder, and the
-    training-contamination levels."""
-
-    eval_samples: QualitySampleSet
-    shift_magnitudes: tuple = DEFAULT_SHIFTS
-    extreme_counts: tuple = (0,)
-    extreme_value: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        shifts = tuple(float(m) for m in self.shift_magnitudes)
-        object.__setattr__(self, "shift_magnitudes", shifts)
-        if not all(m >= 0.0 for m in shifts):
-            raise ValidationError("shift magnitudes must be nonnegative")
-        if list(shifts) != sorted(shifts):
-            raise ValidationError("shift magnitudes must be sorted ascending")
-        if any(c < 0 for c in self.extreme_counts):
-            raise ValidationError("extreme counts must be nonnegative")
 
 
 @dataclass
@@ -141,38 +118,33 @@ def train_method(
     raise ValidationError(f"unknown method {method!r}; expected one of {CANONICAL_METHODS}")
 
 
-def run_benchmark(
-    scenario: EvaluationScenario,
-    methods,
-    train_samples: QualitySampleSet,
-    *,
-    profile: AspTypeProfile,
-    params: UtilityParams,
-    ambiguity: AmbiguityConfig,
-    bcd_cfg: BcdConfig = None,
-) -> MetricsTable:
-    """At each contamination level, train each requested method on the
-    contaminated training data, then score it on the evaluation data at
-    every shift magnitude.
+def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS) -> MetricsTable:
+    """At each of the config's contamination levels, train each requested
+    method on the contaminated training data, then score it on the
+    evaluation data at every shift magnitude.
 
-    Levels run in the scenario's order and methods in the canonical order,
+    Levels run in the config's order and methods in the canonical order,
     so output files are deterministic for a given seed.
     """
     requested = set(methods)
     unknown = requested.difference(CANONICAL_METHODS)
     if unknown:
         raise ValidationError(f"unknown methods {sorted(unknown)}")
+    train = cfg.train_samples()
+    evals = cfg.eval_samples()
+    profile = cfg.profile()
+    params = cfg.params()
+    ambiguity = cfg.ambiguity_for(train.n)
+    bcd_cfg = cfg.bcd_config()
     table = MetricsTable()
-    for count in scenario.extreme_counts:
-        contaminated = inject_extreme_points(
-            train_samples, count, scenario.extreme_value, scenario.seed
-        )
+    for count in cfg.extreme_counts:
+        contaminated = inject_extreme_points(train, count, cfg.extreme_value, cfg.seed)
         for method in CANONICAL_METHODS:
             if method not in requested:
                 continue
             report = train_method(method, contaminated, profile, params, ambiguity, bcd_cfg)
-            for magnitude in scenario.shift_magnitudes:
-                shifted = shift_samples(scenario.eval_samples, magnitude)
+            for magnitude in map(float, cfg.shift_magnitudes):
+                shifted = shift_samples(evals, magnitude)
                 utility = eval_teleop_utility(report.menu, shifted, profile, params)
                 table.teleop_rows.append((method, count, magnitude, utility))
             for i, utility in enumerate(eval_asp_utilities(report.menu, profile, params.gamma1)):
@@ -209,7 +181,9 @@ def oracle_menu_search(
     Each point's objective is concave and piecewise linear in the
     multiplier (:func:`inner.branch_minima`), so its grid maximum is found
     exactly at the grid points that bracket its continuous argmax
-    (:func:`inner.multiplier_argmax`; :func:`_chunk_best`).
+    (:func:`inner.multiplier_argmax`; :func:`_chunk_best`).  On an unbounded
+    program (:func:`inner.unbounded`) that argmax is infinite, so the grid
+    maximum sits at ``lambda_max``.
 
     Only latency points that can still win are evaluated exactly.  Each
     chunk of points gets :class:`_RowBound`'s upper bound, O(types) per

@@ -15,7 +15,6 @@ from drcontract import (
     AspTypeProfile,
     BcdConfig,
     ContractMenu,
-    QualitySampleSet,
     SupportInterval,
     UtilityParams,
     check_feasibility,
@@ -34,7 +33,6 @@ from drcontract import (
 )
 from drcontract.cli import main as cli_main
 from drcontract.config import RunConfig, generate_quality_samples
-from drcontract.evaluation import EvaluationScenario
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
@@ -56,11 +54,6 @@ def seed0_train(default_cfg):
 
 
 @pytest.fixture(scope="module")
-def seed0_eval(default_cfg):
-    return default_cfg.eval_samples()
-
-
-@pytest.fixture(scope="module")
 def seed0_profile(default_cfg):
     return default_cfg.profile()
 
@@ -79,24 +72,9 @@ def dro_report(seed0_train, seed0_profile, seed0_ambiguity):
 
 
 @pytest.fixture(scope="module")
-def benchmark_tables(seed0_train, seed0_eval, seed0_profile, seed0_ambiguity, default_cfg):
+def benchmark_tables(default_cfg):
     t0 = time.perf_counter()
-    scenario = EvaluationScenario(
-        eval_samples=seed0_eval,
-        shift_magnitudes=default_cfg.shift_magnitudes,
-        extreme_counts=(0, 50, 100),
-        extreme_value=default_cfg.extreme_value,
-        seed=default_cfg.seed,
-    )
-    table = run_benchmark(
-        scenario,
-        ("dro", "sp", "ro"),
-        seed0_train,
-        profile=seed0_profile,
-        params=PARAMS,
-        ambiguity=seed0_ambiguity,
-        bcd_cfg=default_cfg.bcd_config(),
-    )
+    table = run_benchmark(default_cfg)
     return table, time.perf_counter() - t0
 
 

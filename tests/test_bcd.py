@@ -281,7 +281,7 @@ def small_instance(n_types=2, n_samples=12, seed=8, epsilon=None):
     return profile, samples, amb
 
 
-class TestBcdStep:
+class TestAscentStep:
     """Single iterations of the ascent loop, driven through ``solve`` with a
     small iteration budget from a chosen start point."""
 

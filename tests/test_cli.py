@@ -1,8 +1,9 @@
 import filecmp
+import re
 
-import numpy as np
 import pytest
 
+from drcontract import radius
 from drcontract.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 
 TOY_CONFIG = """
@@ -147,6 +148,26 @@ class TestOracleCommand:
         lat_line = [l for l in printed.splitlines() if l.startswith("oracle_latencies ")][0]
         assert len(lat_line.split()[1].split(",")) == 4
 
+    @pytest.mark.parametrize("lambda_max", ["10", "20"])
+    def test_unbounded_training_data_exits_three(self, tmp_path, capsys, lambda_max):
+        # three anchors outside [60, 100]: mean distance 65.9 / 8 = 8.2375 to
+        # the support, beyond the radius of 8 samples at tau = 0.1
+        data = tmp_path / "train.csv"
+        data.write_text("xi\n46.2\n60\n120.9\n60\n100\n131.2\n100\n60\n")
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text(
+            "thetas = 110, 140\n"
+            "tau = 0.1\n"
+            "oracle_grid_step = 1\n"
+            f"oracle_lambda_max = {lambda_max}\n"
+            f"train_csv = {data}\n"
+        )
+        assert run("oracle", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "gap" not in captured.out
+        numbers = [float(x) for x in re.findall(r"\d+\.\d+", captured.err)]
+        assert numbers == [pytest.approx(8.2375), radius(8, 0.1, 40.0)]
+
 
 class TestExitCodes:
     def test_bad_config_exits_two(self, tmp_path):
@@ -221,6 +242,8 @@ class TestExitCodes:
             "extreme_value = nan",
             "extreme_value = inf",
             "shift_magnitudes = 0, nan",
+            # every subcommand checks the shift ladder, not only bench
+            "shift_magnitudes = 10, 0",
             "gen_mean = nan",
             "gen_mean = inf",
             "gen_sd = nan",

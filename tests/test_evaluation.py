@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -33,9 +34,8 @@ from drcontract import (
     write_metrics_csv,
 )
 from drcontract import evaluation
-from drcontract.config import generate_quality_samples
+from drcontract.config import RunConfig, generate_quality_samples
 from drcontract.evaluation import (
-    EvaluationScenario,
     MetricsTable,
     _chunk_best,
     _gather,
@@ -437,32 +437,24 @@ class TestPrune:
 
 
 class TestRunBenchmark:
-    def _inputs(self, seed=3):
-        rng = np.random.default_rng(seed)
-        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
-        train = QualitySampleSet(rng.uniform(60, 100, 40))
-        evals = QualitySampleSet(rng.uniform(60, 100, 15))
-        amb = AmbiguityConfig.derive(SUPPORT, 0.99, 40)
-        return profile, train, evals, amb
+    CFG = RunConfig(
+        thetas=(110.0, 140.0),
+        alphas=(0.5, 0.5),
+        n_train=40,
+        n_eval=15,
+        shift_magnitudes=(0.0, 10.0),
+        extreme_counts=(0,),
+        seed=3,
+    )
 
     def test_row_shapes_and_method_order(self):
-        profile, train, evals, amb = self._inputs()
-        scenario = EvaluationScenario(eval_samples=evals, shift_magnitudes=(0.0, 10.0))
-        table = run_benchmark(
-            scenario, {"ro", "dro", "sp"}, train, profile=profile, params=PARAMS, ambiguity=amb
-        )
+        table = run_benchmark(self.CFG, {"ro", "dro", "sp"})
         assert len(table.teleop_rows) == 3 * 2
         assert len(table.asp_rows) == 3 * 2
         assert [r[0] for r in table.teleop_rows] == ["dro", "dro", "sp", "sp", "ro", "ro"]
 
     def test_levels_then_methods_then_shifts(self):
-        profile, train, evals, amb = self._inputs()
-        scenario = EvaluationScenario(
-            eval_samples=evals, shift_magnitudes=(0.0, 10.0), extreme_counts=(0, 5)
-        )
-        table = run_benchmark(
-            scenario, {"sp", "dro"}, train, profile=profile, params=PARAMS, ambiguity=amb
-        )
+        table = run_benchmark(replace(self.CFG, extreme_counts=(0, 5)), {"sp", "dro"})
         assert [r[:3] for r in table.teleop_rows] == [
             (m, c, s) for c in (0, 5) for m in ("dro", "sp") for s in (0.0, 10.0)
         ]
@@ -471,28 +463,22 @@ class TestRunBenchmark:
         ]
 
     def test_contamination_hits_training_only(self):
-        profile, train, evals, amb = self._inputs()
-        scenario = EvaluationScenario(
-            eval_samples=evals, shift_magnitudes=(0.0,), extreme_counts=(0, 40)
-        )
-        table = run_benchmark(scenario, {"ro"}, train, profile=profile, params=PARAMS, ambiguity=amb)
+        cfg = replace(self.CFG, shift_magnitudes=(0.0,), extreme_counts=(0, 40))
+        table = run_benchmark(cfg, {"ro"})
         # the worst-case solver never reads samples, and evaluation data is
         # untouched, so full contamination changes nothing for it
         assert table.teleop("ro", 0.0, 0) == pytest.approx(table.teleop("ro", 0.0, 40), abs=1e-12)
 
     def test_deterministic(self):
-        profile, train, evals, amb = self._inputs()
-        scenario = EvaluationScenario(eval_samples=evals, extreme_counts=(5,), seed=11)
-        a = run_benchmark(scenario, {"dro", "sp"}, train, profile=profile, params=PARAMS, ambiguity=amb)
-        b = run_benchmark(scenario, {"dro", "sp"}, train, profile=profile, params=PARAMS, ambiguity=amb)
+        cfg = replace(self.CFG, extreme_counts=(5,), seed=11)
+        a = run_benchmark(cfg, {"dro", "sp"})
+        b = run_benchmark(cfg, {"dro", "sp"})
         assert a.teleop_rows == b.teleop_rows
         assert a.asp_rows == b.asp_rows
 
     def test_unknown_method_rejected(self):
-        profile, train, evals, amb = self._inputs()
-        scenario = EvaluationScenario(eval_samples=evals)
         with pytest.raises(ValidationError):
-            run_benchmark(scenario, {"drl"}, train, profile=profile, params=PARAMS, ambiguity=amb)
+            run_benchmark(self.CFG, {"drl"})
 
     def test_csv_writers(self, tmp_path):
         table = MetricsTable(
@@ -509,24 +495,20 @@ class TestRunBenchmark:
 
 
 class TestScenarioValidation:
+    """RunConfig's checks on the benchmark grid's shifts and levels."""
+
     def test_rejects_negative_extreme_count(self):
         with pytest.raises(ValidationError):
-            EvaluationScenario(eval_samples=QualitySampleSet([70.0]), extreme_counts=(0, -1))
+            RunConfig(extreme_counts=(0, -1))
 
     def test_rejects_unsorted_shifts(self):
-        with pytest.raises(ValidationError):
-            EvaluationScenario(
-                eval_samples=QualitySampleSet([70.0]), shift_magnitudes=(10.0, 0.0)
-            )
+        with pytest.raises(ValidationError, match="sorted"):
+            RunConfig(shift_magnitudes=(10.0, 0.0))
 
     def test_rejects_negative_shift(self):
         with pytest.raises(ValidationError):
-            EvaluationScenario(
-                eval_samples=QualitySampleSet([70.0]), shift_magnitudes=(-1.0,)
-            )
+            RunConfig(shift_magnitudes=(-1.0,))
 
     def test_rejects_nan_shift(self):
         with pytest.raises(ValidationError):
-            EvaluationScenario(
-                eval_samples=QualitySampleSet([70.0]), shift_magnitudes=(0.0, float("nan"))
-            )
+            RunConfig(shift_magnitudes=(0.0, float("nan")))

@@ -135,7 +135,7 @@ def marginal_benefit(xi, latencies, alphas, params=PARAMS):
     )
 
 
-class TestStationaryRoot:
+class TestNoStationaryCandidate:
     """The root of h'(xi) = lam on [lo, anchor] is the maximum of that
     concave branch, so the closed-form kernel never needs it."""
 
@@ -200,7 +200,7 @@ class TestStationaryRoot:
             assert f_min[0] <= fmin + 1e-12
 
 
-class TestSolveInner:
+class TestInnerMinima:
     def test_zero_lambda_floor_wins(self):
         f_min, xi_star = inner_minima([0.0], 0.0, inner_candidates([75.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.lo
