@@ -36,6 +36,7 @@ from .contracts import (
     FeasibilityReport,
     UtilityParams,
     check_feasibility,
+    expected_reward,
     read_menu_csv,
     read_profile_csv,
     rewards_from_latencies,
@@ -69,7 +70,6 @@ from .evaluation import (
 )
 from .inner import (
     InnerCandidates,
-    g_of_L,
     inner_candidates,
     inner_minima,
     weighted_log,

@@ -24,15 +24,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ambiguity import AmbiguityConfig, sample_values
-from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
+from .contracts import AspTypeProfile, ContractMenu, UtilityParams
+from .contracts import expected_reward, rewards_from_latencies
 from .csvio import write_table
 from .errors import NonPositiveDenominator, NumericError, SizeMismatch, ValidationError
 from .inner import (
     InnerCandidates,
     argument_blocks,
-    g_of_L,
     inner_candidates,
     inner_minima,
+    sample_value,
     unbounded,
     weighted_log,
 )
@@ -75,10 +76,13 @@ class SolveReport:
     menu: ContractMenu
     converged: bool
     stop_reason: str
-    iterations_used: int
     objective_trace: np.ndarray
     latency_trace: np.ndarray
     lambda_trace: np.ndarray
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.objective_trace)
 
     @property
     def objective(self) -> float:
@@ -93,24 +97,13 @@ def objective(
     profile: AspTypeProfile,
     params: UtilityParams,
 ):
-    """Evaluate the robust objective at (latencies, lam).
-
-    Takes every anchor's inner minimum at once over ``candidates``
-    (``inner_candidates(anchors, support)``, which a solve builds once and
-    passes to every call), forms each slack as the inner minimum net of the
-    expected reward, and returns (objective, xi_stars) with
-    objective = -lam * epsilon + mean(s_values).
-    """
+    """Evaluate the robust objective at (latencies, lam): returns (objective,
+    xi_stars), the objective being :func:`inner.sample_value` of every
+    anchor's inner minimum over ``candidates`` (``inner_candidates(anchors,
+    support)``, built once per solve) and the expected reward."""
     f_min, xi_stars = inner_minima(latencies, lam, candidates, params, profile.alphas)
-    g = g_of_L(latencies, profile, params.gamma1)
-    s_values = f_min - g
-    return -lam * epsilon + _mean_in_order(s_values), xi_stars
-
-
-def _mean_in_order(values: np.ndarray) -> float:
-    """Mean accumulated sample by sample in order (a running sum of
-    value / n), so results do not depend on numpy's pairwise summation."""
-    return float(np.cumsum(values / values.size)[-1])
+    g = expected_reward(rewards_from_latencies(latencies, profile, params.gamma1), profile.alphas)
+    return float(sample_value(f_min, g, lam, epsilon)), xi_stars
 
 
 def grad_L(xi_stars, latencies, profile: AspTypeProfile, params: UtilityParams) -> np.ndarray:
@@ -219,9 +212,8 @@ def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     anchors = sample_values(anchors)
 
     def evaluate(lat, lam):
-        g = g_of_L(lat, profile, params.gamma1)
-        s_values = weighted_log(anchors, lat, profile.alphas, params) - g
-        return _mean_in_order(s_values), anchors
+        g = expected_reward(rewards_from_latencies(lat, profile, params.gamma1), profile.alphas)
+        return float(sample_value(weighted_log(anchors, lat, profile.alphas, params), g)), anchors
 
     bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
     return _ascend(anchors, 0.0, evaluate, profile, params, bcd_cfg)
@@ -269,7 +261,6 @@ def _ascend(anchors, epsilon, evaluate, profile, params, cfg: BcdConfig) -> Solv
         menu=ContractMenu(latencies=lat, rewards=rewards),
         converged=converged,
         stop_reason="tol" if converged else "max_iters",
-        iterations_used=len(obj_trace),
         objective_trace=np.array(obj_trace),
         latency_trace=np.array(lat_trace),
         lambda_trace=np.array(lam_trace),

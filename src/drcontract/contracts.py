@@ -162,6 +162,18 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     return np.cumsum(gamma1 * increments / profile.thetas, axis=-1)
 
 
+def expected_reward(rewards, alphas):
+    """Expected reward ``sum_i alpha_i * R_i`` of a reward vector, or of each
+    row of a (menus, types) stack, added type by type: elementwise per row."""
+    columns = rewards.T
+    if len(columns) != len(alphas):
+        raise SizeMismatch(f"{len(alphas)} alphas vs {len(columns)} rewards")
+    total = alphas[0] * columns[0]
+    for i in range(1, len(alphas)):
+        total += alphas[i] * columns[i]
+    return total
+
+
 def check_feasibility(
     menu: ContractMenu,
     profile: AspTypeProfile,

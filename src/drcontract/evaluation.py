@@ -21,7 +21,8 @@ from .ambiguity import (
 )
 from .bcd import BcdConfig, SolveReport, solve, solve_pinned
 from .config import RunConfig
-from .contracts import AspTypeProfile, ContractMenu, UtilityParams, rewards_from_latencies
+from .contracts import AspTypeProfile, ContractMenu, UtilityParams
+from .contracts import expected_reward, rewards_from_latencies
 from .csvio import write_table
 from .errors import (
     GridTooLarge,
@@ -35,6 +36,7 @@ from .inner import (
     inner_candidates,
     log_blocks,
     multiplier_argmax,
+    sample_value,
     weighted_log,
 )
 
@@ -71,9 +73,9 @@ def eval_teleop_utility(
     params: UtilityParams,
 ) -> float:
     """Mean over evaluation samples of the type-weighted operator utility
-    ``sum_i alpha_i * (ln(gamma2*xi + gamma3*L_i) - R_i)``."""
-    if menu.n_types != profile.n_types:
-        raise SizeMismatch("menu and profile must have the same length")
+    ``sum_i alpha_i * (ln(gamma2*xi + gamma3*L_i) - R_i)``, assembled as the
+    solvers' objective (:func:`inner.sample_value`).  Raises SizeMismatch
+    unless the menu has one bundle per type."""
     xi = eval_samples.samples
     try:
         benefit = weighted_log(xi, menu.latencies, profile.alphas, params)
@@ -82,7 +84,7 @@ def eval_teleop_utility(
         raise NonPositiveLogArgument(
             f"sample {idx} (xi={float(xi[idx])!r}): {exc}", sample_index=idx
         ) from exc
-    return float(np.mean(benefit)) - float(profile.alphas @ menu.rewards)
+    return float(sample_value(benefit, expected_reward(menu.rewards, profile.alphas)))
 
 
 def eval_asp_utilities(menu: ContractMenu, profile: AspTypeProfile, gamma1: float) -> np.ndarray:
@@ -175,8 +177,9 @@ def oracle_menu_search(
     computed once into a table by :func:`inner.log_blocks`, the grid values
     taking the place of types, scaled by each type's probability, and each
     latency point's log benefits are gathered from it type by type in type
-    order: the same float sequence as :func:`weighted_log`, so the values are
-    bit-identical to evaluating it per point.
+    order, as :func:`weighted_log` adds them.  With the solver's expected
+    reward and assembly, a point's value at a grid multiplier is
+    :func:`bcd.objective`'s bit for bit and depends on that point alone.
 
     Each point's objective is concave and piecewise linear in the
     multiplier (:func:`inner.branch_minima`), so its grid maximum is found
@@ -194,12 +197,9 @@ def oracle_menu_search(
     first maximal point is evaluated whenever it beats the incumbent.  The
     survivors keep chunk order, so ties still go to the first point within
     a chunk, and a later chunk replaces the incumbent only when strictly
-    better: the result is bit-identical to evaluating every point.  Each
-    point's value depends on that point alone, provided the expected
-    rewards are computed over the whole chunk (a matrix-vector product over
-    a subset of rows can round differently).  On the criterion-05 instance
-    at grid step 0.025, 7 of the 41 chunks are skipped and 34 of the
-    2,003,001 points are evaluated exactly.
+    better: the result is bit-identical to evaluating every point.  On the
+    criterion-05 instance at grid step 0.025, 7 of the 41 chunks are skipped
+    and 34 of the 2,003,001 points are evaluated exactly.
 
     The evaluation budget caps (latency points) x (samples) at
     ``_EVALUATION_BUDGET``, the work if nothing were pruned.  A second term
@@ -242,7 +242,7 @@ def oracle_menu_search(
     best_lat = None
     for chunk in _monotone_chunks(n_l, n_types, anchors.size):
         lat = values[chunk]
-        g = rewards_from_latencies(lat, profile, params.gamma1) @ profile.alphas
+        g = expected_reward(rewards_from_latencies(lat, profile, params.gamma1), profile.alphas)
         bound = row_bound(chunk, g)
         top = int(np.argmax(bound))
         if bound[top] < best_omega:
@@ -292,31 +292,32 @@ class _RowBound:
     per-type means ``m_i = mean(scaled_i[:, 1:], axis=1)``, computed once
     per grid value.
 
-    **Slack.**  Both U and the objective are computed in floats.  Let
-    u = 2**-53 and gamma_m = m*u / (1 - m*u), which bounds the error of a
-    sum of m + 1 terms relative to the sum of their magnitudes, pairwise
-    sums included (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., §3.1 and §4.2).  Every term either side adds is
-    at most ``T = A + D + g`` in magnitude, with ``A`` the sum over types of
-    the largest magnitude in the type's scaled table, ``D = lambda_max * (max|anchor - lo| +
-    eps)`` (as |anchor - p| <= |anchor - lo|) and g >= 0 on the grid.  The
-    objective sums k types, then n samples, and subtracts two terms; U
-    takes n-sample means, sums k types, adds and subtracts g.  Each errs by
-    at most gamma_{n+k+4} * T, so together by less than
-    ``2 * (2n + 2k + 8) * u * T`` while (2n + 2k + 8) * u <= 1/2, which the
-    oracle's table budget guarantees.  The slack
-    ``_BOUND_SLACK * (n + k + 5) * T``, with ``_BOUND_SLACK = 4u``, covers
-    that, and the rounding of the slack and of its addition too.
+    **Slack.**  Both U and the objective are computed in floats.  With
+    u = 2**-53, a sum of terms that each pass through at most m roundings
+    errs by at most gamma_m = m*u / (1 - m*u) times the sum of their
+    magnitudes, pairwise sums included (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., §3.1 and §4.2).  Every term either side
+    adds is at most ``T = A + D + g`` in magnitude: ``A`` sums over types
+    the largest magnitude in the type's scaled table,
+    ``D = lambda_max * (max|anchor - lo| + eps)`` (as |anchor - p| <=
+    |anchor - lo|) and g >= 0 on the grid.  The objective sums k types, adds
+    the transport term, subtracts g, divides by n, sums the n samples in
+    order and adds -lam*eps; U takes n-sample means, sums k types, adds
+    max(s, 0)*lambda_max (a mean, a difference and a product) and subtracts
+    g.  Either way a term passes through at most n + k + 3 roundings, so the
+    two err by less than 4*(n + k + 3)*u*T while (n + k + 3)*u <= 1/2, which
+    the table budget guarantees.  The slack ``_BOUND_SLACK * (n + k + 4) * T``
+    (``_BOUND_SLACK = 4u``) covers that and its own rounding and addition.
     """
 
     def __init__(self, scaled, candidates: InnerCandidates, eps: float, lambda_max: float):
         self.lo = [s[:, 0] for s in scaled]
         self.p_mean = [s[:, 1:].mean(axis=1) for s in scaled]
-        self.rise_lo = _rise(candidates.lo_distance, eps, lambda_max)
-        self.rise_p = _rise(candidates.p_distance, eps, lambda_max)
+        self.rise_lo = max(float(candidates.lo_distance.mean()) - eps, 0.0) * lambda_max
+        self.rise_p = max(float(candidates.p_distance.mean()) - eps, 0.0) * lambda_max
         self.magnitude = sum(float(np.abs(s).max()) for s in scaled)
         self.magnitude += lambda_max * (float(candidates.lo_distance.max()) + eps)
-        self.slack_rate = _BOUND_SLACK * (candidates.lo_distance.size + len(scaled) + 5)
+        self.slack_rate = _BOUND_SLACK * (candidates.lo_distance.size + len(scaled) + 4)
 
     def __call__(self, chunk, g) -> np.ndarray:
         """U plus the slack for each row of grid indices in ``chunk``, whose
@@ -329,13 +330,6 @@ class _RowBound:
         bound -= g
         bound += self.slack_rate * (self.magnitude + g)
         return bound
-
-
-def _rise(distances, eps: float, lambda_max: float) -> float:
-    """Largest gain over lam in [0, lambda_max] of a line with slope
-    ``mean(distances) - eps``."""
-    slope = float(distances.mean()) - eps
-    return slope * lambda_max if slope > 0.0 else 0.0
 
 
 def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
@@ -382,7 +376,7 @@ def _chunk_best(h, g, candidates: InnerCandidates, eps, grid_step: float, lambda
 
 def _psi(h, g, lam, candidates: InnerCandidates, eps: float) -> np.ndarray:
     """Objective per row of ``h`` at that row's multiplier ``lam``."""
-    return branch_minima(h, lam, candidates).mean(axis=1) - g - lam * eps
+    return sample_value(branch_minima(h, lam, candidates), g, lam, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ambiguity import SupportInterval
-from .contracts import AspTypeProfile, UtilityParams, rewards_from_latencies
+from .contracts import UtilityParams
 from .errors import NonPositiveLogArgument, SizeMismatch, ValidationError
 
 
@@ -198,8 +198,11 @@ def unbounded(candidates: InnerCandidates, eps: float) -> bool:
     return float(candidates.p_distance.mean()) > eps
 
 
-def g_of_L(latencies, profile: AspTypeProfile, gamma1: float) -> float:
-    """Expected reward ``sum_i alpha_i * R_i`` of the constructed menu,
-    accumulated type by type in order."""
-    rewards = rewards_from_latencies(latencies, profile, gamma1)
-    return float(np.cumsum(profile.alphas * rewards)[-1])
+def sample_value(benefit, g, lam=0.0, eps=0.0):
+    """The objective, ``-lam*eps + mean(benefit - g)`` over the last axis (the
+    samples), of one menu or a stack (a ``g`` and ``lam`` per row).  The mean
+    adds ``(benefit_n - g) / n`` in sample order, so rows are independent."""
+    values = benefit - np.asarray(g, dtype=float)[..., None]
+    values /= values.shape[-1]
+    np.cumsum(values, axis=-1, out=values)
+    return -lam * eps + values.T[-1]  # the last column; a scalar for one menu

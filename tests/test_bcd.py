@@ -21,7 +21,7 @@ from drcontract import (
     UtilityParams,
     ValidationError,
     check_feasibility,
-    g_of_L,
+    expected_reward,
     grad_L,
     grad_lambda,
     inject_extreme_points,
@@ -29,6 +29,7 @@ from drcontract import (
     inner_minima,
     iron_monotone,
     objective,
+    rewards_from_latencies,
     solve,
     train_method,
     write_trace_csv,
@@ -51,7 +52,8 @@ def slacks(latencies, lam, samples, profile):
     f_min, _ = inner_minima(
         latencies, lam, inner_candidates(samples.samples, SUPPORT), PARAMS, profile.alphas
     )
-    return f_min - g_of_L(latencies, profile, PARAMS.gamma1)
+    rewards = rewards_from_latencies(latencies, profile, PARAMS.gamma1)
+    return f_min - expected_reward(rewards, profile.alphas)
 
 
 class TestObjective:

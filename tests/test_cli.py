@@ -85,6 +85,19 @@ class TestEvaluate:
         assert lines[0].startswith("teleop_utility ")
         assert len([l for l in lines if l.startswith("asp_utility ")]) == 2
 
+    def test_sp_menu_on_its_training_data_scores_its_objective(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("gen-data", "--seed", "0", "--out", data) == 0
+        cfg = tmp_path / "sp.cfg"
+        cfg.write_text(f"train_csv = {data / 'train.csv'}\n")
+        out = tmp_path / "out"
+        assert run("solve", "--config", cfg, "--method", "sp", "--seed", "0", "--out", out) == 0
+        objective = (out / "trace.csv").read_text().splitlines()[-1].split(",")[2]
+        cfg.write_text(f"menu_csv = {out / 'menu.csv'}\neval_csv = {data / 'train.csv'}\n")
+        capsys.readouterr()
+        assert run("evaluate", "--config", cfg, "--seed", "0", "--out", out) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"teleop_utility {objective}"
+
     def test_missing_menu_is_data_error(self, toy_config, tmp_path):
         assert run("evaluate", "--config", toy_config, "--out", tmp_path / "o") == EXIT_DATA
 

@@ -22,6 +22,7 @@ from drcontract import (
     ValidationError,
     eval_asp_utilities,
     eval_teleop_utility,
+    expected_reward,
     generate_alphas,
     inner_candidates,
     objective,
@@ -118,12 +119,20 @@ def unpruned_oracle(profile, samples, amb, step, l_max, lambda_max):
     best_omega, best_lat = -np.inf, None
     for chunk in _monotone_chunks(values.size, profile.n_types, samples.n):
         lat = values[chunk]
-        g = rewards_from_latencies(lat, profile, PARAMS.gamma1) @ profile.alphas
+        g = expected_reward(rewards_from_latencies(lat, profile, PARAMS.gamma1), profile.alphas)
         h = _gather(scaled, chunk)
         omega, idx = _chunk_best(h, g, candidates, amb.epsilon, step, lambda_max)
         if omega > best_omega:
             best_omega, best_lat = omega, lat[idx].copy()
     return float(best_omega), best_lat
+
+
+def grid_max_objective(lat, profile, samples, amb, step, lambda_max):
+    """Largest :func:`bcd.objective` at ``lat`` over the oracle's
+    multiplier grid."""
+    candidates = inner_candidates(samples.samples, amb.support)
+    lams = step * np.arange(round(lambda_max / step) + 1)
+    return max(objective(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0] for lam in lams)
 
 
 class TestEvalTeleopUtility:
@@ -160,6 +169,12 @@ class TestEvalTeleopUtility:
             eval_teleop_utility(menu, QualitySampleSet([70.0, -3.0, -10.0]), two, PARAMS)
         assert err.value.sample_index == 1
         assert "sample 1 (xi=-3.0)" in str(err.value)
+
+    def test_rejects_a_menu_for_another_type_count(self):
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
+        menu = ContractMenu(latencies=[5.0], rewards=[0.1])
+        with pytest.raises(SizeMismatch):
+            eval_teleop_utility(menu, QualitySampleSet([70.0]), profile, PARAMS)
 
     def test_monotone_in_downward_shift(self):
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.4, 0.6])
@@ -314,8 +329,9 @@ class TestOracle:
         omega, lat = oracle_menu_search(
             profile, samples, PARAMS, amb, 0.05, l_max=50.0, lambda_max=10.0
         )
-        assert omega == 4.256970764931453
+        assert omega == 4.256970764931454
         assert lat.tolist() == [29.5, 50.0]
+        assert omega == grid_max_objective(lat, profile, samples, amb, 0.05, 10.0)
 
     def test_pinned_criterion_05_instance_at_benchmark_step(self):
         # the perfbench oracle workload's instance
@@ -327,6 +343,7 @@ class TestOracle:
         )
         assert omega == 4.256970765256351
         assert lat.tolist() == [29.475, 50.0]
+        assert omega == grid_max_objective(lat, profile, samples, amb, 0.025, 10.0)
 
     def test_pinned_three_type_instance(self):
         # a small radius puts the multiplier argmax above zero, and the
@@ -337,8 +354,9 @@ class TestOracle:
         omega, lat = oracle_menu_search(
             profile, samples, PARAMS, amb, 1.0, l_max=130.0, lambda_max=3.0
         )
-        assert omega == 4.324011596838207
+        assert omega == 4.324011596838206
         assert lat.tolist() == [7.0, 52.0, 120.0]
+        assert omega == grid_max_objective(lat, profile, samples, amb, 1.0, 3.0)
 
     def test_pinned_single_type_instance(self):
         profile = AspTypeProfile(thetas=[150.0], alphas=[1.0])
@@ -347,6 +365,7 @@ class TestOracle:
         omega, lat = oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=120.0)
         assert omega == 4.410635294096256
         assert lat.tolist() == [90.0]
+        assert omega == grid_max_objective(lat, profile, samples, amb, 0.05, 10.0)
 
     @given(oracle_instances())
     @settings(max_examples=40, deadline=None)
@@ -395,16 +414,39 @@ class TestPrune:
         candidates = inner_candidates(samples.samples, amb.support)
         scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
         (chunk,) = _monotone_chunks(values.size, profile.n_types, samples.n)
-        g = rewards_from_latencies(values[chunk], profile, PARAMS.gamma1) @ profile.alphas
+        rewards = rewards_from_latencies(values[chunk], profile, PARAMS.gamma1)
+        g = expected_reward(rewards, profile.alphas)
         bound = _RowBound(scaled, candidates, amb.epsilon, lambda_max)(chunk, g)
         h = _gather(scaled, chunk)
         for lam in step * np.arange(round(lambda_max / step) + 1):
             assert np.all(bound >= _psi(h, g, np.full(g.size, lam), candidates, amb.epsilon))
 
+    @given(pruning_instances(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_row_value_is_the_bcd_objective(self, instance, data):
+        profile, samples, amb, step, l_max, lambda_max = instance
+        values = step * np.arange(round(l_max / step) + 1)
+        candidates = inner_candidates(samples.samples, amb.support)
+        scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
+        (chunk,) = _monotone_chunks(values.size, profile.n_types, samples.n)
+        rewards = rewards_from_latencies(values[chunk], profile, PARAMS.gamma1)
+        g = expected_reward(rewards, profile.alphas)
+        h = _gather(scaled, chunk)
+        rows = data.draw(st.lists(st.integers(0, len(chunk) - 1), min_size=1, max_size=8))
+        lam = step * data.draw(st.integers(0, round(lambda_max / step)))
+        whole = _psi(h, g, np.full(g.size, lam), candidates, amb.epsilon)
+        subset = _psi(h[rows], g[rows], np.full(len(rows), lam), candidates, amb.epsilon)
+        expected = [
+            objective(values[chunk[r]], lam, candidates, amb.epsilon, profile, PARAMS)[0]
+            for r in rows
+        ]
+        assert whole[rows].tolist() == expected
+        assert subset.tolist() == expected
+
     def test_rewards_come_from_the_whole_chunk(self):
-        # rewards recomputed over the few surviving rows round the winner's
-        # 1 ulp differently here (a matrix-vector product's sums depend on
-        # its row count), which moves the objective's last bit
+        # a matrix-vector product over the few surviving rows rounds the
+        # winner's expected reward 1 ulp off the whole chunk's here; the
+        # type-ordered sum is elementwise, so the row count cannot matter
         profile = AspTypeProfile(
             thetas=[194.03665531651757, 247.69404443910784],
             alphas=[0.5554191533555473, 0.4445808466444527],

@@ -15,7 +15,7 @@ from drcontract import (
     SupportInterval,
     UtilityParams,
     ValidationError,
-    g_of_L,
+    expected_reward,
     inject_extreme_points,
     inner_candidates,
     inner_minima,
@@ -84,15 +84,20 @@ class TestPenalizedBenefit:
             f_n(0.0, [0.0], 0.0, 0.0, PARAMS, [1.0])
 
 
+def reward_sum(latencies, profile, gamma1=1.0):
+    """Expected reward of the constructed menu at ``latencies``."""
+    return expected_reward(rewards_from_latencies(latencies, profile, gamma1), profile.alphas)
+
+
 class TestExpectedReward:
     def test_zero_latencies(self):
-        assert g_of_L([0.0, 0.0], AspTypeProfile([110, 140], [0.5, 0.5]), 1.0) == 0.0
+        assert reward_sum([0.0, 0.0], AspTypeProfile([110, 140], [0.5, 0.5])) == 0.0
 
     def test_single_type(self):
-        assert g_of_L([5.0], AspTypeProfile([1.0], [1.0]), 1.0) == pytest.approx(5.0)
+        assert reward_sum([5.0], AspTypeProfile([1.0], [1.0])) == pytest.approx(5.0)
 
     def test_hand_evaluated(self):
-        got = g_of_L([10.0, 20.0], AspTypeProfile([110.0, 140.0], [0.25, 0.75]), 1.0)
+        got = reward_sum([10.0, 20.0], AspTypeProfile([110.0, 140.0], [0.25, 0.75]))
         assert got == pytest.approx(0.25 * (10 / 110) + 0.75 * (10 / 110 + 10 / 140), abs=1e-12)
 
     def test_matches_reward_dot_product(self):
@@ -104,7 +109,7 @@ class TestExpectedReward:
             profile = AspTypeProfile(thetas=thetas, alphas=alphas / alphas.sum())
             lat = np.sort(rng.uniform(0, 200, n))
             rewards = rewards_from_latencies(lat, profile, 1.0)
-            assert g_of_L(lat, profile, 1.0) == pytest.approx(
+            assert reward_sum(lat, profile) == pytest.approx(
                 float(profile.alphas @ rewards), abs=1e-12
             )
 
@@ -120,11 +125,28 @@ class TestExpectedReward:
             total = 0.0
             for alpha, reward in zip(profile.alphas, rewards_from_latencies(lat, profile, 1.0)):
                 total += alpha * reward
-            assert g_of_L(lat, profile, 1.0) == total
+            assert reward_sum(lat, profile) == total
+
+    def test_stack_rows_match_single_menus(self):
+        # each row of a stack bit for bit as the menu alone, whatever the
+        # stack's height
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 8, 64):
+            thetas = np.sort(rng.uniform(50, 400, n))
+            profile = AspTypeProfile(thetas=thetas, alphas=rng.dirichlet(np.ones(n)))
+            lat = np.sort(rng.uniform(0, 200, (37, n)), axis=1)
+            stacked = reward_sum(lat, profile)
+            assert stacked.shape == (37,)
+            assert stacked.tolist() == [reward_sum(row, profile) for row in lat]
+            assert reward_sum(lat[5:9], profile).tolist() == stacked[5:9].tolist()
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(SizeMismatch):
+            expected_reward(np.array([1.0, 2.0, 3.0]), [0.5, 0.5])
 
     def test_rejects_decreasing(self):
         with pytest.raises(NonMonotoneLatencies):
-            g_of_L([3.0, 1.0], AspTypeProfile([110, 140], [0.5, 0.5]), 1.0)
+            reward_sum([3.0, 1.0], AspTypeProfile([110, 140], [0.5, 0.5]))
 
 
 def marginal_benefit(xi, latencies, alphas, params=PARAMS):
@@ -272,7 +294,7 @@ class TestSlackValue:
         a = objective([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
         b = objective([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
         assert a == b
-        reward = g_of_L([3.0, 8.0], profile, PARAMS.gamma1)
+        reward = reward_sum([3.0, 8.0], profile, PARAMS.gamma1)
         assert a == pytest.approx(f_min[0] - reward, abs=1e-12)
 
 

@@ -9,6 +9,7 @@ from drcontract import (
     AspTypeProfile,
     BcdConfig,
     QualitySampleSet,
+    RunConfig,
     SupportInterval,
     UtilityParams,
     check_feasibility,
@@ -131,3 +132,29 @@ class TestWorstCase:
         u_sp = eval_teleop_utility(sp.menu, samples, profile, PARAMS)
         assert ro.objective <= sp.objective
         assert u_ro <= u_sp + 1e-9
+
+
+class TestScorerAgreement:
+    """The scorer assembles the operator utility as the pinned solver
+    assembles its objective, so each seed-0 reference menu scored on its
+    own training points reproduces its objective bit for bit."""
+
+    CFG = RunConfig(seed=0)
+
+    def train(self, method):
+        cfg = self.CFG
+        train = cfg.train_samples()
+        amb = cfg.ambiguity_for(train.n)
+        return train_method(method, train, cfg.profile(), cfg.params(), amb, cfg.bcd_config())
+
+    def test_sp_objective_is_its_training_score(self):
+        report = self.train("sp")
+        train = self.CFG.train_samples()
+        score = eval_teleop_utility(report.menu, train, self.CFG.profile(), self.CFG.params())
+        assert score == report.objective
+
+    def test_ro_objective_is_its_score_at_the_floor(self):
+        report = self.train("ro")
+        floor = QualitySampleSet([self.CFG.support().lo])
+        score = eval_teleop_utility(report.menu, floor, self.CFG.profile(), self.CFG.params())
+        assert score == report.objective
