@@ -16,13 +16,14 @@ three-type instance whose multiplier argmax leaves zero, where the oracle's
 bound prunes few latency points.
 
 Each kernel is called as a solve calls it: ``objective`` takes the inner
-candidates that a solve builds once (``inner.inner_candidates``), so their
-construction is not timed.  :func:`kernels` builds the callables and
-:func:`measure` times them.  The solve figure is total solve time over
-iterations, one start-point evaluation included.  BLAS/OpenMP threads are
-pinned to 1 when the script runs.  Each figure is the best of
-``REPEATS`` timed loops of about ``BUDGET_S`` seconds each (the solve: best
-of ``REPEATS`` solves); both are stored with each run.
+candidates that a solve builds once (``inner.inner_candidates``), and
+``grad_L`` the scaled minimizers ``gamma2*xi`` and the prices
+``gamma1/theta``, so their construction is not timed.  :func:`kernels`
+builds the callables and :func:`measure` times them.  The solve figure is
+total solve time over iterations, one start-point evaluation included.
+BLAS/OpenMP threads are pinned to 1 when the script runs.  Each figure is
+the best of ``REPEATS`` timed loops of about ``BUDGET_S`` seconds each (the
+solve: best of ``REPEATS`` solves); both are stored with each run.
 
 ``--src DIR`` imports ``drcontract`` from DIR, another checkout's ``src``,
 so before and after numbers come from one machine.  Each run stores its
@@ -94,12 +95,13 @@ def kernels(cfg, solve_cfg):
     n_types = profile.n_types
     lat = np.linspace(0.0, 100.0, n_types)
     xi = np.clip(samples.samples, amb.support.lo, amb.support.hi)
+    scaled_xi, price = params.gamma2 * xi, params.gamma1 / profile.thetas  # built once per solve
     rough = lat + np.random.default_rng(0).normal(0.0, 5.0, n_types)  # PAVA pools
     weights = np.maximum(profile.alphas, 1e-12)
     calls = {
         "objective": lambda: bcd.objective(lat, 0.5, candidates, amb.epsilon, profile, params),
         "weighted_log": lambda: inner.weighted_log(xi, lat, profile.alphas, params),
-        "grad_L": lambda: bcd.grad_L(xi, lat, profile, params),
+        "grad_L": lambda: bcd.grad_L(scaled_xi, lat, profile.alphas, price, params.gamma3),
         "iron_monotone": lambda: bcd.iron_monotone(rough, weights),
         "rewards_from_latencies": lambda: contracts.rewards_from_latencies(
             lat, profile, params.gamma1

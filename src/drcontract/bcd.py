@@ -33,6 +33,7 @@ from .inner import (
     argument_blocks,
     inner_candidates,
     inner_minima,
+    least_argument,
     sample_value,
     unbounded,
     weighted_log,
@@ -98,47 +99,56 @@ def objective(
     params: UtilityParams,
 ):
     """Evaluate the robust objective at (latencies, lam): returns (objective,
-    xi_stars), the objective being :func:`inner.sample_value` of every
-    anchor's inner minimum over ``candidates`` (``inner_candidates(anchors,
-    support)``, built once per solve) and the expected reward."""
-    f_min, xi_stars = inner_minima(latencies, lam, candidates, params, profile.alphas)
+    wins), the objective being :func:`inner.sample_value` of every anchor's
+    inner minimum over ``candidates`` (``inner_candidates(anchors,
+    support)``, built once per solve) and the expected reward, and ``wins``
+    marking the anchors whose minimizer is their projection rather than the
+    floor (see :func:`inner.inner_minima`)."""
+    f_min, wins = inner_minima(latencies, lam, candidates, params, profile.alphas)
     g = expected_reward(rewards_from_latencies(latencies, profile, params.gamma1), profile.alphas)
-    return float(sample_value(f_min, g, lam, epsilon)), xi_stars
+    return float(sample_value(f_min, g, lam, epsilon)), wins
 
 
-def grad_L(xi_stars, latencies, profile: AspTypeProfile, params: UtilityParams) -> np.ndarray:
-    """Approximate latency gradient, holding the inner minimizers fixed.
+def grad_L(scaled_xi, latencies, alphas, price, gamma3: float) -> np.ndarray:
+    """Approximate latency gradient, holding the inner minimizers xi* fixed.
 
-    Component i is mean_n [alpha_i*gamma3/(gamma2*xi_n + gamma3*L_i)]
-    minus alpha_i*gamma1/theta_i.
+    Component i is alpha_i * (gamma3 * mean_n 1/(gamma2*xi*_n + gamma3*L_i)
+    - gamma1/theta_i), given the 1-D ``scaled_xi`` = gamma2*xi* and
+    ``price`` = gamma1/theta, which a solve builds once.
 
-    The denominators come from :func:`inner.argument_blocks`, one
-    ``(k, N)`` table per block of types over the 1-D minimizers, each with
-    one sign check and one row-wise ``cumsum``.  A cumsum adds strictly in
-    sample order, unlike numpy's pairwise ``sum``, so each type's sum is the
-    same float sequence whatever the block size.  Raises ValidationError
-    unless ``xi_stars`` is 1-D.
+    The denominators come from :func:`inner.argument_blocks`, one ``(k, N)``
+    table per block of types, each summed row-wise by ``np.add.accumulate``.
+    That adds strictly in sample order, unlike numpy's pairwise ``sum``, so
+    each type's sum is the same float sequence whatever the block size.
+    Before any table is built, one O(N + I) test of the least denominator
+    (:func:`inner.least_argument`, exact because rounding is monotone)
+    raises NonPositiveDenominator when any denominator is not positive.
+    Raises ValidationError unless ``scaled_xi`` is 1-D.
     """
-    xi = np.asarray(xi_stars, dtype=float)
-    inverse_sums = np.empty(np.size(latencies))
-    for types, denom in argument_blocks(xi, latencies, params):
-        if (denom <= 0.0).any():
-            raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
-        inverse_sums[types] = np.cumsum(1.0 / denom, axis=1)[:, -1]
-    benefit = params.gamma3 * (inverse_sums / xi.size)
-    return profile.alphas * (benefit - params.gamma1 / profile.thetas)
+    scaled_xi = np.asarray(scaled_xi, dtype=float)
+    if scaled_xi.ndim != 1:
+        raise ValidationError(f"minimizers must be a 1-D array, got shape {scaled_xi.shape}")
+    scaled_lat = gamma3 * np.asarray(latencies, dtype=float)
+    if least_argument(scaled_xi, scaled_lat) <= 0.0:
+        raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
+    inverse_sums = np.empty(scaled_lat.size)
+    for types, denom in argument_blocks(scaled_xi, scaled_lat):
+        np.divide(1.0, denom, out=denom)
+        inverse_sums[types] = np.add.accumulate(denom, axis=1, out=denom)[:, -1]
+    benefit = gamma3 * (inverse_sums / scaled_xi.size)
+    return alphas * (benefit - price)
 
 
-def grad_lambda(xi_stars, anchors, epsilon: float) -> float:
-    """Multiplier gradient: mean transport distance minus the radius."""
-    xi = np.asarray(xi_stars, dtype=float)
-    anc = sample_values(anchors)
-    if xi.size != anc.size:
-        raise SizeMismatch(f"xi_stars ({xi.size}) vs anchors ({anc.size})")
-    return float(-epsilon + np.abs(xi - anc).mean())
+def grad_lambda(distances, epsilon: float) -> float:
+    """Multiplier gradient: the mean transport distance |anchor - xi*| of the
+    inner minimizers, given as ``distances``, minus the radius.  The mean is
+    ``np.add.reduce(d) / n``, the float ``d.mean()`` computes, without its
+    Python wrapper."""
+    distances = np.asarray(distances, dtype=float)
+    return float(-epsilon + np.add.reduce(distances) / distances.size)
 
 
-def iron_monotone(latencies, weights) -> np.ndarray:
+def iron_monotone(latencies, weights, *, validate=True) -> np.ndarray:
     """Weighted least-squares projection onto the nondecreasing cone.
 
     Pool-adjacent-violators: scan left to right, merging any block whose
@@ -148,15 +158,27 @@ def iron_monotone(latencies, weights) -> np.ndarray:
     while w*v stays a normal float, and often differs from v in the last
     bit.  Neighbours less than 2 ulps apart (ties, say) can therefore cross
     after rounding and get pooled, which moves them by a few ulps more.
+
+    When no singleton mean (w*v)/w exceeds its successor's, the scan never
+    merges (its first merge compares two singletons), so those rounded means
+    are returned at once: the loop's output bit for bit, so the few-ulp
+    moves above are kept, not fixed.  ``validate=False`` skips the finiteness and weight
+    checks, for a caller that has made them (the ascent checks each step
+    and validates its weights at the start point).
     """
     vals = np.asarray(latencies, dtype=float)
     w = np.asarray(weights, dtype=float)
     if vals.size != w.size:
         raise SizeMismatch("latencies and weights must have equal length")
-    if not np.isfinite(vals).all():
-        raise ValidationError("latencies must be finite")
-    if (w <= 0.0).any():
-        raise ValidationError("weights must be strictly positive")
+    if validate:
+        if not np.isfinite(vals).all():
+            raise ValidationError("latencies must be finite")
+        if (w <= 0.0).any():
+            raise ValidationError("weights must be strictly positive")
+    means = w * vals
+    means /= w
+    if not np.logical_or.reduce(means[:-1] > means[1:]):
+        return means
     # blocks of (weight sum, weighted value sum, member count)
     blocks = []
     for v, wt in zip(vals.tolist(), w.tolist()):
@@ -190,11 +212,16 @@ def solve(
 
     anchors = sample_values(samples)
     candidates = inner_candidates(anchors, ambiguity.support)
+    # gamma2*xi* and |anchor - xi*| per candidate; the winners pick one each
+    scaled = params.gamma2 * candidates.points
+    scaled_lo, scaled_p = float(scaled[0]), scaled[1:]
 
     def evaluate(lat, lam):
-        return objective(lat, lam, candidates, ambiguity.epsilon, profile, params)
+        omega, wins = objective(lat, lam, candidates, ambiguity.epsilon, profile, params)
+        distances = np.where(wins, candidates.p_distance, candidates.lo_distance)
+        return omega, np.where(wins, scaled_p, scaled_lo), distances
 
-    report = _ascend(anchors, ambiguity.epsilon, evaluate, profile, params, bcd_cfg or BcdConfig())
+    report = _ascend(ambiguity.epsilon, evaluate, profile, params, bcd_cfg or BcdConfig())
     if unbounded(candidates, ambiguity.epsilon):
         report.stop_reason = "unbounded"
     return report
@@ -210,42 +237,48 @@ def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     stopping rule are otherwise the robust solver's.
     """
     anchors = sample_values(anchors)
+    scaled, distances = params.gamma2 * anchors, np.zeros(anchors.size)
 
     def evaluate(lat, lam):
         g = expected_reward(rewards_from_latencies(lat, profile, params.gamma1), profile.alphas)
-        return float(sample_value(weighted_log(anchors, lat, profile.alphas, params), g)), anchors
+        omega = sample_value(weighted_log(anchors, lat, profile.alphas, params), g)
+        return float(omega), scaled, distances
 
     bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
-    return _ascend(anchors, 0.0, evaluate, profile, params, bcd_cfg)
+    return _ascend(0.0, evaluate, profile, params, bcd_cfg)
 
 
-def _ascend(anchors, epsilon, evaluate, profile, params, cfg: BcdConfig) -> SolveReport:
-    """The ascent engine.  ``evaluate(lat, lam)`` returns (objective,
-    xi_stars) and fixes the inner rule; it runs once at the start point and
-    once per iteration.  Raises NumericError when an iterate or its
+def _ascend(epsilon, evaluate, profile, params, cfg: BcdConfig) -> SolveReport:
+    """The ascent engine.  ``evaluate(lat, lam)`` returns the objective and,
+    at its inner minimizers xi*, gamma2*xi* and the transport distances
+    |anchor - xi*|; it fixes the inner rule and runs once at the start point
+    and once per iteration.  Raises NumericError when an iterate or its
     objective is not finite, or the latencies decrease."""
     # Zero-probability types get a tiny ironing weight so pooling stays defined.
     weights = np.maximum(profile.alphas, 1e-12)
+    price = params.gamma1 / profile.thetas
     # Latencies are ironed onto the nondecreasing cone, then clipped at zero:
-    # inverse latencies cannot go negative.
+    # inverse latencies cannot go negative.  This first call validates the
+    # weights; each step is checked for finiteness before it is ironed.
     lat = np.maximum(iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
     lam = float(cfg.lambda_init)
-    omega, xi_stars = evaluate(lat, lam)
+    omega, scaled_xi, distances = evaluate(lat, lam)
 
     omega_prev = -np.inf
     converged = False
     obj_trace, lam_trace, lat_trace = [], [], []
     for _ in range(cfg.max_iters):
-        stepped = lat + cfg.eta_L * grad_L(xi_stars, lat, profile, params)
-        if not np.isfinite(stepped).all():
+        stepped = lat + cfg.eta_L * grad_L(scaled_xi, lat, profile.alphas, price, params.gamma3)
+        # the checks call ufunc reductions: ndarray.all/any wrap them in Python
+        if not np.logical_and.reduce(np.isfinite(stepped)):
             raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
-        lat = np.maximum(iron_monotone(stepped, weights), 0.0)
-        lam = max(lam + cfg.eta_lambda * grad_lambda(xi_stars, anchors, epsilon), 0.0)
+        lat = np.maximum(iron_monotone(stepped, weights, validate=False), 0.0)
+        lam = max(lam + cfg.eta_lambda * grad_lambda(distances, epsilon), 0.0)
         if not math.isfinite(lam):  # lam >= 0 holds by the projection above
             raise NumericError(f"multiplier iterate {lam!r} is not finite")
-        if (lat[1:] < lat[:-1]).any():
+        if np.logical_or.reduce(lat[1:] < lat[:-1]):
             raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
-        omega, xi_stars = evaluate(lat, lam)
+        omega, scaled_xi, distances = evaluate(lat, lam)
         if not math.isfinite(omega):
             raise NumericError(f"objective {omega!r} at lam={lam!r} is not finite")
         obj_trace.append(omega)

@@ -145,6 +145,11 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     latency is priced at the marginal rate of the type receiving it.  The
     types run along the last axis, so a stack of latency vectors gives one
     reward vector per row.
+
+    The increments are summed in type order: by ``np.add.accumulate`` for
+    one vector, and for a stack column by column, one vectorized add per
+    type, since a cumulative sum along a short last axis runs one inner
+    loop per row.  Both add the same terms in the same order.
     """
     lat = np.asarray(latencies, dtype=float)
     if lat.shape[-1] != profile.n_types:
@@ -155,19 +160,31 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     # bit for bit, at a fraction of its cost
     increments = lat.copy()
     increments[..., 1:] -= lat[..., :-1]
-    if (increments[..., 1:] < -MONOTONE_TOL).any():
+    # the least increment; fmin skips NaNs as the comparison did
+    if np.fmin.reduce(increments[..., 1:], axis=None, initial=np.inf) < -MONOTONE_TOL:
         raise NonMonotoneLatencies(
             f"latencies must be nondecreasing within {MONOTONE_TOL}"
         )
-    return np.cumsum(gamma1 * increments / profile.thetas, axis=-1)
+    rewards = np.multiply(gamma1, increments, out=increments)
+    rewards /= profile.thetas
+    if rewards.ndim == 1:
+        return np.add.accumulate(rewards, out=rewards)
+    columns = rewards.T
+    for i in range(1, len(columns)):
+        columns[i] += columns[i - 1]
+    return rewards
 
 
 def expected_reward(rewards, alphas):
     """Expected reward ``sum_i alpha_i * R_i`` of a reward vector, or of each
-    row of a (menus, types) stack, added type by type: elementwise per row."""
+    row of a (menus, types) stack, added type by type: elementwise per row,
+    and for one vector by ``np.add.accumulate``, which adds in the same
+    order."""
     columns = rewards.T
     if len(columns) != len(alphas):
         raise SizeMismatch(f"{len(alphas)} alphas vs {len(columns)} rewards")
+    if rewards.ndim == 1:
+        return np.add.accumulate(alphas * rewards)[-1]
     total = alphas[0] * columns[0]
     for i in range(1, len(alphas)):
         total += alphas[i] * columns[i]

@@ -50,46 +50,55 @@ from .errors import NonPositiveLogArgument, SizeMismatch, ValidationError
 TYPE_BLOCK_POINTS = 2**15
 
 
-def argument_blocks(xi, latencies, params: UtilityParams):
+def argument_blocks(scaled_xi, scaled_lat):
     """Yield ``(types, table)`` for consecutive blocks of types, in type
-    order: ``types`` is a slice of ``latencies`` and ``table`` the ``(k, N)``
-    array of ``gamma2*xi + gamma3*L_i`` over the block's k types and the N
-    points of ``xi``.  A block holds ``max(1, TYPE_BLOCK_POINTS // N)``
-    types.  Raises ValidationError unless ``xi`` is 1-D."""
-    lat = np.asarray(latencies, dtype=float)
+    order: ``types`` is a slice of the types and ``table`` the ``(k, N)``
+    array ``scaled_xi + scaled_lat[types, None]`` over the block's k types
+    and the N points, that is ``gamma2*xi + gamma3*L_i`` given
+    ``scaled_xi = gamma2*xi`` (1-D) and ``scaled_lat = gamma3*L``.  A block
+    holds ``max(1, TYPE_BLOCK_POINTS // N)`` types."""
+    step = max(1, TYPE_BLOCK_POINTS // max(scaled_xi.size, 1))
+    for start in range(0, scaled_lat.size, step):
+        types = slice(start, min(start + step, scaled_lat.size))
+        yield types, scaled_xi + scaled_lat[types, None]
+
+
+def least_argument(scaled_xi, scaled_lat) -> float:
+    """The least entry of the table ``scaled_xi + scaled_lat[:, None]`` (see
+    :func:`argument_blocks`), NaN entries aside, in O(N + I) without building
+    it.  Exact because rounding is monotone: a <= a' and b <= b' give
+    fl(a + b) <= fl(a' + b'), so no entry lies below fl(min a + min b), which
+    is an entry itself.  ``np.fmin`` skips NaNs, as a sign test of the table
+    would (NaN <= 0 is false); +inf plus -inf gives NaN, and then every entry
+    is NaN or +inf."""
+    return np.fmin.reduce(scaled_xi, initial=np.inf) + np.fmin.reduce(scaled_lat, initial=np.inf)
+
+
+def log_blocks(xi, latencies, params: UtilityParams):
+    """:func:`argument_blocks` of ``gamma2*xi`` and ``gamma3*L`` with the
+    natural log of each table taken in place.  Raises ValidationError unless
+    ``xi`` is 1-D, and NonPositiveLogArgument, before any log is taken, when
+    an argument is not strictly positive (:func:`least_argument`); its
+    ``sample_index`` is the first point of ``xi`` with a nonpositive argument
+    in any type."""
     points = np.asarray(xi, dtype=float)
     if points.ndim != 1:
         raise ValidationError(f"points must be a 1-D array, got shape {points.shape}")
     scaled_xi = params.gamma2 * points
-    step = max(1, TYPE_BLOCK_POINTS // max(scaled_xi.size, 1))
-    for start in range(0, lat.size, step):
-        types = slice(start, min(start + step, lat.size))
-        yield types, scaled_xi + params.gamma3 * lat[types, None]
+    scaled_lat = params.gamma3 * np.asarray(latencies, dtype=float)
+    if least_argument(scaled_xi, scaled_lat) <= 0.0:
+        raise _nonpositive_log_argument(scaled_xi, scaled_lat, points)
+    for types, table in argument_blocks(scaled_xi, scaled_lat):
+        yield types, np.log(table, out=table)
 
 
-def log_blocks(xi, latencies, params: UtilityParams):
-    """:func:`argument_blocks` with the natural log of each table taken in
-    place.  Raises NonPositiveLogArgument when an argument is not strictly
-    positive; its ``sample_index`` is the first point of ``xi`` with a
-    nonpositive argument in any type."""
-    for types, table in argument_blocks(xi, latencies, params):
-        try:
-            # ln of a negative argument is invalid and of zero divides by
-            # zero; trapping those flags costs nothing per element
-            with np.errstate(divide="raise", invalid="raise"):
-                np.log(table, out=table)
-        except FloatingPointError:
-            raise _nonpositive_log_argument(xi, latencies, params) from None
-        yield types, table
-
-
-def _nonpositive_log_argument(xi, latencies, params) -> NonPositiveLogArgument:
+def _nonpositive_log_argument(scaled_xi, scaled_lat, xi) -> NonPositiveLogArgument:
     """The error for the first point with a nonpositive argument in any type
     (error path only, so the full argument table is affordable)."""
-    args = np.concatenate([table for _, table in argument_blocks(xi, latencies, params)])
+    args = scaled_xi + scaled_lat[:, None]
     bad = args <= 0.0
     k = int(np.argmax(bad.any(axis=0)))
-    arg, x = float(args[np.argmax(bad[:, k]), k]), float(np.asarray(xi)[k])
+    arg, x = float(args[np.argmax(bad[:, k]), k]), float(xi[k])
     return NonPositiveLogArgument(f"log argument {arg!r} at xi={x!r} must be > 0", sample_index=k)
 
 
@@ -98,18 +107,35 @@ def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
     value per point of the 1-D array ``xi``.
 
     The logs come from :func:`log_blocks`, one ``np.log`` call per block of
-    types, and are accumulated into the total type by type, in type order:
-    the same float sequence as a per-type loop.  Raises ValidationError
-    unless ``xi`` is 1-D, and SizeMismatch unless there is one alpha per
-    latency.
+    types.  Each block's logs are scaled by their alphas in place, the
+    previous blocks' total (0.0 before the first block) is added into the
+    block's first row, and the block's rows are summed in type order.  So
+    every point's total is ``(((0 + a_1) + a_2) + ...)``, a_i being
+    ``alpha_i * ln(...)``: the float sequence of a per-type loop, signed
+    zeros included (0.0 + -0.0 is 0.0).  One ``np.add.reduce`` over the type
+    axis sums the rows one after another, since numpy pairs terms up only
+    along the contiguous axis (see ``np.sum``), here the points; a table of
+    one point makes the type axis the contiguous one, so its column is
+    summed by ``np.add.accumulate``, which adds strictly in order.
+    Accumulating along the type axis of a wider table would run one short
+    inner loop per point.  Raises ValidationError unless ``xi`` is 1-D, and
+    SizeMismatch unless there is one alpha per latency.
     """
     lat = np.asarray(latencies, dtype=float)
     if len(alphas) != lat.size:
         raise SizeMismatch(f"{len(alphas)} alphas vs {lat.size} latencies")
+    weights = np.asarray(alphas, dtype=float)[:, None]
     total = np.zeros(np.shape(xi))
     for types, logs in log_blocks(xi, lat, params):
-        for alpha, log_i in zip(alphas[types], logs, strict=True):
-            total += alpha * log_i
+        logs *= weights[types]
+        first = logs[0]
+        first += total
+        if len(logs) == 1:
+            total = first
+        elif logs.shape[1] != 1:
+            total = np.add.reduce(logs, axis=0)
+        else:  # one point
+            total = np.add.accumulate(logs[:, 0])[-1:]
     return total
 
 
@@ -142,30 +168,41 @@ def inner_minima(
     """Minimize the penalized log benefit over the support for every anchor
     of ``candidates`` (see :func:`inner_candidates`).
 
-    Returns ``(f_min, xi_star)``, one entry per anchor: the lower of the
-    floor and the anchor's projection, the projection winning only when
-    strictly lower (see the module docstring).
+    Returns ``(f_min, wins)``, one entry per anchor: the lower of the
+    floor's and the projection's branch, and whether the projection won, so
+    that the minimizer xi* is ``np.where(wins, candidates.points[1:],
+    candidates.points[0])``.  The projection wins only when strictly lower
+    (see the module docstring).
     """
     if lam < 0.0:
         raise ValidationError("lam must be >= 0")
-    points = candidates.points
-    h = weighted_log(points, latencies, alphas, params)
-    f_min = branch_minima(h, lam, candidates)
-    return f_min, np.where(f_min < h[0] + lam * candidates.lo_distance, points[1:], points[0])
+    h = weighted_log(candidates.points, latencies, alphas, params)
+    projection, floor = branch_values(h, lam, candidates)
+    wins = projection < floor
+    return np.minimum(projection, floor, out=projection), wins
+
+
+def branch_values(h, lam, candidates: InnerCandidates):
+    """Each anchor's ``(h(p) + lam*|anchor - p|, h(lo) + lam*|anchor - lo|)``,
+    ``h`` being the log benefit at ``candidates.points``, for one menu (1-D
+    ``h``, scalar ``lam``) or a stack (a row of ``h`` and a ``lam`` each)."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim:  # a stack: one multiplier and one h(lo) per row
+        lam, h_lo = lam[:, None], h[:, :1]
+    else:  # scalars, which numpy adds without broadcasting
+        lam, h_lo = float(lam), h[0]
+    # in place: two temporaries of the result's shape
+    projection = lam * candidates.p_distance
+    projection += h[..., 1:]
+    floor = lam * candidates.lo_distance
+    floor += h_lo
+    return projection, floor
 
 
 def branch_minima(h, lam, candidates: InnerCandidates) -> np.ndarray:
-    """Each anchor's min(h(lo) + lam*|anchor - lo|, h(p) + lam*|anchor - p|),
-    ``h`` being the log benefit at ``candidates.points``, for one menu (1-D
-    ``h``, scalar ``lam``) or a stack (a row of ``h`` and a ``lam`` each)."""
-    lam = np.asarray(lam, dtype=float)[..., None]
-    # in place: two temporaries of the result's shape
-    minima = lam * candidates.p_distance
-    minima += h[..., 1:]
-    floor = lam * candidates.lo_distance
-    floor += h[..., :1]
-    np.minimum(minima, floor, out=minima)
-    return minima
+    """The lower of each anchor's two :func:`branch_values`."""
+    projection, floor = branch_values(h, lam, candidates)
+    return np.minimum(projection, floor, out=projection)
 
 
 def multiplier_argmax(h, candidates: InnerCandidates, eps: float):
@@ -202,7 +239,7 @@ def sample_value(benefit, g, lam=0.0, eps=0.0):
     """The objective, ``-lam*eps + mean(benefit - g)`` over the last axis (the
     samples), of one menu or a stack (a ``g`` and ``lam`` per row).  The mean
     adds ``(benefit_n - g) / n`` in sample order, so rows are independent."""
-    values = benefit - np.asarray(g, dtype=float)[..., None]
+    values = (benefit.T - g).T  # g per row; a scalar for one menu
     values /= values.shape[-1]
-    np.cumsum(values, axis=-1, out=values)
+    np.add.accumulate(values, axis=-1, out=values)
     return -lam * eps + values.T[-1]  # the last column; a scalar for one menu

@@ -16,7 +16,6 @@ from drcontract import (
     NumericError,
     QualitySampleSet,
     RunConfig,
-    SizeMismatch,
     SupportInterval,
     UtilityParams,
     ValidationError,
@@ -56,15 +55,32 @@ def slacks(latencies, lam, samples, profile):
     return f_min - expected_reward(rewards, profile.alphas)
 
 
+def minimizers(candidates, wins):
+    """The inner minimizers xi* that ``wins`` picks from ``candidates``."""
+    return np.where(wins, candidates.points[1:], candidates.points[0])
+
+
+def latency_gradient(xi_stars, latencies, profile, params=PARAMS):
+    """``grad_L`` at the minimizers ``xi_stars``, scaled as a solve scales them."""
+    scaled_xi = params.gamma2 * np.asarray(xi_stars, dtype=float)
+    price = params.gamma1 / profile.thetas
+    return grad_L(scaled_xi, latencies, profile.alphas, price, params.gamma3)
+
+
+def multiplier_gradient(xi_stars, anchors, epsilon):
+    """``grad_lambda`` at the minimizers ``xi_stars`` of ``anchors``."""
+    return grad_lambda(np.abs(np.asarray(anchors, dtype=float) - xi_stars), epsilon)
+
+
 class TestObjective:
     def test_zero_lambda_unit_type(self):
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         samples = QualitySampleSet([70.0, 80.0, 95.0])
         candidates = inner_candidates(samples.samples, SUPPORT)
-        omega, xi_stars = objective([0.0], 0.0, candidates, ambiguity(3).epsilon, profile, PARAMS)
+        omega, wins = objective([0.0], 0.0, candidates, ambiguity(3).epsilon, profile, PARAMS)
         # every inner minimum sits at the support floor
         assert omega == pytest.approx(math.log(60.0), abs=1e-12)
-        np.testing.assert_array_equal(xi_stars, 60.0)
+        np.testing.assert_array_equal(minimizers(candidates, wins), 60.0)
         np.testing.assert_allclose(slacks([0.0], 0.0, samples, profile), math.log(60.0))
 
     def test_zero_radius_drops_penalty_term(self):
@@ -105,25 +121,25 @@ def per_type_grad_L(xi_stars, latencies, profile, params=PARAMS):
 class TestGradients:
     def test_latency_gradient_hand_case(self):
         profile = AspTypeProfile(thetas=[100.0], alphas=[1.0])
-        got = grad_L(np.full(5, 60.0), [0.0], profile, PARAMS)
+        got = latency_gradient(np.full(5, 60.0), [0.0], profile)
         assert got == pytest.approx([1 / 60 - 1 / 100], abs=1e-12)
 
     def test_quality_only_utility(self):
         params = UtilityParams(gamma1=1.0, gamma2=1.0, gamma3=0.0)
         profile = AspTypeProfile(thetas=[110.0, 220.0], alphas=[0.3, 0.7])
-        got = grad_L(np.array([70.0, 80.0]), [5.0, 9.0], profile, params)
+        got = latency_gradient(np.array([70.0, 80.0]), [5.0, 9.0], profile, params)
         assert got == pytest.approx([-0.3 / 110, -0.7 / 220], abs=1e-15)
 
     def test_zero_probability_type_has_zero_gradient(self):
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.0, 1.0])
-        got = grad_L(np.array([70.0]), [5.0, 9.0], profile, PARAMS)
+        got = latency_gradient(np.array([70.0]), [5.0, 9.0], profile)
         assert got[0] == 0.0
 
     def test_nonpositive_denominator(self):
         params = UtilityParams(gamma1=1.0, gamma2=1.0, gamma3=1.0)
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         with pytest.raises(NonPositiveDenominator):
-            grad_L(np.array([-5.0]), [0.0], profile, params)
+            latency_gradient(np.array([-5.0]), [0.0], profile, params)
 
     @given(
         n_types=st.integers(1, 64),
@@ -143,7 +159,7 @@ class TestGradients:
         )
         xi = rng.uniform(60.0, 100.0, n_samples)
         lat = np.sort(rng.uniform(0.0, 150.0, n_types))
-        got = grad_L(xi, lat, profile, PARAMS)
+        got = latency_gradient(xi, lat, profile)
         assert np.array_equal(got, per_type_grad_L(xi, lat, profile))
         # a nonpositive denominator in a later block raises as the loop does
         per_block = max(1, TYPE_BLOCK_POINTS // xi.size)
@@ -152,28 +168,27 @@ class TestGradients:
         with pytest.raises(NonPositiveDenominator):
             per_type_grad_L(xi, lat, profile)
         with pytest.raises(NonPositiveDenominator):
-            grad_L(xi, lat, profile, PARAMS)
+            latency_gradient(xi, lat, profile)
 
     @pytest.mark.parametrize("xi", [70.0, np.array(70.0), np.full((2, 3), 70.0)])
     def test_latency_gradient_needs_1d_minimizers(self, xi):
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
         with pytest.raises(ValidationError, match="1-D"):
-            grad_L(xi, [5.0, 9.0], profile, PARAMS)
+            latency_gradient(xi, [5.0, 9.0], profile)
 
     def test_lambda_gradient_at_anchors(self):
         xi = np.array([70.0, 80.0])
-        assert grad_lambda(xi, xi, 3.0) == pytest.approx(-3.0)
+        assert multiplier_gradient(xi, xi, 3.0) == pytest.approx(-3.0)
 
     def test_lambda_gradient_unit_distances(self):
-        assert grad_lambda(np.array([1.0, 3.0]), np.array([2.0, 2.0]), 0.0) == pytest.approx(1.0)
+        got = multiplier_gradient(np.array([1.0, 3.0]), np.array([2.0, 2.0]), 0.0)
+        assert got == pytest.approx(1.0)
 
     def test_lambda_gradient_stationary_balance(self):
         eps = 8.5839
-        assert grad_lambda(np.array([60.0]), np.array([60.0 + eps]), eps) == pytest.approx(0.0, abs=1e-12)
-
-    def test_lambda_gradient_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            grad_lambda(np.array([1.0]), np.array([1.0, 2.0]), 0.0)
+        assert multiplier_gradient(np.array([60.0]), np.array([60.0 + eps]), eps) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
 
 def pav_oracle(values, weights):
@@ -200,7 +215,48 @@ def pav_oracle(values, weights):
     return best
 
 
+def pava_loop(values, weights):
+    """Reference: the full pool-adjacent-violators scan, with no shortcut for
+    inputs whose rounded singleton means are already nondecreasing."""
+    blocks = []  # (weight sum, weighted value sum, member count)
+    for v, wt in zip(values.tolist(), weights.tolist()):
+        blocks.append([wt, wt * v, 1])
+        while len(blocks) > 1 and blocks[-2][1] / blocks[-2][0] > blocks[-1][1] / blocks[-1][0]:
+            wt2, sv2, c2 = blocks.pop()
+            blocks[-1][0] += wt2
+            blocks[-1][1] += sv2
+            blocks[-1][2] += c2
+    return np.array([sv / wt for wt, sv, count in blocks for _ in range(count)])
+
+
+@st.composite
+def ironing_inputs(draw):
+    """(values, weights): any values, nondecreasing ones, or nondecreasing
+    ones whose neighbours lie less than 2 ulps apart, where the rounded
+    singleton means can cross; weights down to the solver's 1e-12 floor."""
+    n = draw(st.integers(1, 30))
+    value = st.floats(-1e6, 1e6)
+    values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["any", "nondecreasing", "near ties"]))
+    if kind != "any":
+        values = np.sort(values)
+    if kind == "near ties":
+        steps = draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1))
+        for i, step in enumerate(steps, start=1):
+            values[i] = np.nextafter(values[i - 1], np.inf) if step else values[i - 1]
+    weight = st.one_of(st.just(1e-12), st.floats(1e-12, 1e3))
+    return values, np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+
+
 class TestIroning:
+    @given(ironing_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_scan_bit_for_bit(self, inputs):
+        values, weights = inputs
+        expected = pava_loop(values, weights).tobytes()  # sign bits included
+        assert iron_monotone(values, weights).tobytes() == expected
+        assert iron_monotone(values, weights, validate=False).tobytes() == expected
+
     def test_identity_on_monotone(self):
         np.testing.assert_array_equal(
             iron_monotone([1.0, 2.0, 3.0], [0.2, 0.3, 0.5]), [1.0, 2.0, 3.0]
@@ -317,26 +373,37 @@ class TestAscentStep:
         assert report.objective_trace[0] == pytest.approx(start, abs=1e-12)
 
     def test_step_reuses_the_state_minimizers(self, monkeypatch):
-        # each step reads the minimizers the last evaluation returned, and
-        # the objective is evaluated once per iteration, at the traced point
+        # each step reads the minimizers the last evaluation returned (as
+        # gamma2*xi* and |anchor - xi*|), and the objective is evaluated once
+        # per iteration, at the traced point
         profile, samples, amb = small_instance(n_types=3)
-        points, returned, read = [], [], []
+        params = UtilityParams(gamma2=1.5)
+        candidates = inner_candidates(samples.samples, SUPPORT)
+        points, returned, read_xi, read_distances = [], [], [], []
 
         def traced_objective(lat, lam, *args):
             points.append((lat.copy(), lam))
-            omega, xi = objective(lat, lam, *args)
-            returned.append(xi)
-            return omega, xi
+            omega, wins = objective(lat, lam, *args)
+            returned.append(minimizers(candidates, wins))
+            return omega, wins
 
-        def traced_grad_L(xi, *args):
-            read.append(xi)
-            return grad_L(xi, *args)
+        def traced_grad_L(scaled_xi, *args):
+            read_xi.append(scaled_xi)
+            return grad_L(scaled_xi, *args)
+
+        def traced_grad_lambda(distances, *args):
+            read_distances.append(distances)
+            return grad_lambda(distances, *args)
 
         monkeypatch.setattr(bcd, "objective", traced_objective)
         monkeypatch.setattr(bcd, "grad_L", traced_grad_L)
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=3, conv_tol=1e-15))
+        monkeypatch.setattr(bcd, "grad_lambda", traced_grad_lambda)
+        report = solve(samples, profile, params, amb, BcdConfig(max_iters=3, conv_tol=1e-15))
         assert len(points) == 1 + report.iterations_used == 4
-        assert all(xi is returned[k] for k, xi in enumerate(read))
+        assert len(read_xi) == len(read_distances) == report.iterations_used
+        for xi, scaled_xi, distances in zip(returned, read_xi, read_distances):
+            assert scaled_xi.tobytes() == (params.gamma2 * xi).tobytes()
+            assert distances.tobytes() == np.abs(xi - samples.samples).tobytes()
         for (lat, lam), traced_lat, traced_lam in zip(
             points[1:], report.latency_trace, report.lambda_trace
         ):
@@ -347,7 +414,7 @@ class TestAscentStep:
         profile, samples, amb = small_instance(n_types=2)
         calls = []
 
-        def bad_iron(values, weights):
+        def bad_iron(values, weights, **kwargs):
             # the start point is projected honestly; the first step is not
             calls.append(values)
             return iron_monotone(values, weights) if len(calls) == 1 else np.array([2.0, 1.0])
@@ -489,6 +556,40 @@ class TestReferenceSolves:
         assert report.converged
         assert report.iterations_used == iterations
         assert repr(report.objective) == objective_repr
+        assert report.menu.latencies.tolist() == latencies
+        assert report.menu.rewards.tolist() == rewards
+
+    # The bench grid's contaminated dro cells: extreme count -> final
+    # objective, final multiplier, latencies and rewards after the full budget.
+    CONTAMINATED = {
+        50: (
+            "98.48066730275534",
+            "15.249203842263576",
+            [33.391513959964605, 63.07894030576988, 97.85174522398586, 122.73885741575013,
+             142.6672793978317, 157.62169973745281, 167.59445495964727, 172.58166072741278],
+            [0.30355921781786005, 0.5156122631450406, 0.7143140055348461, 0.8387495664936675,
+             0.9293333027758564, 0.9929691340082867, 1.0336742573641824, 1.0536230804352444],
+        ),
+        100: (
+            "786.1258882466592",
+            "37.374203842264535",
+            [38.95151541379049, 68.62683769757555, 103.38314560562621, 128.25959874934662,
+             148.18040598977694, 163.12962924763207, 173.09914822757304, 178.08480067897665],
+            [0.35410468557991354, 0.5660712733212354, 0.7646787470815248, 0.8890610128001268,
+             0.9796101366202646, 1.0432238526111375, 1.0839157668149781, 1.1038583766205925],
+        ),
+    }
+
+    @pytest.mark.parametrize("count", [50, 100])
+    def test_contaminated_dro_solve(self, reference_components, count):
+        train, profile, params, amb, cfg = reference_components
+        run = RunConfig()
+        contaminated = inject_extreme_points(train, count, run.extreme_value, run.seed)
+        report = train_method("dro", contaminated, profile, params, amb, cfg)
+        objective_repr, lam_repr, latencies, rewards = self.CONTAMINATED[count]
+        assert (report.iterations_used, report.stop_reason) == (1500, "unbounded")
+        assert repr(report.objective) == objective_repr
+        assert repr(float(report.lambda_trace[-1])) == lam_repr
         assert report.menu.latencies.tolist() == latencies
         assert report.menu.rewards.tolist() == rewards
 

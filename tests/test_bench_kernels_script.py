@@ -28,8 +28,8 @@ def test_every_kernel_runs_once_on_a_small_instance():
         "iron_monotone",
         "rewards_from_latencies",
     ]
-    omega, xi_stars = calls["objective"]()
-    assert np.isfinite(omega) and xi_stars.shape == (12,)
+    omega, wins = calls["objective"]()
+    assert np.isfinite(omega) and wins.shape == (12,)
     assert calls["weighted_log"]().shape == (12,)
     for name in ("grad_L", "iron_monotone", "rewards_from_latencies"):
         assert calls[name]().shape == (3,)

@@ -24,6 +24,7 @@ from drcontract import (
     solve,
     weighted_log,
 )
+from drcontract import inner
 from drcontract.inner import (
     TYPE_BLOCK_POINTS,
     argument_blocks,
@@ -53,6 +54,12 @@ def grid_min(latencies, lam, anchor, support, alphas, step=1e-3, params=PARAMS):
     total += lam * np.abs(xs - anchor)
     k = int(np.argmin(total))
     return float(xs[k]), float(total[k])
+
+
+def minimize(latencies, lam, candidates, params, alphas):
+    """``inner_minima`` with the winners turned into the minimizers xi*."""
+    f_min, wins = inner_minima(latencies, lam, candidates, params, alphas)
+    return f_min, np.where(wins, candidates.points[1:], candidates.points[0])
 
 
 def f_n(xi, latencies, lam, anchor, params, alphas):
@@ -167,7 +174,7 @@ class TestNoStationaryCandidate:
         f_root = f_n(80.0, [0.0], lam, anchor, PARAMS, [1.0])
         assert f_root > f_n(60.0, [0.0], lam, anchor, PARAMS, [1.0])
         assert f_root > f_n(anchor, [0.0], lam, anchor, PARAMS, [1.0])
-        f_min, xi_star = inner_minima(
+        f_min, xi_star = minimize(
             [0.0], lam, inner_candidates([anchor], SUPPORT), PARAMS, [1.0]
         )
         assert xi_star[0] in (SUPPORT.lo, anchor)
@@ -175,17 +182,17 @@ class TestNoStationaryCandidate:
 
     def test_root_outside_interval_absent(self):
         # the root at 80 lies beyond the anchor: the branch only increases
-        _, xi_star = inner_minima([0.0], 1 / 80, inner_candidates([70.0], SUPPORT), PARAMS, [1.0])
+        _, xi_star = minimize([0.0], 1 / 80, inner_candidates([70.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.lo
 
     def test_large_lambda_absent(self):
         # h' < lam everywhere: the branch only decreases towards the anchor
-        _, xi_star = inner_minima([0.0], 10.0, inner_candidates([90.0], SUPPORT), PARAMS, [1.0])
+        _, xi_star = minimize([0.0], 10.0, inner_candidates([90.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == 90.0
 
     def test_zero_lambda_absent(self):
         # without a penalty f = h is increasing, so the floor wins everywhere
-        f_min, xi_star = inner_minima(
+        f_min, xi_star = minimize(
             [3.0], 0.0, inner_candidates([10.0, 75.0, 130.0], SUPPORT), PARAMS, [1.0]
         )
         np.testing.assert_array_equal(xi_star, SUPPORT.lo)
@@ -213,7 +220,7 @@ class TestNoStationaryCandidate:
             # lam between the endpoint marginals puts a root inside (lo, anchor)
             m_lo, m_anchor = (marginal_benefit(x, lat, alphas) for x in (60.0, anchor))
             lam = 0.5 * (m_lo + m_anchor)
-            f_min, xi_star = inner_minima(
+            f_min, xi_star = minimize(
                 lat, lam, inner_candidates([anchor], SUPPORT), PARAMS, alphas
             )
             assert xi_star[0] in (SUPPORT.lo, anchor)
@@ -224,16 +231,16 @@ class TestNoStationaryCandidate:
 
 class TestInnerMinima:
     def test_zero_lambda_floor_wins(self):
-        f_min, xi_star = inner_minima([0.0], 0.0, inner_candidates([75.0], SUPPORT), PARAMS, [1.0])
+        f_min, xi_star = minimize([0.0], 0.0, inner_candidates([75.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.lo
         assert f_min[0] == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_outside_anchor_large_lambda_floor_wins(self):
-        _, xi_star = inner_minima([0.0], 50.0, inner_candidates([1.0], SUPPORT), PARAMS, [1.0])
+        _, xi_star = minimize([0.0], 50.0, inner_candidates([1.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.lo
 
     def test_huge_lambda_sticks_to_anchor(self):
-        _, xi_star = inner_minima([0.0], 1e6, inner_candidates([83.0], SUPPORT), PARAMS, [1.0])
+        _, xi_star = minimize([0.0], 1e6, inner_candidates([83.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == 83.0
 
     def test_value_consistent_with_f(self):
@@ -244,7 +251,7 @@ class TestInnerMinima:
             alphas = rng.dirichlet(np.ones(n))
             lam = float(rng.uniform(0, 2))
             anchor = float(rng.uniform(0, 140))
-            f_min, xi_star = inner_minima(
+            f_min, xi_star = minimize(
                 lat, lam, inner_candidates([anchor], SUPPORT), PARAMS, alphas
             )
             again = f_n(xi_star[0], lat, lam, anchor, PARAMS, alphas)
@@ -336,7 +343,7 @@ class TestInnerKernel:
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_enumeration(self, instance):
         lat, alphas, lam, anchors = instance
-        f_min, xi_star = inner_minima(lat, lam, inner_candidates(anchors, SUPPORT), PARAMS, alphas)
+        f_min, xi_star = minimize(lat, lam, inner_candidates(anchors, SUPPORT), PARAMS, alphas)
         for k, anchor in enumerate(anchors.tolist()):
             candidates = enumerate_candidates(lat, lam, anchor, SUPPORT, alphas)
             best_value, best_xi = candidates[0]
@@ -357,7 +364,7 @@ class TestInnerKernel:
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_grid(self, instance):
         lat, alphas, lam, anchors = instance
-        f_min, xi_star = inner_minima(lat, lam, inner_candidates(anchors, SUPPORT), PARAMS, alphas)
+        f_min, xi_star = minimize(lat, lam, inner_candidates(anchors, SUPPORT), PARAMS, alphas)
         for k, anchor in enumerate(anchors.tolist()):
             _, grid_value = grid_min(lat, lam, anchor, SUPPORT, alphas)
             assert f_min[k] == pytest.approx(grid_value, abs=1e-4)
@@ -368,9 +375,9 @@ class TestInnerKernel:
 
     def test_ties_break_toward_the_smaller_xi(self):
         # an anchor on an endpoint makes two candidates one point
-        _, at_lo = inner_minima([5.0], 0.3, inner_candidates([SUPPORT.lo], SUPPORT), PARAMS, [1.0])
+        _, at_lo = minimize([5.0], 0.3, inner_candidates([SUPPORT.lo], SUPPORT), PARAMS, [1.0])
         assert at_lo[0] == SUPPORT.lo
-        _, at_hi = inner_minima([5.0], 1e6, inner_candidates([SUPPORT.hi], SUPPORT), PARAMS, [1.0])
+        _, at_hi = minimize([5.0], 1e6, inner_candidates([SUPPORT.hi], SUPPORT), PARAMS, [1.0])
         assert at_hi[0] == SUPPORT.hi
 
     def test_exact_ties_with_the_floor_go_to_lo(self):
@@ -386,7 +393,7 @@ class TestInnerKernel:
                     break
                 lam = np.nextafter(lam, np.inf if v_lo < v_rival else -np.inf)
             assert v_lo == v_rival
-            f_min, xi_star = inner_minima(
+            f_min, xi_star = minimize(
                 [0.0], lam, inner_candidates([anchor], SUPPORT), PARAMS, [1.0]
             )
             assert (xi_star[0], f_min[0]) == (SUPPORT.lo, v_lo)
@@ -396,12 +403,12 @@ class TestInnerKernel:
         np.testing.assert_array_equal(points, [60.0, 60.0, 60.0, 75.0, 100.0, 100.0])
 
     def test_anchor_above_support_can_pick_hi(self):
-        _, xi_star = inner_minima([0.0], 1.0, inner_candidates([130.0], SUPPORT), PARAMS, [1.0])
+        _, xi_star = minimize([0.0], 1.0, inner_candidates([130.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.hi
 
     def test_anchor_outside_support_is_never_evaluated(self):
         # ln(gamma2 * anchor) is undefined here, but only lo and hi compete
-        f_min, xi_star = inner_minima([0.0], 0.5, inner_candidates([-20.0], SUPPORT), PARAMS, [1.0])
+        f_min, xi_star = minimize([0.0], 0.5, inner_candidates([-20.0], SUPPORT), PARAMS, [1.0])
         assert xi_star[0] == SUPPORT.lo
         assert f_min[0] == pytest.approx(math.log(60.0) + 0.5 * 80.0, abs=1e-12)
 
@@ -551,15 +558,15 @@ class TestTypeBlocks:
     def test_blocks_cover_the_types_in_order(self):
         for n_types, points in ((8, 200), (64, 20_000), (64, 1000), (3, 0), (1, 10**6)):
             xi, lat = np.full(points, 70.0), np.arange(n_types, dtype=float)
-            blocks = list(argument_blocks(xi, lat, PARAMS))
+            blocks = list(argument_blocks(PARAMS.gamma2 * xi, PARAMS.gamma3 * lat))
             types = [b for b, _ in blocks]
             assert [i for b in types for i in range(b.start, b.stop)] == list(range(n_types))
             size = max(1, TYPE_BLOCK_POINTS // max(points, 1))
             assert all(b.stop - b.start <= size for b in types)
             for b, table in blocks:
                 assert np.array_equal(table, PARAMS.gamma2 * xi + PARAMS.gamma3 * lat[b, None])
-        assert len(list(argument_blocks(np.ones(200), np.zeros(8), PARAMS))) == 1
-        assert len(list(argument_blocks(np.ones(20_000), np.zeros(64), PARAMS))) == 64
+        assert len(list(argument_blocks(np.ones(200), np.zeros(8)))) == 1
+        assert len(list(argument_blocks(np.ones(20_000), np.zeros(64)))) == 64
 
     def test_log_blocks_yield_outside_the_float_trap(self):
         # the caller's code between blocks runs under its own error settings
@@ -604,4 +611,36 @@ class TestTypeBlocks:
             return
         with pytest.raises(NonPositiveLogArgument) as err:
             weighted_log(xi, lat, alphas, PARAMS)
+        assert err.value.sample_index == expected
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_log_carries_the_total_across_small_blocks(self, data):
+        # small blocks give multi-type blocks with a carry, one-type blocks and
+        # one-point tables; arguments below 1 with zero alphas give -0.0 terms
+        n_types, points = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 30))
+        block_points = data.draw(st.integers(1, n_types * points))
+        xi = np.array(data.draw(st.lists(st.floats(0.25, 3.0), min_size=points, max_size=points)))
+        lat = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n_types, max_size=n_types)))
+        alpha = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        alphas = np.array(data.draw(st.lists(alpha, min_size=n_types, max_size=n_types)))
+        expected = per_type_weighted_log(xi, lat, alphas).tobytes()  # sign bits included
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inner, "TYPE_BLOCK_POINTS", block_points)
+            assert weighted_log(xi, lat, alphas, PARAMS).tobytes() == expected
+
+    @pytest.mark.parametrize("block_points", [4, 8, TYPE_BLOCK_POINTS])
+    @pytest.mark.parametrize("bad_latency", [-60.0, -65.0, -75.0])
+    def test_sign_check_names_the_first_offending_point(self, block_points, bad_latency):
+        # the third type's arguments are 70, 90, 60, 80 plus bad_latency: a
+        # zero at point 2 (-60), negatives from point 2 (-65) or point 0 (-75);
+        # blocks of 1, 2 or 3 types put that type in a later block or not
+        xi, lat = np.array([70.0, 90.0, 60.0, 80.0]), [0.0, 10.0, bad_latency]
+        alphas = [0.2, 0.3, 0.5]
+        expected = per_type_weighted_log(xi, lat, alphas)
+        assert expected == {-60.0: 2, -65.0: 2, -75.0: 0}[bad_latency]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inner, "TYPE_BLOCK_POINTS", block_points)
+            with pytest.raises(NonPositiveLogArgument) as err:
+                weighted_log(xi, lat, alphas, PARAMS)
         assert err.value.sample_index == expected
