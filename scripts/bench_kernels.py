@@ -32,19 +32,32 @@ numbers under ``--label`` in ``--out``, keeping the other labels:
     python scripts/bench_kernels.py --src ../parent/src --label before
     python scripts/bench_kernels.py --label after
 
-``--src`` runs this script's calls against the other package, so it works
-only while the timed kernels keep their signatures.  Across a signature
-change, record "before" with the other checkout's own script, writing into
-this checkout's file:
+``--ab DIR`` times both sides in one process instead: it imports DIR's
+``drcontract`` (before) and ``--src``'s (after) under two package names
+(:func:`load_package`) and alternates the two sides' timed loops,
+``REPEATS`` pairs per figure, so load on the machine moves both sides of a
+pair alike.  Each figure gets the median per-call time of each side and
+the median and quartiles of the after/before ratio over the pairs
+(:func:`paired`), stored under ``ab`` and ``--label``:
+
+    python scripts/bench_kernels.py --ab ../parent/src --label change
+
+``--src`` and ``--ab`` run this script's calls against the other package,
+so they work only while the timed kernels keep their signatures.  Across a
+signature change, record "before" with the other checkout's own script,
+writing into this checkout's file:
 
     python ../parent/scripts/bench_kernels.py --label before --out BENCH_kernels.json
 """
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -55,39 +68,64 @@ REPEATS = 11
 BUDGET_S = 0.2
 
 
-def best_us_per_call(fn) -> float:
-    """Best per-call time, in microseconds, over ``REPEATS`` loops whose
-    call count is sized so one loop takes about ``BUDGET_S`` seconds."""
+def timer(fn):
+    """A sampler: each call times one loop of ``fn`` and returns seconds per
+    call, the loop's call count sized so one loop takes about ``BUDGET_S``
+    seconds."""
     start = time.perf_counter()
     fn()
     calls = max(1, int(BUDGET_S / max(time.perf_counter() - start, 1e-9)))
-    best = float("inf")
-    for _ in range(REPEATS):
+
+    def sample():
         start = time.perf_counter()
         for _ in range(calls):
             fn()
-        best = min(best, (time.perf_counter() - start) / calls)
-    return 1e6 * best
+        return (time.perf_counter() - start) / calls
+
+    return sample
 
 
-def instances():
+class SolveTimer:
+    """A sampler of one whole solve, in seconds per iteration; the last
+    solve's iteration count is kept in ``iterations``."""
+
+    def __init__(self, solve):
+        self.solve = solve
+        self.iterations = None
+
+    def __call__(self):
+        start = time.perf_counter()
+        report = self.solve()
+        elapsed = time.perf_counter() - start
+        self.iterations = report.iterations_used
+        return elapsed / report.iterations_used
+
+
+def modules(package, *names):
+    """The named submodules of the imported package ``package``."""
+    return [importlib.import_module(f"{package}.{name}") for name in names]
+
+
+def instances(package="drcontract"):
     """(name, run config, solve config) of the two benchmarked sizes."""
     import numpy as np
-    from drcontract.bcd import BcdConfig
-    from drcontract.config import RunConfig
 
-    reference = RunConfig(seed=0)
+    bcd, config = modules(package, "bcd", "config")
+    reference = config.RunConfig(seed=0)
     thetas = tuple(np.linspace(110.0, 250.0, 64).tolist())
     wide = replace(reference, thetas=thetas, n_train=20_000)
-    return [("I8_N200", reference, BcdConfig()), ("I64_N20000", wide, BcdConfig(max_iters=10))]
+    return [
+        ("I8_N200", reference, bcd.BcdConfig()),
+        ("I64_N20000", wide, bcd.BcdConfig(max_iters=10)),
+    ]
 
 
-def kernels(cfg, solve_cfg):
+def kernels(cfg, solve_cfg, package="drcontract"):
     """The timed calls on one instance: the per-iteration kernels by name,
     and a call that runs the whole solve and returns its report."""
     import numpy as np
-    from drcontract import bcd, contracts, inner
 
+    bcd, contracts, inner = modules(package, "bcd", "contracts", "inner")
     profile, params = cfg.profile(), cfg.params()
     samples = cfg.train_samples()
     amb = cfg.ambiguity_for(samples.n)
@@ -110,24 +148,22 @@ def kernels(cfg, solve_cfg):
     return calls, lambda: bcd.solve(samples, profile, params, amb, solve_cfg)
 
 
-def oracle_calls():
+def oracle_calls(package="drcontract"):
     """The timed oracle searches by name: the criterion-05 instance (two
     types, 20 training samples) at the perfbench ``oracle`` workload's grid
     step 0.025, and a three-type, seven-anchor instance with radius 5, whose
     multiplier argmax is positive."""
-    from drcontract import evaluation
-    from drcontract.ambiguity import AmbiguityConfig, QualitySampleSet, SupportInterval
-    from drcontract.config import RunConfig
-    from drcontract.contracts import AspTypeProfile, UtilityParams
-
-    cfg = replace(RunConfig(seed=0), thetas=(110.0, 140.0), n_train=20)
+    ambiguity, config, contracts, evaluation = modules(
+        package, "ambiguity", "config", "contracts", "evaluation"
+    )
+    cfg = replace(config.RunConfig(seed=0), thetas=(110.0, 140.0), n_train=20)
     samples = cfg.train_samples()
     criterion_05 = (cfg.profile(), samples, cfg.params(), cfg.ambiguity_for(samples.n), 0.025)
     three_type = (
-        AspTypeProfile(thetas=[110.0, 140.0, 180.0], alphas=[0.25, 0.35, 0.4]),
-        QualitySampleSet([50.0, 60.0, 72.5, 81.0, 93.25, 100.0, 108.0]),
-        UtilityParams(),
-        AmbiguityConfig(SupportInterval(60.0, 100.0), 5.0),
+        contracts.AspTypeProfile(thetas=[110.0, 140.0, 180.0], alphas=[0.25, 0.35, 0.4]),
+        ambiguity.QualitySampleSet([50.0, 60.0, 72.5, 81.0, 93.25, 100.0, 108.0]),
+        contracts.UtilityParams(),
+        ambiguity.AmbiguityConfig(ambiguity.SupportInterval(60.0, 100.0), 5.0),
         1.0,
     )
     return {
@@ -140,17 +176,81 @@ def oracle_calls():
     }
 
 
-def measure(cfg, solve_cfg) -> dict:
-    calls, solve = kernels(cfg, solve_cfg)
-    result = {name: best_us_per_call(fn) for name, fn in calls.items()}
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        report = solve()
-        best = min(best, (time.perf_counter() - start) / report.iterations_used)
-    result["solve_per_iteration"] = 1e6 * best
-    result["solve_iterations"] = report.iterations_used
-    return result
+def samplers(package="drcontract"):
+    """Per group (each size of :func:`instances`, then ``oracle``), a sampler
+    per figure, built on ``package``."""
+    groups = {}
+    for name, cfg, solve_cfg in instances(package):
+        calls, solve = kernels(cfg, solve_cfg, package)
+        groups[name] = {figure: timer(fn) for figure, fn in calls.items()}
+        groups[name]["solve_per_iteration"] = SolveTimer(solve)
+    groups["oracle"] = {figure: timer(fn) for figure, fn in oracle_calls(package).items()}
+    return groups
+
+
+def measure(groups) -> dict:
+    """The best of ``REPEATS`` samples of each figure, in microseconds, and
+    each solve's iteration count."""
+    run = {}
+    for group, figures in groups.items():
+        run[group] = {name: 1e6 * min(s() for _ in range(REPEATS)) for name, s in figures.items()}
+        if "solve_per_iteration" in figures:
+            run[group]["solve_iterations"] = figures["solve_per_iteration"].iterations
+        print(group, json.dumps(run[group]))
+    return run
+
+
+def paired(before, after, pairs: int) -> dict:
+    """Time the two samplers in alternation, ``pairs`` pairs with the order
+    flipped from pair to pair: the median per-call time of each side in
+    microseconds, and the median and quartiles of the pairs' after/before
+    ratios."""
+    sides, times = (before, after), ([], [])
+    for i in range(pairs):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            times[side].append(sides[side]())
+    ratios = [b / a for a, b in zip(*times)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {
+        "before_us": 1e6 * statistics.median(times[0]),
+        "after_us": 1e6 * statistics.median(times[1]),
+        "ratio": median,
+        "ratio_q1": q1,
+        "ratio_q3": q3,
+    }
+
+
+def load_package(src: Path, name: str) -> str:
+    """Import the ``drcontract`` package under ``src`` as ``name``, which
+    its relative imports allow, and return ``name``."""
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+    init = src / "drcontract" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return name
+
+
+def ab_run(before_src: Path, after_src: Path, pairs: int) -> dict:
+    """Every figure of both checkouts, timed in alternation (:func:`paired`)."""
+    before = samplers(load_package(before_src, "drcontract_before"))
+    after = samplers(load_package(after_src, "drcontract_after"))
+    run = {
+        "before_sha256": source_hash(before_src),
+        "after_sha256": source_hash(after_src),
+        "pairs": pairs,
+        "budget_s": BUDGET_S,
+    }
+    for group, figures in after.items():
+        run[group] = {
+            name: paired(before[group][name], sample, pairs) for name, sample in figures.items()
+        }
+        print(group, json.dumps(run[group]))
+    return run
 
 
 def source_hash(src: Path) -> str:
@@ -191,20 +291,24 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="key to store this run under")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="drcontract source dir")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernels.json")
+    parser.add_argument(
+        "--ab", type=Path, help="another checkout's source dir, timed in alternation as before"
+    )
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(args.src.resolve()))
-    run = {"source_sha256": source_hash(args.src), "repeats": REPEATS, "budget_s": BUDGET_S}
-    for name, cfg, solve_cfg in instances():
-        run[name] = measure(cfg, solve_cfg)
-        print(name, json.dumps(run[name]))
-    run["oracle"] = {name: best_us_per_call(fn) for name, fn in oracle_calls().items()}
-    print("oracle", json.dumps(run["oracle"]))
+    if args.ab is not None:
+        run = ab_run(args.ab, args.src, REPEATS)
+    else:
+        sys.path.insert(0, str(args.src.resolve()))
+        run = {"source_sha256": source_hash(args.src), "repeats": REPEATS, "budget_s": BUDGET_S}
+        run.update(measure(samplers()))
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data["unit"] = "us per call; solve_per_iteration in us per iteration"
+    data["unit"] = (
+        "us per call; solve_per_iteration in us per iteration; ab ratios are after/before"
+    )
     data["machine"] = machine_record()
-    data.setdefault("runs", {})[args.label] = run
+    data.setdefault("ab" if args.ab is not None else "runs", {})[args.label] = run
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {args.out} ({args.label})")
     return 0

@@ -8,6 +8,7 @@ so larger shifts remain distinguishable below the support floor.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +47,7 @@ _EVALUATION_BUDGET = 1e8
 _GRID_TABLE_BUDGET = 1e7  # 8-byte entries in the oracle's grid-sized tables: 80 MB
 _CHUNK_ENTRIES = 10**6  # (rows x samples) entries per oracle chunk: 8 MB per float table
 _BOUND_SLACK = 2.0**-51  # four unit roundoffs per rounding step; see _RowBound
+_BOX_POINTS = 64  # about this many latency points per box of the oracle's search
 
 
 @dataclass
@@ -188,26 +190,44 @@ def oracle_menu_search(
     program (:func:`inner.unbounded`) that argmax is infinite, so the grid
     maximum sits at ``lambda_max``.
 
-    Only latency points that can still win are evaluated exactly.  Each
-    chunk of points gets :class:`_RowBound`'s upper bound, O(types) per
-    point.  A chunk whose largest bound is below the incumbent is skipped.
-    Otherwise the point with the largest bound is evaluated exactly first,
-    then every point whose bound is at least the larger of the incumbent and
-    that point's value.  A pruned point can beat neither, so the chunk's
-    first maximal point is evaluated whenever it beats the incumbent.  The
-    survivors keep chunk order, so ties still go to the first point within
-    a chunk, and a later chunk replaces the incumbent only when strictly
-    better: the result is bit-identical to evaluating every point.  On the
-    criterion-05 instance at grid step 0.025, 7 of the 41 chunks are skipped
-    and 34 of the 2,003,001 points are evaluated exactly.
+    Only latency points that can still win are evaluated exactly, and
+    boxes of points are bounded before single points.  Each type's grid
+    is cut into cells of ``S = round(64 ** (1 / types))`` consecutive
+    values; a box is a nondecreasing tuple of cells, one per type, and
+    holds the nondecreasing points whose grid indices lie in those
+    cells, at most S**I (32 to 81 for up to six types).
+    :class:`_BoxBound` bounds a box above every point in it, and
+    :class:`_RowBound` a point, each at O(types) cost.  The boxes are
+    bounded in chunks of ``_CHUNK_ENTRIES // n`` (n samples), enumerated
+    as the nondecreasing tuples of cell indices
+    (:func:`_monotone_chunks`).  In each chunk the box with the largest
+    bound is searched first, which sets a floor, and then every other
+    box whose bound reaches the incumbent.  A box's points are searched
+    in chunks of at most ``_CHUNK_ENTRIES // n`` rows
+    (:func:`_box_points`): a chunk whose largest point bound is below
+    the incumbent is skipped; otherwise its point with the largest bound
+    is evaluated exactly first, then every point whose bound is at least
+    the larger of the incumbent and that point's value.  A pruned point
+    can beat neither.  An exact tie goes to the lexicographically least
+    point, within a chunk (:func:`_chunk_best`) and across chunks, as a
+    loop over every point in lexicographic order that keeps its first
+    maximum would have it: the result is bit-identical to evaluating
+    every point.  On the criterion-05 instance at grid step 0.025
+    (S = 8), 31,626 boxes are bounded, the points of 467 of them are
+    bounded too, and 2 of the 2,003,001 points are evaluated exactly.
+    Where the multiplier's argmax is positive the bounds are loose: on
+    the three-type instance of ``scripts/bench_kernels.py`` (S = 4), the
+    points of 6,318 of the 6,545 boxes are bounded and 362,510 of the
+    383,306 points are evaluated exactly.
 
     The evaluation budget caps (latency points) x (samples) at
     ``_EVALUATION_BUDGET``, the work if nothing were pruned.  A second term
     caps the tables sized by the grid (the grid values, the log table, its
-    per-type scaled copies, their per-type sample means and the per-type
-    tuple counts) at ``_GRID_TABLE_BUDGET`` = 1e7 entries, 80 MB; the
-    criterion-05 instance at grid step 0.025 needs about 1.4e5.  Either
-    excess raises GridTooLarge before any table is built.
+    per-type scaled copies and their per-type sample means) or by its cells
+    (the per-type cell maxima of the bound's two tables and the per-type
+    counts of nondecreasing cell tuples) at ``_GRID_TABLE_BUDGET`` = 1e7
+    entries, 80 MB; the criterion-05 instance at grid step 0.025 needs about
+    1.3e5.  Either excess raises GridTooLarge before any table is built.
     """
     if not grid_step > 0.0:
         raise ValidationError("grid_step must be > 0")
@@ -222,7 +242,10 @@ def oracle_menu_search(
             f"{n_tuples} latency points x {anchors.size} samples exceeds "
             f"the {_EVALUATION_BUDGET:.0e} evaluation budget"
         )
-    table_entries = n_l * (1 + (n_types + 1) * (anchors.size + 1) + n_types) + n_types * (n_l + 1)
+    size = round(_BOX_POINTS ** (1.0 / n_types))
+    n_cells = -(-n_l // size)
+    table_entries = n_l * (1 + (n_types + 1) * (anchors.size + 1) + n_types)
+    table_entries += n_types * (3 * n_cells + 1)
     if table_entries > _GRID_TABLE_BUDGET:
         raise GridTooLarge(
             f"{n_l} grid values x {anchors.size} samples need {table_entries} table "
@@ -233,27 +256,37 @@ def oracle_menu_search(
     eps = ambiguity.epsilon
     scaled = _scaled_tables(candidates.points, values, profile, params)
     row_bound = _RowBound(scaled, candidates, eps, lambda_max)
+    box_bound = _BoxBound(row_bound, size, values, profile, params.gamma1)
+    chunk_rows = max(1, _CHUNK_ENTRIES // anchors.size)
 
-    def exact_best(chunk, g, rows):
-        h = _gather(scaled, chunk[rows])
-        return _chunk_best(h, g[rows], candidates, eps, grid_step, lambda_max)
+    def exact_best(points, g):
+        h = _gather(scaled, points)
+        return _chunk_best(h, g, candidates, eps, grid_step, lambda_max, points)
 
-    best_omega = -np.inf
-    best_lat = None
-    for chunk in _monotone_chunks(n_l, n_types, anchors.size):
-        lat = values[chunk]
-        g = expected_reward(rewards_from_latencies(lat, profile, params.gamma1), profile.alphas)
-        bound = row_bound(chunk, g)
-        top = int(np.argmax(bound))
-        if bound[top] < best_omega:
-            continue
-        threshold = max(best_omega, exact_best(chunk, g, [top])[0])
-        survivors = np.flatnonzero(bound >= threshold)
-        omega, idx = exact_best(chunk, g, survivors)
-        if omega > best_omega:
-            best_omega = omega
-            best_lat = lat[survivors[idx]].copy()
-    return float(best_omega), best_lat
+    best_omega, best_point = -np.inf, None
+
+    def search(boxes):
+        nonlocal best_omega, best_point
+        for points in _box_points(boxes, size, n_l, chunk_rows):
+            g = _expected_rewards(values[points], profile, params.gamma1)
+            bound = row_bound(points, g)
+            top = int(np.argmax(bound))
+            if bound[top] < best_omega:
+                continue
+            threshold = max(best_omega, exact_best(points[[top]], g[[top]])[0])
+            survivors = np.flatnonzero(bound >= threshold)
+            omega, idx = exact_best(points[survivors], g[survivors])
+            point = tuple(points[survivors[idx]].tolist())
+            if omega > best_omega or (omega == best_omega and point < best_point):
+                best_omega, best_point = omega, point
+
+    for cells in _monotone_chunks(n_cells, n_types, anchors.size):
+        bound = box_bound(cells)
+        first = int(np.argmax(bound))
+        search(cells[[first]])
+        bound[first] = -np.inf
+        search(cells[bound >= best_omega])
+    return float(best_omega), values[list(best_point)]
 
 
 def _scaled_tables(points, values, profile: AspTypeProfile, params: UtilityParams):
@@ -319,23 +352,95 @@ class _RowBound:
         self.magnitude += lambda_max * (float(candidates.lo_distance.max()) + eps)
         self.slack_rate = _BOUND_SLACK * (candidates.lo_distance.size + len(scaled) + 4)
 
-    def __call__(self, chunk, g) -> np.ndarray:
+    def __call__(self, chunk, g, g_slack=None) -> np.ndarray:
         """U plus the slack for each row of grid indices in ``chunk``, whose
-        expected rewards are ``g``."""
+        expected rewards are ``g``; ``g_slack`` (default ``g``) is the
+        expected reward the slack is taken at."""
         bound = _gather(self.lo, chunk)
         bound += self.rise_lo
         p_branch = _gather(self.p_mean, chunk)
         p_branch += self.rise_p
         np.minimum(bound, p_branch, out=bound)
         bound -= g
-        bound += self.slack_rate * (self.magnitude + g)
+        bound += self.slack_rate * (self.magnitude + (g if g_slack is None else g_slack))
         return bound
 
 
+class _BoxBound:
+    """Upper bound on the objective of every latency point in a box over lam
+    in [0, lambda_max], O(types) per box.
+
+    Each type's grid is cut into cells of ``size`` consecutive values, the
+    last one possibly shorter.  A box is a nondecreasing tuple of cell
+    indices, one per type; its points are the nondecreasing grid tuples
+    whose indices lie in those cells.  Its lowest point takes each cell's
+    first value and its highest point each cell's last; both are points of
+    the box.
+
+    **Bound.**  A box's bound is :class:`_RowBound`'s, computed by the same
+    float operations in the same order, from each type's maxima of ``h(lo)``
+    and of ``m_i`` over the box's cell, with a floor ``g_low`` on the float
+    expected rewards of the box's points subtracted and a ceiling ``g_high``
+    on them in the slack.  Each float it adds is then at least the one a
+    point of the box adds in that place, and rounding is monotone:
+    ``a <= a'`` and ``b <= b'`` give ``fl(a + b) <= fl(a' + b')``, and
+    likewise ``fl(a - b') <= fl(a' - b)`` and ``fl(c*a) <= fl(c*a')`` for
+    c > 0.  So the box's bound is at least each point's bound, which is at
+    least the point's objective at every multiplier.
+
+    **Expected rewards.**  Under the binding reward recursion the expected
+    reward is ``g(L) = gamma1 * sum_i L_i * (A_i/theta_i -
+    A_{i+1}/theta_{i+1})``, with tail masses ``A_i = alpha_i + ... +
+    alpha_I`` and ``A_{I+1} = 0``.  Thetas are nondecreasing and tail masses
+    nonincreasing, so every price ``A_i/theta_i - A_{i+1}/theta_{i+1}`` is
+    >= 0 and g is nondecreasing in every latency: in exact arithmetic, g at
+    a point of a box lies between g at its lowest and at its highest point.
+    In floats, :func:`contracts.rewards_from_latencies` and
+    :func:`contracts.expected_reward` add the terms
+    ``alpha_i * gamma1 * (L_j - L_{j-1}) / theta_j`` (j <= i), all >= 0 at
+    a nondecreasing point, each through at most 2I + 2 roundings: the
+    difference, the product by gamma1, the division by theta_j, at most
+    I - 1 running additions, the product by alpha_i and at most I - 1
+    additions over types.  So a point's float g lies within gamma_{2I+2}*G
+    of its exact g (with u and gamma_m as in :class:`_RowBound`), where
+    ``G = gamma1 * v_max / theta_1`` bounds g on the grid: the prices add up
+    to gamma1 * A_1 / theta_1, and A_1 = 1.  Hence a point's float g is at
+    least the lowest point's float g less 2*gamma_{2I+2}*G, and at most the
+    highest point's plus as much; 2*gamma_{2I+2}*G = (4I + 4)*u*G*(1 + O(u)).
+    ``g_low`` and ``g_high`` move the two float g's by the margin
+    ``_BOUND_SLACK * (I + 2) * G = (4I + 8)*u*G``, which covers that, the
+    margin's own rounding and the rounding of the move, each at most
+    u*G*(1 + O(u)).
+    """
+
+    def __init__(self, row_bound: _RowBound, size: int, values, profile, gamma1: float):
+        starts = np.arange(0, values.size, size)
+        self.cells = copy.copy(row_bound)
+        self.cells.lo = [np.maximum.reduceat(table, starts) for table in row_bound.lo]
+        self.cells.p_mean = [np.maximum.reduceat(table, starts) for table in row_bound.p_mean]
+        self.size, self.values, self.profile, self.gamma1 = size, values, profile, gamma1
+        self.margin = _BOUND_SLACK * (profile.n_types + 2) * gamma1 * values[-1] / profile.thetas[0]
+
+    def __call__(self, cells) -> np.ndarray:
+        """The bound of each box, a row of cell indices in ``cells``."""
+        low = cells * self.size
+        high = np.minimum(low + (self.size - 1), self.values.size - 1)
+        g_low = _expected_rewards(self.values[low], self.profile, self.gamma1) - self.margin
+        g_high = _expected_rewards(self.values[high], self.profile, self.gamma1) + self.margin
+        return self.cells(cells, g_low, g_high)
+
+
+def _expected_rewards(latencies, profile: AspTypeProfile, gamma1: float) -> np.ndarray:
+    """The expected reward of each row of ``latencies`` under the binding
+    reward recursion."""
+    return expected_reward(rewards_from_latencies(latencies, profile, gamma1), profile.alphas)
+
+
 def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
-    """Yield (rows, n_types) arrays of grid indices of the nondecreasing
-    latency tuples, in lexicographic order, ``_CHUNK_ENTRIES // n_samples``
-    rows at a time, so each (rows, samples) float table of a chunk takes at
+    """Yield (rows, n_types) arrays of the nondecreasing tuples of indices
+    into ``n_l`` values (grid values, or the oracle's cells of them), in
+    lexicographic order, ``_CHUNK_ENTRIES // n_samples`` rows at a time, so
+    each (rows, samples) float table of a chunk of grid tuples takes at
     most 8 MB.  Each chunk unranks its own ranks, so the full list is never
     held: with ``counts[m][k]`` nondecreasing (m + 1)-tuples on k grid
     values, each index is the highest with as many tuples from it on as from
@@ -359,11 +464,38 @@ def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
         yield chunk
 
 
-def _chunk_best(h, g, candidates: InnerCandidates, eps, grid_step: float, lambda_max: float):
+def _box_points(boxes, size: int, n_l: int, rows: int):
+    """Yield (at most ``rows``, types) arrays of the grid indices of the
+    nondecreasing latency tuples in ``boxes``, rows of cell indices of cells
+    of ``size`` consecutive values out of ``n_l``: box by box, and each
+    box's tuples in lexicographic order."""
+    n_types = boxes.shape[1]
+    offsets = np.indices((size,) * n_types).reshape(n_types, -1)
+    per_batch = max(1, rows // offsets.shape[1])
+    for start in range(0, len(boxes), per_batch):
+        # column by column: a broadcast over a last axis of `types` entries
+        # runs one short inner loop per row
+        batch = boxes[start : start + per_batch] * size
+        columns = [(batch[:, i, None] + offsets[i]).ravel() for i in range(n_types)]
+        inside = columns[-1] < n_l
+        for left, right in zip(columns, columns[1:]):
+            inside &= left <= right
+        kept = np.flatnonzero(inside)
+        points = np.empty((kept.size, n_types), dtype=kept.dtype)
+        for i, column in enumerate(columns):
+            points[:, i] = column[kept]
+        for first in range(0, len(points), rows):
+            yield points[first : first + rows]
+
+
+def _chunk_best(
+    h, g, candidates: InnerCandidates, eps, grid_step: float, lambda_max: float, points=None
+):
     """Best (objective, row index) over latency points with log benefits
     ``h`` (rows) and expected rewards ``g``: evaluate the grid points that
     bracket each row's multiplier argmax clipped to [0, lambda_max], or the
-    grid point it sits on."""
+    grid point it sits on.  A tie goes to the first row or, given the
+    points' grid indices (one row each), to the lexicographically least."""
     lam_star = np.clip(multiplier_argmax(h, candidates, eps), 0.0, lambda_max)
     lam_floor = np.clip(np.floor(lam_star / grid_step) * grid_step, 0.0, lambda_max)
     lam_ceil = np.clip(np.ceil(lam_star / grid_step) * grid_step, 0.0, lambda_max)
@@ -371,6 +503,9 @@ def _chunk_best(h, g, candidates: InnerCandidates, eps, grid_step: float, lambda
     up = np.flatnonzero(lam_ceil != lam_floor)
     omega[up] = np.maximum(omega[up], _psi(h[up], g[up], lam_ceil[up], candidates, eps))
     idx = int(np.argmax(omega))
+    if points is not None:
+        ties = np.flatnonzero(omega == omega[idx])
+        idx = int(ties[np.lexsort(points[ties].T[::-1])[0]])
     return float(omega[idx]), idx
 
 

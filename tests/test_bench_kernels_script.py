@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,3 +47,46 @@ def test_every_oracle_call_runs_once():
     for n_types, call in zip((2, 3), calls.values()):
         omega, lat = call()
         assert np.isfinite(omega) and lat.shape == (n_types,)
+
+
+def test_ab_mode_records_paired_ratios(tmp_path, monkeypatch):
+    bench = load_bench_script()
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # main() pins them; restored afterwards
+    monkeypatch.setattr(bench, "BUDGET_S", 1e-3)
+    monkeypatch.setattr(bench, "REPEATS", 3)
+
+    def tiny(package):
+        bcd, config = bench.modules(package, "bcd", "config")
+        cfg = replace(config.RunConfig(seed=0), thetas=(110.0, 140.0, 175.0), n_train=12)
+        return [("tiny", cfg, bcd.BcdConfig(max_iters=2))]
+
+    def tiny_oracle(package):
+        config, evaluation = bench.modules(package, "config", "evaluation")
+        cfg = replace(config.RunConfig(seed=0), thetas=(110.0, 140.0), n_train=5)
+        samples = cfg.train_samples()
+        args = (cfg.profile(), samples, cfg.params(), cfg.ambiguity_for(samples.n), 1.0)
+        return {"oracle_tiny": lambda: evaluation.oracle_menu_search(*args, l_max=20.0)}
+
+    monkeypatch.setattr(bench, "instances", tiny)
+    monkeypatch.setattr(bench, "oracle_calls", tiny_oracle)
+    src = str(SCRIPT.parent.parent / "src")
+    out = tmp_path / "bench.json"
+    argv = ["--ab", src, "--src", src, "--label", "same", "--out", str(out)]
+    assert bench.main(argv) == 0
+    run = json.loads(out.read_text())["ab"]["same"]
+    assert run["before_sha256"] == run["after_sha256"]
+    assert run["pairs"] == 3
+    assert list(run["tiny"]) == [
+        "objective",
+        "weighted_log",
+        "grad_L",
+        "iron_monotone",
+        "rewards_from_latencies",
+        "solve_per_iteration",
+    ]
+    assert list(run["oracle"]) == ["oracle_tiny"]
+    for stats in [*run["tiny"].values(), *run["oracle"].values()]:
+        assert list(stats) == ["before_us", "after_us", "ratio", "ratio_q1", "ratio_q3"]
+        assert all(math.isfinite(value) and value > 0 for value in stats.values())
+        assert stats["ratio_q1"] <= stats["ratio"] <= stats["ratio_q3"]

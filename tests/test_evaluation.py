@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drcontract import (
@@ -38,6 +38,8 @@ from drcontract import evaluation
 from drcontract.config import RunConfig, generate_quality_samples
 from drcontract.evaluation import (
     MetricsTable,
+    _box_points,
+    _BoxBound,
     _chunk_best,
     _gather,
     _monotone_chunks,
@@ -420,6 +422,124 @@ class TestPrune:
         h = _gather(scaled, chunk)
         for lam in step * np.arange(round(lambda_max / step) + 1):
             assert np.all(bound >= _psi(h, g, np.full(g.size, lam), candidates, amb.epsilon))
+
+    @given(pruning_instances(), st.sampled_from([1, 2, 3, 4, 8, 64]))
+    @settings(max_examples=120, deadline=None)
+    @example(
+        # a zero-probability type between two others, and diagonal boxes
+        (
+            AspTypeProfile(thetas=[110.0, 140.0, 140.0], alphas=[0.5, 0.0, 0.5]),
+            QualitySampleSet([45.0, 60.0, 77.0, 110.0]),
+            AmbiguityConfig(SUPPORT, 6.0),
+            1.0,
+            12.0,
+            3.0,
+        ),
+        4,
+    )
+    def test_box_bound_holds_at_every_point_and_grid_multiplier(self, instance, size):
+        profile, samples, amb, step, l_max, lambda_max = instance
+        values = step * np.arange(round(l_max / step) + 1)
+        candidates = inner_candidates(samples.samples, amb.support)
+        scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
+        row_bound = _RowBound(scaled, candidates, amb.epsilon, lambda_max)
+        box_bound = _BoxBound(row_bound, size, values, profile, PARAMS.gamma1)
+        n_cells = -(-values.size // size)
+        (cells,) = _monotone_chunks(n_cells, profile.n_types, samples.n)
+        lams = step * np.arange(round(lambda_max / step) + 1)
+        for box, bound in zip(cells, box_bound(cells)):
+            (points,) = _box_points(box[None], size, values.size, 10**6)
+            rewards = rewards_from_latencies(values[points], profile, PARAMS.gamma1)
+            g = expected_reward(rewards, profile.alphas)
+            h = _gather(scaled, points)
+            for lam in lams:
+                assert np.all(bound >= _psi(h, g, np.full(g.size, lam), candidates, amb.epsilon))
+
+    @pytest.mark.parametrize("n_types", [1, 2, 3, 4])
+    def test_box_points_are_the_nondecreasing_tuples_in_each_box(self, n_types):
+        for n_l, size in ((1, 1), (5, 2), (7, 3), (9, 4)):
+            n_cells = -(-n_l // size)
+            boxes = np.array(
+                list(itertools.combinations_with_replacement(range(n_cells), n_types))
+            )
+            for rows in (1, 5, 10**6):
+                seen = []
+                for box in boxes:
+                    chunks = list(_box_points(box[None], size, n_l, rows))
+                    assert all(len(c) <= rows for c in chunks)
+                    points = [tuple(row) for c in chunks for row in c.tolist()]
+                    assert points == sorted(points)
+                    assert all(k // size == c for p in points for k, c in zip(p, box))
+                    seen += points
+                expected = itertools.combinations_with_replacement(range(n_l), n_types)
+                assert sorted(seen) == list(expected)
+                together = [tuple(r) for c in _box_points(boxes, size, n_l, rows) for r in c]
+                assert together == seen
+
+    def test_exact_ties_in_a_chunk_go_to_the_least_point(self):
+        candidates = inner_candidates([70.0, 90.0], SUPPORT)
+        h = np.tile([4.2, 4.3, 4.4], (4, 1))
+        g = np.full(4, 0.1)
+        points = np.array([[2, 5], [1, 7], [1, 6], [2, 2]])
+        assert _chunk_best(h, g, candidates, 1.0, 0.5, 2.0)[1] == 0
+        assert _chunk_best(h, g, candidates, 1.0, 0.5, 2.0, points)[1] == 2
+
+    @pytest.mark.parametrize("chunk_entries", [12, 40, 400])
+    @pytest.mark.parametrize(
+        "thetas, alphas, step, l_max",
+        [
+            ([110.0, 140.0], [1.0, 0.0], 1.0, 80.0),
+            ([90.0, 100.0, 180.0], [0.5, 0.5, 0.0], 2.0, 60.0),
+        ],
+    )
+    def test_exact_ties_across_boxes_go_to_the_least_tuple(
+        self, thetas, alphas, step, l_max, chunk_entries
+    ):
+        # the last type has probability zero, so its latency moves neither
+        # the log benefit nor the expected reward: every tuple that shares
+        # the best prefix ties exactly, in boxes across the grid, and the
+        # least of them repeats the second-last latency, below l_max here
+        profile = AspTypeProfile(thetas=thetas, alphas=alphas)
+        samples = QualitySampleSet([55.0, 72.5, 90.0, 104.0])
+        amb = AmbiguityConfig(SUPPORT, 4.0)
+        with mock.patch.object(evaluation, "_CHUNK_ENTRIES", chunk_entries):
+            omega, lat = oracle_menu_search(
+                profile, samples, PARAMS, amb, step, l_max=l_max, lambda_max=2.0
+            )
+            ref_omega, ref_lat = unpruned_oracle(profile, samples, amb, step, l_max, 2.0)
+        assert omega == ref_omega
+        assert lat.tolist() == ref_lat.tolist()
+        assert lat[-1] == lat[-2] <= l_max - 10 * step
+
+    @pytest.mark.parametrize(
+        "thetas, alphas, step, l_max",
+        [
+            ([110.0, 140.0], [1.0, 0.0], 1.0, 80.0),
+            ([90.0, 100.0, 180.0], [0.5, 0.5, 0.0], 2.0, 60.0),
+        ],
+    )
+    def test_a_tie_found_first_in_a_later_box_gives_way(self, thetas, alphas, step, l_max):
+        # a raised box bound is still sound; raising the one box that holds
+        # the best prefix and the grid's top cell has it searched first, and
+        # it holds only lexicographically greater ties of the best point
+        profile = AspTypeProfile(thetas=thetas, alphas=alphas)
+        samples = QualitySampleSet([55.0, 72.5, 90.0, 104.0])
+        amb = AmbiguityConfig(SUPPORT, 4.0)
+        ref_omega, ref_lat = unpruned_oracle(profile, samples, amb, step, l_max, 2.0)
+        size = round(evaluation._BOX_POINTS ** (1.0 / profile.n_types))
+        first = np.append(np.round(ref_lat[:-1] / step).astype(int), round(l_max / step)) // size
+        bound = evaluation._BoxBound.__call__
+
+        def raised(self, cells):
+            return bound(self, cells) + 100.0 * np.all(cells == first, axis=1)
+
+        with mock.patch.object(evaluation._BoxBound, "__call__", raised):
+            omega, lat = oracle_menu_search(
+                profile, samples, PARAMS, amb, step, l_max=l_max, lambda_max=2.0
+            )
+        assert first[-1] > first[-2]
+        assert omega == ref_omega
+        assert lat.tolist() == ref_lat.tolist()
 
     @given(pruning_instances(), st.data())
     @settings(max_examples=100, deadline=None)
