@@ -10,7 +10,10 @@ plus one iteration of ``bcd.solve``:
 * ``I64_N20000``: 64 types (thetas ``linspace(110, 250, 64)``) and 20 000
   training samples; the solve is capped at 10 iterations.
 
-and, under ``oracle``, two whole ``evaluation.oracle_menu_search`` calls
+Under ``I8_N200_extreme100`` it times one iteration of the bench grid's
+contamination-100 dro solve (:func:`contaminated_solve`), whose 1500
+iterations keep their inner winners throughout, and under ``oracle`` two
+whole ``evaluation.oracle_menu_search`` calls
 (:func:`oracle_calls`): the criterion-05 instance at grid step 0.025, and a
 three-type instance whose multiplier argmax leaves zero, where the oracle's
 bound prunes few latency points.
@@ -148,6 +151,19 @@ def kernels(cfg, solve_cfg, package="drcontract"):
     return calls, lambda: bcd.solve(samples, profile, params, amb, solve_cfg)
 
 
+def contaminated_solve(package="drcontract"):
+    """A call that runs the bench grid's contamination-100 dro solve: the
+    seed-0 reference instance with 100 training samples moved to the
+    extreme value, which runs the whole 1500-iteration budget with no change
+    of inner winners."""
+    ambiguity, bcd, config = modules(package, "ambiguity", "bcd", "config")
+    cfg = config.RunConfig(seed=0)
+    train = cfg.train_samples()
+    samples = ambiguity.inject_extreme_points(train, 100, cfg.extreme_value, cfg.seed)
+    args = (samples, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg.bcd_config())
+    return lambda: bcd.solve(*args)
+
+
 def oracle_calls(package="drcontract"):
     """The timed oracle searches by name: the criterion-05 instance (two
     types, 20 training samples) at the perfbench ``oracle`` workload's grid
@@ -177,13 +193,15 @@ def oracle_calls(package="drcontract"):
 
 
 def samplers(package="drcontract"):
-    """Per group (each size of :func:`instances`, then ``oracle``), a sampler
-    per figure, built on ``package``."""
+    """Per group (each size of :func:`instances`, ``I8_N200_extreme100``
+    for :func:`contaminated_solve`, then ``oracle``), a sampler per figure,
+    built on ``package``."""
     groups = {}
     for name, cfg, solve_cfg in instances(package):
         calls, solve = kernels(cfg, solve_cfg, package)
         groups[name] = {figure: timer(fn) for figure, fn in calls.items()}
         groups[name]["solve_per_iteration"] = SolveTimer(solve)
+    groups["I8_N200_extreme100"] = {"solve_per_iteration": SolveTimer(contaminated_solve(package))}
     groups["oracle"] = {figure: timer(fn) for figure, fn in oracle_calls(package).items()}
     return groups
 

@@ -11,6 +11,16 @@ iteration.  The loop stops when consecutive objective values differ by at
 most the convergence threshold.  :func:`solve` evaluates the robust
 objective; :func:`solve_pinned` pins the inner point to each anchor.
 
+The inner winners (floor or projection) that fix the minimizers seldom
+change from one iteration to the next, so the loop runs in batches: up to K
+steps at the last evaluation's winners, then one stacked evaluation of the
+K iterates (:func:`objectives`), cut at the first iterate whose winners
+differ.  K doubles while the winners hold, up to the iteration budget and
+to ``max(1, inner.TYPE_BLOCK_POINTS // (I * points))``, the stack whose log
+table fits one type block; it is 1 at 64 types and 20k samples.  Traces,
+stop reasons, menus and errors are those of one step per evaluation, bit
+for bit (see :func:`_ascend`).
+
 The latency gradient deliberately treats the inner minimizers as constants,
 so per-step objective improvement is not guaranteed and is not asserted;
 in practice the trajectory climbs monotonically on the tested instances.
@@ -18,6 +28,7 @@ in practice the trajectory climbs monotonically on the tested instances.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -27,8 +38,15 @@ from .ambiguity import AmbiguityConfig, sample_values
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams
 from .contracts import expected_reward, rewards_from_latencies
 from .csvio import write_table
-from .errors import NonPositiveDenominator, NumericError, SizeMismatch, ValidationError
+from .errors import (
+    ContractSolverError,
+    NonPositiveDenominator,
+    NumericError,
+    SizeMismatch,
+    ValidationError,
+)
 from .inner import (
+    TYPE_BLOCK_POINTS,
     InnerCandidates,
     argument_blocks,
     inner_candidates,
@@ -90,6 +108,29 @@ class SolveReport:
         return float(self.objective_trace[-1])
 
 
+def objectives(
+    latencies,
+    lam,
+    candidates: InnerCandidates,
+    epsilon: float,
+    profile: AspTypeProfile,
+    params: UtilityParams,
+):
+    """The robust objective of one menu (1-D ``latencies``, scalar ``lam``)
+    or of each menu of a stack (a ``(K, I)`` row of latencies and a
+    multiplier each): returns ``(values, wins)``, the values being
+    :func:`inner.sample_value` of every anchor's inner minimum over
+    ``candidates`` (``inner_candidates(anchors, support)``, built once per
+    solve) and the expected reward, and ``wins`` marking the anchors whose
+    minimizer is their projection rather than the floor (see
+    :func:`inner.inner_minima`), a row per menu of a stack.  Every kernel
+    treats a stack's rows independently, in one menu's float order, so each
+    row is the one-menu result bit for bit."""
+    f_min, wins = inner_minima(latencies, lam, candidates, params, profile.alphas)
+    g = expected_reward(rewards_from_latencies(latencies, profile, params.gamma1), profile.alphas)
+    return sample_value(f_min, g, lam, epsilon), wins
+
+
 def objective(
     latencies,
     lam: float,
@@ -98,15 +139,11 @@ def objective(
     profile: AspTypeProfile,
     params: UtilityParams,
 ):
-    """Evaluate the robust objective at (latencies, lam): returns (objective,
-    wins), the objective being :func:`inner.sample_value` of every anchor's
-    inner minimum over ``candidates`` (``inner_candidates(anchors,
-    support)``, built once per solve) and the expected reward, and ``wins``
-    marking the anchors whose minimizer is their projection rather than the
-    floor (see :func:`inner.inner_minima`)."""
-    f_min, wins = inner_minima(latencies, lam, candidates, params, profile.alphas)
-    g = expected_reward(rewards_from_latencies(latencies, profile, params.gamma1), profile.alphas)
-    return float(sample_value(f_min, g, lam, epsilon)), wins
+    """Evaluate the robust objective at one menu (latencies, lam): returns
+    (objective, wins), the objective as a Python float (see
+    :func:`objectives`)."""
+    omega, wins = objectives(latencies, lam, candidates, epsilon, profile, params)
+    return float(omega), wins
 
 
 def grad_L(scaled_xi, latencies, alphas, price, gamma3: float) -> np.ndarray:
@@ -217,11 +254,16 @@ def solve(
     scaled_lo, scaled_p = float(scaled[0]), scaled[1:]
 
     def evaluate(lat, lam):
-        omega, wins = objective(lat, lam, candidates, ambiguity.epsilon, profile, params)
-        distances = np.where(wins, candidates.p_distance, candidates.lo_distance)
-        return omega, np.where(wins, scaled_p, scaled_lo), distances
+        return objectives(lat, lam, candidates, ambiguity.epsilon, profile, params)
 
-    report = _ascend(ambiguity.epsilon, evaluate, profile, params, bcd_cfg or BcdConfig())
+    def minimizers(wins):
+        distances = np.where(wins, candidates.p_distance, candidates.lo_distance)
+        return np.where(wins, scaled_p, scaled_lo), distances
+
+    points = candidates.points.size
+    report = _ascend(
+        ambiguity.epsilon, evaluate, minimizers, points, profile, params, bcd_cfg or BcdConfig()
+    )
     if unbounded(candidates, ambiguity.epsilon):
         report.stop_reason = "unbounded"
     return report
@@ -242,18 +284,45 @@ def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     def evaluate(lat, lam):
         g = expected_reward(rewards_from_latencies(lat, profile, params.gamma1), profile.alphas)
         omega = sample_value(weighted_log(anchors, lat, profile.alphas, params), g)
-        return float(omega), scaled, distances
+        return omega, np.zeros((len(lat), 0), dtype=bool)  # no inner choice, so no winners
+
+    def minimizers(wins):
+        return scaled, distances
 
     bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
-    return _ascend(0.0, evaluate, profile, params, bcd_cfg)
+    return _ascend(0.0, evaluate, minimizers, anchors.size, profile, params, bcd_cfg)
 
 
-def _ascend(epsilon, evaluate, profile, params, cfg: BcdConfig) -> SolveReport:
-    """The ascent engine.  ``evaluate(lat, lam)`` returns the objective and,
-    at its inner minimizers xi*, gamma2*xi* and the transport distances
-    |anchor - xi*|; it fixes the inner rule and runs once at the start point
-    and once per iteration.  Raises NumericError when an iterate or its
-    objective is not finite, or the latencies decrease."""
+def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConfig) -> SolveReport:
+    """The ascent engine.  ``evaluate(lat, lam)`` takes a ``(K, I)`` stack
+    of latency iterates and their K multipliers and returns the K objective
+    values and a row of inner winners per iterate; ``minimizers(wins)``
+    returns, at the inner minimizers xi* one row of winners picks, gamma2*xi*
+    and the transport distances |anchor - xi*|.  Together they fix the inner
+    rule.  ``points`` is the number of points ``evaluate`` takes the log
+    benefit at.
+
+    Each batch takes K steps from the last traced iterate, all at the
+    winners of the last evaluation, so the multiplier gradient is computed
+    once; evaluates the K iterates in one call; then walks them in order,
+    tracing each and applying the stop test.  At the first iterate whose
+    winners differ from those the steps assumed, it keeps that iterate and
+    drops the rest.  Each kept iterate is thus the one a loop of one step
+    per evaluation computes, bit for bit: until the winners change, the
+    steps read the same minimizers, and a stacked evaluation's rows equal
+    one-iterate evaluations.  K is 1 at the start and after a change, and
+    doubles after each batch kept in full, up to the remaining budget and to
+    ``max(1, TYPE_BLOCK_POINTS // (I * points))``, so a batch's log table
+    fits one type block.  Doubling rather than starting at that cap keeps
+    the steps computed past a stop no more than those kept.
+
+    K = 1 is the one-step loop, errors included.  A batch of K > 1 runs with
+    numpy's floating-point warnings raised, and a library error or a
+    floating-point error in its steps or its evaluation drops the batch and
+    redoes it at K = 1.  So each error is raised at the iterate and with
+    the message of the one-step loop, and a step past the iterate where
+    that loop stops neither raises nor warns.  Raises NumericError when an
+    iterate or its objective is not finite, or the latencies decrease."""
     # Zero-probability types get a tiny ironing weight so pooling stays defined.
     weights = np.maximum(profile.alphas, 1e-12)
     price = params.gamma1 / profile.thetas
@@ -262,32 +331,64 @@ def _ascend(epsilon, evaluate, profile, params, cfg: BcdConfig) -> SolveReport:
     # weights; each step is checked for finiteness before it is ironed.
     lat = np.maximum(iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
     lam = float(cfg.lambda_init)
-    omega, scaled_xi, distances = evaluate(lat, lam)
+    wins = evaluate(lat[None], np.array([lam]))[1][0]
+    cap = max(1, TYPE_BLOCK_POINTS // (profile.n_types * points))
+
+    def steps(lat, lam, size, scaled_xi, distances):
+        """``size`` steps from (lat, lam), all at the minimizers given: the
+        ``(size, I)`` latency iterates and their multipliers."""
+        lats, lams = np.empty((size, profile.n_types)), np.empty(size)
+        for j in range(size):
+            gradient = grad_L(scaled_xi, lat, profile.alphas, price, params.gamma3)
+            stepped = lat + cfg.eta_L * gradient
+            # the checks call ufunc reductions: ndarray.all/any wrap them in Python
+            if not np.logical_and.reduce(np.isfinite(stepped)):
+                raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
+            lat = np.maximum(iron_monotone(stepped, weights, validate=False), 0.0, out=lats[j])
+            if j == 0:  # fixed minimizers fix the multiplier step
+                lam_step = cfg.eta_lambda * grad_lambda(distances, epsilon)
+            lam = max(lam + lam_step, 0.0)
+            if not math.isfinite(lam):  # lam >= 0 holds by the projection above
+                raise NumericError(f"multiplier iterate {lam!r} is not finite")
+            if np.logical_or.reduce(lat[1:] < lat[:-1]):
+                raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
+            lams[j] = lam
+        return lats, lams
 
     omega_prev = -np.inf
     converged = False
     obj_trace, lam_trace, lat_trace = [], [], []
-    for _ in range(cfg.max_iters):
-        stepped = lat + cfg.eta_L * grad_L(scaled_xi, lat, profile.alphas, price, params.gamma3)
-        # the checks call ufunc reductions: ndarray.all/any wrap them in Python
-        if not np.logical_and.reduce(np.isfinite(stepped)):
-            raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
-        lat = np.maximum(iron_monotone(stepped, weights, validate=False), 0.0)
-        lam = max(lam + cfg.eta_lambda * grad_lambda(distances, epsilon), 0.0)
-        if not math.isfinite(lam):  # lam >= 0 holds by the projection above
-            raise NumericError(f"multiplier iterate {lam!r} is not finite")
-        if np.logical_or.reduce(lat[1:] < lat[:-1]):
-            raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
-        omega, scaled_xi, distances = evaluate(lat, lam)
-        if not math.isfinite(omega):
-            raise NumericError(f"objective {omega!r} at lam={lam!r} is not finite")
-        obj_trace.append(omega)
-        lam_trace.append(lam)
-        lat_trace.append(lat)
-        if abs(omega_prev - omega) <= cfg.conv_tol:
-            converged = True
-            break
-        omega_prev = omega
+    size = 1
+    while not converged and len(obj_trace) < cfg.max_iters:
+        size = min(size, cap, cfg.max_iters - len(obj_trace))
+        raised = np.errstate(over="raise", invalid="raise", divide="raise")
+        try:
+            with raised if size > 1 else contextlib.nullcontext():
+                lats, lams = steps(lat, lam, size, *minimizers(wins))
+                omegas, batch_wins = evaluate(lats, lams)
+        except (ContractSolverError, FloatingPointError):
+            if size == 1:
+                raise
+            size = 1  # redo the batch one step per evaluation
+            continue
+        changed = np.logical_or.reduce(batch_wins != wins, axis=1).tolist()
+        # (lat, lam) ends at the last iterate traced
+        rows = zip(omegas.tolist(), lats, lams.tolist(), changed, batch_wins)
+        for omega, lat, lam, change, row_wins in rows:
+            if not math.isfinite(omega):
+                raise NumericError(f"objective {omega!r} at lam={lam!r} is not finite")
+            obj_trace.append(omega)
+            lam_trace.append(lam)
+            lat_trace.append(lat)
+            if abs(omega_prev - omega) <= cfg.conv_tol:
+                converged = True
+                break
+            omega_prev = omega
+            if change:  # the later rows stepped from the old winners
+                wins, size = row_wins, 1
+                break
+        else:
+            size *= 2
 
     rewards = rewards_from_latencies(lat, profile, params.gamma1)
     return SolveReport(

@@ -146,10 +146,11 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     types run along the last axis, so a stack of latency vectors gives one
     reward vector per row.
 
-    The increments are summed in type order: by ``np.add.accumulate`` for
-    one vector, and for a stack column by column, one vectorized add per
-    type, since a cumulative sum along a short last axis runs one inner
-    loop per row.  Both add the same terms in the same order.
+    The increments are summed in type order: by ``np.add.accumulate``
+    along the types for one vector or a stack no taller than it is wide,
+    and for a taller stack column by column, one vectorized add per type,
+    since a cumulative sum along a short last axis runs one inner loop per
+    row.  Both add the same terms in the same order.
     """
     lat = np.asarray(latencies, dtype=float)
     if lat.shape[-1] != profile.n_types:
@@ -167,9 +168,9 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
         )
     rewards = np.multiply(gamma1, increments, out=increments)
     rewards /= profile.thetas
-    if rewards.ndim == 1:
-        return np.add.accumulate(rewards, out=rewards)
     columns = rewards.T
+    if len(rewards) <= len(columns):  # a vector is its own transpose
+        return np.add.accumulate(rewards, axis=-1, out=rewards)
     for i in range(1, len(columns)):
         columns[i] += columns[i - 1]
     return rewards
@@ -177,14 +178,15 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
 
 def expected_reward(rewards, alphas):
     """Expected reward ``sum_i alpha_i * R_i`` of a reward vector, or of each
-    row of a (menus, types) stack, added type by type: elementwise per row,
-    and for one vector by ``np.add.accumulate``, which adds in the same
-    order."""
+    row of a (menus, types) stack, added type by type: for one vector or a
+    stack no taller than it is wide by ``np.add.accumulate`` along the
+    types, and for a taller stack elementwise per row, which adds in the
+    same order (see :func:`rewards_from_latencies`)."""
     columns = rewards.T
     if len(columns) != len(alphas):
         raise SizeMismatch(f"{len(alphas)} alphas vs {len(columns)} rewards")
-    if rewards.ndim == 1:
-        return np.add.accumulate(alphas * rewards)[-1]
+    if len(rewards) <= len(columns):
+        return np.add.accumulate(alphas * rewards, axis=-1).T[-1]
     total = alphas[0] * columns[0]
     for i in range(1, len(alphas)):
         total += alphas[i] * columns[i]

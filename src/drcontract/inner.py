@@ -33,6 +33,7 @@ zero (:func:`multiplier_argmax`), if it does (else :func:`unbounded`).
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -55,12 +56,17 @@ def argument_blocks(scaled_xi, scaled_lat):
     order: ``types`` is a slice of the types and ``table`` the ``(k, N)``
     array ``scaled_xi + scaled_lat[types, None]`` over the block's k types
     and the N points, that is ``gamma2*xi + gamma3*L_i`` given
-    ``scaled_xi = gamma2*xi`` (1-D) and ``scaled_lat = gamma3*L``.  A block
-    holds ``max(1, TYPE_BLOCK_POINTS // N)`` types."""
-    step = max(1, TYPE_BLOCK_POINTS // max(scaled_xi.size, 1))
-    for start in range(0, scaled_lat.size, step):
-        types = slice(start, min(start + step, scaled_lat.size))
-        yield types, scaled_xi + scaled_lat[types, None]
+    ``scaled_xi = gamma2*xi`` (1-D) and ``scaled_lat = gamma3*L``.  A
+    ``(K, I)`` stack of latency vectors gives ``(k, K, N)`` tables, the type
+    axis first.  Tables are C-ordered whatever the inputs' strides, so the
+    points are the contiguous axis.  A block holds
+    ``max(1, TYPE_BLOCK_POINTS // (K*N))`` types."""
+    per_type = scaled_xi.size * math.prod(scaled_lat.shape[:-1])
+    by_type = scaled_lat.T  # types first; a vector is its own transpose
+    step = max(1, TYPE_BLOCK_POINTS // max(per_type, 1))
+    for start in range(0, len(by_type), step):
+        types = slice(start, min(start + step, len(by_type)))
+        yield types, np.add(scaled_xi, by_type[types, ..., None], order="C")
 
 
 def least_argument(scaled_xi, scaled_lat) -> float:
@@ -70,17 +76,19 @@ def least_argument(scaled_xi, scaled_lat) -> float:
     fl(a + b) <= fl(a' + b'), so no entry lies below fl(min a + min b), which
     is an entry itself.  ``np.fmin`` skips NaNs, as a sign test of the table
     would (NaN <= 0 is false); +inf plus -inf gives NaN, and then every entry
-    is NaN or +inf."""
-    return np.fmin.reduce(scaled_xi, initial=np.inf) + np.fmin.reduce(scaled_lat, initial=np.inf)
+    is NaN or +inf.  A stack of latency vectors is taken whole."""
+    least_lat = np.fmin.reduce(scaled_lat, axis=None, initial=np.inf)
+    return np.fmin.reduce(scaled_xi, initial=np.inf) + least_lat
 
 
 def log_blocks(xi, latencies, params: UtilityParams):
     """:func:`argument_blocks` of ``gamma2*xi`` and ``gamma3*L`` with the
-    natural log of each table taken in place.  Raises ValidationError unless
-    ``xi`` is 1-D, and NonPositiveLogArgument, before any log is taken, when
-    an argument is not strictly positive (:func:`least_argument`); its
-    ``sample_index`` is the first point of ``xi`` with a nonpositive argument
-    in any type."""
+    natural log of each table taken in place, for one latency vector or a
+    ``(K, I)`` stack.  Raises ValidationError unless ``xi`` is 1-D, and
+    NonPositiveLogArgument, before any log is taken, when an argument is not
+    strictly positive (:func:`least_argument`); its ``sample_index`` is the
+    first point of ``xi`` with a nonpositive argument in any type, in the
+    first such row of a stack."""
     points = np.asarray(xi, dtype=float)
     if points.ndim != 1:
         raise ValidationError(f"points must be a 1-D array, got shape {points.shape}")
@@ -93,18 +101,22 @@ def log_blocks(xi, latencies, params: UtilityParams):
 
 
 def _nonpositive_log_argument(scaled_xi, scaled_lat, xi) -> NonPositiveLogArgument:
-    """The error for the first point with a nonpositive argument in any type
-    (error path only, so the full argument table is affordable)."""
-    args = scaled_xi + scaled_lat[:, None]
+    """The error for the first point with a nonpositive argument in any type,
+    in the first row of a stack that has one (error path only, so the full
+    argument table is affordable)."""
+    rows = np.reshape(scaled_lat, (-1, scaled_lat.shape[-1]))
+    args = scaled_xi + rows[:, :, None]
     bad = args <= 0.0
-    k = int(np.argmax(bad.any(axis=0)))
-    arg, x = float(args[np.argmax(bad[:, k]), k]), float(xi[k])
+    row = int(np.argmax(bad.any(axis=(1, 2))))
+    k = int(np.argmax(bad[row].any(axis=0)))
+    arg, x = float(args[row, np.argmax(bad[row, :, k]), k]), float(xi[k])
     return NonPositiveLogArgument(f"log argument {arg!r} at xi={x!r} must be > 0", sample_index=k)
 
 
 def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
     """Log benefit h(xi) = sum_i alpha_i * ln(gamma2*xi + gamma3*L_i), one
-    value per point of the 1-D array ``xi``.
+    value per point of the 1-D array ``xi``, for one latency vector or, from
+    a ``(K, I)`` stack, one row of values per latency vector.
 
     The logs come from :func:`log_blocks`, one ``np.log`` call per block of
     types.  Each block's logs are scaled by their alphas in place, the
@@ -112,21 +124,26 @@ def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
     block's first row, and the block's rows are summed in type order.  So
     every point's total is ``(((0 + a_1) + a_2) + ...)``, a_i being
     ``alpha_i * ln(...)``: the float sequence of a per-type loop, signed
-    zeros included (0.0 + -0.0 is 0.0).  One ``np.add.reduce`` over the type
-    axis sums the rows one after another, since numpy pairs terms up only
-    along the contiguous axis (see ``np.sum``), here the points; a table of
-    one point makes the type axis the contiguous one, so its column is
-    summed by ``np.add.accumulate``, which adds strictly in order.
-    Accumulating along the type axis of a wider table would run one short
-    inner loop per point.  Raises ValidationError unless ``xi`` is 1-D, and
-    SizeMismatch unless there is one alpha per latency.
+    zeros included (0.0 + -0.0 is 0.0), whatever the block size.  A stack's
+    ``(k, K, N)`` tables are summed as ``(k, K*N)`` ones, so each row of a
+    stack is the one-vector result bit for bit.  One ``np.add.reduce`` over
+    the type axis sums the rows one after another, since numpy pairs terms
+    up only along the contiguous axis (see ``np.sum``), here the points; a
+    table of one entry per type (one vector at one point) makes the type
+    axis the contiguous one, so its column is summed by
+    ``np.add.accumulate``, which adds strictly in order.  Accumulating along the type axis of a wider
+    table would run one short inner loop per point.  Raises ValidationError
+    unless ``xi`` is 1-D, and SizeMismatch unless there is one alpha per
+    latency.
     """
     lat = np.asarray(latencies, dtype=float)
-    if len(alphas) != lat.size:
-        raise SizeMismatch(f"{len(alphas)} alphas vs {lat.size} latencies")
+    if len(alphas) != lat.shape[-1]:
+        raise SizeMismatch(f"{len(alphas)} alphas vs {lat.shape[-1]} latencies")
     weights = np.asarray(alphas, dtype=float)[:, None]
-    total = np.zeros(np.shape(xi))
+    shape = lat.shape[:-1] + np.shape(xi)
+    total = np.zeros(math.prod(shape))
     for types, logs in log_blocks(xi, lat, params):
+        logs = logs.reshape(len(logs), -1)  # a view: the table is fresh
         logs *= weights[types]
         first = logs[0]
         first += total
@@ -136,7 +153,7 @@ def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
             total = np.add.reduce(logs, axis=0)
         else:  # one point
             total = np.add.accumulate(logs[:, 0])[-1:]
-    return total
+    return total.reshape(shape)
 
 
 class InnerCandidates(NamedTuple):
@@ -160,21 +177,23 @@ def inner_candidates(anchors, support: SupportInterval) -> InnerCandidates:
 
 def inner_minima(
     latencies,
-    lam: float,
+    lam,
     candidates: InnerCandidates,
     params: UtilityParams,
     alphas,
 ):
     """Minimize the penalized log benefit over the support for every anchor
-    of ``candidates`` (see :func:`inner_candidates`).
+    of ``candidates`` (see :func:`inner_candidates`), for one menu (1-D
+    ``latencies``, scalar ``lam``) or a stack (a ``(K, I)`` row of latencies
+    and a multiplier each).
 
-    Returns ``(f_min, wins)``, one entry per anchor: the lower of the
-    floor's and the projection's branch, and whether the projection won, so
-    that the minimizer xi* is ``np.where(wins, candidates.points[1:],
-    candidates.points[0])``.  The projection wins only when strictly lower
-    (see the module docstring).
+    Returns ``(f_min, wins)``, one entry per anchor (a row per menu of a
+    stack): the lower of the floor's and the projection's branch, and
+    whether the projection won, so that the minimizer xi* is
+    ``np.where(wins, candidates.points[1:], candidates.points[0])``.  The
+    projection wins only when strictly lower (see the module docstring).
     """
-    if lam < 0.0:
+    if np.fmin.reduce(lam, axis=None) < 0.0:  # NaN skipped, as NaN < 0 is false
         raise ValidationError("lam must be >= 0")
     h = weighted_log(candidates.points, latencies, alphas, params)
     projection, floor = branch_values(h, lam, candidates)

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
     BcdConfig,
+    NonMonotoneLatencies,
     NonPositiveDenominator,
     NumericError,
     QualitySampleSet,
@@ -34,7 +37,9 @@ from drcontract import (
     write_trace_csv,
 )
 from drcontract import bcd
+from drcontract.bcd import objectives
 from drcontract.inner import TYPE_BLOCK_POINTS
+from sequential_ascent import sequential_solve, sequential_solve_pinned
 
 PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
@@ -373,19 +378,27 @@ class TestAscentStep:
         assert report.objective_trace[0] == pytest.approx(start, abs=1e-12)
 
     def test_step_reuses_the_state_minimizers(self, monkeypatch):
-        # each step reads the minimizers the last evaluation returned (as
-        # gamma2*xi* and |anchor - xi*|), and the objective is evaluated once
-        # per iteration, at the traced point
+        # each kept step reads the minimizers that the evaluation of the
+        # iterate it steps from returned (as gamma2*xi* and |anchor - xi*|),
+        # and every traced iterate is evaluated at the traced point; the
+        # evaluations come in stacked batches, one of which a winner change
+        # at iteration 14 cuts
         profile, samples, amb = small_instance(n_types=3)
         params = UtilityParams(gamma2=1.5)
+        cfg = BcdConfig(lambda_init=0.5)
         candidates = inner_candidates(samples.samples, SUPPORT)
-        points, returned, read_xi, read_distances = [], [], [], []
+        assert sequential_solve(samples, profile, params, amb, cfg).flips == [14]
+        evaluated, heights, read_xi, read_distances = {}, [], [], []
 
-        def traced_objective(lat, lam, *args):
-            points.append((lat.copy(), lam))
-            omega, wins = objective(lat, lam, *args)
-            returned.append(minimizers(candidates, wins))
-            return omega, wins
+        def key(lat, lam):
+            return lat.tobytes(), float(lam)
+
+        def traced_objectives(lat, lam, *args):
+            omegas, wins = objectives(lat, lam, *args)
+            heights.append(len(lat))
+            for row in zip(lat, lam, omegas, wins):
+                evaluated[key(*row[:2])] = (float(row[2]), minimizers(candidates, row[3]))
+            return omegas, wins
 
         def traced_grad_L(scaled_xi, *args):
             read_xi.append(scaled_xi)
@@ -395,20 +408,28 @@ class TestAscentStep:
             read_distances.append(distances)
             return grad_lambda(distances, *args)
 
-        monkeypatch.setattr(bcd, "objective", traced_objective)
+        monkeypatch.setattr(bcd, "objectives", traced_objectives)
         monkeypatch.setattr(bcd, "grad_L", traced_grad_L)
         monkeypatch.setattr(bcd, "grad_lambda", traced_grad_lambda)
-        report = solve(samples, profile, params, amb, BcdConfig(max_iters=3, conv_tol=1e-15))
-        assert len(points) == 1 + report.iterations_used == 4
-        assert len(read_xi) == len(read_distances) == report.iterations_used
-        for xi, scaled_xi, distances in zip(returned, read_xi, read_distances):
-            assert scaled_xi.tobytes() == (params.gamma2 * xi).tobytes()
-            assert distances.tobytes() == np.abs(xi - samples.samples).tobytes()
-        for (lat, lam), traced_lat, traced_lam in zip(
-            points[1:], report.latency_trace, report.lambda_trace
+        report = solve(samples, profile, params, amb, cfg)
+        assert report.iterations_used == 17
+        assert len(heights) < report.iterations_used  # batched
+        start = np.zeros(3), cfg.lambda_init
+        points = [start] + list(zip(report.latency_trace, report.lambda_trace))
+        weights, price = profile.alphas, params.gamma1 / profile.thetas
+        for (lat, lam), (traced_lat, traced_lam), omega in zip(
+            points, points[1:], report.objective_trace
         ):
-            np.testing.assert_array_equal(lat, traced_lat)
-            assert lam == traced_lam
+            assert evaluated[key(traced_lat, traced_lam)][0] == omega
+            xi = evaluated[key(lat, lam)][1]
+            scaled_xi = params.gamma2 * xi
+            assert any(read.tobytes() == scaled_xi.tobytes() for read in read_xi)
+            distances = np.abs(xi - samples.samples)
+            assert any(read.tobytes() == distances.tobytes() for read in read_distances)
+            step = grad_L(scaled_xi, lat, weights, price, params.gamma3)
+            expected = np.maximum(iron_monotone(lat + cfg.eta_L * step, weights), 0.0)
+            assert traced_lat.tobytes() == expected.tobytes()
+            assert traced_lam == max(lam + cfg.eta_lambda * grad_lambda(distances, amb.epsilon), 0.0)
 
     def test_decreasing_latency_iterate_raises(self, monkeypatch):
         profile, samples, amb = small_instance(n_types=2)
@@ -423,6 +444,187 @@ class TestAscentStep:
         cfg = BcdConfig(max_iters=1, L_init=5.0, lambda_init=1.0)
         with pytest.raises(NumericError, match="not nondecreasing"):
             solve(samples, profile, PARAMS, amb, cfg)
+
+
+def outcome(run):
+    """What a solve gives, compared bit for bit: the report's stop reason,
+    traces and menu, or the type and message of what it raised."""
+    try:
+        report = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    traces = (report.objective_trace, report.lambda_trace, report.latency_trace)
+    menu = (report.menu.latencies, report.menu.rewards)
+    return report.stop_reason, report.converged, *(a.tobytes() for a in traces + menu)
+
+
+@st.composite
+def ascent_instances(draw):
+    """(samples, profile, ambiguity, cfg): anchors on both sides of the
+    support, so the inner winners flip; budgets and thresholds that stop
+    anywhere in a batch; and, now and then, a step size that overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_types, n_samples = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    profile = AspTypeProfile(
+        thetas=np.sort(rng.uniform(100.0, 260.0, n_types)),
+        alphas=rng.dirichlet(np.ones(n_types)),
+    )
+    samples = QualitySampleSet(rng.uniform(40.0, 110.0, n_samples))
+    amb = AmbiguityConfig(SUPPORT, draw(st.floats(0.5, 30.0)))
+    cfg = BcdConfig(
+        max_iters=draw(st.integers(1, 300)),
+        conv_tol=draw(st.sampled_from([1e-2, 1e-4, 1e-8, 1e-15])),
+        eta_L=draw(st.sampled_from([1e2, 1e3, 1e4, 1e300])),
+        eta_lambda=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+        L_init=draw(st.floats(0.0, 50.0)),
+        lambda_init=draw(st.floats(0.0, 2.0)),
+    )
+    return samples, profile, amb, cfg
+
+
+def batch_heights(monkeypatch):
+    """The stack height of every evaluation a solve makes, the start point's
+    first: ``solve`` evaluates through ``bcd.objectives``, ``solve_pinned``
+    through ``bcd.weighted_log``, once per evaluation each."""
+    heights = []
+
+    def counted(kernel, latencies_at):
+        def kernel_counted(*args):
+            heights.append(len(args[latencies_at]))
+            return kernel(*args)
+
+        return kernel_counted
+
+    monkeypatch.setattr(bcd, "objectives", counted(objectives, 0))
+    monkeypatch.setattr(bcd, "weighted_log", counted(bcd.weighted_log, 1))
+    return heights
+
+
+def distinct_iterate(report, iteration):
+    """The latency iterate at ``iteration`` (1-based) of ``report``, which
+    no earlier iterate equals, so a patch can fail at it alone."""
+    lat = report.latency_trace[iteration - 1]
+    assert not any(np.array_equal(lat, earlier) for earlier in report.latency_trace[: iteration - 1])
+    return lat
+
+
+class TestBatchedAscent:
+    """The batched loop against the loop of one step per evaluation
+    (``tests/sequential_ascent.py``): the same traces, stop reasons, menus
+    and errors, bit for bit."""
+
+    @given(ascent_instances())
+    @settings(max_examples=120, deadline=None)
+    def test_solve_matches_the_sequential_loop(self, instance):
+        samples, profile, amb, cfg = instance
+        expected = outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg))
+        assert outcome(lambda: solve(samples, profile, PARAMS, amb, cfg)) == expected
+
+    @given(ascent_instances(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_pinned_solve_matches_the_sequential_loop(self, instance, one_point):
+        # sp pins the inner point to the anchors, ro to the support floor alone
+        samples, profile, _, cfg = instance
+        anchors = [SUPPORT.lo] if one_point else samples.samples
+        expected = outcome(lambda: sequential_solve_pinned(anchors, profile, PARAMS, cfg))
+        assert outcome(lambda: bcd.solve_pinned(anchors, profile, PARAMS, cfg)) == expected
+
+    @pytest.mark.parametrize(
+        "case, iterations, heights",
+        [
+            # a winner change at iteration 14 cuts the fourth batch after
+            # one row, and the next batch starts at one step again
+            ("flip", 17, [1, 1, 2, 4, 8, 1, 2]),
+            ("tol stop inside a batch", 6, [1, 1, 2, 4]),
+            ("max_iters cut inside a batch", 5, [1, 1, 2, 2]),
+            # one-point tables up to 128 menus tall
+            ("ro's one-point anchor set", 206, [1, 1, 2, 4, 8, 16, 32, 64, 128]),
+        ],
+    )
+    def test_batches_match_the_sequential_loop(self, monkeypatch, case, iterations, heights):
+        profile, samples, amb = small_instance(n_types=3)
+        if case == "ro's one-point anchor set":
+            args = ([SUPPORT.lo], profile, PARAMS, BcdConfig(conv_tol=1e-6))
+            batched, sequential = bcd.solve_pinned, sequential_solve_pinned
+        else:
+            params = UtilityParams(gamma2=1.5) if case == "flip" else PARAMS
+            cfg = {
+                "flip": BcdConfig(lambda_init=0.5),
+                "tol stop inside a batch": BcdConfig(lambda_init=0.0),
+                "max_iters cut inside a batch": BcdConfig(max_iters=5, conv_tol=1e-15),
+            }[case]
+            args = (samples, profile, params, amb, cfg)
+            batched, sequential = solve, sequential_solve
+        reference = sequential(*args)
+        assert reference.iterations_used == iterations
+        assert reference.flips == ([14] if case == "flip" else [])
+        evaluations = batch_heights(monkeypatch)
+        assert outcome(lambda: batched(*args)) == outcome(lambda: reference)
+        assert evaluations == heights
+
+    @pytest.mark.parametrize("failure", ["raises", "overflows"])
+    def test_a_step_past_the_stop_raises_nothing(self, monkeypatch, failure):
+        # the loop stops at iteration 9, inside the batch of 8..15, whose
+        # step from iterate 9 raises, or overflows to a non-finite step with
+        # numpy's warning; the one-step loop never takes that step, so the
+        # batch neither raises nor warns
+        profile, samples, amb = small_instance(n_types=2)
+        cfg = BcdConfig(max_iters=40, conv_tol=1e-15)
+        trace = sequential_solve(samples, profile, PARAMS, amb, cfg)
+        ninth = distinct_iterate(trace, 9)
+        changes = np.abs(np.diff(trace.objective_trace))
+        cfg = replace(cfg, conv_tol=float(changes[7]))  # the change at iteration 9, the least
+        assert np.all(changes[:7] > cfg.conv_tol)
+        failed = []
+
+        def failing_grad_L(scaled_xi, latencies, *args):
+            if not np.array_equal(latencies, ninth):
+                return grad_L(scaled_xi, latencies, *args)
+            failed.append(True)
+            if failure == "raises":
+                raise NonPositiveDenominator("a step from iterate 9")
+            return np.full(latencies.shape, np.finfo(float).max)  # times eta_L: overflow
+
+        expected = outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg))
+        assert expected[:2] == ("tol", True)
+        monkeypatch.setattr(bcd, "grad_L", failing_grad_L)
+        assert outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg)) == expected
+        assert failed == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert outcome(lambda: solve(samples, profile, PARAMS, amb, cfg)) == expected
+        assert failed  # the batch took the step, and dropped its failure
+        assert caught == []
+
+    def test_an_evaluation_failure_beats_the_next_step_failure(self, monkeypatch):
+        # iterate 10's evaluation fails and so does the step from it, both
+        # inside the batch of 8..15: the evaluation's error is raised, as
+        # the one-step loop raises it, although the batch's steps come first
+        profile, samples, amb = small_instance(n_types=2)
+        cfg = BcdConfig(max_iters=40, conv_tol=1e-15)
+        tenth = distinct_iterate(sequential_solve(samples, profile, PARAMS, amb, cfg), 10)
+        order = []
+
+        def failing_grad_L(scaled_xi, latencies, *args):
+            if np.array_equal(latencies, tenth):
+                order.append("step")
+                raise NonPositiveDenominator("a step from iterate 10")
+            return grad_L(scaled_xi, latencies, *args)
+
+        def failing_rewards(latencies, *args):
+            if np.logical_and.reduce(latencies == tenth, axis=-1).any():
+                order.append("evaluation")
+                raise NonMonotoneLatencies("the evaluation of iterate 10")
+            return rewards_from_latencies(latencies, *args)
+
+        monkeypatch.setattr(bcd, "grad_L", failing_grad_L)
+        monkeypatch.setattr(bcd, "rewards_from_latencies", failing_rewards)
+        expected = (NonMonotoneLatencies, "the evaluation of iterate 10")
+        assert outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg)) == expected
+        assert order == ["evaluation"]
+        order.clear()
+        assert outcome(lambda: solve(samples, profile, PARAMS, amb, cfg)) == expected
+        assert order[0] == "step" and order[-1] == "evaluation"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -579,6 +781,27 @@ class TestReferenceSolves:
              0.9796101366202646, 1.0432238526111375, 1.0839157668149781, 1.1038583766205925],
         ),
     }
+
+    # sha256 over a dro solve's objective, multiplier and latency traces
+    # (their float64 bytes, in that order), recorded from the loop of one
+    # step per evaluation: the seed-0 solve, whose winners change at
+    # iterations 699-700, and the 1500 iterations of the contaminated one,
+    # whose winners never change
+    TRACE_SHA256 = {
+        0: "20ec6d8d6936e4ad76739c54a5df106d24b7ac572e61c7df3550974d16d7dcb8",
+        100: "72c1269c077aef01250eb2e00624a94b4a8f38643f58404ef10e8a9ccae39378",
+    }
+
+    @pytest.mark.parametrize("count", [0, 100])
+    def test_dro_trace_digest(self, reference_components, count):
+        train, profile, params, amb, cfg = reference_components
+        run = RunConfig()
+        samples = inject_extreme_points(train, count, run.extreme_value, run.seed)
+        report = train_method("dro", samples, profile, params, amb, cfg)
+        digest = hashlib.sha256()
+        for trace in (report.objective_trace, report.lambda_trace, report.latency_trace):
+            digest.update(trace.tobytes())
+        assert digest.hexdigest() == self.TRACE_SHA256[count]
 
     @pytest.mark.parametrize("count", [50, 100])
     def test_contaminated_dro_solve(self, reference_components, count):

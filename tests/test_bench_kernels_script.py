@@ -40,6 +40,11 @@ def test_every_kernel_runs_once_on_a_small_instance():
     assert report.iterations_used <= 2
 
 
+def test_contaminated_solve_runs_the_whole_budget():
+    report = load_bench_script().contaminated_solve()()
+    assert (report.iterations_used, report.stop_reason) == (1500, "unbounded")
+
+
 def test_every_oracle_call_runs_once():
     bench = load_bench_script()
     calls = bench.oracle_calls()
@@ -68,7 +73,15 @@ def test_ab_mode_records_paired_ratios(tmp_path, monkeypatch):
         args = (cfg.profile(), samples, cfg.params(), cfg.ambiguity_for(samples.n), 1.0)
         return {"oracle_tiny": lambda: evaluation.oracle_menu_search(*args, l_max=20.0)}
 
+    def tiny_solve(package):
+        bcd, config = bench.modules(package, "bcd", "config")
+        cfg = replace(config.RunConfig(seed=0), thetas=(110.0, 140.0), n_train=5)
+        samples = cfg.train_samples()
+        args = (samples, cfg.profile(), cfg.params(), cfg.ambiguity_for(samples.n))
+        return lambda: bcd.solve(*args, bcd.BcdConfig(max_iters=3))
+
     monkeypatch.setattr(bench, "instances", tiny)
+    monkeypatch.setattr(bench, "contaminated_solve", tiny_solve)
     monkeypatch.setattr(bench, "oracle_calls", tiny_oracle)
     src = str(SCRIPT.parent.parent / "src")
     out = tmp_path / "bench.json"
@@ -85,8 +98,10 @@ def test_ab_mode_records_paired_ratios(tmp_path, monkeypatch):
         "rewards_from_latencies",
         "solve_per_iteration",
     ]
+    assert list(run["I8_N200_extreme100"]) == ["solve_per_iteration"]
     assert list(run["oracle"]) == ["oracle_tiny"]
-    for stats in [*run["tiny"].values(), *run["oracle"].values()]:
+    groups = ("tiny", "I8_N200_extreme100", "oracle")
+    for stats in [stats for group in groups for stats in run[group].values()]:
         assert list(stats) == ["before_us", "after_us", "ratio", "ratio_q1", "ratio_q3"]
         assert all(math.isfinite(value) and value > 0 for value in stats.values())
         assert stats["ratio_q1"] <= stats["ratio"] <= stats["ratio_q3"]

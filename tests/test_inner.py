@@ -25,6 +25,7 @@ from drcontract import (
     weighted_log,
 )
 from drcontract import inner
+from drcontract.bcd import objectives
 from drcontract.inner import (
     TYPE_BLOCK_POINTS,
     argument_blocks,
@@ -644,3 +645,81 @@ class TestTypeBlocks:
             with pytest.raises(NonPositiveLogArgument) as err:
                 weighted_log(xi, lat, alphas, PARAMS)
         assert err.value.sample_index == expected
+
+
+@st.composite
+def latency_stacks(draw):
+    """(xi, stack, alphas): 1-D points and a ``(K, I)`` stack of latency
+    vectors.  Arguments run from 0.25 to 5 and alphas may be zero, so some
+    terms are -0.0; tables have one point or several; and the block size
+    drawn for the patched ``TYPE_BLOCK_POINTS`` makes stacks cross it."""
+    n_types, points = draw(st.integers(1, 12)), draw(st.one_of(st.just(1), st.integers(2, 30)))
+    height = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xi = rng.uniform(0.25, 3.0, points)
+    stack = np.sort(rng.uniform(0.0, 2.0, (height, n_types)), axis=1)
+    alphas = rng.dirichlet(np.ones(n_types))
+    alphas[rng.random(n_types) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return xi, stack, alphas
+
+
+class TestStacks:
+    """A ``(K, I)`` stack of latency vectors through the log benefit and
+    the objective: each row bit for bit the one-vector call."""
+
+    @given(latency_stacks(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_log_rows_match_single_menus(self, table, data):
+        xi, stack, alphas = table
+        block_points = data.draw(st.integers(1, stack.size * xi.size + 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inner, "TYPE_BLOCK_POINTS", block_points)
+            stacked = weighted_log(xi, stack, alphas, PARAMS)
+            rows = [weighted_log(xi, lat, alphas, PARAMS) for lat in stack]
+        assert stacked.shape == (len(stack), xi.size)
+        for got, lat, row in zip(stacked, stack, rows):
+            assert got.tobytes() == row.tobytes()  # sign bits included
+            assert got.tobytes() == per_type_weighted_log(xi, lat, alphas).tobytes()
+
+    @pytest.mark.parametrize("height", [1, 20, 21, 40])
+    def test_stacks_across_the_block_bound(self, default_profile, train_samples, height):
+        # 20 x 8 x 201 fits one block of TYPE_BLOCK_POINTS; 21 x 8 x 201 does not
+        candidates = inner_candidates(train_samples.samples, SUPPORT)
+        rng = np.random.default_rng(height)
+        stack = np.sort(rng.uniform(0.0, 180.0, (height, default_profile.n_types)), axis=1)
+        stacked = weighted_log(candidates.points, stack, default_profile.alphas, PARAMS)
+        for got, lat in zip(stacked, stack):
+            one = weighted_log(candidates.points, lat, default_profile.alphas, PARAMS)
+            assert got.tobytes() == one.tobytes()
+
+    @given(inner_instances(), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_objective_rows_match_single_menus(self, instance, height, seed):
+        lat, alphas, lam, anchors = instance
+        rng = np.random.default_rng(seed)
+        profile = AspTypeProfile(np.sort(rng.uniform(100.0, 260.0, lat.size)), alphas)
+        candidates = inner_candidates(anchors, SUPPORT)
+        stack = np.sort(lat + rng.uniform(0.0, 30.0, (height, lat.size)), axis=1)
+        lams = np.where(rng.random(height) < 0.25, 0.0, lam * rng.uniform(0.0, 3.0, height))
+        values, wins = objectives(stack, lams, candidates, 4.0, profile, PARAMS)
+        for k in range(height):
+            omega, row_wins = objective(stack[k], lams[k], candidates, 4.0, profile, PARAMS)
+            assert np.float64(omega).tobytes() == values[k].tobytes()
+            assert row_wins.tolist() == wins[k].tolist()
+
+    def test_nonpositive_argument_names_the_first_failing_rows_point(self):
+        # row 1 fails at point 2 first, row 2 at point 0: the stack's error
+        # is row 1's, as the one-vector call on row 1 raises it
+        xi, alphas = np.array([70.0, 90.0, 60.0, 80.0]), [0.5, 0.5]
+        stack = np.array([[0.0, 10.0], [0.0, -65.0], [-75.0, -75.0]])
+        with pytest.raises(NonPositiveLogArgument) as one:
+            weighted_log(xi, stack[1], alphas, PARAMS)
+        with pytest.raises(NonPositiveLogArgument) as stacked:
+            weighted_log(xi, stack, alphas, PARAMS)
+        assert stacked.value.sample_index == one.value.sample_index == 2
+        assert str(stacked.value) == str(one.value)
+
+    def test_negative_multiplier_in_a_stack_rejected(self):
+        candidates = inner_candidates([80.0], SUPPORT)
+        with pytest.raises(ValidationError):
+            inner_minima(np.zeros((3, 1)), np.array([0.0, -1.0, 2.0]), candidates, PARAMS, [1.0])
