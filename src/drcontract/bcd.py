@@ -21,6 +21,15 @@ table fits one type block; it is 1 at 64 types and 20k samples.  Traces,
 stop reasons, menus and errors are those of one step per evaluation, bit
 for bit (see :func:`_ascend`).
 
+A batch's K steps run in one workspace built for the batch: one
+``(k, N)`` table of reciprocals (:func:`_reciprocal_table`, k types with
+k*N <= ``TYPE_BLOCK_POINTS``), which every step and every block of types
+reuses, and ``(K, I)`` rows for the raw steps and the iterates, all filled
+in place in the float order of :func:`grad_L` and :func:`iron_monotone`.
+The checks of a step (a positive least denominator, a finite step and
+multiplier, nondecreasing latencies) run with each step at K = 1, and once
+per batch, on the stacks, at K > 1.
+
 The latency gradient deliberately treats the inner minimizers as constants,
 so per-step objective improvement is not guaranteed and is not asserted;
 in practice the trajectory climbs monotonically on the tested instances.
@@ -48,7 +57,6 @@ from .errors import (
 from .inner import (
     TYPE_BLOCK_POINTS,
     InnerCandidates,
-    argument_blocks,
     inner_candidates,
     inner_minima,
     least_argument,
@@ -146,34 +154,57 @@ def objective(
     return float(omega), wins
 
 
+_DENOMINATOR = "gamma2*xi + gamma3*L must be > 0"
+
+
 def grad_L(scaled_xi, latencies, alphas, price, gamma3: float) -> np.ndarray:
     """Approximate latency gradient, holding the inner minimizers xi* fixed.
 
     Component i is alpha_i * (gamma3 * mean_n 1/(gamma2*xi*_n + gamma3*L_i)
     - gamma1/theta_i), given the 1-D ``scaled_xi`` = gamma2*xi* and
-    ``price`` = gamma1/theta, which a solve builds once.
-
-    The denominators come from :func:`inner.argument_blocks`, one ``(k, N)``
-    table per block of types, each summed row-wise by ``np.add.accumulate``.
-    That adds strictly in sample order, unlike numpy's pairwise ``sum``, so
-    each type's sum is the same float sequence whatever the block size.
-    Before any table is built, one O(N + I) test of the least denominator
-    (:func:`inner.least_argument`, exact because rounding is monotone)
-    raises NonPositiveDenominator when any denominator is not positive.
-    Raises ValidationError unless ``scaled_xi`` is 1-D.
+    ``price`` = gamma1/theta, which a solve builds once.  :func:`_gradient`
+    computes it in a fresh :func:`_reciprocal_table`, after one O(N + I)
+    test of the least denominator (:func:`inner.least_argument`, exact
+    because rounding is monotone) that raises NonPositiveDenominator when
+    any denominator is not positive.  Raises ValidationError unless
+    ``scaled_xi`` is 1-D.
     """
     scaled_xi = np.asarray(scaled_xi, dtype=float)
     if scaled_xi.ndim != 1:
         raise ValidationError(f"minimizers must be a 1-D array, got shape {scaled_xi.shape}")
     scaled_lat = gamma3 * np.asarray(latencies, dtype=float)
     if least_argument(scaled_xi, scaled_lat) <= 0.0:
-        raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
-    inverse_sums = np.empty(scaled_lat.size)
-    for types, denom in argument_blocks(scaled_xi, scaled_lat):
+        raise NonPositiveDenominator(_DENOMINATOR)
+    table = _reciprocal_table(scaled_lat.size, scaled_xi.size)
+    return _gradient(scaled_xi, scaled_lat, alphas, price, gamma3, table, np.empty(scaled_lat.size))
+
+
+def _reciprocal_table(n_types: int, points: int) -> np.ndarray:
+    """The ``(k, points)`` workspace of :func:`_gradient`: a block of
+    ``k = min(n_types, max(1, TYPE_BLOCK_POINTS // points))`` types, all 8
+    at 8 types x 200 points, one at 20k points."""
+    return np.empty((min(n_types, max(1, TYPE_BLOCK_POINTS // max(points, 1))), points))
+
+
+def _gradient(scaled_xi, scaled_lat, alphas, price, gamma3, table, out) -> np.ndarray:
+    """:func:`grad_L` from ``scaled_lat`` = gamma3*L, written into ``out``
+    and returned, with no check.  The denominators of each block of types
+    are written into ``table`` (:func:`_reciprocal_table`), inverted in
+    place and summed row-wise by ``np.add.accumulate``, which adds strictly
+    in sample order, unlike numpy's pairwise ``sum``, so each type's sum is
+    the same float sequence whatever the block size."""
+    block = len(table)
+    for start in range(0, len(out), block):
+        types = slice(start, start + block)
+        denom = table[: len(out) - start]
+        np.add(scaled_xi, scaled_lat[types, None], out=denom)
         np.divide(1.0, denom, out=denom)
-        inverse_sums[types] = np.add.accumulate(denom, axis=1, out=denom)[:, -1]
-    benefit = gamma3 * (inverse_sums / scaled_xi.size)
-    return alphas * (benefit - price)
+        out[types] = np.add.accumulate(denom, axis=1, out=denom)[:, -1]
+    out /= scaled_xi.size
+    out *= gamma3
+    out -= price
+    out *= alphas
+    return out
 
 
 def grad_lambda(distances, epsilon: float) -> float:
@@ -185,7 +216,7 @@ def grad_lambda(distances, epsilon: float) -> float:
     return float(-epsilon + np.add.reduce(distances) / distances.size)
 
 
-def iron_monotone(latencies, weights, *, validate=True) -> np.ndarray:
+def iron_monotone(latencies, weights, *, validate=True, out=None) -> np.ndarray:
     """Weighted least-squares projection onto the nondecreasing cone.
 
     Pool-adjacent-violators: scan left to right, merging any block whose
@@ -200,8 +231,9 @@ def iron_monotone(latencies, weights, *, validate=True) -> np.ndarray:
     merges (its first merge compares two singletons), so those rounded means
     are returned at once: the loop's output bit for bit, so the few-ulp
     moves above are kept, not fixed.  ``validate=False`` skips the finiteness and weight
-    checks, for a caller that has made them (the ascent checks each step
-    and validates its weights at the start point).
+    checks, for a caller that has made them (the ascent checks its steps
+    and validates its weights at the start point).  ``out``, an array the
+    size of ``latencies`` and not ``latencies`` itself, receives the result.
     """
     vals = np.asarray(latencies, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -212,7 +244,7 @@ def iron_monotone(latencies, weights, *, validate=True) -> np.ndarray:
             raise ValidationError("latencies must be finite")
         if (w <= 0.0).any():
             raise ValidationError("weights must be strictly positive")
-    means = w * vals
+    means = np.multiply(w, vals, out=out)
     means /= w
     if not np.logical_or.reduce(means[:-1] > means[1:]):
         return means
@@ -225,12 +257,11 @@ def iron_monotone(latencies, weights, *, validate=True) -> np.ndarray:
             blocks[-1][0] += wt2
             blocks[-1][1] += sv2
             blocks[-1][2] += c2
-    out = np.empty_like(vals)
     pos = 0
     for wt, sv, count in blocks:
-        out[pos : pos + count] = sv / wt
+        means[pos : pos + count] = sv / wt
         pos += count
-    return out
+    return means
 
 
 def solve(
@@ -316,19 +347,28 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     fits one type block.  Doubling rather than starting at that cap keeps
     the steps computed past a stop no more than those kept.
 
-    K = 1 is the one-step loop, errors included.  A batch of K > 1 runs with
-    numpy's floating-point warnings raised, and a library error or a
-    floating-point error in its steps or its evaluation drops the batch and
-    redoes it at K = 1.  So each error is raised at the iterate and with
-    the message of the one-step loop, and a step past the iterate where
-    that loop stops neither raises nor warns.  Raises NumericError when an
-    iterate or its objective is not finite, or the latencies decrease."""
+    The steps share one workspace (see the module docstring).  Every batch
+    tests the least denominator of its first step, the step the one-step
+    loop takes next, before it steps.  K = 1 is the one-step loop, its
+    checks made where and in the order that loop makes them, errors
+    included.  A batch of K > 1 runs with numpy's floating-point warnings
+    raised and checks its steps once, after they are taken: the least
+    denominator over the iterates its later steps start from, then that
+    the raw steps and the multipliers are finite and the iterates
+    nondecreasing.  A failed check, a library error or a floating-point
+    error in its steps or its evaluation drops the batch and redoes it at
+    K = 1.  So each error is raised at the iterate and with the message of
+    the one-step loop, and a step past the iterate where that loop stops
+    neither raises nor warns.  Raises NonPositiveDenominator when a step's
+    denominator is not positive, and NumericError when an iterate or its
+    objective is not finite, or the latencies decrease."""
     # Zero-probability types get a tiny ironing weight so pooling stays defined.
-    weights = np.maximum(profile.alphas, 1e-12)
+    alphas = profile.alphas
+    weights = np.maximum(alphas, 1e-12)
     price = params.gamma1 / profile.thetas
     # Latencies are ironed onto the nondecreasing cone, then clipped at zero:
     # inverse latencies cannot go negative.  This first call validates the
-    # weights; each step is checked for finiteness before it is ironed.
+    # weights; the steps are checked for finiteness in ``steps``.
     lat = np.maximum(iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
     lam = float(cfg.lambda_init)
     wins = evaluate(lat[None], np.array([lam]))[1][0]
@@ -337,22 +377,41 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     def steps(lat, lam, size, scaled_xi, distances):
         """``size`` steps from (lat, lam), all at the minimizers given: the
         ``(size, I)`` latency iterates and their multipliers."""
-        lats, lams = np.empty((size, profile.n_types)), np.empty(size)
-        for j in range(size):
-            gradient = grad_L(scaled_xi, lat, profile.alphas, price, params.gamma3)
-            stepped = lat + cfg.eta_L * gradient
+        scaled_lat = params.gamma3 * lat
+        # the first step is the one the one-step loop takes next
+        if least_argument(scaled_xi, scaled_lat) <= 0.0:
+            raise NonPositiveDenominator(_DENOMINATOR)
+        table = _reciprocal_table(profile.n_types, scaled_xi.size)
+        # apart, as the trace keeps views of the iterates but not of the raw steps
+        raws, lats = np.empty((size, profile.n_types)), np.empty((size, profile.n_types))
+        lams = np.empty(size)
+        lam_step = cfg.eta_lambda * grad_lambda(distances, epsilon)  # fixed by the minimizers
+        single = size == 1
+        for j, (raw, row) in enumerate(zip(raws, lats)):
+            if j:
+                np.multiply(params.gamma3, lat, out=scaled_lat)
+            gradient = _gradient(scaled_xi, scaled_lat, alphas, price, params.gamma3, table, raw)
+            stepped = np.multiply(cfg.eta_L, gradient, out=raw)
+            stepped += lat
             # the checks call ufunc reductions: ndarray.all/any wrap them in Python
-            if not np.logical_and.reduce(np.isfinite(stepped)):
+            if single and not np.logical_and.reduce(np.isfinite(stepped)):
                 raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
-            lat = np.maximum(iron_monotone(stepped, weights, validate=False), 0.0, out=lats[j])
-            if j == 0:  # fixed minimizers fix the multiplier step
-                lam_step = cfg.eta_lambda * grad_lambda(distances, epsilon)
-            lam = max(lam + lam_step, 0.0)
+            lat = np.maximum(iron_monotone(stepped, weights, validate=False, out=row), 0.0, out=row)
+            lam = lams[j] = max(lam + lam_step, 0.0)
+            if not single:
+                continue
             if not math.isfinite(lam):  # lam >= 0 holds by the projection above
                 raise NumericError(f"multiplier iterate {lam!r} is not finite")
             if np.logical_or.reduce(lat[1:] < lat[:-1]):
                 raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
-            lams[j] = lam
+        # a batch's checks, once: the caller redoes a failed batch one step at a time
+        if not single and not (
+            least_argument(scaled_xi, params.gamma3 * lats[:-1]) > 0.0
+            and np.logical_and.reduce(np.isfinite(raws), axis=None)
+            and np.logical_and.reduce(np.isfinite(lams))
+            and not np.logical_or.reduce(lats[:, 1:] < lats[:, :-1], axis=None)
+        ):
+            raise NumericError("a step of the batch fails a check")
         return lats, lams
 
     omega_prev = -np.inf

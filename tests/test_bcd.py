@@ -400,18 +400,20 @@ class TestAscentStep:
                 evaluated[key(*row[:2])] = (float(row[2]), minimizers(candidates, row[3]))
             return omegas, wins
 
-        def traced_grad_L(scaled_xi, *args):
+        def traced_gradient(scaled_xi, *args):
             read_xi.append(scaled_xi)
-            return grad_L(scaled_xi, *args)
+            return gradient(scaled_xi, *args)
 
         def traced_grad_lambda(distances, *args):
             read_distances.append(distances)
             return grad_lambda(distances, *args)
 
+        gradient = bcd._gradient
         monkeypatch.setattr(bcd, "objectives", traced_objectives)
-        monkeypatch.setattr(bcd, "grad_L", traced_grad_L)
+        monkeypatch.setattr(bcd, "_gradient", traced_gradient)
         monkeypatch.setattr(bcd, "grad_lambda", traced_grad_lambda)
         report = solve(samples, profile, params, amb, cfg)
+        monkeypatch.undo()  # grad_L below calls _gradient too
         assert report.iterations_used == 17
         assert len(heights) < report.iterations_used  # batched
         start = np.zeros(3), cfg.lambda_init
@@ -482,6 +484,42 @@ def ascent_instances(draw):
     return samples, profile, amb, cfg
 
 
+@st.composite
+def kernel_instances(draw, merging):
+    """(samples, profile, ambiguity, cfg, block) for the batch's step
+    kernel: up to all but one type of zero probability, whose ironing
+    weight is 1e-12, and ``block``, a number of types per reciprocal table
+    from 1 to I.  ``merging`` ties the thetas and lets the alphas fall along
+    the types, the zeros last; while a step raises the latencies, a type
+    then steps further than the type after it, so PAVA pools from the first
+    step for as long as the latencies rise, which small steps from low
+    starts make many iterations; the multiplier stays at zero, so the
+    floor wins every inner minimum and the batches grow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_types, n_samples = draw(st.integers(2 if merging else 1, 6)), draw(st.integers(1, 30))
+    alphas = rng.dirichlet(np.ones(n_types))
+    zeros = draw(st.integers(0, n_types - 1))
+    if merging:
+        thetas = np.full(n_types, rng.uniform(150.0, 260.0))
+        alphas[::-1].sort()
+        alphas[n_types - zeros :] = 0.0
+    else:
+        thetas = np.sort(rng.uniform(100.0, 260.0, n_types))
+        alphas[rng.choice(n_types, zeros, replace=False)] = 0.0
+    profile = AspTypeProfile(thetas=thetas, alphas=alphas / alphas.sum())
+    samples = QualitySampleSet(rng.uniform(40.0, 110.0, n_samples))
+    amb = AmbiguityConfig(SUPPORT, draw(st.floats(0.5, 30.0)))
+    cfg = BcdConfig(
+        max_iters=draw(st.integers(4 if merging else 1, 300)),
+        conv_tol=draw(st.sampled_from([1e-8, 1e-15] if merging else [1e-2, 1e-4, 1e-8, 1e-15])),
+        eta_L=draw(st.sampled_from([1e2, 1e3] if merging else [1e2, 1e3, 1e4, 1e300])),
+        eta_lambda=0.0 if merging else draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+        L_init=draw(st.floats(0.0, 10.0 if merging else 50.0)),
+        lambda_init=0.0 if merging else draw(st.floats(0.0, 2.0)),
+    )
+    return samples, profile, amb, cfg, draw(st.integers(1, n_types))
+
+
 def batch_heights(monkeypatch):
     """The stack height of every evaluation a solve makes, the start point's
     first: ``solve`` evaluates through ``bcd.objectives``, ``solve_pinned``
@@ -498,6 +536,35 @@ def batch_heights(monkeypatch):
     monkeypatch.setattr(bcd, "objectives", counted(objectives, 0))
     monkeypatch.setattr(bcd, "weighted_log", counted(bcd.weighted_log, 1))
     return heights
+
+
+def step_events(patch):
+    """What a solve's steps and evaluations do, in order: a bool per
+    ironing, whether PAVA pooled, and each evaluation's stack height (see
+    :func:`batch_heights`)."""
+    events, iron = batch_heights(patch), bcd.iron_monotone
+
+    def pooling(values, weights, **kwargs):
+        ironed = iron(values, weights, **kwargs)
+        events.append(not np.array_equal(ironed, weights * values / weights))
+        return ironed
+
+    patch.setattr(bcd, "iron_monotone", pooling)
+    return events
+
+
+def pools_inside_a_batch(events):
+    """Whether a step that PAVA pooled was evaluated in a stack of two or
+    more iterates."""
+    pooled = False
+    for event in events:
+        if isinstance(event, bool):
+            pooled = pooled or event
+        elif pooled and event > 1:
+            return True
+        else:
+            pooled = False
+    return False
 
 
 def distinct_iterate(report, iteration):
@@ -575,19 +642,19 @@ class TestBatchedAscent:
         changes = np.abs(np.diff(trace.objective_trace))
         cfg = replace(cfg, conv_tol=float(changes[7]))  # the change at iteration 9, the least
         assert np.all(changes[:7] > cfg.conv_tol)
-        failed = []
+        failed, gradient = [], bcd._gradient
 
-        def failing_grad_L(scaled_xi, latencies, *args):
-            if not np.array_equal(latencies, ninth):
-                return grad_L(scaled_xi, latencies, *args)
+        def failing_gradient(scaled_xi, scaled_lat, *args):
+            if not np.array_equal(scaled_lat, PARAMS.gamma3 * ninth):
+                return gradient(scaled_xi, scaled_lat, *args)
             failed.append(True)
             if failure == "raises":
                 raise NonPositiveDenominator("a step from iterate 9")
-            return np.full(latencies.shape, np.finfo(float).max)  # times eta_L: overflow
+            return np.full(scaled_lat.shape, np.finfo(float).max)  # times eta_L: overflow
 
         expected = outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg))
         assert expected[:2] == ("tol", True)
-        monkeypatch.setattr(bcd, "grad_L", failing_grad_L)
+        monkeypatch.setattr(bcd, "_gradient", failing_gradient)
         assert outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg)) == expected
         assert failed == []
         with warnings.catch_warnings(record=True) as caught:
@@ -603,13 +670,13 @@ class TestBatchedAscent:
         profile, samples, amb = small_instance(n_types=2)
         cfg = BcdConfig(max_iters=40, conv_tol=1e-15)
         tenth = distinct_iterate(sequential_solve(samples, profile, PARAMS, amb, cfg), 10)
-        order = []
+        order, gradient = [], bcd._gradient
 
-        def failing_grad_L(scaled_xi, latencies, *args):
-            if np.array_equal(latencies, tenth):
+        def failing_gradient(scaled_xi, scaled_lat, *args):
+            if np.array_equal(scaled_lat, PARAMS.gamma3 * tenth):
                 order.append("step")
                 raise NonPositiveDenominator("a step from iterate 10")
-            return grad_L(scaled_xi, latencies, *args)
+            return gradient(scaled_xi, scaled_lat, *args)
 
         def failing_rewards(latencies, *args):
             if np.logical_and.reduce(latencies == tenth, axis=-1).any():
@@ -617,7 +684,7 @@ class TestBatchedAscent:
                 raise NonMonotoneLatencies("the evaluation of iterate 10")
             return rewards_from_latencies(latencies, *args)
 
-        monkeypatch.setattr(bcd, "grad_L", failing_grad_L)
+        monkeypatch.setattr(bcd, "_gradient", failing_gradient)
         monkeypatch.setattr(bcd, "rewards_from_latencies", failing_rewards)
         expected = (NonMonotoneLatencies, "the evaluation of iterate 10")
         assert outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg)) == expected
@@ -625,6 +692,57 @@ class TestBatchedAscent:
         order.clear()
         assert outcome(lambda: solve(samples, profile, PARAMS, amb, cfg)) == expected
         assert order[0] == "step" and order[-1] == "evaluation"
+
+
+    def test_a_nonpositive_denominator_inside_a_batch_raises_the_one_step_error(
+        self, monkeypatch
+    ):
+        # the pinned solve's anchor -1 makes gamma2*xi + gamma3*L_1 negative
+        # once L_1 < 1: at iterate 5 (L_1 = 0.158), inside the batch of
+        # 4..7.  The evaluations take the logs at the anchors shifted by 100,
+        # so they pass, and only the step from iterate 5 fails: the one-step
+        # loop raises there, and so does the batched loop, without a warning
+        profile = AspTypeProfile(thetas=[2.0, 4.0], alphas=[0.5, 0.5])
+        anchors = [-1.0, 50.0]
+        cfg = BcdConfig(eta_L=30.0, L_init=30.0, conv_tol=1e-15)
+        log = bcd.weighted_log
+        monkeypatch.setattr(bcd, "weighted_log", lambda xi, *args: log(np.add(xi, 100.0), *args))
+        before = replace(cfg, max_iters=5)
+        fifth = sequential_solve_pinned(anchors, profile, PARAMS, before).latency_trace[-1]
+        assert PARAMS.gamma2 * anchors[0] + PARAMS.gamma3 * fifth[0] < 0.0
+        expected = (NonPositiveDenominator, "gamma2*xi + gamma3*L must be > 0")
+        assert outcome(lambda: sequential_solve_pinned(anchors, profile, PARAMS, cfg)) == expected
+        evaluations = batch_heights(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert outcome(lambda: bcd.solve_pinned(anchors, profile, PARAMS, cfg)) == expected
+            stopped = outcome(lambda: bcd.solve_pinned(anchors, profile, PARAMS, before))
+        assert caught == []
+        # the batches from iterates 3 and 4 fail their checks and are redone
+        # one step at a time; the step from iterate 5 raises before the loop
+        assert evaluations[:5] == [1, 1, 2, 1, 1]
+        assert stopped == outcome(lambda: sequential_solve_pinned(anchors, profile, PARAMS, before))
+
+    @pytest.mark.parametrize("merging", [False, True])
+    @given(data=st.data(), pinned=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_the_step_kernel_matches_the_sequential_loop(self, merging, data, pinned):
+        # reciprocal tables of 1..I types, zero alphas and, when merging,
+        # steps that PAVA pools inside batches of two or more
+        samples, profile, amb, cfg, block = data.draw(kernel_instances(merging))
+        if pinned:
+            args = (samples.samples, profile, PARAMS, cfg)
+            batched, sequential = bcd.solve_pinned, sequential_solve_pinned
+        else:
+            args = (samples, profile, PARAMS, amb, cfg)
+            batched, sequential = solve, sequential_solve
+        expected = outcome(lambda: sequential(*args))
+        table = bcd._reciprocal_table
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bcd, "_reciprocal_table", lambda *size: table(*size)[:block])
+            events = step_events(patch)
+            assert outcome(lambda: batched(*args)) == expected
+        assert pools_inside_a_batch(events) or not merging
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
