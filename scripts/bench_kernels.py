@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Microseconds per call of the solver's per-iteration kernels.
 
-Times ``bcd.objective``, ``inner.weighted_log``, ``bcd.grad_L``,
-``bcd.iron_monotone`` and ``contracts.rewards_from_latencies`` at two sizes,
-plus one iteration of ``bcd.solve``:
+Times ``bcd.objectives``, ``inner.weighted_log``, ``bcd.iron_monotone`` and
+``contracts.rewards_from_latencies`` at two sizes, plus one iteration of
+``bcd.solve``:
 
 * ``I8_N200``: the seed-0 reference instance (8 types, 200 training
   samples); the solve is the full 700-iteration reference solve.
@@ -18,12 +18,15 @@ whole ``evaluation.oracle_menu_search`` calls
 three-type instance whose multiplier argmax leaves zero, where the oracle's
 bound prunes few latency points.
 
-Each kernel is called as a solve calls it: ``objective`` takes the inner
-candidates that a solve builds once (``inner.inner_candidates``), and
-``grad_L`` the scaled minimizers ``gamma2*xi`` and the prices
-``gamma1/theta``, so their construction is not timed.  :func:`kernels`
-builds the callables and :func:`measure` times them.  The solve figure is
-total solve time over iterations, one start-point evaluation included.
+Each kernel is called as a solve calls it: ``objectives`` takes the inner
+candidates that a solve builds once (``inner.inner_candidates``), so their
+construction is not timed, and a stack of as many menus as the solver's
+batches hold at most, ``max(1, TYPE_BLOCK_POINTS // (I * points))``: 20 at
+``I8_N200``, 1 at ``I64_N20000``.  The latency step is not timed on its
+own, as the solver runs it in a private workspace kernel; its cost shows in
+the solve figure.  :func:`kernels` builds the callables and :func:`measure`
+times them.  The solve figure is total solve time over iterations, one
+start-point evaluation included.
 BLAS/OpenMP threads are pinned to 1 when the script runs.  Each figure is
 the best of ``REPEATS`` timed loops of about ``BUDGET_S`` seconds each (the
 solve: best of ``REPEATS`` solves); both are stored with each run.
@@ -135,14 +138,17 @@ def kernels(cfg, solve_cfg, package="drcontract"):
     candidates = inner.inner_candidates(samples.samples, amb.support)
     n_types = profile.n_types
     lat = np.linspace(0.0, 100.0, n_types)
+    # the solver's batch cap: one stack's log table fills one type block
+    height = max(1, inner.TYPE_BLOCK_POINTS // (n_types * candidates.points.size))
+    stack, lams = lat + np.linspace(0.0, 1.0, height)[:, None], np.full(height, 0.5)
     xi = np.clip(samples.samples, amb.support.lo, amb.support.hi)
-    scaled_xi, price = params.gamma2 * xi, params.gamma1 / profile.thetas  # built once per solve
     rough = lat + np.random.default_rng(0).normal(0.0, 5.0, n_types)  # PAVA pools
     weights = np.maximum(profile.alphas, 1e-12)
     calls = {
-        "objective": lambda: bcd.objective(lat, 0.5, candidates, amb.epsilon, profile, params),
+        "objectives": lambda: bcd.objectives(
+            stack, lams, candidates, amb.epsilon, profile, params
+        ),
         "weighted_log": lambda: inner.weighted_log(xi, lat, profile.alphas, params),
-        "grad_L": lambda: bcd.grad_L(scaled_xi, lat, profile.alphas, price, params.gamma3),
         "iron_monotone": lambda: bcd.iron_monotone(rough, weights),
         "rewards_from_latencies": lambda: contracts.rewards_from_latencies(
             lat, profile, params.gamma1

@@ -16,10 +16,9 @@ from .ambiguity import (
 from .bcd import (
     BcdConfig,
     SolveReport,
-    grad_L,
     grad_lambda,
     iron_monotone,
-    objective,
+    objectives,
     solve,
     solve_pinned,
     write_trace_csv,

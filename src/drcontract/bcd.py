@@ -16,16 +16,15 @@ change from one iteration to the next, so the loop runs in batches: up to K
 steps at the last evaluation's winners, then one stacked evaluation of the
 K iterates (:func:`objectives`), cut at the first iterate whose winners
 differ.  K doubles while the winners hold, up to the iteration budget and
-to ``max(1, inner.TYPE_BLOCK_POINTS // (I * points))``, the stack whose log
-table fits one type block; it is 1 at 64 types and 20k samples.  Traces,
-stop reasons, menus and errors are those of one step per evaluation, bit
-for bit (see :func:`_ascend`).
+to ``inner.rows_per_block(I * points)``, the stack whose log table fits one
+type block; it is 1 at 64 types and 20k samples.  Traces, stop reasons,
+menus and errors are those of one step per evaluation, bit for bit (see
+:func:`_ascend`).
 
 A batch's K steps run in one workspace built for the batch: one
-``(k, N)`` table of reciprocals (:func:`_reciprocal_table`, k types with
-k*N <= ``TYPE_BLOCK_POINTS``), which every step and every block of types
-reuses, and ``(K, I)`` rows for the raw steps and the iterates, all filled
-in place in the float order of :func:`grad_L` and :func:`iron_monotone`.
+``(k, N)`` table of reciprocals (:func:`_reciprocal_table`), which every
+step (:func:`_gradient`) and every block of types reuses, and ``(K, I)``
+rows for the raw steps and the iterates, all filled in place.
 The checks of a step (a positive least denominator, a finite step and
 multiplier, nondecreasing latencies) run with each step at K = 1, and once
 per batch, on the stacks, at K > 1.
@@ -55,11 +54,11 @@ from .errors import (
     ValidationError,
 )
 from .inner import (
-    TYPE_BLOCK_POINTS,
     InnerCandidates,
     inner_candidates,
     inner_minima,
     least_argument,
+    rows_per_block,
     sample_value,
     unbounded,
     weighted_log,
@@ -139,56 +138,21 @@ def objectives(
     return sample_value(f_min, g, lam, epsilon), wins
 
 
-def objective(
-    latencies,
-    lam: float,
-    candidates: InnerCandidates,
-    epsilon: float,
-    profile: AspTypeProfile,
-    params: UtilityParams,
-):
-    """Evaluate the robust objective at one menu (latencies, lam): returns
-    (objective, wins), the objective as a Python float (see
-    :func:`objectives`)."""
-    omega, wins = objectives(latencies, lam, candidates, epsilon, profile, params)
-    return float(omega), wins
-
-
-_DENOMINATOR = "gamma2*xi + gamma3*L must be > 0"
-
-
-def grad_L(scaled_xi, latencies, alphas, price, gamma3: float) -> np.ndarray:
-    """Approximate latency gradient, holding the inner minimizers xi* fixed.
-
-    Component i is alpha_i * (gamma3 * mean_n 1/(gamma2*xi*_n + gamma3*L_i)
-    - gamma1/theta_i), given the 1-D ``scaled_xi`` = gamma2*xi* and
-    ``price`` = gamma1/theta, which a solve builds once.  :func:`_gradient`
-    computes it in a fresh :func:`_reciprocal_table`, after one O(N + I)
-    test of the least denominator (:func:`inner.least_argument`, exact
-    because rounding is monotone) that raises NonPositiveDenominator when
-    any denominator is not positive.  Raises ValidationError unless
-    ``scaled_xi`` is 1-D.
-    """
-    scaled_xi = np.asarray(scaled_xi, dtype=float)
-    if scaled_xi.ndim != 1:
-        raise ValidationError(f"minimizers must be a 1-D array, got shape {scaled_xi.shape}")
-    scaled_lat = gamma3 * np.asarray(latencies, dtype=float)
-    if least_argument(scaled_xi, scaled_lat) <= 0.0:
-        raise NonPositiveDenominator(_DENOMINATOR)
-    table = _reciprocal_table(scaled_lat.size, scaled_xi.size)
-    return _gradient(scaled_xi, scaled_lat, alphas, price, gamma3, table, np.empty(scaled_lat.size))
-
-
 def _reciprocal_table(n_types: int, points: int) -> np.ndarray:
     """The ``(k, points)`` workspace of :func:`_gradient`: a block of
-    ``k = min(n_types, max(1, TYPE_BLOCK_POINTS // points))`` types, all 8
-    at 8 types x 200 points, one at 20k points."""
-    return np.empty((min(n_types, max(1, TYPE_BLOCK_POINTS // max(points, 1))), points))
+    ``k = min(n_types, rows_per_block(points))`` types, all 8 at 8 types x
+    200 points, one at 20k points."""
+    return np.empty((min(n_types, rows_per_block(points)), points))
 
 
 def _gradient(scaled_xi, scaled_lat, alphas, price, gamma3, table, out) -> np.ndarray:
-    """:func:`grad_L` from ``scaled_lat`` = gamma3*L, written into ``out``
-    and returned, with no check.  The denominators of each block of types
+    """The approximate latency gradient, holding the inner minimizers xi*
+    fixed, written into ``out`` and returned: component i is alpha_i *
+    (gamma3 * mean_n 1/(gamma2*xi*_n + gamma3*L_i) - gamma1/theta_i), given
+    the 1-D ``scaled_xi`` = gamma2*xi*, ``scaled_lat`` = gamma3*L and
+    ``price`` = gamma1/theta.  It makes no check: :func:`_ascend` tests the
+    least denominator (:func:`inner.least_argument`, exact because rounding
+    is monotone) around its steps.  The denominators of each block of types
     are written into ``table`` (:func:`_reciprocal_table`), inverted in
     place and summed row-wise by ``np.add.accumulate``, which adds strictly
     in sample order, unlike numpy's pairwise ``sum``, so each type's sum is
@@ -343,7 +307,7 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     steps read the same minimizers, and a stacked evaluation's rows equal
     one-iterate evaluations.  K is 1 at the start and after a change, and
     doubles after each batch kept in full, up to the remaining budget and to
-    ``max(1, TYPE_BLOCK_POINTS // (I * points))``, so a batch's log table
+    ``inner.rows_per_block(I * points)``, so a batch's log table
     fits one type block.  Doubling rather than starting at that cap keeps
     the steps computed past a stop no more than those kept.
 
@@ -372,7 +336,7 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     lat = np.maximum(iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
     lam = float(cfg.lambda_init)
     wins = evaluate(lat[None], np.array([lam]))[1][0]
-    cap = max(1, TYPE_BLOCK_POINTS // (profile.n_types * points))
+    cap = rows_per_block(profile.n_types * points)
 
     def steps(lat, lam, size, scaled_xi, distances):
         """``size`` steps from (lat, lam), all at the minimizers given: the
@@ -380,7 +344,7 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
         scaled_lat = params.gamma3 * lat
         # the first step is the one the one-step loop takes next
         if least_argument(scaled_xi, scaled_lat) <= 0.0:
-            raise NonPositiveDenominator(_DENOMINATOR)
+            raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
         table = _reciprocal_table(profile.n_types, scaled_xi.size)
         # apart, as the trace keeps views of the iterates but not of the raw steps
         raws, lats = np.empty((size, profile.n_types)), np.empty((size, profile.n_types))

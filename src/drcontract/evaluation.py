@@ -181,7 +181,7 @@ def oracle_menu_search(
     latency point's log benefits are gathered from it type by type in type
     order, as :func:`weighted_log` adds them.  With the solver's expected
     reward and assembly, a point's value at a grid multiplier is
-    :func:`bcd.objective`'s bit for bit and depends on that point alone.
+    :func:`bcd.objectives`' bit for bit and depends on that point alone.
 
     Each point's objective is concave and piecewise linear in the
     multiplier (:func:`inner.branch_minima`), so its grid maximum is found

@@ -51,27 +51,15 @@ from .errors import NonPositiveLogArgument, SizeMismatch, ValidationError
 TYPE_BLOCK_POINTS = 2**15
 
 
-def argument_blocks(scaled_xi, scaled_lat):
-    """Yield ``(types, table)`` for consecutive blocks of types, in type
-    order: ``types`` is a slice of the types and ``table`` the ``(k, N)``
-    array ``scaled_xi + scaled_lat[types, None]`` over the block's k types
-    and the N points, that is ``gamma2*xi + gamma3*L_i`` given
-    ``scaled_xi = gamma2*xi`` (1-D) and ``scaled_lat = gamma3*L``.  A
-    ``(K, I)`` stack of latency vectors gives ``(k, K, N)`` tables, the type
-    axis first.  Tables are C-ordered whatever the inputs' strides, so the
-    points are the contiguous axis.  A block holds
-    ``max(1, TYPE_BLOCK_POINTS // (K*N))`` types."""
-    per_type = scaled_xi.size * math.prod(scaled_lat.shape[:-1])
-    by_type = scaled_lat.T  # types first; a vector is its own transpose
-    step = max(1, TYPE_BLOCK_POINTS // max(per_type, 1))
-    for start in range(0, len(by_type), step):
-        types = slice(start, min(start + step, len(by_type)))
-        yield types, np.add(scaled_xi, by_type[types, ..., None], order="C")
+def rows_per_block(row_points) -> int:
+    """How many rows of ``row_points`` entries one table of a type-blocked
+    kernel holds: ``TYPE_BLOCK_POINTS // row_points``, and at least one."""
+    return max(1, TYPE_BLOCK_POINTS // max(row_points, 1))
 
 
 def least_argument(scaled_xi, scaled_lat) -> float:
     """The least entry of the table ``scaled_xi + scaled_lat[:, None]`` (see
-    :func:`argument_blocks`), NaN entries aside, in O(N + I) without building
+    :func:`log_blocks`), NaN entries aside, in O(N + I) without building
     it.  Exact because rounding is monotone: a <= a' and b <= b' give
     fl(a + b) <= fl(a' + b'), so no entry lies below fl(min a + min b), which
     is an entry itself.  ``np.fmin`` skips NaNs, as a sign test of the table
@@ -82,13 +70,18 @@ def least_argument(scaled_xi, scaled_lat) -> float:
 
 
 def log_blocks(xi, latencies, params: UtilityParams):
-    """:func:`argument_blocks` of ``gamma2*xi`` and ``gamma3*L`` with the
-    natural log of each table taken in place, for one latency vector or a
-    ``(K, I)`` stack.  Raises ValidationError unless ``xi`` is 1-D, and
-    NonPositiveLogArgument, before any log is taken, when an argument is not
-    strictly positive (:func:`least_argument`); its ``sample_index`` is the
-    first point of ``xi`` with a nonpositive argument in any type, in the
-    first such row of a stack."""
+    """Yield ``(types, logs)`` for consecutive blocks of types, in type
+    order: ``types`` is a slice of the types and ``logs`` the natural log,
+    taken in place, of the ``(k, N)`` table ``gamma2*xi + gamma3*L_i`` over
+    the block's k types and the N points of ``xi``.  A ``(K, I)`` stack of
+    latency vectors gives ``(k, K, N)`` tables, the type axis first.  Tables
+    are C-ordered whatever the inputs' strides, so the points are the
+    contiguous axis.  A block holds ``rows_per_block(K*N)`` types.  Raises
+    ValidationError unless ``xi`` is 1-D, and NonPositiveLogArgument, before
+    any log is taken, when an argument is not strictly positive
+    (:func:`least_argument`); its ``sample_index`` is the first point of
+    ``xi`` with a nonpositive argument in any type, in the first such row of
+    a stack."""
     points = np.asarray(xi, dtype=float)
     if points.ndim != 1:
         raise ValidationError(f"points must be a 1-D array, got shape {points.shape}")
@@ -96,7 +89,11 @@ def log_blocks(xi, latencies, params: UtilityParams):
     scaled_lat = params.gamma3 * np.asarray(latencies, dtype=float)
     if least_argument(scaled_xi, scaled_lat) <= 0.0:
         raise _nonpositive_log_argument(scaled_xi, scaled_lat, points)
-    for types, table in argument_blocks(scaled_xi, scaled_lat):
+    by_type = scaled_lat.T  # types first; a vector is its own transpose
+    step = rows_per_block(scaled_xi.size * math.prod(scaled_lat.shape[:-1]))
+    for start in range(0, len(by_type), step):
+        types = slice(start, min(start + step, len(by_type)))
+        table = np.add(scaled_xi, by_type[types, ..., None], order="C")
         yield types, np.log(table, out=table)
 
 

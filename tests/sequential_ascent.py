@@ -8,9 +8,12 @@ the last evaluation, then evaluates the new point alone (one-menu kernel
 calls), so each iterate's inner winners reach the very next step.  The
 batched loop must reproduce its traces, stop reasons, menus and errors bit
 for bit.  The kernels are looked up on ``drcontract.bcd`` at call time, as
-the solver looks them up, so a test's patch there reaches both loops.
-``flips`` on the report lists the iterations (1-based) whose winners differ
-from those of the evaluation before them.
+the solver looks them up, so a test's patch there reaches both loops; the
+latency gradient is the exception, as the loop computes it itself, one type
+at a time (:func:`per_type_latency_gradient`), so the solver's step kernel
+is checked against arithmetic it does not share.  ``flips`` on the report
+lists the iterations (1-based) whose winners differ from those of the
+evaluation before them.
 """
 
 import math
@@ -18,22 +21,39 @@ from dataclasses import replace
 
 import numpy as np
 
-from drcontract import ContractMenu, NumericError, bcd
+from drcontract import ContractMenu, NonPositiveDenominator, NumericError, bcd
 from drcontract.ambiguity import sample_values
 from drcontract.bcd import BcdConfig, SolveReport
 from drcontract.inner import inner_candidates, unbounded
 
 
+def per_type_latency_gradient(xi, latencies, profile, params):
+    """The latency gradient at the inner minimizers ``xi``, one type at a
+    time: alpha_i * (gamma3 * (sum_n 1/(gamma2*xi_n + gamma3*L_i) / N) -
+    gamma1/theta_i), the sum added in sample order, which is the solver's
+    float order.  Raises NonPositiveDenominator, with the solver's message,
+    when a denominator is not positive."""
+    scaled_xi = params.gamma2 * np.asarray(xi, dtype=float)
+    gradient = np.empty(len(latencies))
+    for i, lat_i in enumerate(np.asarray(latencies, dtype=float)):
+        denom = scaled_xi + params.gamma3 * lat_i
+        if np.logical_or.reduce(denom <= 0.0):
+            raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
+        mean = np.add.accumulate(1.0 / denom)[-1] / denom.size
+        price = params.gamma1 / profile.thetas[i]
+        gradient[i] = profile.alphas[i] * (params.gamma3 * mean - price)
+    return gradient
+
+
 def sequential_solve(samples, profile, params, ambiguity, bcd_cfg=None) -> SolveReport:
     anchors = sample_values(samples)
     candidates = inner_candidates(anchors, ambiguity.support)
-    scaled = params.gamma2 * candidates.points
-    scaled_lo, scaled_p = float(scaled[0]), scaled[1:]
+    lo, projections = float(candidates.points[0]), candidates.points[1:]
 
     def evaluate(lat, lam):
-        omega, wins = bcd.objective(lat, lam, candidates, ambiguity.epsilon, profile, params)
+        omega, wins = bcd.objectives(lat, lam, candidates, ambiguity.epsilon, profile, params)
         distances = np.where(wins, candidates.p_distance, candidates.lo_distance)
-        return omega, np.where(wins, scaled_p, scaled_lo), distances, wins
+        return float(omega), np.where(wins, projections, lo), distances, wins
 
     cfg = bcd_cfg or BcdConfig()
     report = _sequential_ascend(ambiguity.epsilon, evaluate, profile, params, cfg)
@@ -44,13 +64,13 @@ def sequential_solve(samples, profile, params, ambiguity, bcd_cfg=None) -> Solve
 
 def sequential_solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     anchors = sample_values(anchors)
-    scaled, distances = params.gamma2 * anchors, np.zeros(anchors.size)
+    distances = np.zeros(anchors.size)
 
     def evaluate(lat, lam):
         rewards = bcd.rewards_from_latencies(lat, profile, params.gamma1)
         g = bcd.expected_reward(rewards, profile.alphas)
         omega = bcd.sample_value(bcd.weighted_log(anchors, lat, profile.alphas, params), g)
-        return float(omega), scaled, distances, None
+        return float(omega), anchors, distances, None
 
     bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
     return _sequential_ascend(0.0, evaluate, profile, params, bcd_cfg)
@@ -58,16 +78,15 @@ def sequential_solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveRepo
 
 def _sequential_ascend(epsilon, evaluate, profile, params, cfg) -> SolveReport:
     weights = np.maximum(profile.alphas, 1e-12)
-    price = params.gamma1 / profile.thetas
     lat = np.maximum(bcd.iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
     lam = float(cfg.lambda_init)
-    omega, scaled_xi, distances, wins = evaluate(lat, lam)
+    omega, xi, distances, wins = evaluate(lat, lam)
 
     omega_prev = -np.inf
     converged = False
     obj_trace, lam_trace, lat_trace, flips = [], [], [], []
     for t in range(1, cfg.max_iters + 1):
-        gradient = bcd.grad_L(scaled_xi, lat, profile.alphas, price, params.gamma3)
+        gradient = per_type_latency_gradient(xi, lat, profile, params)
         stepped = lat + cfg.eta_L * gradient
         if not np.logical_and.reduce(np.isfinite(stepped)):
             raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
@@ -78,7 +97,7 @@ def _sequential_ascend(epsilon, evaluate, profile, params, cfg) -> SolveReport:
         if np.logical_or.reduce(lat[1:] < lat[:-1]):
             raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
         previous = wins
-        omega, scaled_xi, distances, wins = evaluate(lat, lam)
+        omega, xi, distances, wins = evaluate(lat, lam)
         if wins is not None and not np.array_equal(wins, previous):
             flips.append(t)
         if not math.isfinite(omega):

@@ -25,7 +25,7 @@ from drcontract import (
     expected_reward,
     generate_alphas,
     inner_candidates,
-    objective,
+    objectives,
     oracle_menu_search,
     rewards_from_latencies,
     run_benchmark,
@@ -130,11 +130,11 @@ def unpruned_oracle(profile, samples, amb, step, l_max, lambda_max):
 
 
 def grid_max_objective(lat, profile, samples, amb, step, lambda_max):
-    """Largest :func:`bcd.objective` at ``lat`` over the oracle's
+    """Largest :func:`bcd.objectives` at ``lat`` over the oracle's
     multiplier grid."""
     candidates = inner_candidates(samples.samples, amb.support)
     lams = step * np.arange(round(lambda_max / step) + 1)
-    return max(objective(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0] for lam in lams)
+    return max(objectives(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0] for lam in lams)
 
 
 class TestEvalTeleopUtility:
@@ -247,12 +247,12 @@ class TestOracle:
         for l1 in (0.0, 10.0, 42.5, 80.0):
             for l2 in (l1, l1 + 10.0, 99.5):
                 for lam in (0.0, 0.5, 1.0, 2.0):
-                    ref, _ = objective([l1, l2], lam, candidates, amb.epsilon, profile, PARAMS)
+                    ref, _ = objectives([l1, l2], lam, candidates, amb.epsilon, profile, PARAMS)
                     assert omega >= ref - 1e-9
         # the reported maximizer reproduces its objective through the literal path
         best_lam_grid = np.arange(0.0, 2.0 + step / 2, step)
         best_via_literal = max(
-            objective(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0]
+            objectives(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0]
             for lam in best_lam_grid
         )
         assert omega == pytest.approx(best_via_literal, abs=1e-9)
@@ -380,13 +380,13 @@ class TestOracle:
         lams = step * np.arange(round(lambda_max / step) + 1)
         candidates = inner_candidates(samples.samples, SUPPORT)
         brute = max(
-            objective(list(point), lam, candidates, amb.epsilon, profile, PARAMS)[0]
+            objectives(list(point), lam, candidates, amb.epsilon, profile, PARAMS)[0]
             for point in itertools.combinations_with_replacement(values, profile.n_types)
             for lam in lams
         )
         assert omega == pytest.approx(brute, abs=1e-9)
         at_argmax = max(
-            objective(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0] for lam in lams
+            objectives(lat, lam, candidates, amb.epsilon, profile, PARAMS)[0] for lam in lams
         )
         assert at_argmax == pytest.approx(omega, abs=1e-9)
 
@@ -557,7 +557,7 @@ class TestPrune:
         whole = _psi(h, g, np.full(g.size, lam), candidates, amb.epsilon)
         subset = _psi(h[rows], g[rows], np.full(len(rows), lam), candidates, amb.epsilon)
         expected = [
-            objective(values[chunk[r]], lam, candidates, amb.epsilon, profile, PARAMS)[0]
+            objectives(values[chunk[r]], lam, candidates, amb.epsilon, profile, PARAMS)[0]
             for r in rows
         ]
         assert whole[rows].tolist() == expected

@@ -19,17 +19,16 @@ from drcontract import (
     inject_extreme_points,
     inner_candidates,
     inner_minima,
-    objective,
+    objectives,
     rewards_from_latencies,
     solve,
     weighted_log,
 )
 from drcontract import inner
-from drcontract.bcd import objectives
 from drcontract.inner import (
     TYPE_BLOCK_POINTS,
-    argument_blocks,
     branch_minima,
+    least_argument,
     log_blocks,
     multiplier_argmax,
 )
@@ -288,7 +287,7 @@ class TestSlackValue:
         f_min, _ = inner_minima([0.0], 0.0, inner_candidates([80.0], SUPPORT), PARAMS, [1.0])
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         candidates = inner_candidates([80.0], SUPPORT)
-        got = objective([0.0], 0.0, candidates, self.AMB.epsilon, profile, PARAMS)[0]
+        got = objectives([0.0], 0.0, candidates, self.AMB.epsilon, profile, PARAMS)[0]
         assert got == pytest.approx(f_min[0])
         assert got == pytest.approx(math.log(60.0), abs=1e-12)
 
@@ -299,8 +298,8 @@ class TestSlackValue:
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.6, 0.4])
         penalty = 0.7 * self.AMB.epsilon
         candidates = inner_candidates([77.0], SUPPORT)
-        a = objective([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
-        b = objective([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
+        a = objectives([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
+        b = objectives([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
         assert a == b
         reward = reward_sum([3.0, 8.0], profile, PARAMS.gamma1)
         assert a == pytest.approx(f_min[0] - reward, abs=1e-12)
@@ -454,7 +453,7 @@ class TestMultiplierArgmax:
         (lam_star,) = multiplier_argmax(h[None], candidates, eps)
         # every flip point is a mean slope of h over [lo, p], at most 1/lo
         grid = np.linspace(0.0, 3.0 / SUPPORT.lo, 301)
-        values = np.array([objective(lat, x, candidates, eps, profile, PARAMS)[0] for x in grid])
+        values = np.array([objectives(lat, x, candidates, eps, profile, PARAMS)[0] for x in grid])
         slope_at_zero = float(np.mean(candidates.lo_distance)) - eps
         assert (lam_star == 0.0) == (slope_at_zero <= 0.0)
         unbounded = float(np.mean(candidates.p_distance)) > eps
@@ -462,7 +461,7 @@ class TestMultiplierArgmax:
         if unbounded:
             assert np.all(np.diff(values) >= -1e-12)
         else:
-            at_star = objective(lat, lam_star, candidates, eps, profile, PARAMS)[0]
+            at_star = objectives(lat, lam_star, candidates, eps, profile, PARAMS)[0]
             assert at_star >= values.max() - 1e-9
 
     def test_zero_radius_inside_the_support_is_bounded(self):
@@ -559,15 +558,16 @@ class TestTypeBlocks:
     def test_blocks_cover_the_types_in_order(self):
         for n_types, points in ((8, 200), (64, 20_000), (64, 1000), (3, 0), (1, 10**6)):
             xi, lat = np.full(points, 70.0), np.arange(n_types, dtype=float)
-            blocks = list(argument_blocks(PARAMS.gamma2 * xi, PARAMS.gamma3 * lat))
+            blocks = list(log_blocks(xi, lat, PARAMS))
             types = [b for b, _ in blocks]
             assert [i for b in types for i in range(b.start, b.stop)] == list(range(n_types))
             size = max(1, TYPE_BLOCK_POINTS // max(points, 1))
             assert all(b.stop - b.start <= size for b in types)
-            for b, table in blocks:
-                assert np.array_equal(table, PARAMS.gamma2 * xi + PARAMS.gamma3 * lat[b, None])
-        assert len(list(argument_blocks(np.ones(200), np.zeros(8)))) == 1
-        assert len(list(argument_blocks(np.ones(20_000), np.zeros(64)))) == 64
+            for b, logs in blocks:
+                table = PARAMS.gamma2 * xi + PARAMS.gamma3 * lat[b, None]
+                assert np.array_equal(logs, np.log(table))
+        assert len(list(log_blocks(np.ones(200), np.zeros(8), PARAMS))) == 1
+        assert len(list(log_blocks(np.ones(20_000), np.zeros(64), PARAMS))) == 64
 
     def test_log_blocks_yield_outside_the_float_trap(self):
         # the caller's code between blocks runs under its own error settings
@@ -647,6 +647,46 @@ class TestTypeBlocks:
         assert err.value.sample_index == expected
 
 
+class TestLeastArgument:
+    """The least entry of the argument table, which the solver's
+    denominator checks read, against the table itself."""
+
+    @given(log_tables(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_finds_a_nonpositive_entry_in_a_later_block(self, table, data):
+        xi, lat, _ = table
+        n_types = lat.size
+        per_block = max(1, TYPE_BLOCK_POINTS // xi.size)
+        bad = data.draw(st.integers(min(per_block, n_types - 1), n_types - 1))
+        # nonpositive at the points at or below a drawn threshold quality,
+        # or at every point
+        threshold = data.draw(st.one_of(st.floats(60.0, 100.0), st.just(200.0)))
+        lat = lat.copy()
+        lat[bad:] = -PARAMS.gamma2 * threshold / PARAMS.gamma3
+        scaled_xi, scaled_lat = PARAMS.gamma2 * xi, PARAMS.gamma3 * lat
+        per_type = [np.logical_or.reduce(scaled_xi + lat_i <= 0.0) for lat_i in scaled_lat]
+        assert (least_argument(scaled_xi, scaled_lat) <= 0.0) == any(per_type)
+        if threshold == 200.0:
+            assert least_argument(scaled_xi, scaled_lat) <= 0.0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_least_entry_of_the_table(self, data):
+        # 1-D latencies or a (K, I) stack; NaN entries, exact zeros and
+        # sums that round
+        n_types, points = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 20))
+        shape = data.draw(st.sampled_from([(n_types,), (data.draw(st.integers(1, 5)), n_types)]))
+        value = st.one_of(
+            st.floats(-1e3, 1e3), st.just(math.nan), st.sampled_from([-60.0, 0.0, -0.0, 60.0])
+        )
+        scaled_xi = np.array(data.draw(st.lists(value, min_size=points, max_size=points)))
+        entries = data.draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape)))
+        scaled_lat = np.reshape(entries, shape)
+        table = scaled_xi + scaled_lat[..., None]
+        expected = np.fmin.reduce(table, axis=None, initial=np.inf)
+        assert least_argument(scaled_xi, scaled_lat) == expected
+
+
 @st.composite
 def latency_stacks(draw):
     """(xi, stack, alphas): 1-D points and a ``(K, I)`` stack of latency
@@ -703,7 +743,7 @@ class TestStacks:
         lams = np.where(rng.random(height) < 0.25, 0.0, lam * rng.uniform(0.0, 3.0, height))
         values, wins = objectives(stack, lams, candidates, 4.0, profile, PARAMS)
         for k in range(height):
-            omega, row_wins = objective(stack[k], lams[k], candidates, 4.0, profile, PARAMS)
+            omega, row_wins = objectives(stack[k], lams[k], candidates, 4.0, profile, PARAMS)
             assert np.float64(omega).tobytes() == values[k].tobytes()
             assert row_wins.tolist() == wins[k].tolist()
 
