@@ -24,10 +24,9 @@ menus and errors are those of one step per evaluation, bit for bit (see
 A batch's K steps run in one workspace built for the batch: one
 ``(k, N)`` table of reciprocals (:func:`_reciprocal_table`), which every
 step (:func:`_gradient`) and every block of types reuses, and ``(K, I)``
-rows for the raw steps and the iterates, all filled in place.
-The checks of a step (a positive least denominator, a finite step and
-multiplier, nondecreasing latencies) run with each step at K = 1, and once
-per batch, on the stacks, at K > 1.
+rows for the raw steps and the iterates, all filled in place.  The checks
+of the steps (a positive least denominator, finite steps and multipliers,
+nondecreasing latencies) run once per batch, on the stacks, after the steps.
 
 The latency gradient deliberately treats the inner minimizers as constants,
 so per-step objective improvement is not guaranteed and is not asserted;
@@ -313,19 +312,19 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
 
     The steps share one workspace (see the module docstring).  Every batch
     tests the least denominator of its first step, the step the one-step
-    loop takes next, before it steps.  K = 1 is the one-step loop, its
-    checks made where and in the order that loop makes them, errors
-    included.  A batch of K > 1 runs with numpy's floating-point warnings
-    raised and checks its steps once, after they are taken: the least
-    denominator over the iterates its later steps start from, then that
-    the raw steps and the multipliers are finite and the iterates
-    nondecreasing.  A failed check, a library error or a floating-point
-    error in its steps or its evaluation drops the batch and redoes it at
-    K = 1.  So each error is raised at the iterate and with the message of
-    the one-step loop, and a step past the iterate where that loop stops
-    neither raises nor warns.  Raises NonPositiveDenominator when a step's
-    denominator is not positive, and NumericError when an iterate or its
-    objective is not finite, or the latencies decrease."""
+    loop takes next, before it steps, and checks its steps once, after they
+    are taken, in the order of the one-step loop: the least denominator over
+    the iterates its later steps start from, then that the raw steps and the
+    multipliers are finite and the iterates nondecreasing.  A failed check
+    raises the one-step loop's error for row 0, the only row at K = 1.  A
+    batch of K > 1 runs with numpy's floating-point warnings raised, and a
+    failed check, a library error or a floating-point error in its steps or
+    its evaluation drops it and redoes it at K = 1.  So each error is raised
+    at the iterate and with the message of the one-step loop, and a step
+    past the iterate where that loop stops neither raises nor warns.  Raises
+    NonPositiveDenominator when a step's denominator is not positive, and
+    NumericError when an iterate or its objective is not finite, or the
+    latencies decrease."""
     # Zero-probability types get a tiny ironing weight so pooling stays defined.
     alphas = profile.alphas
     weights = np.maximum(alphas, 1e-12)
@@ -350,32 +349,24 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
         raws, lats = np.empty((size, profile.n_types)), np.empty((size, profile.n_types))
         lams = np.empty(size)
         lam_step = cfg.eta_lambda * grad_lambda(distances, epsilon)  # fixed by the minimizers
-        single = size == 1
         for j, (raw, row) in enumerate(zip(raws, lats)):
             if j:
                 np.multiply(params.gamma3, lat, out=scaled_lat)
             gradient = _gradient(scaled_xi, scaled_lat, alphas, price, params.gamma3, table, raw)
             stepped = np.multiply(cfg.eta_L, gradient, out=raw)
             stepped += lat
-            # the checks call ufunc reductions: ndarray.all/any wrap them in Python
-            if single and not np.logical_and.reduce(np.isfinite(stepped)):
-                raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
             lat = np.maximum(iron_monotone(stepped, weights, validate=False, out=row), 0.0, out=row)
             lam = lams[j] = max(lam + lam_step, 0.0)
-            if not single:
-                continue
-            if not math.isfinite(lam):  # lam >= 0 holds by the projection above
-                raise NumericError(f"multiplier iterate {lam!r} is not finite")
-            if np.logical_or.reduce(lat[1:] < lat[:-1]):
-                raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
-        # a batch's checks, once: the caller redoes a failed batch one step at a time
-        if not single and not (
-            least_argument(scaled_xi, params.gamma3 * lats[:-1]) > 0.0
-            and np.logical_and.reduce(np.isfinite(raws), axis=None)
-            and np.logical_and.reduce(np.isfinite(lams))
-            and not np.logical_or.reduce(lats[:, 1:] < lats[:, :-1], axis=None)
-        ):
-            raise NumericError("a step of the batch fails a check")
+        # the batch's checks, in the one-step loop's order, naming row 0 (the
+        # only row at K = 1); ufunc reductions, as ndarray.all/any wrap them in Python
+        if least_argument(scaled_xi, params.gamma3 * lats[:-1]) <= 0.0:
+            raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
+        if not np.logical_and.reduce(np.isfinite(raws), axis=None):
+            raise NumericError(f"latency step {raws[0].tolist()!r} is not finite")
+        if not np.logical_and.reduce(np.isfinite(lams)):  # lams >= 0 by the projection
+            raise NumericError(f"multiplier iterate {lams[0].item()!r} is not finite")
+        if np.logical_or.reduce(lats[:, 1:] < lats[:, :-1], axis=None):
+            raise NumericError(f"latency iterate {lats[0].tolist()!r} is not nondecreasing")
         return lats, lams
 
     omega_prev = -np.inf

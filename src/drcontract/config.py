@@ -216,7 +216,7 @@ def load_config(path) -> RunConfig:
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     known = {f.name for f in fields(RunConfig)}
-    overrides = {}
+    overrides, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -228,6 +228,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         value = value.strip()
         if key not in known:
             raise ValidationError(f"{source}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValidationError(
+                f"{source}:{lineno}: config key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             overrides[key] = _parse_value(key, value)
         except ValueError:

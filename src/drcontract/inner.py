@@ -200,18 +200,15 @@ def inner_minima(
 
 def branch_values(h, lam, candidates: InnerCandidates):
     """Each anchor's ``(h(p) + lam*|anchor - p|, h(lo) + lam*|anchor - lo|)``,
-    ``h`` being the log benefit at ``candidates.points``, for one menu (1-D
-    ``h``, scalar ``lam``) or a stack (a row of ``h`` and a ``lam`` each)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim:  # a stack: one multiplier and one h(lo) per row
-        lam, h_lo = lam[:, None], h[:, :1]
-    else:  # scalars, which numpy adds without broadcasting
-        lam, h_lo = float(lam), h[0]
+    ``h`` being the log benefit at ``candidates.points``, a row of ``h`` and
+    a ``lam`` per menu: each row's multiplier and h(lo) broadcast along it
+    (one menu is a 1-D ``h`` and a scalar ``lam``)."""
+    lam = np.asarray(lam, dtype=float)[..., None]
     # in place: two temporaries of the result's shape
     projection = lam * candidates.p_distance
     projection += h[..., 1:]
     floor = lam * candidates.lo_distance
-    floor += h_lo
+    floor += h[..., :1]
     return projection, floor
 
 

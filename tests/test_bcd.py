@@ -438,7 +438,8 @@ def outcome(run):
 def ascent_instances(draw):
     """(samples, profile, ambiguity, cfg): anchors on both sides of the
     support, so the inner winners flip; budgets and thresholds that stop
-    anywhere in a batch; and, now and then, a step size that overflows."""
+    anywhere in a batch; and, now and then, a latency or multiplier step
+    size that overflows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_types, n_samples = draw(st.integers(1, 5)), draw(st.integers(1, 30))
     profile = AspTypeProfile(
@@ -451,7 +452,7 @@ def ascent_instances(draw):
         max_iters=draw(st.integers(1, 300)),
         conv_tol=draw(st.sampled_from([1e-2, 1e-4, 1e-8, 1e-15])),
         eta_L=draw(st.sampled_from([1e2, 1e3, 1e4, 1e300])),
-        eta_lambda=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+        eta_lambda=draw(st.sampled_from([1e-3, 1e-2, 1e-1, 1e307])),
         L_init=draw(st.floats(0.0, 50.0)),
         lambda_init=draw(st.floats(0.0, 2.0)),
     )
@@ -695,6 +696,22 @@ class TestBatchedAscent:
         # one step at a time; the step from iterate 5 raises before the loop
         assert evaluations[:5] == [1, 1, 2, 1, 1]
         assert stopped == outcome(lambda: sequential_solve_pinned(anchors, profile, PARAMS, before))
+
+    def test_a_multiplier_overflow_inside_a_batch_raises_the_one_step_error(self, monkeypatch):
+        # anchors 0.9 below the support at radius 0.5: the multiplier
+        # gradient is 0.4 at every iterate, so each step adds 4e306 to lam,
+        # whose terms lam*0.9 and lam*0.5 stay finite until lam overflows at
+        # iterate 45.  The batches of 32, 8, 4 and 4 steps that reach it fail
+        # the multiplier check and are redone one step at a time
+        profile, _, _ = small_instance(n_types=3)
+        samples = QualitySampleSet(np.full(5, SUPPORT.lo - 0.9))
+        amb = AmbiguityConfig(SUPPORT, 0.5)
+        cfg = BcdConfig(eta_lambda=1e307, lambda_init=0.0)
+        expected = (NumericError, "multiplier iterate inf is not finite")
+        assert outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg)) == expected
+        evaluations = batch_heights(monkeypatch)
+        assert outcome(lambda: solve(samples, profile, PARAMS, amb, cfg)) == expected
+        assert evaluations == [1, 1, 2, 4, 8, 16, 1, 2, 4, 1, 2, 1, 2]
 
     @pytest.mark.parametrize("merging", [False, True])
     @given(data=st.data(), pinned=st.booleans())

@@ -199,6 +199,13 @@ class TestExitCodes:
         bad.write_text("no equals sign here\n")
         assert run("solve", "--config", bad, "--out", tmp_path / "o") == EXIT_CONFIG
 
+    def test_repeated_config_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 1\nseed = 2\n")
+        assert run("gen-data", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {cfg}:2: config key 'seed' repeats line 1\n"
+
     def test_missing_data_file_exits_three(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("train_csv = /nonexistent/train.csv\n")

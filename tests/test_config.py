@@ -72,6 +72,12 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_config_text("taus = 0.9\n")
 
+    def test_repeated_key_rejected_with_both_lines(self):
+        # the last value used to win silently
+        with pytest.raises(ValidationError) as err:
+            parse_config_text("seed = 1\ntau = 0.9\n# seed = 3\nseed = 2\n", source="c.cfg")
+        assert str(err.value) == "c.cfg:4: config key 'seed' repeats line 1"
+
 
 class TestValidation:
     def test_bad_confidence_named(self, tmp_path):
