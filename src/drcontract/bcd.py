@@ -35,7 +35,6 @@ in practice the trajectory climbs monotonically on the tested instances.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -319,9 +318,10 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     raises the one-step loop's error for row 0, the only row at K = 1.  A
     batch of K > 1 runs with numpy's floating-point warnings raised, and a
     failed check, a library error or a floating-point error in its steps or
-    its evaluation drops it and redoes it at K = 1.  So each error is raised
-    at the iterate and with the message of the one-step loop, and a step
-    past the iterate where that loop stops neither raises nor warns.  Raises
+    its evaluation drops it and redoes it at K = 1, which runs with them off,
+    as the start point does, so that only the checks report an overflow.
+    Each error is thus the one-step loop's, at its iterate, and no step past
+    that loop's stop raises or warns.  Raises
     NonPositiveDenominator when a step's denominator is not positive, and
     NumericError when an iterate or its objective is not finite, or the
     latencies decrease."""
@@ -334,7 +334,8 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     # weights; the steps are checked for finiteness in ``steps``.
     lat = np.maximum(iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
     lam = float(cfg.lambda_init)
-    wins = evaluate(lat[None], np.array([lam]))[1][0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as at K = 1
+        wins = evaluate(lat[None], np.array([lam]))[1][0]
     cap = rows_per_block(profile.n_types * points)
 
     def steps(lat, lam, size, scaled_xi, distances):
@@ -375,9 +376,9 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     size = 1
     while not converged and len(obj_trace) < cfg.max_iters:
         size = min(size, cap, cfg.max_iters - len(obj_trace))
-        raised = np.errstate(over="raise", invalid="raise", divide="raise")
+        fp = "raise" if size > 1 else "ignore"
         try:
-            with raised if size > 1 else contextlib.nullcontext():
+            with np.errstate(over=fp, invalid=fp, divide=fp):
                 lats, lams = steps(lat, lam, size, *minimizers(wins))
                 omegas, batch_wins = evaluate(lats, lams)
         except (ContractSolverError, FloatingPointError):

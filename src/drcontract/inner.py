@@ -28,7 +28,9 @@ floor is the lower up to the flip point (h(p) - h(lo)) / (p - lo), the
 projection after it.  So is the objective -lam*eps + mean_n minimum_n: its
 slope falls from mean|anchor - lo| - eps by (p_n - lo)/N at each flip, to
 mean|anchor - p| - eps, and its argmax is the flip where the slope reaches
-zero (:func:`multiplier_argmax`), if it does (else :func:`unbounded`).
+zero (:func:`multiplier_argmax`), if it does (else :func:`unbounded`).  A
+flip is the slope of a secant of h from lo, and h is concave and increasing
+(gamma2 > 0 is validated), so for every menu the flips ascend as p falls.
 """
 
 from __future__ import annotations
@@ -221,25 +223,21 @@ def branch_minima(h, lam, candidates: InnerCandidates) -> np.ndarray:
 def multiplier_argmax(h, candidates: InnerCandidates, eps: float):
     """Per row of ``h`` (a menu's log benefit at ``candidates.points``), the
     lam >= 0 maximizing -lam*eps + mean(branch_minima): ``inf`` if
-    :func:`unbounded`, 0 if the slope at 0 is not positive, else the first
-    flip point where the slope reaches zero (see the module docstring)."""
+    :func:`unbounded`, 0 if the slope at 0 is not positive, else the largest
+    flip up to where the slope reaches zero, found once for all rows, as the
+    flips ascend as p falls (see the module docstring)."""
     if unbounded(candidates, eps):
         return np.full(h.shape[0], np.inf)
     s0 = -eps + float(candidates.lo_distance.mean())
     if s0 <= 0.0:
         return np.zeros(h.shape[0])
     drops = candidates.points[1:] - candidates.points[0]
-    flippable = drops > 0.0  # p = lo never flips
-    rises = h[:, 1:] - h[:, :1]
-    flips = np.divide(rises, drops, out=np.full_like(rises, np.inf), where=flippable)
-    np.maximum(flips, 0.0, out=flips)
-    order = np.argsort(flips, axis=1)
-    drops_sorted = np.take_along_axis(np.broadcast_to(drops, flips.shape), order, axis=1)
-    crossed = s0 - np.cumsum(drops_sorted, axis=1) / drops.size <= 0.0
+    order = np.argsort(-drops)  # the flippable anchors (p > lo) first, by descending p
+    crossed = s0 - np.cumsum(drops[order]) / drops.size <= 0.0
     # the slope ends at mean|anchor - p| - eps <= 0, rounding aside
-    crossed[:, np.count_nonzero(flippable) - 1] = True
-    first = np.take_along_axis(order, np.argmax(crossed, axis=1)[:, None], axis=1)
-    return np.take_along_axis(flips, first, axis=1)[:, 0]
+    crossed[np.count_nonzero(drops) - 1] = True
+    passed = order[: np.argmax(crossed) + 1]  # the last has the largest flip, rounding aside
+    return np.max((h[:, 1 + passed] - h[:, :1]) / drops[passed], axis=1, initial=0.0)
 
 
 def unbounded(candidates: InnerCandidates, eps: float) -> bool:

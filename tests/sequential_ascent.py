@@ -76,6 +76,8 @@ def sequential_solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveRepo
     return _sequential_ascend(0.0, evaluate, profile, params, bcd_cfg)
 
 
+# as in the solver, an overflow reaches the finite checks silently
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sequential_ascend(epsilon, evaluate, profile, params, cfg) -> SolveReport:
     weights = np.maximum(profile.alphas, 1e-12)
     lat = np.maximum(bcd.iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)

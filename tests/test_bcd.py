@@ -735,7 +735,6 @@ class TestBatchedAscent:
         assert pools_inside_a_batch(events) or not merging
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 class TestNonFiniteIterates:
     def test_multiplier_overflow(self):
         # a radius below the mean floor distance makes the first step positive

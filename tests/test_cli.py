@@ -282,11 +282,20 @@ class TestExitCodes:
         cfg.write_text(f"thetas = 110, 140\nn_train = 20\nitr_max = 20\n{key}\n")
         assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_iterate_exits_four(self, tmp_path, capsys):
-        # from lam = 0 the multiplier gradient is positive, and this step
-        # size overflows it
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("lambda_init = 0\neta_lambda = 1e308\n")
-        assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_NUMERIC
-        assert "numeric failure: multiplier iterate inf" in capsys.readouterr().err
+        # the check's line alone, although pyproject turns a RuntimeWarning
+        # into an error: a warning on the way would end in a traceback
+        for settings, message in [
+            # from lam = 0 the multiplier gradient is positive, and this
+            # step size overflows it
+            ("lambda_init = 0\neta_lambda = 1e308", "multiplier iterate inf"),
+            # the start point's evaluation overflows lam*|anchor - lo|
+            ("lambda_init = 1e308\neta_lambda = 0", "objective -inf at lam=1e+308"),
+            # the first latency step overflows eta_L times the gradient
+            ("gamma2 = 1e-6\neta_l = 1e308", "latency step [inf, inf"),
+        ]:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(settings + "\n")
+            assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_NUMERIC
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"numeric failure: {message}")

@@ -514,6 +514,181 @@ class TestMultiplierArgmax:
             assert argmax[k] == multiplier_argmax(h[k : k + 1], candidates, 1.0)[0]
 
 
+def sorting_multiplier_argmax(h, candidates, eps):
+    """Reference: :func:`inner.multiplier_argmax` as it was before it took
+    the flip order from the anchors.  Each row's flip points are sorted,
+    the drops p - lo are summed in that order, and the row's argmax is the
+    flip where the slope first reaches zero, the last flippable one failing
+    that (the slope ends at mean|anchor - p| - eps <= 0, rounding aside)."""
+    if inner.unbounded(candidates, eps):
+        return np.full(h.shape[0], np.inf)
+    s0 = -eps + float(candidates.lo_distance.mean())
+    if s0 <= 0.0:
+        return np.zeros(h.shape[0])
+    drops = candidates.points[1:] - candidates.points[0]
+    flippable = drops > 0.0  # p = lo never flips
+    rises = h[:, 1:] - h[:, :1]
+    flips = np.divide(rises, drops, out=np.full_like(rises, np.inf), where=flippable)
+    np.maximum(flips, 0.0, out=flips)
+    order = np.argsort(flips, axis=1)
+    drops_sorted = np.take_along_axis(np.broadcast_to(drops, flips.shape), order, axis=1)
+    crossed = s0 - np.cumsum(drops_sorted, axis=1) / drops.size <= 0.0
+    crossed[:, np.count_nonzero(flippable) - 1] = True
+    first = np.take_along_axis(order, np.argmax(crossed, axis=1)[:, None], axis=1)
+    return np.take_along_axis(flips, first, axis=1)[:, 0]
+
+
+def computed_flips(h, candidates):
+    """The flippable anchors (p > lo) by descending p, and each row's flip
+    points (h(p) - h(lo)) / (p - lo) at them, as the reference computes
+    them, and their drops p - lo."""
+    drops = candidates.points[1:] - candidates.points[0]
+    flippable = np.flatnonzero(drops > 0.0)
+    order = flippable[np.argsort(-drops[flippable], kind="stable")]
+    flips = np.maximum((h[:, 1 + order] - h[:, :1]) / drops[order], 0.0)
+    return order, flips, drops[order]
+
+
+def near(value, offset):
+    """``value`` moved by one of the offsets that near-equal draws use."""
+    if offset == "ulp":
+        return math.nextafter(value, math.inf)
+    if offset == "-ulp":
+        return math.nextafter(value, -math.inf)
+    return value + offset
+
+
+@st.composite
+def near_equal_anchors(draw, floor_gap=0.5):
+    """Clusters of anchors: each cluster's first anchor lies below the
+    support, on an end point, inside it (at least ``floor_gap`` above the
+    floor) or above it, and up to three more sit on it, 1 ulp or 1e-9 from
+    it, on either side."""
+    base = st.one_of(
+        st.floats(30.0, SUPPORT.lo - 0.5),
+        st.sampled_from([SUPPORT.lo, SUPPORT.hi]),
+        st.floats(SUPPORT.lo + floor_gap, SUPPORT.hi),
+        st.floats(SUPPORT.hi + 0.5, 140.0),
+    )
+    offsets = st.lists(st.sampled_from([0.0, "ulp", "-ulp", 1e-9, -1e-9]), max_size=3)
+    clusters = draw(st.lists(st.tuples(base, offsets), min_size=1, max_size=6))
+    anchors = [near(b, offset) for b, cluster in clusters for offset in (0.0, *cluster)]
+    return np.array(draw(st.permutations(anchors)))
+
+
+@st.composite
+def monotone_menus(draw):
+    """``(latencies, alphas, params)``: a stack of one to four monotone
+    menus of one to four types, some of them (or all) of zero weight, and
+    gamma3 = 0 now and then, which takes the menu out of h."""
+    n_types = draw(st.integers(1, 4))
+    weights = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    alphas = np.array(draw(st.lists(weights, min_size=n_types, max_size=n_types)))
+    if alphas.sum() > 0.0:
+        alphas /= alphas.sum()
+    params = draw(st.sampled_from([PARAMS, UtilityParams(gamma3=0.0)]))
+    rows = st.lists(st.floats(0.0, 150.0), min_size=n_types, max_size=n_types).map(sorted)
+    lat = np.array(draw(st.lists(rows, min_size=1, max_size=4)))
+    return lat, alphas, params
+
+
+class TestSortFreeArgmax:
+    """:func:`inner.multiplier_argmax` against the sorting scan it replaced
+    (:func:`sorting_multiplier_argmax`)."""
+
+    # Where rounding reorders the flips of near-equal anchors the two may
+    # take different ones, whose flips differ by rounding or by the anchors'
+    # gap: 3.1e-11 of their size is the most measured at 1e-9 gaps.
+    REL = 3.1e-11
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sorting_scan(self, data):
+        candidates = inner_candidates(data.draw(near_equal_anchors()), SUPPORT)
+        h = weighted_log(candidates.points, *data.draw(monotone_menus()))
+        mean_lo, mean_p = float(candidates.lo_distance.mean()), float(candidates.p_distance.mean())
+        on_a_flip = data.draw(st.booleans())
+        if on_a_flip:  # the slope is zero between two flips, and either is an argmax
+            drops = np.sort(candidates.points[1:] - SUPPORT.lo)[::-1]
+            crossings = mean_lo - np.cumsum(drops) / drops.size
+            eps = max(data.draw(st.sampled_from(crossings.tolist())), 0.0)
+        else:  # the ends of the slope and between them
+            scale = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.1, 2.0]))
+            eps = scale * data.draw(st.sampled_from([mean_lo, mean_p]))
+        expected = sorting_multiplier_argmax(h, candidates, eps)
+        got = multiplier_argmax(h, candidates, eps)
+        _, flips, flip_drops = computed_flips(h, candidates)
+        ascending = (flips[:, 1:] > flips[:, :-1]) | (flip_drops[1:] == flip_drops[:-1])
+        # an anchor within a few ulps of the floor has a flip made of rounding
+        rounded = np.logical_or.reduce(flip_drops < 1e-6)
+        for row, (lam, ref) in enumerate(zip(got.tolist(), expected.tolist())):
+            if not math.isfinite(ref) or np.logical_and.reduce(ascending[row]):
+                assert lam == ref
+            elif not (on_a_flip or rounded):
+                assert lam == pytest.approx(ref, rel=self.REL, abs=0.0)
+            else:  # the two sums of the drops may round apart: lam is as good an argmax
+
+                def value(x):
+                    return -x * eps + float(branch_minima(h[row], x, candidates).mean())
+
+                assert value(lam) >= value(ref) - 1e-12 * max(1.0, abs(value(ref)))
+
+    def test_an_anchor_an_ulp_above_the_floor(self):
+        # its rise rounds to 0, and so does its flip, out of order with the
+        # anchor 1e-9 above the floor.  At eps = mean|anchor - p| the slope
+        # reaches zero at it, last by descending p; its own flip would be 0,
+        # where the objective still rises, so the argmax is the largest flip
+        lo = SUPPORT.lo
+        anchors = [math.nextafter(lo, math.inf), lo + 1e-9, 54.5, 137.7]
+        candidates = inner_candidates(anchors, SUPPORT)
+        h = weighted_log(candidates.points, [[0.0, 40.0]], [0.5, 0.5], PARAMS)
+        eps = float(candidates.p_distance.mean())
+        _, flips, _ = computed_flips(h, candidates)
+        assert flips[0, -1] == 0.0 < flips[0, -2]
+        expected = sorting_multiplier_argmax(h, candidates, eps)
+        assert multiplier_argmax(h, candidates, eps).tolist() == expected.tolist()
+        assert expected[0] == flips.max()
+
+
+class TestFlipOrder:
+    """The lemma behind :func:`inner.multiplier_argmax`: h is concave and
+    increasing, so at every multiplier the projection winners of
+    :func:`inner.inner_minima` are a prefix of the anchors in descending-p
+    order, whatever the menu."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_winners_are_a_prefix_by_descending_p(self, data):
+        anchors = data.draw(near_equal_anchors(floor_gap=0.0))
+        extra = data.draw(st.lists(st.sampled_from([1e-9, "ulp"]), max_size=2))
+        anchors = np.append(anchors, [near(SUPPORT.lo, offset) for offset in extra])
+        candidates = inner_candidates(anchors, SUPPORT)
+        lat, alphas, params = data.draw(monotone_menus())
+        h = weighted_log(candidates.points, lat, alphas, params)
+        order, flips, drops = computed_flips(h, candidates)
+        # multipliers near the flips, on a flip and far past them
+        lam_at = st.one_of(
+            st.floats(0.0, 0.1),
+            st.sampled_from(flips.ravel().tolist() or [0.0]),
+            st.floats(0.0, 1e6),
+        )
+        lam = np.array(data.draw(st.lists(lam_at, min_size=len(h), max_size=len(h))))
+        _, wins = inner_minima(lat, lam, candidates, params, alphas)
+        assert not np.logical_or.reduce(np.delete(wins, order, axis=1), axis=None)  # p = lo
+        # the rounding of a row's win test, over the drop: how far a flip's
+        # threshold in lam may sit from the flip computed from h
+        errors = np.abs(h).max(axis=1)[:, None] + lam[:, None] * (
+            candidates.lo_distance[order] + candidates.p_distance[order]
+        )
+        slack = 16 * np.finfo(float).eps * errors / drops
+        for row in range(len(h)):
+            won = wins[row, order]
+            for j, k in zip(*np.nonzero(~won[:, None] & won[None, :])):
+                if j < k:  # a winner after a loser: their flips tie within rounding
+                    gap = abs(flips[row, j] - flips[row, k])
+                    assert gap <= slack[row, j] + slack[row, k]
+
+
 def per_type_weighted_log(xi, latencies, alphas, params=PARAMS):
     """Reference: the per-type loop the blocked kernel replaced, one log per
     type.  Returns the total, or the first point whose argument is not
