@@ -50,7 +50,6 @@ from .errors import (
     GridTooLarge,
     InvalidConfidence,
     NonMonotoneLatencies,
-    NonPositiveDenominator,
     NonPositiveLogArgument,
     NumericError,
     ParseError,

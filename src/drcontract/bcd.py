@@ -25,8 +25,11 @@ A batch's K steps run in one workspace built for the batch: one
 ``(k, N)`` table of reciprocals (:func:`_reciprocal_table`), which every
 step (:func:`_gradient`) and every block of types reuses, and ``(K, I)``
 rows for the raw steps and the iterates, all filled in place.  The checks
-of the steps (a positive least denominator, finite steps and multipliers,
-nondecreasing latencies) run once per batch, on the stacks, after the steps.
+of the steps (finite steps and multipliers, nondecreasing latencies) run
+once per batch, on the stacks, after the steps.  The loop runs with numpy's
+floating-point warnings off, so an overflow or a division by zero reaches
+these checks, or the finite-objective check, as a non-finite value and
+nothing else reports it.
 
 The latency gradient deliberately treats the inner minimizers as constants,
 so per-step objective improvement is not guaranteed and is not asserted;
@@ -44,18 +47,11 @@ from .ambiguity import AmbiguityConfig, sample_values
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams
 from .contracts import expected_reward, rewards_from_latencies
 from .csvio import write_table
-from .errors import (
-    ContractSolverError,
-    NonPositiveDenominator,
-    NumericError,
-    SizeMismatch,
-    ValidationError,
-)
+from .errors import ContractSolverError, NumericError, SizeMismatch, ValidationError
 from .inner import (
     InnerCandidates,
     inner_candidates,
     inner_minima,
-    least_argument,
     rows_per_block,
     sample_value,
     unbounded,
@@ -148,9 +144,11 @@ def _gradient(scaled_xi, scaled_lat, alphas, price, gamma3, table, out) -> np.nd
     fixed, written into ``out`` and returned: component i is alpha_i *
     (gamma3 * mean_n 1/(gamma2*xi*_n + gamma3*L_i) - gamma1/theta_i), given
     the 1-D ``scaled_xi`` = gamma2*xi*, ``scaled_lat`` = gamma3*L and
-    ``price`` = gamma1/theta.  It makes no check: :func:`_ascend` tests the
-    least denominator (:func:`inner.least_argument`, exact because rounding
-    is monotone) around its steps.  The denominators of each block of types
+    ``price`` = gamma1/theta.  It makes no check, and needs no test of its
+    denominators: each is an entry of the log argument table
+    gamma2*xi + gamma3*L_i, the same floats, that :func:`inner.log_blocks`
+    has found positive in the evaluation that picked xi* (see
+    :func:`_ascend`).  The denominators of each block of types
     are written into ``table`` (:func:`_reciprocal_table`), inverted in
     place and summed row-wise by ``np.add.accumulate``, which adds strictly
     in sample order, unlike numpy's pairwise ``sum``, so each type's sum is
@@ -286,6 +284,7 @@ def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     return _ascend(0.0, evaluate, minimizers, anchors.size, profile, params, bcd_cfg)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConfig) -> SolveReport:
     """The ascent engine.  ``evaluate(lat, lam)`` takes a ``(K, I)`` stack
     of latency iterates and their K multipliers and returns the K objective
@@ -309,22 +308,27 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     fits one type block.  Doubling rather than starting at that cap keeps
     the steps computed past a stop no more than those kept.
 
-    The steps share one workspace (see the module docstring).  Every batch
-    tests the least denominator of its first step, the step the one-step
-    loop takes next, before it steps, and checks its steps once, after they
-    are taken, in the order of the one-step loop: the least denominator over
-    the iterates its later steps start from, then that the raw steps and the
+    The steps share one workspace (see the module docstring).  A step's
+    denominators gamma2*xi* + gamma3*L_i need no test.  The step starts from
+    an evaluated iterate: the start point, the last traced iterate, or, in a
+    batch, a row of the batch's stacked evaluation, which runs before any
+    row is traced.  That evaluation took logs at points that include xi*,
+    and :func:`inner.log_blocks` found every argument, the same floats,
+    positive; had one not been, it would have raised NonPositiveLogArgument
+    at that iterate first.  Every batch checks its steps once, after they
+    are taken, in the order of the one-step loop: that the raw steps and the
     multipliers are finite and the iterates nondecreasing.  A failed check
     raises the one-step loop's error for row 0, the only row at K = 1.  A
-    batch of K > 1 runs with numpy's floating-point warnings raised, and a
-    failed check, a library error or a floating-point error in its steps or
-    its evaluation drops it and redoes it at K = 1, which runs with them off,
-    as the start point does, so that only the checks report an overflow.
-    Each error is thus the one-step loop's, at its iterate, and no step past
-    that loop's stop raises or warns.  Raises
-    NonPositiveDenominator when a step's denominator is not positive, and
+    failed check or a library error in a batch of K > 1, in its steps or its
+    evaluation, drops the batch and redoes it at K = 1.  The loop runs with
+    numpy's floating-point warnings off; IEEE results do not depend on them,
+    and a stack's rows are independent, so the kept rows are the one-step
+    loop's bit for bit and an overflow shows only as a non-finite value that
+    a check reports.  Each error is thus the one-step loop's, at its
+    iterate, and no step past that loop's stop raises or warns.  Raises
     NumericError when an iterate or its objective is not finite, or the
-    latencies decrease."""
+    latencies decrease, and the evaluation's errors, NonPositiveLogArgument
+    among them."""
     # Zero-probability types get a tiny ironing weight so pooling stays defined.
     alphas = profile.alphas
     weights = np.maximum(alphas, 1e-12)
@@ -334,25 +338,20 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     # weights; the steps are checked for finiteness in ``steps``.
     lat = np.maximum(iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
     lam = float(cfg.lambda_init)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as at K = 1
-        wins = evaluate(lat[None], np.array([lam]))[1][0]
+    wins = evaluate(lat[None], np.array([lam]))[1][0]
     cap = rows_per_block(profile.n_types * points)
 
     def steps(lat, lam, size, scaled_xi, distances):
         """``size`` steps from (lat, lam), all at the minimizers given: the
         ``(size, I)`` latency iterates and their multipliers."""
-        scaled_lat = params.gamma3 * lat
-        # the first step is the one the one-step loop takes next
-        if least_argument(scaled_xi, scaled_lat) <= 0.0:
-            raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
+        scaled_lat = np.empty(profile.n_types)
         table = _reciprocal_table(profile.n_types, scaled_xi.size)
         # apart, as the trace keeps views of the iterates but not of the raw steps
         raws, lats = np.empty((size, profile.n_types)), np.empty((size, profile.n_types))
         lams = np.empty(size)
         lam_step = cfg.eta_lambda * grad_lambda(distances, epsilon)  # fixed by the minimizers
         for j, (raw, row) in enumerate(zip(raws, lats)):
-            if j:
-                np.multiply(params.gamma3, lat, out=scaled_lat)
+            np.multiply(params.gamma3, lat, out=scaled_lat)
             gradient = _gradient(scaled_xi, scaled_lat, alphas, price, params.gamma3, table, raw)
             stepped = np.multiply(cfg.eta_L, gradient, out=raw)
             stepped += lat
@@ -360,8 +359,6 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
             lam = lams[j] = max(lam + lam_step, 0.0)
         # the batch's checks, in the one-step loop's order, naming row 0 (the
         # only row at K = 1); ufunc reductions, as ndarray.all/any wrap them in Python
-        if least_argument(scaled_xi, params.gamma3 * lats[:-1]) <= 0.0:
-            raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
         if not np.logical_and.reduce(np.isfinite(raws), axis=None):
             raise NumericError(f"latency step {raws[0].tolist()!r} is not finite")
         if not np.logical_and.reduce(np.isfinite(lams)):  # lams >= 0 by the projection
@@ -376,12 +373,10 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     size = 1
     while not converged and len(obj_trace) < cfg.max_iters:
         size = min(size, cap, cfg.max_iters - len(obj_trace))
-        fp = "raise" if size > 1 else "ignore"
         try:
-            with np.errstate(over=fp, invalid=fp, divide=fp):
-                lats, lams = steps(lat, lam, size, *minimizers(wins))
-                omegas, batch_wins = evaluate(lats, lams)
-        except (ContractSolverError, FloatingPointError):
+            lats, lams = steps(lat, lam, size, *minimizers(wins))
+            omegas, batch_wins = evaluate(lats, lams)
+        except ContractSolverError:
             if size == 1:
                 raise
             size = 1  # redo the batch one step per evaluation

@@ -146,11 +146,7 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     types run along the last axis, so a stack of latency vectors gives one
     reward vector per row.
 
-    The increments are summed in type order: by ``np.add.accumulate``
-    along the types for one vector or a stack no taller than it is wide,
-    and for a taller stack column by column, one vectorized add per type,
-    since a cumulative sum along a short last axis runs one inner loop per
-    row.  Both add the same terms in the same order.
+    The increments are summed in type order (:func:`_accumulate_types`).
     """
     lat = np.asarray(latencies, dtype=float)
     if lat.shape[-1] != profile.n_types:
@@ -168,29 +164,32 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
         )
     rewards = np.multiply(gamma1, increments, out=increments)
     rewards /= profile.thetas
-    columns = rewards.T
-    if len(rewards) <= len(columns):  # a vector is its own transpose
-        return np.add.accumulate(rewards, axis=-1, out=rewards)
-    for i in range(1, len(columns)):
-        columns[i] += columns[i - 1]
-    return rewards
+    return _accumulate_types(rewards)
 
 
 def expected_reward(rewards, alphas):
-    """Expected reward ``sum_i alpha_i * R_i`` of a reward vector, or of each
-    row of a (menus, types) stack, added type by type: for one vector or a
-    stack no taller than it is wide by ``np.add.accumulate`` along the
-    types, and for a taller stack elementwise per row, which adds in the
-    same order (see :func:`rewards_from_latencies`)."""
-    columns = rewards.T
-    if len(columns) != len(alphas):
-        raise SizeMismatch(f"{len(alphas)} alphas vs {len(columns)} rewards")
-    if len(rewards) <= len(columns):
-        return np.add.accumulate(alphas * rewards, axis=-1).T[-1]
-    total = alphas[0] * columns[0]
-    for i in range(1, len(alphas)):
-        total += alphas[i] * columns[i]
-    return total
+    """Expected reward ``sum_i alpha_i * R_i`` of a reward vector, a numpy
+    scalar, or of each row of a (menus, types) stack, a 1-D array: the last
+    running sum of ``alphas * rewards`` along the types, added in type
+    order (:func:`_accumulate_types`)."""
+    if rewards.shape[-1] != len(alphas):
+        raise SizeMismatch(f"{len(alphas)} alphas vs {rewards.shape[-1]} rewards")
+    return _accumulate_types(alphas * rewards).T[-1]  # [..., -1] would be 0-d for a vector
+
+
+def _accumulate_types(terms):
+    """The running sums of ``terms`` along the types, its last axis, taken in
+    place and in type order, for one vector or a (menus, types) stack: by
+    ``np.add.accumulate`` along the types for a vector or a stack no taller
+    than it is wide, and for a taller stack column by column, one vectorized
+    add per type, since a cumulative sum along a short last axis runs one
+    inner loop per row.  Both add the same terms in the same order."""
+    columns = terms.T
+    if len(terms) <= len(columns):  # a vector is its own transpose
+        return np.add.accumulate(terms, axis=-1, out=terms)
+    for i in range(1, len(columns)):
+        columns[i] += columns[i - 1]
+    return terms
 
 
 def check_feasibility(

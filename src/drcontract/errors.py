@@ -65,7 +65,3 @@ class NonPositiveLogArgument(NumericError):
 
 class NonMonotoneLatencies(NumericError):
     """A latency vector violates the nondecreasing ordering requirement."""
-
-
-class NonPositiveDenominator(NumericError):
-    """A gradient denominator is not strictly positive."""

@@ -78,14 +78,11 @@ def eval_teleop_utility(
     ``sum_i alpha_i * (ln(gamma2*xi + gamma3*L_i) - R_i)``, assembled as the
     solvers' objective (:func:`inner.sample_value`).  Raises SizeMismatch
     unless the menu has one bundle per type."""
-    xi = eval_samples.samples
     try:
-        benefit = weighted_log(xi, menu.latencies, profile.alphas, params)
+        benefit = weighted_log(eval_samples.samples, menu.latencies, profile.alphas, params)
     except NonPositiveLogArgument as exc:
         idx = exc.sample_index
-        raise NonPositiveLogArgument(
-            f"sample {idx} (xi={float(xi[idx])!r}): {exc}", sample_index=idx
-        ) from exc
+        raise NonPositiveLogArgument(f"sample {idx}: {exc}", sample_index=idx) from exc
     return float(sample_value(benefit, expected_reward(menu.rewards, profile.alphas)))
 
 

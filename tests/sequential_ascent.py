@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from drcontract import ContractMenu, NonPositiveDenominator, NumericError, bcd
+from drcontract import ContractMenu, NumericError, bcd
 from drcontract.ambiguity import sample_values
 from drcontract.bcd import BcdConfig, SolveReport
 from drcontract.inner import inner_candidates, unbounded
@@ -31,14 +31,13 @@ def per_type_latency_gradient(xi, latencies, profile, params):
     """The latency gradient at the inner minimizers ``xi``, one type at a
     time: alpha_i * (gamma3 * (sum_n 1/(gamma2*xi_n + gamma3*L_i) / N) -
     gamma1/theta_i), the sum added in sample order, which is the solver's
-    float order.  Raises NonPositiveDenominator, with the solver's message,
-    when a denominator is not positive."""
+    float order.  It makes no check: the evaluation that returned ``xi``
+    took logs at these arguments, and would have raised on one not
+    positive."""
     scaled_xi = params.gamma2 * np.asarray(xi, dtype=float)
     gradient = np.empty(len(latencies))
     for i, lat_i in enumerate(np.asarray(latencies, dtype=float)):
         denom = scaled_xi + params.gamma3 * lat_i
-        if np.logical_or.reduce(denom <= 0.0):
-            raise NonPositiveDenominator("gamma2*xi + gamma3*L must be > 0")
         mean = np.add.accumulate(1.0 / denom)[-1] / denom.size
         price = params.gamma1 / profile.thetas[i]
         gradient[i] = profile.alphas[i] * (params.gamma3 * mean - price)

@@ -3,6 +3,7 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from drcontract import (
     AspTypeProfile,
     BcdConfig,
     NonMonotoneLatencies,
-    NonPositiveDenominator,
+    NonPositiveLogArgument,
     NumericError,
     QualitySampleSet,
     RunConfig,
@@ -625,7 +626,7 @@ class TestBatchedAscent:
                 return gradient(scaled_xi, scaled_lat, *args)
             failed.append(True)
             if failure == "raises":
-                raise NonPositiveDenominator("a step from iterate 9")
+                raise NumericError("a step from iterate 9")
             return np.full(scaled_lat.shape, np.finfo(float).max)  # times eta_L: overflow
 
         expected = outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg))
@@ -649,7 +650,7 @@ class TestBatchedAscent:
         def failing_gradient(scaled_xi, scaled_lat, *args):
             if np.array_equal(scaled_lat, PARAMS.gamma3 * tenth):
                 order.append("step")
-                raise NonPositiveDenominator("a step from iterate 10")
+                raise NumericError("a step from iterate 10")
             return gradient(scaled_xi, scaled_lat, *args)
 
         def failing_rewards(latencies, *args):
@@ -668,34 +669,27 @@ class TestBatchedAscent:
         assert order[0] == "step" and order[-1] == "evaluation"
 
 
-    def test_a_nonpositive_denominator_inside_a_batch_raises_the_one_step_error(
-        self, monkeypatch
-    ):
+    def test_a_nonpositive_log_argument_in_a_batch_is_the_one_step_error(self, monkeypatch):
         # the pinned solve's anchor -1 makes gamma2*xi + gamma3*L_1 negative
-        # once L_1 < 1: at iterate 5 (L_1 = 0.158), inside the batch of
-        # 4..7.  The evaluations take the logs at the anchors shifted by 100,
-        # so they pass, and only the step from iterate 5 fails: the one-step
-        # loop raises there, and so does the batched loop, without a warning
+        # once L_1 < 1, which it is at iterate 5, inside the batch of 4..7.
+        # The batch's evaluation fails, so the batch is redone one step at a
+        # time, and the evaluation of iterate 5 raises in both loops before
+        # any step from it, without a warning
         profile = AspTypeProfile(thetas=[2.0, 4.0], alphas=[0.5, 0.5])
         anchors = [-1.0, 50.0]
         cfg = BcdConfig(eta_L=30.0, L_init=30.0, conv_tol=1e-15)
-        log = bcd.weighted_log
-        monkeypatch.setattr(bcd, "weighted_log", lambda xi, *args: log(np.add(xi, 100.0), *args))
-        before = replace(cfg, max_iters=5)
-        fifth = sequential_solve_pinned(anchors, profile, PARAMS, before).latency_trace[-1]
-        assert PARAMS.gamma2 * anchors[0] + PARAMS.gamma3 * fifth[0] < 0.0
-        expected = (NonPositiveDenominator, "gamma2*xi + gamma3*L must be > 0")
-        assert outcome(lambda: sequential_solve_pinned(anchors, profile, PARAMS, cfg)) == expected
-        evaluations = batch_heights(monkeypatch)
+        message = "log argument -0.8422558811518228 at xi=-1.0 must be > 0"
+        expected = (NonPositiveLogArgument, message)
+        args = (anchors, profile, PARAMS, cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert outcome(lambda: bcd.solve_pinned(anchors, profile, PARAMS, cfg)) == expected
-            stopped = outcome(lambda: bcd.solve_pinned(anchors, profile, PARAMS, before))
+            assert outcome(lambda: sequential_solve_pinned(*args)) == expected
+            evaluations = batch_heights(monkeypatch)
+            assert outcome(lambda: bcd.solve_pinned(*args)) == expected
         assert caught == []
-        # the batches from iterates 3 and 4 fail their checks and are redone
-        # one step at a time; the step from iterate 5 raises before the loop
-        assert evaluations[:5] == [1, 1, 2, 1, 1]
-        assert stopped == outcome(lambda: sequential_solve_pinned(anchors, profile, PARAMS, before))
+        # redone one step at a time, iterate 4 alone passes, the batch of
+        # 5..6 fails, and iterate 5 alone raises
+        assert evaluations == [1, 1, 2, 4, 1, 2, 1]
 
     def test_a_multiplier_overflow_inside_a_batch_raises_the_one_step_error(self, monkeypatch):
         # anchors 0.9 below the support at radius 0.5: the multiplier
@@ -733,6 +727,90 @@ class TestBatchedAscent:
             events = step_events(patch)
             assert outcome(lambda: batched(*args)) == expected
         assert pools_inside_a_batch(events) or not merging
+
+
+def ascent_closures(solver, *args):
+    """The ``evaluate`` and ``minimizers`` closures that ``solver`` hands
+    to ``bcd._ascend``, which is not run."""
+    closures = []
+
+    def capture(epsilon, evaluate, minimizers, *rest):
+        closures.extend((evaluate, minimizers))
+        return SimpleNamespace()  # solve sets its stop reason
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bcd, "_ascend", capture)
+        solver(*args)
+    return closures
+
+
+@st.composite
+def denominator_instances(draw):
+    """(solver, args, latencies, lams, wins): a solve or a pinned solve on
+    anchors below, inside and above a support whose floor may be <= 0, some
+    of them negative, with gamma3 = 0 now and then; a latency vector or a
+    ``(K, I)`` stack of nondecreasing rows; and any winners mask.  A latency
+    is either free or put within a few ulps of -gamma2*x/gamma3 for an
+    anchor or the floor x, where a log argument rounds to zero or to either
+    side of it."""
+    params = UtilityParams(
+        gamma2=draw(st.sampled_from([1.0]) | st.floats(1e-3, 1e3)),
+        gamma3=draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1e3)),
+    )
+    lo = draw(st.floats(-50.0, 50.0) | st.sampled_from([0.0, -1.0]))
+    support = SupportInterval(lo, lo + draw(st.floats(1.0, 100.0)))
+    anchor = st.floats(lo - 50.0, support.hi + 50.0) | st.floats(-100.0, 0.0)
+    anchors = draw(st.lists(anchor | st.sampled_from([lo, support.hi]), min_size=1, max_size=8))
+    n_types = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    profile = AspTypeProfile(
+        thetas=np.sort(rng.uniform(100.0, 260.0, n_types)),
+        alphas=rng.dirichlet(np.ones(n_types)),
+    )
+    edges = [lo, *anchors]
+
+    def latency():
+        if params.gamma3 == 0.0 or draw(st.booleans()):
+            return draw(st.floats(-100.0, 200.0))
+        edge = -(params.gamma2 * draw(st.sampled_from(edges))) / params.gamma3
+        ulps = draw(st.integers(-2, 2))
+        for _ in range(abs(ulps)):
+            edge = np.nextafter(edge, math.copysign(math.inf, ulps))
+        return float(edge)
+
+    height = draw(st.integers(0, 3))  # 0: one latency vector
+    rows = [sorted(latency() for _ in range(n_types)) for _ in range(max(height, 1))]
+    lams = draw(st.lists(st.floats(0.0, 2.0), min_size=len(rows), max_size=len(rows)))
+    latencies, lams = (np.array(rows), np.array(lams)) if height else (np.array(rows[0]), lams[0])
+    wins = np.array(draw(st.lists(st.booleans(), min_size=len(anchors), max_size=len(anchors))))
+    if draw(st.booleans()):
+        return bcd.solve_pinned, (anchors, profile, params), latencies, lams, wins
+    amb = AmbiguityConfig(support, draw(st.floats(0.5, 30.0)))
+    return solve, (QualitySampleSet(anchors), profile, params, amb), latencies, lams, wins
+
+
+class TestStepDenominators:
+    """Why the latency step tests none of its denominators gamma2*xi* +
+    gamma3*L_i: they are log arguments that the evaluation of the iterate
+    it steps from has tested, the same floats."""
+
+    @given(denominator_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_an_evaluation_that_raises_nothing_leaves_every_denominator_positive(
+        self, instance
+    ):
+        solver, args, latencies, lams, wins = instance
+        evaluate, minimizers = ascent_closures(solver, *args)
+        try:
+            evaluate(latencies, lams)
+        except NonPositiveLogArgument:
+            return
+        scaled_xi, _ = minimizers(wins)
+        gamma3 = args[2].gamma3
+        for lat in np.atleast_2d(latencies):
+            # as bcd._gradient builds them, from the step's scaled latencies
+            denominators = np.add(scaled_xi, np.multiply(gamma3, lat)[:, None])
+            assert np.logical_and.reduce(denominators > 0.0, axis=None)
 
 
 class TestNonFiniteIterates:

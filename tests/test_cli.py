@@ -299,3 +299,17 @@ class TestExitCodes:
             assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_NUMERIC
             (line,) = capsys.readouterr().err.splitlines()
             assert line.startswith(f"numeric failure: {message}")
+
+    @pytest.mark.parametrize(
+        "method, code", [("dro", EXIT_NUMERIC), ("sp", 0), ("ro", EXIT_NUMERIC)]
+    )
+    def test_nonpositive_log_argument_exits_four(self, tmp_path, capsys, method, code):
+        # dro and ro take logs at the support floor, -10, where gamma2*xi +
+        # gamma3*L is -10 at the start's zero latencies; sp takes them at the
+        # training anchors only, which are all positive
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("support_lo = -10\n")
+        assert run("solve", "--config", cfg, "--method", method, "--out", tmp_path / "o") == code
+        err = capsys.readouterr().err.splitlines()
+        expected = ["numeric failure: log argument -10.0 at xi=-10.0 must be > 0"]
+        assert err == (expected if code else [])

@@ -170,7 +170,7 @@ class TestEvalTeleopUtility:
         with pytest.raises(NonPositiveLogArgument) as err:
             eval_teleop_utility(menu, QualitySampleSet([70.0, -3.0, -10.0]), two, PARAMS)
         assert err.value.sample_index == 1
-        assert "sample 1 (xi=-3.0)" in str(err.value)
+        assert str(err.value) == "sample 1: log argument -3.0 at xi=-3.0 must be > 0"
 
     def test_rejects_a_menu_for_another_type_count(self):
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
