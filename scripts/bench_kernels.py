@@ -24,36 +24,27 @@ construction is not timed, and a stack of as many menus as the solver's
 batches hold at most, ``max(1, TYPE_BLOCK_POINTS // (I * points))``: 20 at
 ``I8_N200``, 1 at ``I64_N20000``.  The latency step is not timed on its
 own, as the solver runs it in a private workspace kernel; its cost shows in
-the solve figure.  :func:`kernels` builds the callables and :func:`measure`
-times them.  The solve figure is total solve time over iterations, one
-start-point evaluation included.
-BLAS/OpenMP threads are pinned to 1 when the script runs.  Each figure is
-the best of ``REPEATS`` timed loops of about ``BUDGET_S`` seconds each (the
-solve: best of ``REPEATS`` solves); both are stored with each run.
+the solve figure.  :func:`kernels` builds the callables and
+:func:`samplers` times them.  The solve figure is total solve time over
+iterations, one start-point evaluation included.
+BLAS/OpenMP threads are pinned to 1 when the script runs.
 
-``--src DIR`` imports ``drcontract`` from DIR, another checkout's ``src``,
-so before and after numbers come from one machine.  Each run stores its
-numbers under ``--label`` in ``--out``, keeping the other labels:
-
-    python scripts/bench_kernels.py --src ../parent/src --label before
-    python scripts/bench_kernels.py --label after
-
-``--ab DIR`` times both sides in one process instead: it imports DIR's
-``drcontract`` (before) and ``--src``'s (after) under two package names
-(:func:`load_package`) and alternates the two sides' timed loops,
-``REPEATS`` pairs per figure, so load on the machine moves both sides of a
-pair alike.  Each figure gets the median per-call time of each side and
-the median and quartiles of the after/before ratio over the pairs
-(:func:`paired`), stored under ``ab`` and ``--label``:
+``--ab DIR`` times another checkout (before), DIR being its ``src``,
+against this one (after) in one process, so both sides come from one
+machine.  It imports the two ``drcontract`` packages under two names
+(:func:`load_package`), and each side's samplers come from its own copy
+of this script (:func:`load_script`), ``DIR/../scripts/bench_kernels.py``
+for the before side, so each side calls each kernel as its own code
+does, across a change of signature too.  Figures are paired by group and
+name; a figure that only one side times is listed under ``unpaired``.
+The two sides' timed loops alternate, ``REPEATS`` pairs per figure, so
+load on the machine moves both sides of a pair alike.  Each figure gets
+the median per-call time of each side and the median and quartiles of
+the after/before ratio over the pairs (:func:`paired`), stored with the
+machine's description under ``ab`` and ``--label`` in ``--out``, keeping
+the other labels:
 
     python scripts/bench_kernels.py --ab ../parent/src --label change
-
-``--src`` and ``--ab`` run this script's calls against the other package,
-so they work only while the timed kernels keep their signatures.  Across a
-signature change, record "before" with the other checkout's own script,
-writing into this checkout's file:
-
-    python ../parent/scripts/bench_kernels.py --label before --out BENCH_kernels.json
 """
 
 import argparse
@@ -91,20 +82,16 @@ def timer(fn):
     return sample
 
 
-class SolveTimer:
-    """A sampler of one whole solve, in seconds per iteration; the last
-    solve's iteration count is kept in ``iterations``."""
+def solve_timer(solve):
+    """A sampler: each call times one whole ``solve`` and returns seconds
+    per iteration."""
 
-    def __init__(self, solve):
-        self.solve = solve
-        self.iterations = None
-
-    def __call__(self):
+    def sample():
         start = time.perf_counter()
-        report = self.solve()
-        elapsed = time.perf_counter() - start
-        self.iterations = report.iterations_used
-        return elapsed / report.iterations_used
+        report = solve()
+        return (time.perf_counter() - start) / report.iterations_used
+
+    return sample
 
 
 def modules(package, *names):
@@ -206,22 +193,10 @@ def samplers(package="drcontract"):
     for name, cfg, solve_cfg in instances(package):
         calls, solve = kernels(cfg, solve_cfg, package)
         groups[name] = {figure: timer(fn) for figure, fn in calls.items()}
-        groups[name]["solve_per_iteration"] = SolveTimer(solve)
-    groups["I8_N200_extreme100"] = {"solve_per_iteration": SolveTimer(contaminated_solve(package))}
+        groups[name]["solve_per_iteration"] = solve_timer(solve)
+    groups["I8_N200_extreme100"] = {"solve_per_iteration": solve_timer(contaminated_solve(package))}
     groups["oracle"] = {figure: timer(fn) for figure, fn in oracle_calls(package).items()}
     return groups
-
-
-def measure(groups) -> dict:
-    """The best of ``REPEATS`` samples of each figure, in microseconds, and
-    each solve's iteration count."""
-    run = {}
-    for group, figures in groups.items():
-        run[group] = {name: 1e6 * min(s() for _ in range(REPEATS)) for name, s in figures.items()}
-        if "solve_per_iteration" in figures:
-            run[group]["solve_iterations"] = figures["solve_per_iteration"].iterations
-        print(group, json.dumps(run[group]))
-    return run
 
 
 def paired(before, after, pairs: int) -> dict:
@@ -259,22 +234,46 @@ def load_package(src: Path, name: str) -> str:
     return name
 
 
-def ab_run(before_src: Path, after_src: Path, pairs: int) -> dict:
-    """Every figure of both checkouts, timed in alternation (:func:`paired`)."""
-    before = samplers(load_package(before_src, "drcontract_before"))
+def load_script(path: Path, name: str):
+    """Import the script at ``path`` as the module ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def ab_run(before_src: Path, pairs: int) -> dict:
+    """Every figure that both checkouts time, each side sampled by its own
+    script's :func:`samplers`, timed in alternation (:func:`paired`)."""
+    script = load_script(before_src.parent / "scripts" / "bench_kernels.py", "bench_kernels_before")
+    before = script.samplers(load_package(before_src, "drcontract_before"))
+    after_src = ROOT / "src"
     after = samplers(load_package(after_src, "drcontract_after"))
     run = {
         "before_sha256": source_hash(before_src),
         "after_sha256": source_hash(after_src),
         "pairs": pairs,
         "budget_s": BUDGET_S,
+        "machine": machine_record(),
+        "unpaired": unpaired(before, after),
     }
     for group, figures in after.items():
-        run[group] = {
-            name: paired(before[group][name], sample, pairs) for name, sample in figures.items()
-        }
-        print(group, json.dumps(run[group]))
+        shared = {name: s for name, s in figures.items() if name in before.get(group, {})}
+        if shared:
+            run[group] = {name: paired(before[group][name], s, pairs) for name, s in shared.items()}
+            print(group, json.dumps(run[group]))
     return run
+
+
+def unpaired(before, after) -> dict:
+    """Each figure, ``group/name``, that only one side's samplers time,
+    mapped to that side."""
+
+    def names(groups):
+        return {f"{group}/{name}" for group, figures in groups.items() for name in figures}
+
+    b, a = names(before), names(after)
+    return {**dict.fromkeys(sorted(b - a), "before"), **dict.fromkeys(sorted(a - b), "after")}
 
 
 def source_hash(src: Path) -> str:
@@ -313,26 +312,21 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key to store this run under")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="drcontract source dir")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernels.json")
     parser.add_argument(
-        "--ab", type=Path, help="another checkout's source dir, timed in alternation as before"
+        "--ab",
+        type=Path,
+        required=True,
+        help="another checkout's source dir, timed in alternation as before",
     )
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernels.json")
     args = parser.parse_args(argv)
 
-    if args.ab is not None:
-        run = ab_run(args.ab, args.src, REPEATS)
-    else:
-        sys.path.insert(0, str(args.src.resolve()))
-        run = {"source_sha256": source_hash(args.src), "repeats": REPEATS, "budget_s": BUDGET_S}
-        run.update(measure(samplers()))
-
+    run = ab_run(args.ab, REPEATS)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["unit"] = (
         "us per call; solve_per_iteration in us per iteration; ab ratios are after/before"
     )
-    data["machine"] = machine_record()
-    data.setdefault("ab" if args.ab is not None else "runs", {})[args.label] = run
+    data.setdefault("ab", {})[args.label] = run
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {args.out} ({args.label})")
     return 0

@@ -45,7 +45,7 @@ import numpy as np
 
 from .ambiguity import AmbiguityConfig, sample_values
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams
-from .contracts import expected_reward, rewards_from_latencies
+from .contracts import expected_reward, rewards_from_latencies, running_sums
 from .csvio import write_table
 from .errors import ContractSolverError, NumericError, SizeMismatch, ValidationError
 from .inner import (
@@ -150,16 +150,16 @@ def _gradient(scaled_xi, scaled_lat, alphas, price, gamma3, table, out) -> np.nd
     has found positive in the evaluation that picked xi* (see
     :func:`_ascend`).  The denominators of each block of types
     are written into ``table`` (:func:`_reciprocal_table`), inverted in
-    place and summed row-wise by ``np.add.accumulate``, which adds strictly
-    in sample order, unlike numpy's pairwise ``sum``, so each type's sum is
-    the same float sequence whatever the block size."""
+    place and summed row-wise by :func:`contracts.running_sums`, which adds
+    strictly in sample order, unlike numpy's pairwise ``sum``, so each
+    type's sum is the same float sequence whatever the block size."""
     block = len(table)
     for start in range(0, len(out), block):
         types = slice(start, start + block)
         denom = table[: len(out) - start]
         np.add(scaled_xi, scaled_lat[types, None], out=denom)
         np.divide(1.0, denom, out=denom)
-        out[types] = np.add.accumulate(denom, axis=1, out=denom)[:, -1]
+        out[types] = running_sums(denom)[:, -1]
     out /= scaled_xi.size
     out *= gamma3
     out -= price
@@ -414,7 +414,7 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
 def write_trace_csv(report: SolveReport, path, method: str = None) -> None:
     """Per-iteration trace: iter,objective,lambda,L_1..L_I.
 
-    Baseline traces prepend a ``method`` column.
+    The sp and ro traces name their ``method`` in a first column.
     """
     n_types = report.menu.n_types
     header = ["iter", "objective", "lambda"] + [f"L_{i + 1}" for i in range(n_types)]

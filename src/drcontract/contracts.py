@@ -146,7 +146,7 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     types run along the last axis, so a stack of latency vectors gives one
     reward vector per row.
 
-    The increments are summed in type order (:func:`_accumulate_types`).
+    The increments are summed in type order (:func:`running_sums`).
     """
     lat = np.asarray(latencies, dtype=float)
     if lat.shape[-1] != profile.n_types:
@@ -164,26 +164,27 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
         )
     rewards = np.multiply(gamma1, increments, out=increments)
     rewards /= profile.thetas
-    return _accumulate_types(rewards)
+    return running_sums(rewards)
 
 
 def expected_reward(rewards, alphas):
     """Expected reward ``sum_i alpha_i * R_i`` of a reward vector, a numpy
     scalar, or of each row of a (menus, types) stack, a 1-D array: the last
     running sum of ``alphas * rewards`` along the types, added in type
-    order (:func:`_accumulate_types`)."""
+    order (:func:`running_sums`)."""
     if rewards.shape[-1] != len(alphas):
         raise SizeMismatch(f"{len(alphas)} alphas vs {rewards.shape[-1]} rewards")
-    return _accumulate_types(alphas * rewards).T[-1]  # [..., -1] would be 0-d for a vector
+    return running_sums(alphas * rewards).T[-1]  # [..., -1] would be 0-d for a vector
 
 
-def _accumulate_types(terms):
-    """The running sums of ``terms`` along the types, its last axis, taken in
-    place and in type order, for one vector or a (menus, types) stack: by
-    ``np.add.accumulate`` along the types for a vector or a stack no taller
-    than it is wide, and for a taller stack column by column, one vectorized
-    add per type, since a cumulative sum along a short last axis runs one
-    inner loop per row.  Both add the same terms in the same order."""
+def running_sums(terms):
+    """The running sums of ``terms`` along its last axis, taken in place and
+    in order, for one vector or a 2-D stack of rows (menus by types, say, or
+    types by samples): by ``np.add.accumulate`` along the rows for a vector
+    or a stack no taller than it is wide, and for a taller stack column by
+    column, one vectorized add per column, since a cumulative sum along a
+    short last axis runs one inner loop per row.  Both add the same terms in
+    the same order, so each row's sums are its 1-D call's bit for bit."""
     columns = terms.T
     if len(terms) <= len(columns):  # a vector is its own transpose
         return np.add.accumulate(terms, axis=-1, out=terms)

@@ -8,7 +8,6 @@ so larger shifts remain distinguishable below the support floor.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +45,7 @@ CANONICAL_METHODS = ("dro", "sp", "ro")
 _EVALUATION_BUDGET = 1e8
 _GRID_TABLE_BUDGET = 1e7  # 8-byte entries in the oracle's grid-sized tables: 80 MB
 _CHUNK_ENTRIES = 10**6  # (rows x samples) entries per oracle chunk: 8 MB per float table
-_BOUND_SLACK = 2.0**-51  # four unit roundoffs per rounding step; see _RowBound
+_BOUND_SLACK = 2.0**-51  # four unit roundoffs per rounding step; see _Bound
 _BOX_POINTS = 64  # about this many latency points per box of the oracle's search
 
 
@@ -193,8 +192,8 @@ def oracle_menu_search(
     values; a box is a nondecreasing tuple of cells, one per type, and
     holds the nondecreasing points whose grid indices lie in those
     cells, at most S**I (32 to 81 for up to six types).
-    :class:`_BoxBound` bounds a box above every point in it, and
-    :class:`_RowBound` a point, each at O(types) cost.  The boxes are
+    :class:`_Bound` bounds a box above every point in it, and a point as
+    a box of one-value cells, each at O(types) cost.  The boxes are
     bounded in chunks of ``_CHUNK_ENTRIES // n`` (n samples), enumerated
     as the nondecreasing tuples of cell indices
     (:func:`_monotone_chunks`).  In each chunk the box with the largest
@@ -220,11 +219,11 @@ def oracle_menu_search(
     The evaluation budget caps (latency points) x (samples) at
     ``_EVALUATION_BUDGET``, the work if nothing were pruned.  A second term
     caps the tables sized by the grid (the grid values, the log table, its
-    per-type scaled copies and their per-type sample means) or by its cells
-    (the per-type cell maxima of the bound's two tables and the per-type
-    counts of nondecreasing cell tuples) at ``_GRID_TABLE_BUDGET`` = 1e7
-    entries, 80 MB; the criterion-05 instance at grid step 0.025 needs about
-    1.3e5.  Either excess raises GridTooLarge before any table is built.
+    per-type scaled copies and the point bound's two per-type tables) or by
+    its cells (the box bound's two per-type tables and the per-type counts
+    of nondecreasing cell tuples) at ``_GRID_TABLE_BUDGET`` = 1e7 entries,
+    80 MB; the criterion-05 instance at grid step 0.025 needs about 1.4e5.
+    Either excess raises GridTooLarge before any table is built.
     """
     if not grid_step > 0.0:
         raise ValidationError("grid_step must be > 0")
@@ -241,7 +240,7 @@ def oracle_menu_search(
         )
     size = round(_BOX_POINTS ** (1.0 / n_types))
     n_cells = -(-n_l // size)
-    table_entries = n_l * (1 + (n_types + 1) * (anchors.size + 1) + n_types)
+    table_entries = n_l * (1 + (n_types + 1) * (anchors.size + 1) + 2 * n_types)
     table_entries += n_types * (3 * n_cells + 1)
     if table_entries > _GRID_TABLE_BUDGET:
         raise GridTooLarge(
@@ -252,8 +251,8 @@ def oracle_menu_search(
     candidates = inner_candidates(anchors, ambiguity.support)
     eps = ambiguity.epsilon
     scaled = _scaled_tables(candidates.points, values, profile, params)
-    row_bound = _RowBound(scaled, candidates, eps, lambda_max)
-    box_bound = _BoxBound(row_bound, size, values, profile, params.gamma1)
+    point_bound = _Bound(scaled, np.arange(n_l), candidates, eps, lambda_max)
+    box_bound = _Bound(scaled, np.arange(0, n_l, size), candidates, eps, lambda_max)
     chunk_rows = max(1, _CHUNK_ENTRIES // anchors.size)
 
     def exact_best(points, g):
@@ -266,7 +265,7 @@ def oracle_menu_search(
         nonlocal best_omega, best_point
         for points in _box_points(boxes, size, n_l, chunk_rows):
             g = _expected_rewards(values[points], profile, params.gamma1)
-            bound = row_bound(points, g)
+            bound = point_bound(points, g, g)
             top = int(np.argmax(bound))
             if bound[top] < best_omega:
                 continue
@@ -278,7 +277,7 @@ def oracle_menu_search(
                 best_omega, best_point = omega, point
 
     for cells in _monotone_chunks(n_cells, n_types, anchors.size):
-        bound = box_bound(cells)
+        bound = box_bound(cells, *_box_rewards(cells, size, values, profile, params.gamma1))
         first = int(np.argmax(bound))
         search(cells[[first]])
         bound[first] = -np.inf
@@ -304,9 +303,17 @@ def _gather(tables, chunk) -> np.ndarray:
     return total
 
 
-class _RowBound:
-    """Upper bound on each latency point's objective over lam in
-    [0, lambda_max], from per-type tables, O(types) per point.
+class _Bound:
+    """Upper bound on the objective over lam in [0, lambda_max] of every
+    latency point in a box, from per-type tables, O(types) per box.
+
+    Each type's grid is cut into cells of consecutive values, the cells
+    starting at the grid indices ``starts``.  A box is a nondecreasing
+    tuple of cell indices, one per type; its points are the nondecreasing
+    grid tuples whose indices lie in those cells.  With cells of ``size``
+    values, ``starts = np.arange(0, n_l, size)``, the last cell possibly
+    shorter; with ``starts = np.arange(n_l)`` each cell holds one value and
+    a box is one point.
 
     **Bound.**  With ``s_lo = mean|anchor - lo| - eps`` and
     ``s_p = mean|anchor - p| - eps``, the mean of a minimum is at most the
@@ -317,10 +324,19 @@ class _RowBound:
         U = min(h(lo) + max(s_lo, 0)*lambda_max,
                 mean_n h(p_n) + max(s_p, 0)*lambda_max) - g.
 
-    ``h(lo)`` is gathered from column 0 of the scaled tables, the float the
-    exact evaluation uses, and ``mean_n h(p_n)`` is the sum over types of the
-    per-type means ``m_i = mean(scaled_i[:, 1:], axis=1)``, computed once
-    per grid value.
+    ``h(lo)`` is the sum over types of column 0 of the scaled tables, the
+    float the exact evaluation uses, and ``mean_n h(p_n)`` the sum over
+    types of the per-type means ``m_i = mean(scaled_i[:, 1:], axis=1)``.
+    A box's bound computes U by the same float operations in the same
+    order, from each type's maxima of ``h(lo)`` and of ``m_i`` over the
+    box's cell (``np.maximum.reduceat``, a copy for one-value cells), with
+    a floor ``g_low`` on the float expected rewards of the box's points
+    subtracted and a ceiling ``g_high`` on them in the slack (for a point,
+    both are its g).  Each float it adds is then at least the one a point
+    of the box adds in that place, and rounding is monotone: ``a <= a'``
+    and ``b <= b'`` give ``fl(a + b) <= fl(a' + b')``, and likewise
+    ``fl(a - b') <= fl(a' - b)`` and ``fl(c*a) <= fl(c*a')`` for c > 0.
+    So a box's bound is at least each of its points' bounds.
 
     **Slack.**  Both U and the objective are computed in floats.  With
     u = 2**-53, a sum of terms that each pass through at most m roundings
@@ -337,94 +353,68 @@ class _RowBound:
     g.  Either way a term passes through at most n + k + 3 roundings, so the
     two err by less than 4*(n + k + 3)*u*T while (n + k + 3)*u <= 1/2, which
     the table budget guarantees.  The slack ``_BOUND_SLACK * (n + k + 4) * T``
-    (``_BOUND_SLACK = 4u``) covers that and its own rounding and addition.
+    (``_BOUND_SLACK = 4u``), taken at ``g_high``, covers that and its own
+    rounding and addition.  So the bound is at least the objective of every
+    point of the box at every multiplier.
     """
 
-    def __init__(self, scaled, candidates: InnerCandidates, eps: float, lambda_max: float):
-        self.lo = [s[:, 0] for s in scaled]
-        self.p_mean = [s[:, 1:].mean(axis=1) for s in scaled]
+    def __init__(self, scaled, starts, candidates: InnerCandidates, eps, lambda_max):
+        self.lo = [np.maximum.reduceat(s[:, 0], starts) for s in scaled]
+        self.p_mean = [np.maximum.reduceat(s[:, 1:].mean(axis=1), starts) for s in scaled]
         self.rise_lo = max(float(candidates.lo_distance.mean()) - eps, 0.0) * lambda_max
         self.rise_p = max(float(candidates.p_distance.mean()) - eps, 0.0) * lambda_max
         self.magnitude = sum(float(np.abs(s).max()) for s in scaled)
         self.magnitude += lambda_max * (float(candidates.lo_distance.max()) + eps)
         self.slack_rate = _BOUND_SLACK * (candidates.lo_distance.size + len(scaled) + 4)
 
-    def __call__(self, chunk, g, g_slack=None) -> np.ndarray:
-        """U plus the slack for each row of grid indices in ``chunk``, whose
-        expected rewards are ``g``; ``g_slack`` (default ``g``) is the
-        expected reward the slack is taken at."""
-        bound = _gather(self.lo, chunk)
+    def __call__(self, rows, g_low, g_high) -> np.ndarray:
+        """The bound of each box, a row of cell indices in ``rows``, whose
+        points' float expected rewards lie in ``[g_low, g_high]``."""
+        bound = _gather(self.lo, rows)
         bound += self.rise_lo
-        p_branch = _gather(self.p_mean, chunk)
+        p_branch = _gather(self.p_mean, rows)
         p_branch += self.rise_p
         np.minimum(bound, p_branch, out=bound)
-        bound -= g
-        bound += self.slack_rate * (self.magnitude + (g if g_slack is None else g_slack))
+        bound -= g_low
+        bound += self.slack_rate * (self.magnitude + g_high)
         return bound
 
 
-class _BoxBound:
-    """Upper bound on the objective of every latency point in a box over lam
-    in [0, lambda_max], O(types) per box.
+def _box_rewards(cells, size: int, values, profile: AspTypeProfile, gamma1: float):
+    """``(g_low, g_high)``: a floor and a ceiling on the float expected
+    rewards of the points of each box, a row of indices in ``cells`` of
+    cells of ``size`` grid ``values``, the last cell possibly shorter.
 
-    Each type's grid is cut into cells of ``size`` consecutive values, the
-    last one possibly shorter.  A box is a nondecreasing tuple of cell
-    indices, one per type; its points are the nondecreasing grid tuples
-    whose indices lie in those cells.  Its lowest point takes each cell's
-    first value and its highest point each cell's last; both are points of
-    the box.
-
-    **Bound.**  A box's bound is :class:`_RowBound`'s, computed by the same
-    float operations in the same order, from each type's maxima of ``h(lo)``
-    and of ``m_i`` over the box's cell, with a floor ``g_low`` on the float
-    expected rewards of the box's points subtracted and a ceiling ``g_high``
-    on them in the slack.  Each float it adds is then at least the one a
-    point of the box adds in that place, and rounding is monotone:
-    ``a <= a'`` and ``b <= b'`` give ``fl(a + b) <= fl(a' + b')``, and
-    likewise ``fl(a - b') <= fl(a' - b)`` and ``fl(c*a) <= fl(c*a')`` for
-    c > 0.  So the box's bound is at least each point's bound, which is at
-    least the point's objective at every multiplier.
-
-    **Expected rewards.**  Under the binding reward recursion the expected
-    reward is ``g(L) = gamma1 * sum_i L_i * (A_i/theta_i -
-    A_{i+1}/theta_{i+1})``, with tail masses ``A_i = alpha_i + ... +
-    alpha_I`` and ``A_{I+1} = 0``.  Thetas are nondecreasing and tail masses
-    nonincreasing, so every price ``A_i/theta_i - A_{i+1}/theta_{i+1}`` is
-    >= 0 and g is nondecreasing in every latency: in exact arithmetic, g at
-    a point of a box lies between g at its lowest and at its highest point.
-    In floats, :func:`contracts.rewards_from_latencies` and
-    :func:`contracts.expected_reward` add the terms
-    ``alpha_i * gamma1 * (L_j - L_{j-1}) / theta_j`` (j <= i), all >= 0 at
-    a nondecreasing point, each through at most 2I + 2 roundings: the
-    difference, the product by gamma1, the division by theta_j, at most
-    I - 1 running additions, the product by alpha_i and at most I - 1
-    additions over types.  So a point's float g lies within gamma_{2I+2}*G
-    of its exact g (with u and gamma_m as in :class:`_RowBound`), where
-    ``G = gamma1 * v_max / theta_1`` bounds g on the grid: the prices add up
-    to gamma1 * A_1 / theta_1, and A_1 = 1.  Hence a point's float g is at
-    least the lowest point's float g less 2*gamma_{2I+2}*G, and at most the
-    highest point's plus as much; 2*gamma_{2I+2}*G = (4I + 4)*u*G*(1 + O(u)).
-    ``g_low`` and ``g_high`` move the two float g's by the margin
-    ``_BOUND_SLACK * (I + 2) * G = (4I + 8)*u*G``, which covers that, the
-    margin's own rounding and the rounding of the move, each at most
-    u*G*(1 + O(u)).
+    A box's lowest point takes each cell's first value and its highest
+    point each cell's last; both are points of the box.  Under the binding
+    reward recursion the expected reward is ``g(L) = gamma1 * sum_i L_i *
+    (A_i/theta_i - A_{i+1}/theta_{i+1})``, with tail masses ``A_i = alpha_i
+    + ... + alpha_I`` and ``A_{I+1} = 0``.  Thetas are nondecreasing and
+    tail masses nonincreasing, so every price ``A_i/theta_i -
+    A_{i+1}/theta_{i+1}`` is >= 0 and g is nondecreasing in every latency:
+    in exact arithmetic, g at a point of a box lies between g at its lowest
+    and at its highest point.  In floats,
+    :func:`contracts.rewards_from_latencies` and
+    :func:`contracts.expected_reward` add the terms ``alpha_i * gamma1 *
+    (L_j - L_{j-1}) / theta_j`` (j <= i), all >= 0 at a nondecreasing
+    point, each through at most 2I + 2 roundings: the difference, the
+    product by gamma1, the division by theta_j, at most I - 1 running
+    additions, the product by alpha_i and at most I - 1 additions over
+    types.  So a point's float g lies within gamma_{2I+2}*G of its exact g
+    (with u and gamma_m as in :class:`_Bound`), where ``G = gamma1 * v_max
+    / theta_1`` bounds g on the grid: the prices add up to gamma1 * A_1 /
+    theta_1, and A_1 = 1.  Hence a point's float g is at least the lowest
+    point's float g less 2*gamma_{2I+2}*G, and at most the highest point's
+    plus as much; 2*gamma_{2I+2}*G = (4I + 4)*u*G*(1 + O(u)).  The two
+    float g's move by the margin ``_BOUND_SLACK * (I + 2) * G = (4I +
+    8)*u*G``, which covers that, the margin's own rounding and the rounding
+    of the move, each at most u*G*(1 + O(u)).
     """
-
-    def __init__(self, row_bound: _RowBound, size: int, values, profile, gamma1: float):
-        starts = np.arange(0, values.size, size)
-        self.cells = copy.copy(row_bound)
-        self.cells.lo = [np.maximum.reduceat(table, starts) for table in row_bound.lo]
-        self.cells.p_mean = [np.maximum.reduceat(table, starts) for table in row_bound.p_mean]
-        self.size, self.values, self.profile, self.gamma1 = size, values, profile, gamma1
-        self.margin = _BOUND_SLACK * (profile.n_types + 2) * gamma1 * values[-1] / profile.thetas[0]
-
-    def __call__(self, cells) -> np.ndarray:
-        """The bound of each box, a row of cell indices in ``cells``."""
-        low = cells * self.size
-        high = np.minimum(low + (self.size - 1), self.values.size - 1)
-        g_low = _expected_rewards(self.values[low], self.profile, self.gamma1) - self.margin
-        g_high = _expected_rewards(self.values[high], self.profile, self.gamma1) + self.margin
-        return self.cells(cells, g_low, g_high)
+    margin = _BOUND_SLACK * (profile.n_types + 2) * gamma1 * values[-1] / profile.thetas[0]
+    low = cells * size
+    high = np.minimum(low + (size - 1), values.size - 1)
+    g_low = _expected_rewards(values[low], profile, gamma1) - margin
+    return g_low, _expected_rewards(values[high], profile, gamma1) + margin
 
 
 def _expected_rewards(latencies, profile: AspTypeProfile, gamma1: float) -> np.ndarray:

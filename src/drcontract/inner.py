@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ambiguity import SupportInterval
-from .contracts import UtilityParams
+from .contracts import UtilityParams, running_sums
 from .errors import NonPositiveLogArgument, SizeMismatch, ValidationError
 
 
@@ -130,10 +130,10 @@ def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
     up only along the contiguous axis (see ``np.sum``), here the points; a
     table of one entry per type (one vector at one point) makes the type
     axis the contiguous one, so its column is summed by
-    ``np.add.accumulate``, which adds strictly in order.  Accumulating along the type axis of a wider
-    table would run one short inner loop per point.  Raises ValidationError
-    unless ``xi`` is 1-D, and SizeMismatch unless there is one alpha per
-    latency.
+    :func:`contracts.running_sums`, which adds strictly in order.
+    Accumulating along the type axis of a wider table would run one short
+    inner loop per point.  Raises ValidationError unless ``xi`` is 1-D, and
+    SizeMismatch unless there is one alpha per latency.
     """
     lat = np.asarray(latencies, dtype=float)
     if len(alphas) != lat.shape[-1]:
@@ -151,7 +151,7 @@ def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
         elif logs.shape[1] != 1:
             total = np.add.reduce(logs, axis=0)
         else:  # one point
-            total = np.add.accumulate(logs[:, 0])[-1:]
+            total = running_sums(logs[:, 0])[-1:]
     return total.reshape(shape)
 
 
@@ -249,8 +249,8 @@ def unbounded(candidates: InnerCandidates, eps: float) -> bool:
 def sample_value(benefit, g, lam=0.0, eps=0.0):
     """The objective, ``-lam*eps + mean(benefit - g)`` over the last axis (the
     samples), of one menu or a stack (a ``g`` and ``lam`` per row).  The mean
-    adds ``(benefit_n - g) / n`` in sample order, so rows are independent."""
+    adds ``(benefit_n - g) / n`` in sample order (:func:`contracts.running_sums`),
+    so each row is its one-menu value bit for bit."""
     values = (benefit.T - g).T  # g per row; a scalar for one menu
     values /= values.shape[-1]
-    np.add.accumulate(values, axis=-1, out=values)
-    return -lam * eps + values.T[-1]  # the last column; a scalar for one menu
+    return -lam * eps + running_sums(values).T[-1]  # the last column; a scalar for one menu

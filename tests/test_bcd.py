@@ -605,6 +605,25 @@ class TestBatchedAscent:
         assert outcome(lambda: batched(*args)) == outcome(lambda: reference)
         assert evaluations == heights
 
+    def test_more_types_than_points_sum_steps_column_by_column(self, monkeypatch):
+        # 8 types and 3 anchors: each step's reciprocal table is 8 x 3, so
+        # its running sums are taken column by column
+        rng = np.random.default_rng(8)
+        profile = AspTypeProfile(
+            thetas=np.sort(rng.uniform(100.0, 260.0, 8)), alphas=rng.dirichlet(np.ones(8))
+        )
+        args = ([62.0, 75.5, 91.0], profile, PARAMS, BcdConfig(max_iters=200))
+        expected = outcome(lambda: sequential_solve_pinned(*args))
+        shapes, running_sums = [], bcd.running_sums
+
+        def recorded(terms):
+            shapes.append(terms.shape)
+            return running_sums(terms)
+
+        monkeypatch.setattr(bcd, "running_sums", recorded)
+        assert outcome(lambda: bcd.solve_pinned(*args)) == expected
+        assert isinstance(expected[0], str) and set(shapes) == {(8, 3)}
+
     @pytest.mark.parametrize("failure", ["raises", "overflows"])
     def test_a_step_past_the_stop_raises_nothing(self, monkeypatch, failure):
         # the loop stops at iteration 9, inside the batch of 8..15, whose

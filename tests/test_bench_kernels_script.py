@@ -1,8 +1,10 @@
 import importlib.util
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -10,6 +12,7 @@ from drcontract.bcd import BcdConfig, SolveReport
 from drcontract.config import RunConfig
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
+SRC = SCRIPT.parent.parent / "src"
 
 
 def load_bench_script():
@@ -78,13 +81,18 @@ def test_ab_mode_records_paired_ratios(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "instances", tiny)
     monkeypatch.setattr(bench, "contaminated_solve", tiny_solve)
     monkeypatch.setattr(bench, "oracle_calls", tiny_oracle)
-    src = str(SCRIPT.parent.parent / "src")
+    # the before side's script is this module, so both sides time the tiny instances
+    monkeypatch.setattr(bench, "load_script", lambda path, name: bench)
     out = tmp_path / "bench.json"
-    argv = ["--ab", src, "--src", src, "--label", "same", "--out", str(out)]
+    argv = ["--ab", str(SRC), "--label", "same", "--out", str(out)]
     assert bench.main(argv) == 0
-    run = json.loads(out.read_text())["ab"]["same"]
+    data = json.loads(out.read_text())
+    assert "machine" not in data
+    run = data["ab"]["same"]
     assert run["before_sha256"] == run["after_sha256"]
     assert run["pairs"] == 3
+    assert run["machine"]["nproc"] == os.cpu_count()
+    assert run["unpaired"] == {}
     assert list(run["tiny"]) == [
         "objectives",
         "weighted_log",
@@ -99,3 +107,32 @@ def test_ab_mode_records_paired_ratios(tmp_path, monkeypatch):
         assert list(stats) == ["before_us", "after_us", "ratio", "ratio_q1", "ratio_q3"]
         assert all(math.isfinite(value) and value > 0 for value in stats.values())
         assert stats["ratio_q1"] <= stats["ratio"] <= stats["ratio_q3"]
+
+
+def test_a_figure_that_one_side_times_is_not_paired(tmp_path, monkeypatch):
+    bench = load_bench_script()
+    monkeypatch.setattr(bench, "REPEATS", 3)
+    loaded = []
+
+    def sampler():
+        return 1e-6
+
+    def stub_script(path, name):
+        loaded.append(path)
+        groups = {"tiny": {"shared": sampler, "dropped": sampler}, "old": {"gone": sampler}}
+        return SimpleNamespace(samplers=lambda package: groups)
+
+    def after_samplers(package):
+        return {"tiny": {"shared": sampler, "added": sampler}}
+
+    monkeypatch.setattr(bench, "load_script", stub_script)
+    monkeypatch.setattr(bench, "samplers", after_samplers)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--ab", str(SRC), "--label", "stub", "--out", str(out)]) == 0
+    run = json.loads(out.read_text())["ab"]["stub"]
+    # the before side's samplers come from the script beside its src
+    assert loaded == [SCRIPT]
+    assert run["unpaired"] == {"old/gone": "before", "tiny/dropped": "before", "tiny/added": "after"}
+    assert list(run["tiny"]) == ["shared"]
+    assert "old" not in run
+    assert run["tiny"]["shared"]["ratio"] == 1.0

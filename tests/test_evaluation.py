@@ -38,13 +38,13 @@ from drcontract import evaluation
 from drcontract.config import RunConfig, generate_quality_samples
 from drcontract.evaluation import (
     MetricsTable,
+    _Bound,
     _box_points,
-    _BoxBound,
+    _box_rewards,
     _chunk_best,
     _gather,
     _monotone_chunks,
     _psi,
-    _RowBound,
     _scaled_tables,
 )
 
@@ -418,7 +418,8 @@ class TestPrune:
         (chunk,) = _monotone_chunks(values.size, profile.n_types, samples.n)
         rewards = rewards_from_latencies(values[chunk], profile, PARAMS.gamma1)
         g = expected_reward(rewards, profile.alphas)
-        bound = _RowBound(scaled, candidates, amb.epsilon, lambda_max)(chunk, g)
+        point_bound = _Bound(scaled, np.arange(values.size), candidates, amb.epsilon, lambda_max)
+        bound = point_bound(chunk, g, g)
         h = _gather(scaled, chunk)
         for lam in step * np.arange(round(lambda_max / step) + 1):
             assert np.all(bound >= _psi(h, g, np.full(g.size, lam), candidates, amb.epsilon))
@@ -442,12 +443,12 @@ class TestPrune:
         values = step * np.arange(round(l_max / step) + 1)
         candidates = inner_candidates(samples.samples, amb.support)
         scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
-        row_bound = _RowBound(scaled, candidates, amb.epsilon, lambda_max)
-        box_bound = _BoxBound(row_bound, size, values, profile, PARAMS.gamma1)
-        n_cells = -(-values.size // size)
-        (cells,) = _monotone_chunks(n_cells, profile.n_types, samples.n)
+        starts = np.arange(0, values.size, size)
+        box_bound = _Bound(scaled, starts, candidates, amb.epsilon, lambda_max)
+        (cells,) = _monotone_chunks(starts.size, profile.n_types, samples.n)
+        g_low, g_high = _box_rewards(cells, size, values, profile, PARAMS.gamma1)
         lams = step * np.arange(round(lambda_max / step) + 1)
-        for box, bound in zip(cells, box_bound(cells)):
+        for box, bound in zip(cells, box_bound(cells, g_low, g_high)):
             (points,) = _box_points(box[None], size, values.size, 10**6)
             rewards = rewards_from_latencies(values[points], profile, PARAMS.gamma1)
             g = expected_reward(rewards, profile.alphas)
@@ -528,12 +529,13 @@ class TestPrune:
         ref_omega, ref_lat = unpruned_oracle(profile, samples, amb, step, l_max, 2.0)
         size = round(evaluation._BOX_POINTS ** (1.0 / profile.n_types))
         first = np.append(np.round(ref_lat[:-1] / step).astype(int), round(l_max / step)) // size
-        bound = evaluation._BoxBound.__call__
+        box_rewards = evaluation._box_rewards
 
-        def raised(self, cells):
-            return bound(self, cells) + 100.0 * np.all(cells == first, axis=1)
+        def raised(cells, *args):
+            g_low, g_high = box_rewards(cells, *args)
+            return g_low - 100.0 * np.all(cells == first, axis=1), g_high
 
-        with mock.patch.object(evaluation._BoxBound, "__call__", raised):
+        with mock.patch.object(evaluation, "_box_rewards", raised):
             omega, lat = oracle_menu_search(
                 profile, samples, PARAMS, amb, step, l_max=l_max, lambda_max=2.0
             )

@@ -922,6 +922,32 @@ class TestStacks:
             assert np.float64(omega).tobytes() == values[k].tobytes()
             assert row_wins.tolist() == wins[k].tolist()
 
+    @given(st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_sample_value_rows_are_in_order_sums(self, data, tall):
+        # a stack taller than its sample count is summed column by column,
+        # a wider one along each row
+        short, extra = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        height, n_samples = (short + extra, short) if tall else (short, short + extra)
+
+        def draw_array(elements, size):
+            return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+        finite = st.floats(-1e6, 1e6)
+        benefit = draw_array(finite, height * n_samples).reshape(height, n_samples)
+        g, lams = draw_array(finite, height), draw_array(st.floats(0.0, 10.0), height)
+        eps = data.draw(st.floats(0.0, 30.0))
+        values = inner.sample_value(benefit, g, lams, eps)
+        for k in range(height):
+            one = inner.sample_value(benefit[k].copy(), g[k], lams[k], eps)
+            terms = [(float(b) - float(g[k])) / n_samples for b in benefit[k]]
+            total = terms[0]
+            for term in terms[1:]:
+                total += term
+            expected = -float(lams[k]) * eps + total
+            assert values[k].tobytes() == np.float64(one).tobytes()  # sign bits included
+            assert values[k].tobytes() == np.float64(expected).tobytes()
+
     def test_nonpositive_argument_names_the_first_failing_rows_point(self):
         # row 1 fails at point 2 first, row 2 at point 0: the stack's error
         # is row 1's, as the one-vector call on row 1 raises it
