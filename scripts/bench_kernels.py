@@ -21,7 +21,7 @@ bound prunes few latency points.
 Each kernel is called as a solve calls it: ``objectives`` takes the inner
 candidates that a solve builds once (``inner.inner_candidates``), so their
 construction is not timed, and a stack of as many menus as the solver's
-batches hold at most, ``max(1, TYPE_BLOCK_POINTS // (I * points))``: 20 at
+batches hold at most, ``inner.rows_per_block(I * points)``: 20 at
 ``I8_N200``, 1 at ``I64_N20000``.  The latency step is not timed on its
 own, as the solver runs it in a private workspace kernel; its cost shows in
 the solve figure.  :func:`kernels` builds the callables and
@@ -126,7 +126,7 @@ def kernels(cfg, solve_cfg, package="drcontract"):
     n_types = profile.n_types
     lat = np.linspace(0.0, 100.0, n_types)
     # the solver's batch cap: one stack's log table fills one type block
-    height = max(1, inner.TYPE_BLOCK_POINTS // (n_types * candidates.points.size))
+    height = inner.rows_per_block(n_types * candidates.points.size)
     stack, lams = lat + np.linspace(0.0, 1.0, height)[:, None], np.full(height, 0.5)
     xi = np.clip(samples.samples, amb.support.lo, amb.support.hi)
     rough = lat + np.random.default_rng(0).normal(0.0, 5.0, n_types)  # PAVA pools

@@ -44,14 +44,13 @@ class SupportInterval:
 
 @dataclass(frozen=True)
 class QualitySampleSet:
-    """Historical quality observations plus a provenance tag.
+    """Historical quality observations.
 
     Values outside the support interval are retained verbatim: they still act
     as transport anchors even when they cannot be evaluation points.
     """
 
     samples: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float).copy()
@@ -129,10 +128,7 @@ def shift_samples(samples: QualitySampleSet, magnitude: float) -> QualitySampleS
     """
     if not magnitude >= 0.0:
         raise ValidationError("shift magnitude must be >= 0")
-    return QualitySampleSet(
-        samples=samples.samples - magnitude,
-        provenance=f"{samples.provenance}|shift={magnitude:g}",
-    )
+    return QualitySampleSet(samples=samples.samples - magnitude)
 
 
 def inject_extreme_points(
@@ -153,10 +149,7 @@ def inject_extreme_points(
     positions = rng.choice(samples.n, size=count, replace=False)
     out = samples.samples.copy()
     out[positions] = value
-    return QualitySampleSet(
-        samples=out,
-        provenance=f"{samples.provenance}|extreme={count}@{value:g}",
-    )
+    return QualitySampleSet(samples=out)
 
 
 # ---------------------------------------------------------------------------
@@ -172,4 +165,4 @@ def read_samples_csv(path) -> QualitySampleSet:
     values = read_table(path, ["xi"])[:, 0]
     if not values.size:
         raise EmptySampleSet(f"{path} contains no observations")
-    return QualitySampleSet(samples=values, provenance=str(path))
+    return QualitySampleSet(samples=values)

@@ -25,8 +25,9 @@ A batch's K steps run in one workspace built for the batch: one
 ``(k, N)`` table of reciprocals (:func:`_reciprocal_table`), which every
 step (:func:`_gradient`) and every block of types reuses, and ``(K, I)``
 rows for the raw steps and the iterates, all filled in place.  The checks
-of the steps (finite steps and multipliers, nondecreasing latencies) run
-once per batch, on the stacks, after the steps.  The loop runs with numpy's
+of the steps (finite steps and multipliers) run once per batch, on the
+stacks, after the steps; the batch's evaluation tests the iterates' order
+(:func:`contracts.rewards_from_latencies`).  The loop runs with numpy's
 floating-point warnings off, so an overflow or a division by zero reaches
 these checks, or the finite-objective check, as a non-finite value and
 nothing else reports it.
@@ -317,7 +318,10 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     positive; had one not been, it would have raised NonPositiveLogArgument
     at that iterate first.  Every batch checks its steps once, after they
     are taken, in the order of the one-step loop: that the raw steps and the
-    multipliers are finite and the iterates nondecreasing.  A failed check
+    multipliers are finite.  Their order needs no test here: a PAVA result
+    clipped at zero has no adjacent decrease, and the evaluation's
+    :func:`contracts.rewards_from_latencies` tests every row before any is
+    traced.  A failed check
     raises the one-step loop's error for row 0, the only row at K = 1.  A
     failed check or a library error in a batch of K > 1, in its steps or its
     evaluation, drops the batch and redoes it at K = 1.  The loop runs with
@@ -326,8 +330,8 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     loop's bit for bit and an overflow shows only as a non-finite value that
     a check reports.  Each error is thus the one-step loop's, at its
     iterate, and no step past that loop's stop raises or warns.  Raises
-    NumericError when an iterate or its objective is not finite, or the
-    latencies decrease, and the evaluation's errors, NonPositiveLogArgument
+    NumericError when an iterate or its objective is not finite, and the
+    evaluation's errors, NonPositiveLogArgument and NonMonotoneLatencies
     among them."""
     # Zero-probability types get a tiny ironing weight so pooling stays defined.
     alphas = profile.alphas
@@ -363,8 +367,6 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
             raise NumericError(f"latency step {raws[0].tolist()!r} is not finite")
         if not np.logical_and.reduce(np.isfinite(lams)):  # lams >= 0 by the projection
             raise NumericError(f"multiplier iterate {lams[0].item()!r} is not finite")
-        if np.logical_or.reduce(lats[:, 1:] < lats[:, :-1], axis=None):
-            raise NumericError(f"latency iterate {lats[0].tolist()!r} is not nondecreasing")
         return lats, lams
 
     omega_prev = -np.inf

@@ -16,13 +16,7 @@ from .ambiguity import write_samples_csv
 from .bcd import write_trace_csv
 from .config import RunConfig, load_config
 from .contracts import read_menu_csv, write_menu_csv, write_profile_csv
-from .errors import (
-    ContractSolverError,
-    DataError,
-    NumericError,
-    ParseError,
-    ValidationError,
-)
+from .errors import DataError, NumericError, ParseError, ValidationError
 from .evaluation import (
     CANONICAL_METHODS,
     eval_asp_utilities,
@@ -34,8 +28,6 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .inner import inner_candidates, unbounded
-
-SUBCOMMANDS = ("gen-data", "solve", "evaluate", "bench", "oracle")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,30 +45,21 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ContractSolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     return dispatch(args.subcommand, cfg, method=args.method, out=Path(args.out))
 
 
 def dispatch(subcommand: str, cfg: RunConfig, method: str = "dro", out=Path("out")) -> int:
-    """Run one subcommand; malformed inputs yield diagnostics, not tracebacks."""
-    handlers = {
-        "gen-data": _cmd_gen_data,
-        "solve": _cmd_solve,
-        "evaluate": _cmd_evaluate,
-        "bench": _cmd_bench,
-        "oracle": _cmd_oracle,
-    }
-    if subcommand not in handlers:
+    """Run one subcommand; malformed inputs yield diagnostics, not tracebacks.
+    Every library error belongs to one of the four families caught here."""
+    if subcommand not in HANDLERS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        handlers[subcommand](cfg, method, out)
+        HANDLERS[subcommand](cfg, method, out)
         return EXIT_OK
-    except (DataError, ParseError, FileNotFoundError, OSError) as exc:
+    except (DataError, ParseError, OSError) as exc:
         # the config is already parsed by now, so parse errors are data-file errors
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -86,9 +69,6 @@ def dispatch(subcommand: str, cfg: RunConfig, method: str = "dro", out=Path("out
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ContractSolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="drcontract",
         description="Distributionally robust contract menus for edge offloading.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=HANDLERS)
     parser.add_argument("--config", default="", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
@@ -179,6 +159,16 @@ def _cmd_oracle(cfg: RunConfig, method: str, out: Path) -> None:
     print(f"oracle_objective {best_omega!r}")
     print(f"oracle_latencies {','.join(repr(float(v)) for v in best_lat)}")
     print(f"gap {gap!r}")
+
+
+# one handler per subcommand: the parser's choices and what dispatch runs
+HANDLERS = {
+    "gen-data": _cmd_gen_data,
+    "solve": _cmd_solve,
+    "evaluate": _cmd_evaluate,
+    "bench": _cmd_bench,
+    "oracle": _cmd_oracle,
+}
 
 
 if __name__ == "__main__":

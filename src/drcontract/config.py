@@ -41,8 +41,8 @@ _MAX_REJECTION_ROUNDS = 10_000
 
 @dataclass(frozen=True)
 class RunConfig:
-    thetas: tuple = DEFAULT_THETAS
-    alphas: tuple = ()  # empty: draw from the seeded Dirichlet
+    thetas: tuple[float, ...] = DEFAULT_THETAS
+    alphas: tuple[float, ...] = ()  # empty: draw from the seeded Dirichlet
     gamma1: float = 1.0
     gamma2: float = 1.0
     gamma3: float = 1.0
@@ -58,8 +58,8 @@ class RunConfig:
     lambda_init: float = 6.0
     l_init: float = 0.0
     seed: int = 0
-    shift_magnitudes: tuple = DEFAULT_SHIFTS
-    extreme_counts: tuple = DEFAULT_EXTREME_COUNTS
+    shift_magnitudes: tuple[float, ...] = DEFAULT_SHIFTS
+    extreme_counts: tuple[int, ...] = DEFAULT_EXTREME_COUNTS
     extreme_value: float = 1.0
     gen_mean: float = 85.0
     gen_sd: float = 8.0
@@ -90,12 +90,10 @@ class RunConfig:
             raise ValidationError("extreme counts must be nonnegative")
         if not self.gen_sd > 0:
             raise ValidationError("gen_sd must be > 0")
+        # Python ints are finite, and np.isfinite rejects those past int64
         for f in fields(self):
             value = getattr(self, f.name)
-            # Python ints are finite, and np.isfinite rejects those past int64
-            if f.name in _STR_KEYS | _INT_KEYS | _TUPLE_INT_KEYS:
-                continue
-            if not np.all(np.isfinite(value)):
+            if "float" in f.type and not np.all(np.isfinite(value)):
                 raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
     @property
@@ -183,7 +181,7 @@ def generate_quality_samples(
         out[filled : filled + keep.size] = keep
         filled += keep.size
         if filled == n:
-            return QualitySampleSet(samples=out, provenance=f"generated:{label}:seed={seed}")
+            return QualitySampleSet(samples=out)
     raise ValidationError(
         f"normal(mean={mean!r}, sd={sd!r}) gave {filled} of {n} scores on the support "
         f"[{support.lo!r}, {support.hi!r}] in {_MAX_REJECTION_ROUNDS} rejection rounds"
@@ -194,10 +192,19 @@ def generate_quality_samples(
 # Config file parsing
 # ---------------------------------------------------------------------------
 
-_TUPLE_FLOAT_KEYS = {"thetas", "alphas", "shift_magnitudes"}
-_TUPLE_INT_KEYS = {"extreme_counts"}
-_INT_KEYS = {"n_train", "n_eval", "itr_max", "seed"}
-_STR_KEYS = {"train_csv", "eval_csv", "menu_csv"}
+def _tuple_of(parse):
+    return lambda value: tuple(parse(part) for part in value.split(",") if part.strip())
+
+
+# A key's parser is its RunConfig field's annotation, read as text (the
+# module's annotations are postponed, so ``Field.type`` is that text).
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "tuple[int, ...]": _tuple_of(int),
+    "tuple[float, ...]": _tuple_of(float),
+}
 
 
 def load_config(path) -> RunConfig:
@@ -207,15 +214,11 @@ def load_config(path) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}", path=str(path))
-    overrides = parse_config_text(text, source=str(path))
-    try:
-        return RunConfig(**overrides)
-    except TypeError as exc:
-        raise ValidationError(str(exc))
+    return RunConfig(**parse_config_text(text, source=str(path)))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    known = {f.name for f in fields(RunConfig)}
+    parsers = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
     overrides, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -226,7 +229,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in parsers:
             raise ValidationError(f"{source}:{lineno}: unknown config key {key!r}")
         if key in first_line:
             raise ValidationError(
@@ -234,19 +237,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             )
         first_line[key] = lineno
         try:
-            overrides[key] = _parse_value(key, value)
+            overrides[key] = parsers[key](value)
         except ValueError:
             raise ParseError(f"bad value for {key}: {value!r}", path=source, line=lineno)
     return overrides
-
-
-def _parse_value(key: str, value: str):
-    if key in _STR_KEYS:
-        return value
-    if key in _TUPLE_FLOAT_KEYS:
-        return tuple(float(part) for part in value.split(",") if part.strip())
-    if key in _TUPLE_INT_KEYS:
-        return tuple(int(part) for part in value.split(",") if part.strip())
-    if key in _INT_KEYS:
-        return int(value)
-    return float(value)

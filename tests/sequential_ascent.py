@@ -95,8 +95,6 @@ def _sequential_ascend(epsilon, evaluate, profile, params, cfg) -> SolveReport:
         lam = max(lam + cfg.eta_lambda * bcd.grad_lambda(distances, epsilon), 0.0)
         if not math.isfinite(lam):
             raise NumericError(f"multiplier iterate {lam!r} is not finite")
-        if np.logical_or.reduce(lat[1:] < lat[:-1]):
-            raise NumericError(f"latency iterate {lat.tolist()!r} is not nondecreasing")
         previous = wins
         omega, xi, distances, wins = evaluate(lat, lam)
         if wins is not None and not np.array_equal(wins, previous):

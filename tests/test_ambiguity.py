@@ -231,4 +231,3 @@ class TestSamplesCsv:
         write_samples_csv(s, path)
         back = read_samples_csv(path)
         np.testing.assert_array_equal(back.samples, s.samples)
-        assert back.provenance == str(path)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from drcontract import radius
+from drcontract import errors, radius
 from drcontract.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 
 TOY_CONFIG = """
@@ -183,6 +183,19 @@ class TestOracleCommand:
 
 
 class TestExitCodes:
+    def test_every_error_belongs_to_a_mapped_family(self):
+        # the CLI catches these four families and no bare library error
+        families = (errors.ValidationError, errors.ParseError, errors.DataError, errors.NumericError)
+        classes = [
+            cls
+            for cls in vars(errors).values()
+            if isinstance(cls, type) and cls.__module__ == errors.__name__
+        ]
+        assert len(classes) > len(families)
+        for cls in classes:
+            if cls is not errors.ContractSolverError:
+                assert issubclass(cls, families), cls.__name__
+
     def test_bad_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("tau = 1.5\n")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,22 @@ class TestParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             parse_config_text("taus = 0.9\n")
+
+    def test_every_field_annotation_has_a_parser(self):
+        # a new field needs no more than its annotation to be a config key
+        for f in fields(RunConfig):
+            assert f.type in config._PARSERS, f.name
+
+    def test_every_key_written_at_its_default_loads_the_defaults(self, tmp_path):
+        lines = []
+        for f in fields(RunConfig):
+            value = f.default
+            text = ", ".join(map(repr, value)) if isinstance(value, tuple) else value
+            lines.append(f"{f.name} = {text}\n")
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(lines))
+        # repr, as (0.0, 50.0) == (0, 50): the parsed types must match too
+        assert repr(load_config(path)) == repr(RunConfig())
 
     def test_repeated_key_rejected_with_both_lines(self):
         # the last value used to win silently
