@@ -79,8 +79,10 @@ class RunConfig:
         self.params()
         self.profile()
         self.bcd_config()
-        if self.n_train < 1 or self.n_eval < 1:
-            raise ValidationError("n_train and n_eval must be >= 1")
+        # numpy cannot size an array past intp
+        top = np.iinfo(np.intp).max
+        if not (1 <= self.n_train <= top and 1 <= self.n_eval <= top):
+            raise ValidationError(f"n_train and n_eval must lie in [1, {top}]")
         self.ambiguity_for(self.n_train)
         if not all(m >= 0 for m in self.shift_magnitudes):
             raise ValidationError("shift magnitudes must be nonnegative")
@@ -212,7 +214,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config: {exc}", path=str(path))
     return RunConfig(**parse_config_text(text, source=str(path)))
 

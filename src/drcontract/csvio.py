@@ -29,31 +29,38 @@ def read_table(path, header) -> np.ndarray:
 
     Raises ParseError naming the path and a line: line 1 for an empty file
     or another header, else the first row with another cell count or a cell
-    that is not a real, else the first row with a non-finite real.
+    that is not a real, else the first row with a non-finite real.  Bytes
+    that do not decode raise ParseError naming the path alone, as the file
+    is decoded in blocks of lines.
     """
     header = list(header)
     width = len(header)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise ParseError(f"expected header {','.join(header)}", str(path), 1)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise ParseError(f"expected header {','.join(header)}", str(path), 1)
 
-        def cells():
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    message = f"row has {len(row)} cells, header has {width}: {row!r}"
-                    raise ParseError(message, str(path), reader.line_num)
-                yield from row
+            def cells():
+                for row in reader:
+                    if len(row) != width:
+                        if not row:
+                            continue
+                        message = f"row has {len(row)} cells, header has {width}: {row!r}"
+                        raise ParseError(message, str(path), reader.line_num)
+                    yield from row
 
-        # Cells stream into the array, never held as strings; while one is
-        # converted, the reader's line_num is still the line of its row.
-        try:
-            flat = np.fromiter(map(float, cells()), dtype=float)
-        except ValueError as exc:
-            raise ParseError(f"bad row: {exc}", str(path), reader.line_num)
+            # Cells stream into the array, never held as strings; while one
+            # is converted, the reader's line_num is still the line of its row.
+            try:
+                flat = np.fromiter(map(float, cells()), dtype=float)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise ParseError(f"bad row: {exc}", str(path), reader.line_num)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode text: {exc}", str(path)) from None
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         line = _line_of_row(path, int(bad[0]) // width)

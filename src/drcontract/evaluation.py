@@ -44,7 +44,13 @@ CANONICAL_METHODS = ("dro", "sp", "ro")
 
 _EVALUATION_BUDGET = 1e8
 _GRID_TABLE_BUDGET = 1e7  # 8-byte entries in the oracle's grid-sized tables: 80 MB
-_CHUNK_ENTRIES = 10**6  # (rows x samples) entries per oracle chunk: 8 MB per float table
+# (rows x samples) entries per oracle chunk: 1 MiB per float table.  From a
+# sweep of 2**14 to 2**20 timing one search per process, as the CLI runs it:
+# against 10**6, criterion-05 read 0.98x and the three-type search 0.88x,
+# and the oracle run's peak RSS fell from 41.5 to 38.3 MB.  Smaller budgets
+# cut the boxes into more chunks, each searched from a weaker incumbent, and
+# slow criterion-05 (1.2x at 2**16).
+_CHUNK_ENTRIES = 2**17
 _BOUND_SLACK = 2.0**-51  # four unit roundoffs per rounding step; see _Bound
 _BOX_POINTS = 64  # about this many latency points per box of the oracle's search
 
@@ -209,8 +215,9 @@ def oracle_menu_search(
     loop over every point in lexicographic order that keeps its first
     maximum would have it: the result is bit-identical to evaluating
     every point.  On the criterion-05 instance at grid step 0.025
-    (S = 8), 31,626 boxes are bounded, the points of 467 of them are
-    bounded too, and 2 of the 2,003,001 points are evaluated exactly.
+    (S = 8), 31,626 boxes are bounded in 5 chunks, the points of 577 of
+    them are bounded too, and 10 of the 2,003,001 points are evaluated
+    exactly.
     Where the multiplier's argmax is positive the bounds are loose: on
     the three-type instance of ``scripts/bench_kernels.py`` (S = 4), the
     points of 6,318 of the 6,545 boxes are bounded and 362,510 of the
@@ -428,7 +435,7 @@ def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
     into ``n_l`` values (grid values, or the oracle's cells of them), in
     lexicographic order, ``_CHUNK_ENTRIES // n_samples`` rows at a time, so
     each (rows, samples) float table of a chunk of grid tuples takes at
-    most 8 MB.  Each chunk unranks its own ranks, so the full list is never
+    most 1 MiB.  Each chunk unranks its own ranks, so the full list is never
     held: with ``counts[m][k]`` nondecreasing (m + 1)-tuples on k grid
     values, each index is the highest with as many tuples from it on as from
     the rank on, or more."""

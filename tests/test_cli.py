@@ -219,6 +219,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: {cfg}:2: config key 'seed' repeats line 1\n"
 
+    def test_undecodable_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xff\xfeseed = 1\n")
+        assert run("gen-data", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {cfg}: cannot read config: ")
+
+    def test_undecodable_data_file_exits_three(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_bytes(b"\xff\xfexi\n80.0\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"train_csv = {data}\n")
+        assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"data error: {data}: cannot decode text: ")
+
     def test_missing_data_file_exits_three(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("train_csv = /nonexistent/train.csv\n")
@@ -288,6 +304,9 @@ class TestExitCodes:
             # outside the seed range [0, 2**64 - 1]
             "seed = -3",
             "seed = 18446744073709551616",
+            # past numpy's largest array size
+            "n_train = 10000000000000000000000",
+            "n_eval = 10000000000000000000000",
         ],
     )
     def test_non_finite_or_hopeless_setting_exits_two(self, tmp_path, key):

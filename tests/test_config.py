@@ -110,6 +110,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["n_train", "n_eval"])
+    def test_sample_count_past_intp_rejected(self, key):
+        top = np.iinfo(np.intp).max
+        RunConfig(**{key: top})
+        with pytest.raises(ValidationError, match=f"must lie in \\[1, {top}\\]"):
+            RunConfig(**{key: top + 1})
+
     def test_decreasing_thetas_rejected(self):
         with pytest.raises(ValidationError):
             RunConfig(thetas=(140.0, 110.0))

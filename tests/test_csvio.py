@@ -62,6 +62,19 @@ def test_bad_file_names_path_and_line(tmp_path, name, text, line):
 
 
 @pytest.mark.parametrize("name", READERS)
+@pytest.mark.parametrize("good_rows", [0, 20_000])
+def test_undecodable_bytes_name_the_path(tmp_path, name, good_rows):
+    # at the start of the file, and past the first block the reader decodes
+    _, header, (good, _) = READERS[name]
+    path = tmp_path / f"{name}.csv"
+    body = (header + "\n" + (good + "\n") * good_rows).encode()
+    path.write_bytes(body + b"\xff\n" if good_rows else b"\xff\xfe" + body)
+    with pytest.raises(ParseError, match="cannot decode text") as info:
+        READERS[name][0](path)
+    assert (info.value.path, info.value.line) == (str(path), None)
+
+
+@pytest.mark.parametrize("name", READERS)
 def test_blank_lines_are_skipped(tmp_path, name):
     reader, header, rows = READERS[name]
     plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"

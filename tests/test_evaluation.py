@@ -282,11 +282,12 @@ class TestOracle:
 
     @pytest.mark.parametrize("n_types", [1, 2, 3, 4])
     def test_monotone_chunks_match_lexicographic_enumeration(self, n_types):
-        # one sample puts every tuple in one chunk; 3e5 samples give 3-row
-        # chunks, which end inside first-index blocks
+        # one sample puts every tuple in one chunk; a third of the budget in
+        # samples gives 3-row chunks, which end inside first-index blocks
+        budget = evaluation._CHUNK_ENTRIES
         for n_l in (1, 2, 5, 17):
             expected = list(itertools.combinations_with_replacement(range(n_l), n_types))
-            for n_samples, chunk_rows in ((1, 10**6), (300_000, 3)):
+            for n_samples, chunk_rows in ((1, budget), (budget // 3, 3)):
                 chunks = list(_monotone_chunks(n_l, n_types, n_samples))
                 assert all(c.shape[0] == chunk_rows for c in chunks[:-1])
                 assert [tuple(row) for c in chunks for row in c.tolist()] == expected
@@ -598,6 +599,37 @@ class TestPrune:
             oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=50.0, lambda_max=10.0)
         # 501,501 latency points in 11 chunks
         assert 0 < sum(evaluated) <= 2 * 11
+
+    @pytest.mark.parametrize("instance", ["criterion_05", "three_type"])
+    def test_chunk_budget_leaves_the_result_unchanged(self, instance):
+        # the benchmarked searches at the budget used before the sweep that
+        # set _CHUNK_ENTRIES, and at that budget
+        if instance == "criterion_05":
+            args = (
+                AspTypeProfile(thetas=[110.0, 140.0], alphas=generate_alphas(2, 0)),
+                generate_quality_samples(20, 0, "train-data", 85.0, 8.0, SUPPORT),
+                PARAMS,
+                AmbiguityConfig.derive(SUPPORT, 0.99, 20),
+                0.025,
+                50.0,
+                10.0,
+            )
+        else:
+            args = (
+                AspTypeProfile(thetas=[110.0, 140.0, 180.0], alphas=[0.25, 0.35, 0.4]),
+                QualitySampleSet([50.0, 60.0, 72.5, 81.0, 93.25, 100.0, 108.0]),
+                PARAMS,
+                AmbiguityConfig(SUPPORT, 5.0),
+                1.0,
+                130.0,
+                3.0,
+            )
+        results = []
+        for budget in (10**6, evaluation._CHUNK_ENTRIES):
+            with mock.patch.object(evaluation, "_CHUNK_ENTRIES", budget):
+                omega, lat = oracle_menu_search(*args)
+            results.append((omega, lat.tolist()))
+        assert results[0] == results[1]
 
 
 class TestRunBenchmark:
