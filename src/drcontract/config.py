@@ -163,11 +163,14 @@ def generate_quality_samples(
 ) -> QualitySampleSet:
     """Truncated-normal quality scores on the support, via rejection.
 
-    Raises ValidationError before any draw when the support's mass under the
-    normal is 0.0 in float64 (both ends about 8 sd out on the same side),
-    and after ``_MAX_REJECTION_ROUNDS`` rounds short of ``n`` scores: the
-    normal then puts almost no mass on the support.
+    Raises ValidationError before any draw unless ``mean`` is finite and
+    ``sd`` finite and > 0, or when the support's mass under the normal is
+    0.0 in float64 (both ends about 8 sd out on the same side), and after
+    ``_MAX_REJECTION_ROUNDS`` rounds short of ``n`` scores: the normal then
+    puts almost no mass on the support.
     """
+    if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0):
+        raise ValidationError(f"normal(mean={mean!r}, sd={sd!r}) needs finite mean and sd, sd > 0")
     scale = sd * math.sqrt(2.0)
     if math.erf((support.hi - mean) / scale) == math.erf((support.lo - mean) / scale):
         raise ValidationError(

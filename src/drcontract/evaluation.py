@@ -8,6 +8,7 @@ so larger shifts remain distinguishable below the support floor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -192,36 +193,31 @@ def oracle_menu_search(
     program (:func:`inner.unbounded`) that argmax is infinite, so the grid
     maximum sits at ``lambda_max``.
 
-    Only latency points that can still win are evaluated exactly, and
-    boxes of points are bounded before single points.  Each type's grid
-    is cut into cells of ``S = round(64 ** (1 / types))`` consecutive
-    values; a box is a nondecreasing tuple of cells, one per type, and
-    holds the nondecreasing points whose grid indices lie in those
-    cells, at most S**I (32 to 81 for up to six types).
-    :class:`_Bound` bounds a box above every point in it, and a point as
-    a box of one-value cells, each at O(types) cost.  The boxes are
-    bounded in chunks of ``_CHUNK_ENTRIES // n`` (n samples), enumerated
-    as the nondecreasing tuples of cell indices
-    (:func:`_monotone_chunks`).  In each chunk the box with the largest
-    bound is searched first, which sets a floor, and then every other
-    box whose bound reaches the incumbent.  A box's points are searched
-    in chunks of at most ``_CHUNK_ENTRIES // n`` rows
-    (:func:`_box_points`): a chunk whose largest point bound is below
-    the incumbent is skipped; otherwise its point with the largest bound
-    is evaluated exactly first, then every point whose bound is at least
-    the larger of the incumbent and that point's value.  A pruned point
-    can beat neither.  An exact tie goes to the lexicographically least
-    point, within a chunk (:func:`_chunk_best`) and across chunks, as a
-    loop over every point in lexicographic order that keeps its first
-    maximum would have it: the result is bit-identical to evaluating
-    every point.  On the criterion-05 instance at grid step 0.025
-    (S = 8), 31,626 boxes are bounded in 5 chunks, the points of 577 of
-    them are bounded too, and 10 of the 2,003,001 points are evaluated
-    exactly.
-    Where the multiplier's argmax is positive the bounds are loose: on
-    the three-type instance of ``scripts/bench_kernels.py`` (S = 4), the
-    points of 6,318 of the 6,545 boxes are bounded and 362,510 of the
-    383,306 points are evaluated exactly.
+    Only latency points that can still win are evaluated exactly, and boxes
+    of points are bounded before single points.  Each type's grid is cut
+    into cells of ``S = round(64 ** (1 / types))`` consecutive values; a box
+    is a nondecreasing tuple of cells, one per type, and holds the
+    nondecreasing points whose grid indices lie in those cells, at most S**I
+    (32 to 81 for up to six types; one from 11 types on).  :class:`_Bound`
+    bounds a box above every point in it, and a point as a box of one-value
+    cells, each at O(types) cost.  Boxes and points are searched in chunks
+    of one height, ``_CHUNK_ENTRIES // n`` rows (n samples): boxes, about
+    150 B each, as the nondecreasing tuples of cell indices
+    (:func:`_monotone_chunks`), and a box's points, whose (rows, samples)
+    float tables take at most 1 MiB (:func:`_box_points`).  One best-first
+    rule serves both: unless even the row with the largest bound is below
+    the incumbent, that row is searched first, then every other row whose
+    bound reaches the incumbent.  A bound is at least the objective of each
+    point it covers, so a pruned row can neither beat nor tie the incumbent.
+    An exact tie goes to the lexicographically least point, within a chunk
+    (:func:`_chunk_best`) and across chunks: the result is bit-identical to
+    evaluating every point.  On the criterion-05 instance at grid step 0.025
+    (S = 8), 31,626 boxes are bounded in 5 chunks, the 32,952 points of 577
+    of them are bounded too, and 10 of the 2,003,001 points are evaluated
+    exactly.  Where the multiplier's argmax is positive the bounds are
+    loose: on the three-type instance of ``scripts/bench_kernels.py``
+    (S = 4), the points of 6,318 of the 6,545 boxes are bounded and 362,510
+    of the 383,306 points are evaluated exactly.
 
     The evaluation budget caps (latency points) x (samples) at
     ``_EVALUATION_BUDGET``, the work if nothing were pruned.  A second term
@@ -229,13 +225,16 @@ def oracle_menu_search(
     per-type scaled copies and the point bound's two per-type tables) or by
     its cells (the box bound's two per-type tables and the per-type counts
     of nondecreasing cell tuples) at ``_GRID_TABLE_BUDGET`` = 1e7 entries,
-    80 MB; the criterion-05 instance at grid step 0.025 needs about 1.4e5.
-    Either excess raises GridTooLarge before any table is built.
+    80 MB; the criterion-05 instance at grid step 0.025 needs about 1.4e5,
+    and a grid of 1e7 steps or more is over it.  Each excess raises
+    GridTooLarge before any table is built.
     """
     if not grid_step > 0.0:
         raise ValidationError("grid_step must be > 0")
     if not (0.0 <= l_max < math.inf and 0.0 <= lambda_max < math.inf):
         raise ValidationError("l_max and lambda_max must be finite and >= 0")
+    if not l_max / grid_step < _GRID_TABLE_BUDGET:
+        raise GridTooLarge(f"l_max / grid_step is over the {_GRID_TABLE_BUDGET:.0e} table budget")
     n_l = int(math.floor(l_max / grid_step + 1e-9)) + 1
     n_types = profile.n_types
     n_tuples = math.comb(n_l + n_types - 1, n_types)
@@ -261,34 +260,34 @@ def oracle_menu_search(
     point_bound = _Bound(scaled, np.arange(n_l), candidates, eps, lambda_max)
     box_bound = _Bound(scaled, np.arange(0, n_l, size), candidates, eps, lambda_max)
     chunk_rows = max(1, _CHUNK_ENTRIES // anchors.size)
-
-    def exact_best(points, g):
-        h = _gather(scaled, points)
-        return _chunk_best(h, g, candidates, eps, grid_step, lambda_max, points)
-
     best_omega, best_point = -np.inf, None
 
-    def search(boxes):
+    def best_first(bound, visit):
+        top = int(np.argmax(bound))
+        if bound[top] < best_omega:
+            return
+        visit([top])
+        bound[top] = -np.inf
+        rest = np.flatnonzero(bound >= best_omega)
+        if rest.size:
+            visit(rest)
+
+    def evaluate(points, g):
         nonlocal best_omega, best_point
+        h = _gather(scaled, points)
+        omega, idx = _chunk_best(h, g, candidates, eps, grid_step, lambda_max, points)
+        point = tuple(points[idx].tolist())
+        if omega > best_omega or (omega == best_omega and point < best_point):
+            best_omega, best_point = omega, point
+
+    def search(boxes):
         for points in _box_points(boxes, size, n_l, chunk_rows):
             g = _expected_rewards(values[points], profile, params.gamma1)
-            bound = point_bound(points, g, g)
-            top = int(np.argmax(bound))
-            if bound[top] < best_omega:
-                continue
-            threshold = max(best_omega, exact_best(points[[top]], g[[top]])[0])
-            survivors = np.flatnonzero(bound >= threshold)
-            omega, idx = exact_best(points[survivors], g[survivors])
-            point = tuple(points[survivors[idx]].tolist())
-            if omega > best_omega or (omega == best_omega and point < best_point):
-                best_omega, best_point = omega, point
+            best_first(point_bound(points, g, g), lambda rows: evaluate(points[rows], g[rows]))
 
-    for cells in _monotone_chunks(n_cells, n_types, anchors.size):
+    for cells in _monotone_chunks(n_cells, n_types, chunk_rows):
         bound = box_bound(cells, *_box_rewards(cells, size, values, profile, params.gamma1))
-        first = int(np.argmax(bound))
-        search(cells[[first]])
-        bound[first] = -np.inf
-        search(cells[bound >= best_omega])
+        best_first(bound, lambda rows: search(cells[rows]))
     return float(best_omega), values[list(best_point)]
 
 
@@ -430,20 +429,17 @@ def _expected_rewards(latencies, profile: AspTypeProfile, gamma1: float) -> np.n
     return expected_reward(rewards_from_latencies(latencies, profile, gamma1), profile.alphas)
 
 
-def _monotone_chunks(n_l: int, n_types: int, n_samples: int):
+def _monotone_chunks(n_l: int, n_types: int, chunk_rows: int):
     """Yield (rows, n_types) arrays of the nondecreasing tuples of indices
     into ``n_l`` values (grid values, or the oracle's cells of them), in
-    lexicographic order, ``_CHUNK_ENTRIES // n_samples`` rows at a time, so
-    each (rows, samples) float table of a chunk of grid tuples takes at
-    most 1 MiB.  Each chunk unranks its own ranks, so the full list is never
-    held: with ``counts[m][k]`` nondecreasing (m + 1)-tuples on k grid
-    values, each index is the highest with as many tuples from it on as from
-    the rank on, or more."""
+    lexicographic order, ``chunk_rows`` rows at a time.  Each chunk unranks
+    its own ranks, so the full list is never held: with ``counts[m][k]``
+    nondecreasing (m + 1)-tuples on k grid values, each index is the highest
+    with as many tuples from it on as from the rank on, or more."""
     counts = [np.arange(n_l + 1)]
     for _ in range(1, n_types):
         counts.append(np.cumsum(counts[-1]))
     n_tuples = int(counts[-1][n_l])
-    chunk_rows = max(1, _CHUNK_ENTRIES // n_samples)
     for start in range(0, n_tuples, chunk_rows):
         rank = np.arange(start, min(start + chunk_rows, n_tuples))
         chunk = np.empty((rank.size, n_types), dtype=rank.dtype)
@@ -464,7 +460,8 @@ def _box_points(boxes, size: int, n_l: int, rows: int):
     of ``size`` consecutive values out of ``n_l``: box by box, and each
     box's tuples in lexicographic order."""
     n_types = boxes.shape[1]
-    offsets = np.indices((size,) * n_types).reshape(n_types, -1)
+    # C order, the last type fastest; numpy arrays have at most 64 dimensions
+    offsets = np.array(list(itertools.product(range(size), repeat=n_types))).T
     per_batch = max(1, rows // offsets.shape[1])
     for start in range(0, len(boxes), per_batch):
         # column by column: a broadcast over a last axis of `types` entries
@@ -483,23 +480,21 @@ def _box_points(boxes, size: int, n_l: int, rows: int):
 
 
 def _chunk_best(
-    h, g, candidates: InnerCandidates, eps, grid_step: float, lambda_max: float, points=None
+    h, g, candidates: InnerCandidates, eps, grid_step: float, lambda_max: float, points
 ):
-    """Best (objective, row index) over latency points with log benefits
-    ``h`` (rows) and expected rewards ``g``: evaluate the grid points that
-    bracket each row's multiplier argmax clipped to [0, lambda_max], or the
-    grid point it sits on.  A tie goes to the first row or, given the
-    points' grid indices (one row each), to the lexicographically least."""
+    """Best (objective, row index) over latency points with grid indices
+    ``points``, log benefits ``h`` and expected rewards ``g`` (one row
+    each): evaluate the grid points that bracket each row's multiplier
+    argmax clipped to [0, lambda_max], or the grid point it sits on.  An
+    exact tie goes to the lexicographically least point."""
     lam_star = np.clip(multiplier_argmax(h, candidates, eps), 0.0, lambda_max)
     lam_floor = np.clip(np.floor(lam_star / grid_step) * grid_step, 0.0, lambda_max)
     lam_ceil = np.clip(np.ceil(lam_star / grid_step) * grid_step, 0.0, lambda_max)
     omega = _psi(h, g, lam_floor, candidates, eps)
     up = np.flatnonzero(lam_ceil != lam_floor)
     omega[up] = np.maximum(omega[up], _psi(h[up], g[up], lam_ceil[up], candidates, eps))
-    idx = int(np.argmax(omega))
-    if points is not None:
-        ties = np.flatnonzero(omega == omega[idx])
-        idx = int(ties[np.lexsort(points[ties].T[::-1])[0]])
+    ties = np.flatnonzero(omega == omega.max())
+    idx = int(ties[np.lexsort(points[ties].T[::-1])[0]])
     return float(omega[idx]), idx
 
 

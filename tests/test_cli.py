@@ -161,6 +161,16 @@ class TestOracleCommand:
         lat_line = [l for l in printed.splitlines() if l.startswith("oracle_latencies ")][0]
         assert len(lat_line.split()[1].split(",")) == 4
 
+    @pytest.mark.parametrize("n_types", [64, 70])
+    def test_one_grid_value_at_many_types(self, tmp_path, capsys, n_types):
+        cfg = tmp_path / "oracle.cfg"
+        thetas = ", ".join(str(100 + 2 * i) for i in range(n_types))
+        cfg.write_text(f"thetas = {thetas}\noracle_l_max = 0\n")
+        assert run("oracle", "--config", cfg, "--out", tmp_path / "o") == 0
+        printed = capsys.readouterr().out
+        lat_line = [l for l in printed.splitlines() if l.startswith("oracle_latencies ")][0]
+        assert lat_line.split()[1].split(",") == ["0.0"] * n_types
+
     @pytest.mark.parametrize("lambda_max", ["10", "20"])
     def test_unbounded_training_data_exits_three(self, tmp_path, capsys, lambda_max):
         # three anchors outside [60, 100]: mean distance 65.9 / 8 = 8.2375 to
@@ -313,6 +323,14 @@ class TestExitCodes:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"thetas = 110, 140\nn_train = 20\nitr_max = 20\n{key}\n")
         assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+
+    def test_oracle_grid_past_the_float_range_exits_two(self, tmp_path, capsys):
+        # l_max / grid_step overflows to inf
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("oracle_grid_step = 1e-300\noracle_l_max = 1e10\n")
+        assert run("oracle", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and line.endswith("table budget")
 
     def test_non_finite_iterate_exits_four(self, tmp_path, capsys):
         # the check's line alone, although pyproject turns a RuntimeWarning

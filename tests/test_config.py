@@ -186,6 +186,28 @@ class TestGenerateSamples:
         with pytest.raises(ValidationError, match="no mass"):
             generate_quality_samples(20_000, 0, "train-data", 1000.0, 8.0, sup)
 
+    @pytest.mark.parametrize(
+        "mean, sd",
+        [
+            (85.0, 0.0),
+            (85.0, -1.0),
+            (85.0, float("nan")),
+            (float("nan"), 8.0),
+            (85.0, float("inf")),
+            (float("-inf"), 8.0),
+        ],
+    )
+    def test_bad_normal_raises_before_any_draw(self, monkeypatch, mean, sd):
+        # sd = 0 would divide by zero, sd < 0 reach numpy's scale check, and
+        # a NaN spend every rejection round
+        def no_draw(*args):
+            pytest.fail("the sampler drew from the generator")
+
+        monkeypatch.setattr(config, "rng_for", no_draw)
+        sup = SupportInterval(60.0, 100.0)
+        with pytest.raises(ValidationError, match=r"needs finite mean and sd, sd > 0"):
+            generate_quality_samples(20_000, 0, "train-data", mean, sd, sup)
+
     def test_tiny_mass_raises_after_round_cap(self):
         # the support sits 6.5 sd below the mean: mass about 4e-11, not 0.0
         sup = SupportInterval(60.0, 100.0)

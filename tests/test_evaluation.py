@@ -113,20 +113,19 @@ def pruning_instances(draw):
 
 
 def unpruned_oracle(profile, samples, amb, step, l_max, lambda_max):
-    """Reference: the oracle loop without the bound, every latency point of
-    every chunk evaluated exactly."""
+    """Reference: every nondecreasing latency point evaluated exactly in one
+    chunk, an exact tie going to the lexicographically least point."""
     values = step * np.arange(int(math.floor(l_max / step + 1e-9)) + 1)
     candidates = inner_candidates(samples.samples, amb.support)
     scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
-    best_omega, best_lat = -np.inf, None
-    for chunk in _monotone_chunks(values.size, profile.n_types, samples.n):
-        lat = values[chunk]
-        g = expected_reward(rewards_from_latencies(lat, profile, PARAMS.gamma1), profile.alphas)
-        h = _gather(scaled, chunk)
-        omega, idx = _chunk_best(h, g, candidates, amb.epsilon, step, lambda_max)
-        if omega > best_omega:
-            best_omega, best_lat = omega, lat[idx].copy()
-    return float(best_omega), best_lat
+    points = np.array(
+        list(itertools.combinations_with_replacement(range(values.size), profile.n_types))
+    )
+    lat = values[points]
+    g = expected_reward(rewards_from_latencies(lat, profile, PARAMS.gamma1), profile.alphas)
+    h = _gather(scaled, points)
+    omega, idx = _chunk_best(h, g, candidates, amb.epsilon, step, lambda_max, points)
+    return omega, lat[idx]
 
 
 def grid_max_objective(lat, profile, samples, amb, step, lambda_max):
@@ -282,13 +281,12 @@ class TestOracle:
 
     @pytest.mark.parametrize("n_types", [1, 2, 3, 4])
     def test_monotone_chunks_match_lexicographic_enumeration(self, n_types):
-        # one sample puts every tuple in one chunk; a third of the budget in
-        # samples gives 3-row chunks, which end inside first-index blocks
-        budget = evaluation._CHUNK_ENTRIES
+        # 3-row chunks end inside first-index blocks, and 10**6 rows hold
+        # every tuple
         for n_l in (1, 2, 5, 17):
             expected = list(itertools.combinations_with_replacement(range(n_l), n_types))
-            for n_samples, chunk_rows in ((1, budget), (budget // 3, 3)):
-                chunks = list(_monotone_chunks(n_l, n_types, n_samples))
+            for chunk_rows in (1, 3, 10**6):
+                chunks = list(_monotone_chunks(n_l, n_types, chunk_rows))
                 assert all(c.shape[0] == chunk_rows for c in chunks[:-1])
                 assert [tuple(row) for c in chunks for row in c.tolist()] == expected
 
@@ -307,6 +305,29 @@ class TestOracle:
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
         with pytest.raises(GridTooLarge, match="table budget"):
             oracle_menu_search(profile, samples, PARAMS, amb, 1.0, l_max=1e8 - 1)
+
+    @pytest.mark.parametrize("grid_step, l_max", [(1e-300, 1e10), (1.0, 1e7), (1.0, 2e6 - 1)])
+    def test_rejects_grids_past_the_table_budget(self, grid_step, l_max):
+        # l_max / grid_step past the float range, at the table budget in
+        # grid steps, and below it with the tables over it
+        profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
+        samples = QualitySampleSet([70.0])
+        amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
+        with pytest.raises(GridTooLarge, match="table budget"):
+            oracle_menu_search(profile, samples, PARAMS, amb, grid_step, l_max=l_max)
+
+    @pytest.mark.parametrize("n_types", [64, 70])
+    def test_one_grid_value_at_many_types(self, n_types):
+        # one point, in one box of one-value cells; numpy caps arrays at 64
+        # dimensions, fewer than these types plus one
+        profile = AspTypeProfile(
+            thetas=100.0 + 2.0 * np.arange(n_types), alphas=generate_alphas(n_types, 0)
+        )
+        samples = QualitySampleSet([70.0, 85.0, 95.0])
+        amb = AmbiguityConfig.derive(SUPPORT, 0.99, 3)
+        omega, lat = oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=0.0)
+        assert lat.tolist() == [0.0] * n_types
+        assert omega == grid_max_objective(lat, profile, samples, amb, 0.05, 10.0)
 
     def test_bcd_reaches_oracle_value_on_tiny_instance(self):
         rng = np.random.default_rng(33)
@@ -416,7 +437,7 @@ class TestPrune:
         values = step * np.arange(round(l_max / step) + 1)
         candidates = inner_candidates(samples.samples, amb.support)
         scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
-        (chunk,) = _monotone_chunks(values.size, profile.n_types, samples.n)
+        (chunk,) = _monotone_chunks(values.size, profile.n_types, 10**6)
         rewards = rewards_from_latencies(values[chunk], profile, PARAMS.gamma1)
         g = expected_reward(rewards, profile.alphas)
         point_bound = _Bound(scaled, np.arange(values.size), candidates, amb.epsilon, lambda_max)
@@ -446,7 +467,7 @@ class TestPrune:
         scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
         starts = np.arange(0, values.size, size)
         box_bound = _Bound(scaled, starts, candidates, amb.epsilon, lambda_max)
-        (cells,) = _monotone_chunks(starts.size, profile.n_types, samples.n)
+        (cells,) = _monotone_chunks(starts.size, profile.n_types, 10**6)
         g_low, g_high = _box_rewards(cells, size, values, profile, PARAMS.gamma1)
         lams = step * np.arange(round(lambda_max / step) + 1)
         for box, bound in zip(cells, box_bound(cells, g_low, g_high)):
@@ -483,7 +504,6 @@ class TestPrune:
         h = np.tile([4.2, 4.3, 4.4], (4, 1))
         g = np.full(4, 0.1)
         points = np.array([[2, 5], [1, 7], [1, 6], [2, 2]])
-        assert _chunk_best(h, g, candidates, 1.0, 0.5, 2.0)[1] == 0
         assert _chunk_best(h, g, candidates, 1.0, 0.5, 2.0, points)[1] == 2
 
     @pytest.mark.parametrize("chunk_entries", [12, 40, 400])
@@ -551,7 +571,7 @@ class TestPrune:
         values = step * np.arange(round(l_max / step) + 1)
         candidates = inner_candidates(samples.samples, amb.support)
         scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
-        (chunk,) = _monotone_chunks(values.size, profile.n_types, samples.n)
+        (chunk,) = _monotone_chunks(values.size, profile.n_types, 10**6)
         rewards = rewards_from_latencies(values[chunk], profile, PARAMS.gamma1)
         g = expected_reward(rewards, profile.alphas)
         h = _gather(scaled, chunk)
@@ -585,20 +605,39 @@ class TestPrune:
         assert omega == ref_omega
         assert lat.tolist() == ref_lat.tolist()
 
-    def test_prunes_all_but_a_few_points_on_the_criterion_05_instance(self):
+    @staticmethod
+    def criterion_05_counts(step):
+        """(rows evaluated exactly, latency points bounded) by the search of
+        the criterion-05 instance at grid step ``step``."""
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=generate_alphas(2, 0))
         samples = generate_quality_samples(20, 0, "train-data", 85.0, 8.0, SUPPORT)
         amb = AmbiguityConfig.derive(SUPPORT, 0.99, 20)
-        evaluated = []
+        evaluated, bounded = [], []
 
         def counting(h, *args):
             evaluated.append(h.shape[0])
             return _chunk_best(h, *args)
 
+        def listing(*args):
+            for points in _box_points(*args):
+                bounded.append(len(points))
+                yield points
+
         with mock.patch.object(evaluation, "_chunk_best", counting):
-            oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=50.0, lambda_max=10.0)
-        # 501,501 latency points in 11 chunks
-        assert 0 < sum(evaluated) <= 2 * 11
+            with mock.patch.object(evaluation, "_box_points", listing):
+                oracle_menu_search(profile, samples, PARAMS, amb, step, 50.0, 10.0)
+        return sum(evaluated), sum(bounded)
+
+    def test_prunes_all_but_a_few_points_on_the_criterion_05_instance(self):
+        # 501,501 latency points in 8,001 boxes, bounded in 2 chunks; 3 rows
+        # are evaluated exactly, within two for each of the 11 chunks that
+        # held the points when they were all enumerated
+        evaluated, _ = self.criterion_05_counts(0.05)
+        assert 0 < evaluated <= 2 * 11
+
+    def test_each_search_evaluates_its_top_point_once(self):
+        # 2,003,001 latency points in 31,626 boxes, bounded in 5 chunks
+        assert self.criterion_05_counts(0.025) == (10, 32952)
 
     @pytest.mark.parametrize("instance", ["criterion_05", "three_type"])
     def test_chunk_budget_leaves_the_result_unchanged(self, instance):
