@@ -44,16 +44,10 @@ from .contracts import (
 )
 from .errors import (
     ContractSolverError,
-    CountExceedsN,
     DataError,
-    EmptySampleSet,
-    GridTooLarge,
-    InvalidConfidence,
-    NonMonotoneLatencies,
     NonPositiveLogArgument,
     NumericError,
     ParseError,
-    SizeMismatch,
     ValidationError,
 )
 from .evaluation import (

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_table, write_table
-from .errors import (
-    CountExceedsN,
-    EmptySampleSet,
-    InvalidConfidence,
-    SizeMismatch,
-    ValidationError,
-)
+from .errors import DataError, ValidationError
 from .seeding import rng_for
 
 
@@ -57,7 +51,7 @@ class QualitySampleSet:
         if arr.ndim != 1:
             raise ValidationError(f"samples must be 1-D, got shape {arr.shape}")
         if arr.size < 1:
-            raise EmptySampleSet("sample set must contain at least one observation")
+            raise DataError("sample set must contain at least one observation")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("samples must be finite")
         arr.setflags(write=False)
@@ -89,7 +83,7 @@ class AmbiguityConfig:
 def radius(n_samples: int, tau: float, diameter: float) -> float:
     """Ambiguity-ball radius ``D * sqrt((2/N) * ln(1/(1-tau)))``."""
     if not 0.0 < tau < 1.0:
-        raise InvalidConfidence(f"tau must lie in (0, 1), got {tau}")
+        raise ValidationError(f"tau must lie in (0, 1), got {tau}")
     if n_samples < 1:
         raise ValidationError("n_samples must be a positive integer")
     if not diameter > 0.0:
@@ -114,9 +108,9 @@ def wasserstein_1d(p, q) -> float:
     a = sample_values(p)
     b = sample_values(q)
     if a.size != b.size:
-        raise SizeMismatch(f"sample counts differ: {a.size} vs {b.size}")
+        raise DataError(f"sample counts differ: {a.size} vs {b.size}")
     if a.size == 0:
-        raise EmptySampleSet("cannot compare empty distributions")
+        raise DataError("cannot compare empty distributions")
     return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 
@@ -142,7 +136,7 @@ def inject_extreme_points(
     if count < 0:
         raise ValidationError("count must be >= 0")
     if count > samples.n:
-        raise CountExceedsN(f"count {count} exceeds sample count {samples.n}")
+        raise DataError(f"count {count} exceeds sample count {samples.n}")
     if count == 0:
         return samples
     rng = rng_for(seed, "extreme-points")
@@ -164,5 +158,5 @@ def write_samples_csv(samples: QualitySampleSet, path) -> None:
 def read_samples_csv(path) -> QualitySampleSet:
     values = read_table(path, ["xi"])[:, 0]
     if not values.size:
-        raise EmptySampleSet(f"{path} contains no observations")
+        raise DataError(f"{path} contains no observations")
     return QualitySampleSet(samples=values)

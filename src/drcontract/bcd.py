@@ -48,7 +48,7 @@ from .ambiguity import AmbiguityConfig, sample_values
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams
 from .contracts import expected_reward, rewards_from_latencies, running_sums
 from .csvio import write_table
-from .errors import ContractSolverError, NumericError, SizeMismatch, ValidationError
+from .errors import ContractSolverError, DataError, NumericError, ValidationError
 from .inner import (
     InnerCandidates,
     inner_candidates,
@@ -199,7 +199,7 @@ def iron_monotone(latencies, weights, *, validate=True, out=None) -> np.ndarray:
     vals = np.asarray(latencies, dtype=float)
     w = np.asarray(weights, dtype=float)
     if vals.size != w.size:
-        raise SizeMismatch("latencies and weights must have equal length")
+        raise DataError("latencies and weights must have equal length")
     if validate:
         if not np.isfinite(vals).all():
             raise ValidationError("latencies must be finite")
@@ -331,8 +331,8 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     a check reports.  Each error is thus the one-step loop's, at its
     iterate, and no step past that loop's stop raises or warns.  Raises
     NumericError when an iterate or its objective is not finite, and the
-    evaluation's errors, NonPositiveLogArgument and NonMonotoneLatencies
-    among them."""
+    evaluation's errors: NonPositiveLogArgument, and NumericError for
+    latencies that decrease."""
     # Zero-probability types get a tiny ironing weight so pooling stays defined.
     alphas = profile.alphas
     weights = np.maximum(alphas, 1e-12)

@@ -50,7 +50,8 @@ def main(argv=None) -> int:
 
 def dispatch(subcommand: str, cfg: RunConfig, method: str = "dro", out=Path("out")) -> int:
     """Run one subcommand; malformed inputs yield diagnostics, not tracebacks.
-    Every library error belongs to one of the four families caught here."""
+    Every library error is a DataError (exit 3, as is an OSError), a
+    ValidationError (exit 2) or a NumericError (exit 4)."""
     if subcommand not in HANDLERS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return EXIT_CONFIG
@@ -59,8 +60,7 @@ def dispatch(subcommand: str, cfg: RunConfig, method: str = "dro", out=Path("out
         out.mkdir(parents=True, exist_ok=True)
         HANDLERS[subcommand](cfg, method, out)
         return EXIT_OK
-    except (DataError, ParseError, OSError) as exc:
-        # the config is already parsed by now, so parse errors are data-file errors
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValidationError as exc:

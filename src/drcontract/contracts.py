@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import read_indexed_table, write_table
-from .errors import NonMonotoneLatencies, ParseError, SizeMismatch, ValidationError
+from .errors import DataError, NumericError, ParseError, ValidationError
 
 MONOTONE_TOL = 1e-12
 
@@ -150,7 +150,7 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     """
     lat = np.asarray(latencies, dtype=float)
     if lat.shape[-1] != profile.n_types:
-        raise SizeMismatch(
+        raise DataError(
             f"latencies ({lat.shape[-1]}) and profile ({profile.n_types}) differ"
         )
     # lat[..., 0] - 0.0 == lat[..., 0], so this is np.diff(prepend=0.0)
@@ -159,7 +159,7 @@ def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     increments[..., 1:] -= lat[..., :-1]
     # the least increment; fmin skips NaNs as the comparison did
     if np.fmin.reduce(increments[..., 1:], axis=None, initial=np.inf) < -MONOTONE_TOL:
-        raise NonMonotoneLatencies(
+        raise NumericError(
             f"latencies must be nondecreasing within {MONOTONE_TOL}"
         )
     rewards = np.multiply(gamma1, increments, out=increments)
@@ -173,7 +173,7 @@ def expected_reward(rewards, alphas):
     running sum of ``alphas * rewards`` along the types, added in type
     order (:func:`running_sums`)."""
     if rewards.shape[-1] != len(alphas):
-        raise SizeMismatch(f"{len(alphas)} alphas vs {rewards.shape[-1]} rewards")
+        raise DataError(f"{len(alphas)} alphas vs {rewards.shape[-1]} rewards")
     return running_sums(alphas * rewards).T[-1]  # [..., -1] would be 0-d for a vector
 
 
@@ -204,7 +204,7 @@ def check_feasibility(
     An infeasible menu yields a populated report rather than an error.
     """
     if menu.n_types != profile.n_types:
-        raise SizeMismatch("menu and profile must have the same length")
+        raise DataError("menu and profile must have the same length")
     lat, rew, thetas = menu.latencies, menu.rewards, profile.thetas
     n = menu.n_types
     report = FeasibilityReport(tol=tol)

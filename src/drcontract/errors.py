@@ -1,7 +1,12 @@
 """Exception hierarchy shared across the solver library.
 
-The CLI maps these onto exit codes: configuration problems exit 2, data
-problems exit 3, numeric failures exit 4.
+An error's family is its exit code: the CLI maps a ValidationError (a bad
+configuration) to exit 2, a DataError (a bad data file or sample set) to
+exit 3 and a NumericError (an evaluation that failed) to exit 4.  A family
+has a subclass only where code catches that subclass by name or reads one
+of its fields: ParseError carries the path and line of a file that does not
+parse, and NonPositiveLogArgument the index of the sample whose log argument
+is not positive.
 """
 
 
@@ -13,16 +18,13 @@ class ValidationError(ContractSolverError):
     """A constructed object or configuration violates an invariant."""
 
 
-class InvalidConfidence(ValidationError):
-    """Confidence level outside the open interval (0, 1)."""
+class DataError(ContractSolverError):
+    """Problem with input data files or sample sets."""
 
 
-class GridTooLarge(ValidationError):
-    """A requested brute-force grid exceeds the evaluation budget."""
-
-
-class ParseError(ContractSolverError):
-    """A config or data file could not be parsed."""
+class ParseError(DataError):
+    """A config or data file could not be parsed.  The CLI reports one in
+    the config file as a config error."""
 
     def __init__(self, message, path=None, line=None):
         self.path = path
@@ -35,22 +37,6 @@ class ParseError(ContractSolverError):
         super().__init__(f"{prefix} {message}" if prefix else message)
 
 
-class DataError(ContractSolverError):
-    """Problem with input data files or sample sets."""
-
-
-class EmptySampleSet(DataError):
-    """A sample set with zero observations was supplied."""
-
-
-class SizeMismatch(DataError):
-    """Two paired vectors have different lengths."""
-
-
-class CountExceedsN(DataError):
-    """More replacement positions requested than samples available."""
-
-
 class NumericError(ContractSolverError):
     """A numeric evaluation failed on the supplied point."""
 
@@ -61,7 +47,3 @@ class NonPositiveLogArgument(NumericError):
     def __init__(self, message, sample_index=None):
         self.sample_index = sample_index
         super().__init__(message)
-
-
-class NonMonotoneLatencies(NumericError):
-    """A latency vector violates the nondecreasing ordering requirement."""

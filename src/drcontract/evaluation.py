@@ -25,12 +25,7 @@ from .config import RunConfig
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams
 from .contracts import expected_reward, rewards_from_latencies
 from .csvio import write_table
-from .errors import (
-    GridTooLarge,
-    NonPositiveLogArgument,
-    SizeMismatch,
-    ValidationError,
-)
+from .errors import DataError, NonPositiveLogArgument, ValidationError
 from .inner import (
     InnerCandidates,
     branch_minima,
@@ -82,7 +77,7 @@ def eval_teleop_utility(
 ) -> float:
     """Mean over evaluation samples of the type-weighted operator utility
     ``sum_i alpha_i * (ln(gamma2*xi + gamma3*L_i) - R_i)``, assembled as the
-    solvers' objective (:func:`inner.sample_value`).  Raises SizeMismatch
+    solvers' objective (:func:`inner.sample_value`).  Raises DataError
     unless the menu has one bundle per type."""
     try:
         benefit = weighted_log(eval_samples.samples, menu.latencies, profile.alphas, params)
@@ -95,7 +90,7 @@ def eval_teleop_utility(
 def eval_asp_utilities(menu: ContractMenu, profile: AspTypeProfile, gamma1: float) -> np.ndarray:
     """Per-type provider utility theta_i * R_i - gamma1 * L_i."""
     if menu.n_types != profile.n_types:
-        raise SizeMismatch("menu and profile must have the same length")
+        raise DataError("menu and profile must have the same length")
     return profile.thetas * menu.rewards - gamma1 * menu.latencies
 
 
@@ -131,7 +126,9 @@ def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS) -> MetricsTable:
     evaluation data at every shift magnitude.
 
     Levels run in the config's order and methods in the canonical order,
-    so output files are deterministic for a given seed.
+    so output files are deterministic for a given seed.  Every level's
+    contaminated set is built before any method trains, so a level past the
+    sample count raises its DataError before any training.
     """
     requested = set(methods)
     unknown = requested.difference(CANONICAL_METHODS)
@@ -144,8 +141,11 @@ def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS) -> MetricsTable:
     ambiguity = cfg.ambiguity_for(train.n)
     bcd_cfg = cfg.bcd_config()
     table = MetricsTable()
-    for count in cfg.extreme_counts:
-        contaminated = inject_extreme_points(train, count, cfg.extreme_value, cfg.seed)
+    levels = [
+        (count, inject_extreme_points(train, count, cfg.extreme_value, cfg.seed))
+        for count in cfg.extreme_counts
+    ]
+    for count, contaminated in levels:
         for method in CANONICAL_METHODS:
             if method not in requested:
                 continue
@@ -174,6 +174,9 @@ def oracle_menu_search(
 ):
     """Exhaustive search of the robust objective over a monotone latency grid
     and a multiplier grid.  Returns (best objective, best latency vector).
+    The latency grid runs 0, grid_step, 2*grid_step, ... to the last multiple
+    of the step at or below ``l_max``; the multiplier grid is the multiples
+    of the step below ``lambda_max``, and ``lambda_max`` itself.
 
     Every latency is a grid value ``k * grid_step``, so the log terms
     ``ln(gamma2*x + gamma3*L)`` at the inner minimum's candidate points x
@@ -227,20 +230,22 @@ def oracle_menu_search(
     of nondecreasing cell tuples) at ``_GRID_TABLE_BUDGET`` = 1e7 entries,
     80 MB; the criterion-05 instance at grid step 0.025 needs about 1.4e5,
     and a grid of 1e7 steps or more is over it.  Each excess raises
-    GridTooLarge before any table is built.
+    ValidationError before any table is built.
     """
     if not grid_step > 0.0:
         raise ValidationError("grid_step must be > 0")
     if not (0.0 <= l_max < math.inf and 0.0 <= lambda_max < math.inf):
         raise ValidationError("l_max and lambda_max must be finite and >= 0")
     if not l_max / grid_step < _GRID_TABLE_BUDGET:
-        raise GridTooLarge(f"l_max / grid_step is over the {_GRID_TABLE_BUDGET:.0e} table budget")
+        raise ValidationError(
+            f"l_max / grid_step is over the {_GRID_TABLE_BUDGET:.0e} table budget"
+        )
     n_l = int(math.floor(l_max / grid_step + 1e-9)) + 1
     n_types = profile.n_types
     n_tuples = math.comb(n_l + n_types - 1, n_types)
     anchors = np.asarray(samples.samples, dtype=float)
     if n_tuples * anchors.size > _EVALUATION_BUDGET:
-        raise GridTooLarge(
+        raise ValidationError(
             f"{n_tuples} latency points x {anchors.size} samples exceeds "
             f"the {_EVALUATION_BUDGET:.0e} evaluation budget"
         )
@@ -249,7 +254,7 @@ def oracle_menu_search(
     table_entries = n_l * (1 + (n_types + 1) * (anchors.size + 1) + 2 * n_types)
     table_entries += n_types * (3 * n_cells + 1)
     if table_entries > _GRID_TABLE_BUDGET:
-        raise GridTooLarge(
+        raise ValidationError(
             f"{n_l} grid values x {anchors.size} samples need {table_entries} table "
             f"entries, over the {_GRID_TABLE_BUDGET:.0e} table budget"
         )

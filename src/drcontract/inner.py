@@ -42,7 +42,7 @@ import numpy as np
 
 from .ambiguity import SupportInterval
 from .contracts import UtilityParams, running_sums
-from .errors import NonPositiveLogArgument, SizeMismatch, ValidationError
+from .errors import DataError, NonPositiveLogArgument, ValidationError
 
 
 # Points per table of a type-blocked kernel: a block of types holds at most
@@ -133,11 +133,11 @@ def weighted_log(xi, latencies, alphas, params: UtilityParams) -> np.ndarray:
     :func:`contracts.running_sums`, which adds strictly in order.
     Accumulating along the type axis of a wider table would run one short
     inner loop per point.  Raises ValidationError unless ``xi`` is 1-D, and
-    SizeMismatch unless there is one alpha per latency.
+    DataError unless there is one alpha per latency.
     """
     lat = np.asarray(latencies, dtype=float)
     if len(alphas) != lat.shape[-1]:
-        raise SizeMismatch(f"{len(alphas)} alphas vs {lat.shape[-1]} latencies")
+        raise DataError(f"{len(alphas)} alphas vs {lat.shape[-1]} latencies")
     weights = np.asarray(alphas, dtype=float)[:, None]
     shape = lat.shape[:-1] + np.shape(xi)
     total = np.zeros(math.prod(shape))

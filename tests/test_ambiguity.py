@@ -8,11 +8,8 @@ from scipy.stats import wasserstein_distance as scipy_wasserstein
 
 from drcontract import (
     AmbiguityConfig,
-    CountExceedsN,
-    EmptySampleSet,
-    InvalidConfidence,
+    DataError,
     QualitySampleSet,
-    SizeMismatch,
     SupportInterval,
     ValidationError,
     inject_extreme_points,
@@ -51,7 +48,7 @@ class TestRadius:
 
     def test_rejects_bad_confidence(self):
         for tau in (0.0, 1.0, 1.5, -0.1):
-            with pytest.raises(InvalidConfidence):
+            with pytest.raises(ValidationError, match=r"tau must lie in \(0, 1\)"):
                 radius(100, tau, 40.0)
 
     @given(
@@ -92,7 +89,7 @@ class TestEmpiricalDistribution:
         assert wasserstein_1d(samples, moved) == pytest.approx(0.005)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySampleSet):
+        with pytest.raises(DataError, match="at least one observation"):
             QualitySampleSet([])
 
 
@@ -107,7 +104,7 @@ class TestWasserstein:
         assert wasserstein_1d([0.0, 10.0], [10.0, 0.0]) == 0.0
 
     def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(DataError, match="sample counts differ: 1 vs 2"):
             wasserstein_1d([1.0], [1.0, 2.0])
 
     def test_accepts_sample_sets_and_distributions(self):
@@ -203,7 +200,7 @@ class TestInjectExtremePoints:
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_count_exceeds_n(self):
-        with pytest.raises(CountExceedsN):
+        with pytest.raises(DataError, match="count 3 exceeds sample count 2"):
             inject_extreme_points(QualitySampleSet([1.0, 2.0]), 3, 1.0, seed=0)
 
 
@@ -213,7 +210,7 @@ class TestAmbiguityConfig:
         assert cfg.epsilon == pytest.approx(radius(200, 0.99, 40.0))
 
     def test_rejects_bad_tau(self):
-        with pytest.raises(InvalidConfidence):
+        with pytest.raises(ValidationError, match=r"tau must lie in \(0, 1\), got 1.2"):
             AmbiguityConfig.derive(SupportInterval(60, 100), 1.2, 10)
 
     def test_explicit_zero_radius_allowed(self):

@@ -15,7 +15,6 @@ from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
     BcdConfig,
-    NonMonotoneLatencies,
     NonPositiveLogArgument,
     NumericError,
     QualitySampleSet,
@@ -440,7 +439,7 @@ class TestAscentStep:
         monkeypatch.setattr(bcd, "iron_monotone", bad_iron)
         cfg = BcdConfig(max_iters=1, L_init=5.0, lambda_init=1.0)
         # the ascent leaves the order test to the evaluation's reward recursion
-        with pytest.raises(NonMonotoneLatencies, match="latencies must be nondecreasing within"):
+        with pytest.raises(NumericError, match="latencies must be nondecreasing within"):
             solve(samples, profile, PARAMS, amb, cfg)
 
 
@@ -696,12 +695,12 @@ class TestBatchedAscent:
         def failing_rewards(latencies, *args):
             if np.logical_and.reduce(latencies == tenth, axis=-1).any():
                 order.append("evaluation")
-                raise NonMonotoneLatencies("the evaluation of iterate 10")
+                raise NumericError("the evaluation of iterate 10")
             return rewards_from_latencies(latencies, *args)
 
         monkeypatch.setattr(bcd, "_gradient", failing_gradient)
         monkeypatch.setattr(bcd, "rewards_from_latencies", failing_rewards)
-        expected = (NonMonotoneLatencies, "the evaluation of iterate 10")
+        expected = (NumericError, "the evaluation of iterate 10")
         assert outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg)) == expected
         assert order == ["evaluation"]
         order.clear()

@@ -194,17 +194,26 @@ class TestOracleCommand:
 
 class TestExitCodes:
     def test_every_error_belongs_to_a_mapped_family(self):
-        # the CLI catches these four families and no bare library error
-        families = (errors.ValidationError, errors.ParseError, errors.DataError, errors.NumericError)
-        classes = [
+        # the CLI catches these three families and no bare library error; a
+        # subclass exists only where code catches it by name or reads a field
+        families = (errors.ValidationError, errors.DataError, errors.NumericError)
+        classes = {
             cls
             for cls in vars(errors).values()
             if isinstance(cls, type) and cls.__module__ == errors.__name__
-        ]
-        assert len(classes) > len(families)
-        for cls in classes:
-            if cls is not errors.ContractSolverError:
-                assert issubclass(cls, families), cls.__name__
+        }
+        assert {cls.__name__ for cls in classes} == {
+            "ContractSolverError",
+            "ValidationError",
+            "DataError",
+            "ParseError",
+            "NumericError",
+            "NonPositiveLogArgument",
+        }
+        assert issubclass(errors.ParseError, errors.DataError)
+        assert issubclass(errors.NonPositiveLogArgument, errors.NumericError)
+        for cls in classes - {errors.ContractSolverError}:
+            assert issubclass(cls, families), cls.__name__
 
     def test_bad_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -1,16 +1,16 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from drcontract import (
-    InvalidConfidence,
     ParseError,
     ValidationError,
     generate_alphas,
     load_config,
 )
 from drcontract import config
+from drcontract.cli import EXIT_OK, dispatch
 from drcontract.config import (
     DEFAULT_THETAS,
     RunConfig,
@@ -101,7 +101,7 @@ class TestValidation:
     def test_bad_confidence_named(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("tau = 1.5\n")
-        with pytest.raises(InvalidConfidence):
+        with pytest.raises(ValidationError, match=r"tau must lie in \(0, 1\), got 1.5"):
             load_config(path)
 
     def test_alphas_not_summing_rejected(self, tmp_path):
@@ -213,3 +213,91 @@ class TestGenerateSamples:
         sup = SupportInterval(60.0, 100.0)
         with pytest.raises(ValidationError, match="rejection rounds"):
             generate_quality_samples(1, 0, "train-data", 152.0, 8.0, sup)
+
+
+class TestEveryKeyChangesAResult:
+    """No config key that cannot change a result: each RunConfig field, set
+    to another value, changes what one subcommand prints or writes."""
+
+    BASE = RunConfig(
+        thetas=(110.0, 140.0),
+        n_train=20,
+        n_eval=5,
+        itr_max=30,
+        shift_magnitudes=(0.0, 10.0),
+        extreme_counts=(0, 2),
+        tau=0.05,
+        oracle_grid_step=1.0,
+        oracle_l_max=20.0,
+    )
+    # written to the test's temporary directory: the base config's menu and
+    # the files the *_csv keys below name
+    FILES = {
+        "menu.csv": "type_index,L,R\n1,10.0,0.09\n2,20.0,0.16\n",
+        "other-menu.csv": "type_index,L,R\n1,5.0,0.04\n2,25.0,0.2\n",
+        "train.csv": "xi\n70.0\n80.0\n90.0\n",
+        "eval.csv": "xi\n65.0\n95.0\n",
+    }
+    # field: (subcommand, value)
+    CHANGES = {
+        "thetas": ("solve", (110.0, 150.0)),
+        "alphas": ("solve", (0.3, 0.7)),
+        "gamma1": ("solve", 2.0),
+        "gamma2": ("solve", 2.0),
+        "gamma3": ("solve", 2.0),
+        "tau": ("solve", 0.1),
+        "n_train": ("solve", 21),
+        "n_eval": ("gen-data", 6),
+        "support_lo": ("solve", 55.0),
+        "support_hi": ("solve", 105.0),
+        "itr_max": ("solve", 10),
+        "conv_tol": ("solve", 100.0),
+        "eta_l": ("solve", 2e4),
+        "eta_lambda": ("solve", 2e-3),
+        "lambda_init": ("solve", 5.0),
+        "l_init": ("solve", 1.0),
+        "seed": ("gen-data", 1),
+        "shift_magnitudes": ("bench", (0.0, 20.0)),
+        "extreme_counts": ("bench", (0, 3)),
+        "extreme_value": ("bench", 2.0),
+        "gen_mean": ("gen-data", 80.0),
+        "gen_sd": ("gen-data", 9.0),
+        "train_csv": ("solve", "train.csv"),
+        "eval_csv": ("evaluate", "eval.csv"),
+        "menu_csv": ("evaluate", "other-menu.csv"),
+        "oracle_grid_step": ("oracle", 0.7),
+        "oracle_l_max": ("oracle", 10.0),
+        "oracle_lambda_max": ("oracle", 0.001),
+    }
+
+    def test_the_table_covers_every_key(self):
+        assert list(self.CHANGES) == [f.name for f in fields(RunConfig)]
+
+    @staticmethod
+    def result(subcommand, cfg, run_dir, monkeypatch, capsys):
+        """What ``dispatch`` prints and writes, the output directory's path
+        being the same relative one in every run."""
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        capsys.readouterr()
+        assert dispatch(subcommand, cfg, out="out") == EXIT_OK
+        written = {
+            str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted((run_dir / "out").rglob("*"))
+            if p.is_file()
+        }
+        return capsys.readouterr().out, written
+
+    @pytest.mark.parametrize("key", list(CHANGES))
+    def test_key_changes_its_subcommands_output(self, key, tmp_path, monkeypatch, capsys):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        base = replace(self.BASE, menu_csv=str(tmp_path / "menu.csv"))
+        subcommand, value = self.CHANGES[key]
+        if key.endswith("_csv"):
+            value = str(tmp_path / value)
+        assert value != getattr(base, key)
+        changed = replace(base, **{key: value})
+        before = self.result(subcommand, base, tmp_path / "base", monkeypatch, capsys)
+        after = self.result(subcommand, changed, tmp_path / "changed", monkeypatch, capsys)
+        assert after != before

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from drcontract import (
     AspTypeProfile,
     ContractMenu,
-    NonMonotoneLatencies,
     NonPositiveLogArgument,
+    NumericError,
     ParseError,
     QualitySampleSet,
     UtilityParams,
@@ -150,9 +150,10 @@ class TestRewardsFromLatencies:
 
     def test_rejects_decreasing_latencies(self):
         profile = AspTypeProfile(thetas=[110, 140], alphas=[0.5, 0.5])
-        with pytest.raises(NonMonotoneLatencies):
+        with pytest.raises(NumericError, match="latencies must be nondecreasing within"):
             rewards_from_latencies([20, 10], profile, 1.0)
-        with pytest.raises(NonMonotoneLatencies):  # one bad row in a stack
+        # one bad row in a stack
+        with pytest.raises(NumericError, match="latencies must be nondecreasing within"):
             rewards_from_latencies([[1.0, 2.0], [20.0, 10.0]], profile, 1.0)
 
     def test_lowest_type_participation_binds_exactly(self):

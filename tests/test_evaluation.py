@@ -13,10 +13,9 @@ from drcontract import (
     AspTypeProfile,
     BcdConfig,
     ContractMenu,
-    GridTooLarge,
+    DataError,
     NonPositiveLogArgument,
     QualitySampleSet,
-    SizeMismatch,
     SupportInterval,
     UtilityParams,
     ValidationError,
@@ -174,7 +173,7 @@ class TestEvalTeleopUtility:
     def test_rejects_a_menu_for_another_type_count(self):
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
         menu = ContractMenu(latencies=[5.0], rewards=[0.1])
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(DataError, match="2 alphas vs 1 latencies"):
             eval_teleop_utility(menu, QualitySampleSet([70.0]), profile, PARAMS)
 
     def test_monotone_in_downward_shift(self):
@@ -208,7 +207,7 @@ class TestEvalAspUtilities:
     def test_rejects_a_menu_for_another_type_count(self):
         profile = AspTypeProfile(thetas=[110.0, 140.0, 175.0], alphas=[0.2, 0.3, 0.5])
         menu = ContractMenu(latencies=[5.0], rewards=[0.1])
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(DataError, match="menu and profile must have the same length"):
             eval_asp_utilities(menu, profile, 1.0)
 
 
@@ -276,7 +275,7 @@ class TestOracle:
         profile = AspTypeProfile(thetas=[1.0, 2.0, 3.0, 4.0], alphas=[0.25] * 4)
         samples = QualitySampleSet([70.0])
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(ValidationError, match="evaluation budget"):
             oracle_menu_search(profile, samples, PARAMS, amb, 0.05)
 
     @pytest.mark.parametrize("n_types", [1, 2, 3, 4])
@@ -294,7 +293,7 @@ class TestOracle:
         profile = AspTypeProfile(thetas=[1.0, 2.0, 3.0], alphas=[0.3, 0.3, 0.4])
         samples = QualitySampleSet(np.linspace(60, 100, 200))
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 200)
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(ValidationError, match="evaluation budget"):
             oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=100.0)
 
     def test_rejects_grid_tables_over_memory_budget(self):
@@ -303,7 +302,7 @@ class TestOracle:
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         samples = QualitySampleSet([70.0])
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
-        with pytest.raises(GridTooLarge, match="table budget"):
+        with pytest.raises(ValidationError, match="table budget"):
             oracle_menu_search(profile, samples, PARAMS, amb, 1.0, l_max=1e8 - 1)
 
     @pytest.mark.parametrize("grid_step, l_max", [(1e-300, 1e10), (1.0, 1e7), (1.0, 2e6 - 1)])
@@ -313,7 +312,7 @@ class TestOracle:
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         samples = QualitySampleSet([70.0])
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
-        with pytest.raises(GridTooLarge, match="table budget"):
+        with pytest.raises(ValidationError, match="table budget"):
             oracle_menu_search(profile, samples, PARAMS, amb, grid_step, l_max=l_max)
 
     @pytest.mark.parametrize("n_types", [64, 70])
@@ -328,6 +327,29 @@ class TestOracle:
         omega, lat = oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=0.0)
         assert lat.tolist() == [0.0] * n_types
         assert omega == grid_max_objective(lat, profile, samples, amb, 0.05, 10.0)
+
+    def test_grids_are_the_step_multiples_and_lambda_max(self):
+        # the seed-0 instance at step 1, whose objective rises with both
+        # latencies up to 21 and peaks in the multiplier between 0 and 0.5
+        cfg = RunConfig(thetas=(110.0, 140.0), n_train=20, tau=0.05)
+        samples, profile = cfg.train_samples(), cfg.profile()
+        amb = cfg.ambiguity_for(samples.n)
+        args = (profile, samples, PARAMS, amb, 1.0)
+        # the latency grid stops at the last multiple of the step at or
+        # below l_max
+        for l_max in (20.0, 20.9):
+            assert oracle_menu_search(*args, l_max=l_max)[1].tolist() == [20.0, 20.0]
+        candidates = inner_candidates(samples.samples, amb.support)
+
+        def value(lam):
+            return objectives([20.0, 20.0], lam, candidates, amb.epsilon, profile, PARAMS)[0]
+
+        assert value(0.001) == 4.219363735418896 > value(0.0) == 4.200208452855698
+        # the multiplier grid is the multiples of the step below lambda_max,
+        # and lambda_max itself
+        assert oracle_menu_search(*args, l_max=20.0, lambda_max=0.001)[0] == value(0.001)
+        for lambda_max in (0.5, 10.0):
+            assert oracle_menu_search(*args, l_max=20.0, lambda_max=lambda_max)[0] == value(0.0)
 
     def test_bcd_reaches_oracle_value_on_tiny_instance(self):
         rng = np.random.default_rng(33)
@@ -714,6 +736,14 @@ class TestRunBenchmark:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             run_benchmark(self.CFG, {"drl"})
+
+    def test_a_level_past_the_sample_count_fails_before_any_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "train_method", lambda *args: calls.append(args))
+        cfg = replace(self.CFG, extreme_counts=(0, 5, 41))
+        with pytest.raises(DataError, match="^count 41 exceeds sample count 40$"):
+            run_benchmark(cfg)
+        assert calls == []
 
     def test_csv_writers(self, tmp_path):
         table = MetricsTable(

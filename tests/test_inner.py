@@ -9,9 +9,9 @@ from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
     BcdConfig,
-    NonMonotoneLatencies,
+    DataError,
     NonPositiveLogArgument,
-    SizeMismatch,
+    NumericError,
     SupportInterval,
     UtilityParams,
     ValidationError,
@@ -148,11 +148,11 @@ class TestExpectedReward:
             assert reward_sum(lat[5:9], profile).tolist() == stacked[5:9].tolist()
 
     def test_rejects_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(DataError, match="2 alphas vs 3 rewards"):
             expected_reward(np.array([1.0, 2.0, 3.0]), [0.5, 0.5])
 
     def test_rejects_decreasing(self):
-        with pytest.raises(NonMonotoneLatencies):
+        with pytest.raises(NumericError, match="latencies must be nondecreasing within"):
             reward_sum([3.0, 1.0], AspTypeProfile([110, 140], [0.5, 0.5]))
 
 
@@ -761,7 +761,7 @@ class TestTypeBlocks:
 
     @pytest.mark.parametrize("alphas", [[1.0], [0.2, 0.3, 0.4, 0.1]])
     def test_weighted_log_needs_one_alpha_per_latency(self, alphas):
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(DataError, match=f"{len(alphas)} alphas vs 3 latencies"):
             weighted_log(np.array([70.0, 80.0]), [0.0, 1.0, 2.0], alphas, PARAMS)
 
     @pytest.mark.parametrize("xi", [70.0, np.array(70.0), np.full((2, 3), 70.0)])
