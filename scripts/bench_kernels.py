@@ -100,20 +100,17 @@ def modules(package, *names):
 
 
 def instances(package="drcontract"):
-    """(name, run config, solve config) of the two benchmarked sizes."""
+    """(name, run config) of the two benchmarked sizes."""
     import numpy as np
 
-    bcd, config = modules(package, "bcd", "config")
+    (config,) = modules(package, "config")
     reference = config.RunConfig(seed=0)
     thetas = tuple(np.linspace(110.0, 250.0, 64).tolist())
-    wide = replace(reference, thetas=thetas, n_train=20_000)
-    return [
-        ("I8_N200", reference, bcd.BcdConfig()),
-        ("I64_N20000", wide, bcd.BcdConfig(max_iters=10)),
-    ]
+    wide = replace(reference, thetas=thetas, n_train=20_000, itr_max=10)
+    return [("I8_N200", reference), ("I64_N20000", wide)]
 
 
-def kernels(cfg, solve_cfg, package="drcontract"):
+def kernels(cfg, package="drcontract"):
     """The timed calls on one instance: the per-iteration kernels by name,
     and a call that runs the whole solve and returns its report."""
     import numpy as np
@@ -141,7 +138,7 @@ def kernels(cfg, solve_cfg, package="drcontract"):
             lat, profile, params.gamma1
         ),
     }
-    return calls, lambda: bcd.solve(samples, profile, params, amb, solve_cfg)
+    return calls, lambda: bcd.solve(samples, profile, params, amb, cfg)
 
 
 def contaminated_solve(package="drcontract"):
@@ -153,7 +150,7 @@ def contaminated_solve(package="drcontract"):
     cfg = config.RunConfig(seed=0)
     train = cfg.train_samples()
     samples = ambiguity.inject_extreme_points(train, 100, cfg.extreme_value, cfg.seed)
-    args = (samples, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg.bcd_config())
+    args = (samples, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg)
     return lambda: bcd.solve(*args)
 
 
@@ -190,8 +187,8 @@ def samplers(package="drcontract"):
     for :func:`contaminated_solve`, then ``oracle``), a sampler per figure,
     built on ``package``."""
     groups = {}
-    for name, cfg, solve_cfg in instances(package):
-        calls, solve = kernels(cfg, solve_cfg, package)
+    for name, cfg in instances(package):
+        calls, solve = kernels(cfg, package)
         groups[name] = {figure: timer(fn) for figure, fn in calls.items()}
         groups[name]["solve_per_iteration"] = solve_timer(solve)
     groups["I8_N200_extreme100"] = {"solve_per_iteration": solve_timer(contaminated_solve(package))}

@@ -14,7 +14,6 @@ from .ambiguity import (
     write_samples_csv,
 )
 from .bcd import (
-    BcdConfig,
     SolveReport,
     grad_lambda,
     iron_monotone,

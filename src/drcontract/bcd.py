@@ -40,11 +40,12 @@ in practice the trajectory climbs monotonically on the tested instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguity import AmbiguityConfig, sample_values
+from .config import RunConfig
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams
 from .contracts import expected_reward, rewards_from_latencies, running_sums
 from .csvio import write_table
@@ -58,36 +59,6 @@ from .inner import (
     unbounded,
     weighted_log,
 )
-
-
-@dataclass(frozen=True)
-class BcdConfig:
-    """Loop hyperparameters.  Defaults give the reference configuration:
-    1500 iterations max, 1e-3 convergence threshold, step sizes 1e4 for the
-    latency block and 1e-3 for the multiplier, all-zero initial latencies,
-    initial multiplier 6."""
-
-    max_iters: int = 1500
-    conv_tol: float = 1e-3
-    eta_L: float = 1e4
-    eta_lambda: float = 1e-3
-    L_init: float = 0.0
-    lambda_init: float = 6.0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
-        if not self.conv_tol > 0.0:
-            raise ValidationError("conv_tol must be > 0")
-        if not (self.eta_L >= 0.0 and self.eta_lambda >= 0.0):
-            raise ValidationError("step sizes must be >= 0")
-        if not math.isfinite(self.L_init):
-            raise ValidationError("L_init must be finite")
-        if not self.lambda_init >= 0.0:
-            raise ValidationError("lambda_init must be >= 0")
-
-    def initial_latencies(self, n_types: int) -> np.ndarray:
-        return np.full(n_types, float(self.L_init))
 
 
 @dataclass
@@ -230,13 +201,15 @@ def solve(
     profile: AspTypeProfile,
     params: UtilityParams,
     ambiguity: AmbiguityConfig,
-    bcd_cfg: BcdConfig = None,
+    cfg: RunConfig = None,
 ) -> SolveReport:
     """Run the full block-coordinate loop and return the robust menu.
 
-    Failing to converge within the iteration budget is reported, not raised,
-    and so is an :func:`inner.unbounded` objective, whatever stopped the
-    loop.  Identical inputs produce bitwise-identical traces.
+    ``cfg`` gives the loop keys (``None``: the defaults), and the ascent
+    starts from its ``lambda_init``.  Failing to converge within the
+    iteration budget is reported, not raised, and so is an
+    :func:`inner.unbounded` objective, whatever stopped the loop.
+    Identical inputs produce bitwise-identical traces.
     """
 
     anchors = sample_values(samples)
@@ -252,23 +225,24 @@ def solve(
         distances = np.where(wins, candidates.p_distance, candidates.lo_distance)
         return np.where(wins, scaled_p, scaled_lo), distances
 
+    cfg = cfg or RunConfig()
     points = candidates.points.size
     report = _ascend(
-        ambiguity.epsilon, evaluate, minimizers, points, profile, params, bcd_cfg or BcdConfig()
+        ambiguity.epsilon, evaluate, minimizers, points, profile, params, cfg, cfg.lambda_init
     )
     if unbounded(candidates, ambiguity.epsilon):
         report.stop_reason = "unbounded"
     return report
 
 
-def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
+def solve_pinned(anchors, profile, params, cfg: RunConfig = None) -> SolveReport:
     """Ascent with the inner point pinned to each anchor and a zero radius.
 
     The transport penalty vanishes because the evaluation point equals the
     anchor, so the anchors are the inner minimizers and the multiplier
     gradient is identically zero: the multiplier is held at zero from the
-    start whatever ``bcd_cfg.lambda_init`` says.  The loop controls and
-    stopping rule are otherwise the robust solver's.
+    start whatever ``cfg.lambda_init`` says.  The loop keys and stopping
+    rule are otherwise the robust solver's.
     """
     anchors = sample_values(anchors)
     scaled, distances = params.gamma2 * anchors, np.zeros(anchors.size)
@@ -281,19 +255,22 @@ def solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
     def minimizers(wins):
         return scaled, distances
 
-    bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
-    return _ascend(0.0, evaluate, minimizers, anchors.size, profile, params, bcd_cfg)
+    cfg = cfg or RunConfig()
+    return _ascend(0.0, evaluate, minimizers, anchors.size, profile, params, cfg, 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConfig) -> SolveReport:
-    """The ascent engine.  ``evaluate(lat, lam)`` takes a ``(K, I)`` stack
-    of latency iterates and their K multipliers and returns the K objective
-    values and a row of inner winners per iterate; ``minimizers(wins)``
-    returns, at the inner minimizers xi* one row of winners picks, gamma2*xi*
-    and the transport distances |anchor - xi*|.  Together they fix the inner
-    rule.  ``points`` is the number of points ``evaluate`` takes the log
-    benefit at.
+def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg, lam) -> SolveReport:
+    """The ascent engine, from all-``cfg.l_init`` latencies and the
+    multiplier ``lam``, with ``cfg``'s step sizes ``eta_l`` and
+    ``eta_lambda``, iteration budget ``itr_max`` and threshold ``conv_tol``.
+    ``evaluate(lat, lam)`` takes a ``(K, I)`` stack of latency iterates and
+    their K multipliers and returns the K objective values and a row of
+    inner winners per iterate; ``minimizers(wins)`` returns, at the inner
+    minimizers xi* one row of winners picks, gamma2*xi* and the transport
+    distances |anchor - xi*|.  Together they fix the inner rule.
+    ``points`` is the number of points ``evaluate`` takes the log benefit
+    at.
 
     Each batch takes K steps from the last traced iterate, all at the
     winners of the last evaluation, so the multiplier gradient is computed
@@ -340,8 +317,8 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     # Latencies are ironed onto the nondecreasing cone, then clipped at zero:
     # inverse latencies cannot go negative.  This first call validates the
     # weights; the steps are checked for finiteness in ``steps``.
-    lat = np.maximum(iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
-    lam = float(cfg.lambda_init)
+    lat = np.maximum(iron_monotone(np.full(profile.n_types, float(cfg.l_init)), weights), 0.0)
+    lam = float(lam)
     wins = evaluate(lat[None], np.array([lam]))[1][0]
     cap = rows_per_block(profile.n_types * points)
 
@@ -357,7 +334,7 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
         for j, (raw, row) in enumerate(zip(raws, lats)):
             np.multiply(params.gamma3, lat, out=scaled_lat)
             gradient = _gradient(scaled_xi, scaled_lat, alphas, price, params.gamma3, table, raw)
-            stepped = np.multiply(cfg.eta_L, gradient, out=raw)
+            stepped = np.multiply(cfg.eta_l, gradient, out=raw)
             stepped += lat
             lat = np.maximum(iron_monotone(stepped, weights, validate=False, out=row), 0.0, out=row)
             lam = lams[j] = max(lam + lam_step, 0.0)
@@ -373,8 +350,8 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg: BcdConf
     converged = False
     obj_trace, lam_trace, lat_trace = [], [], []
     size = 1
-    while not converged and len(obj_trace) < cfg.max_iters:
-        size = min(size, cap, cfg.max_iters - len(obj_trace))
+    while not converged and len(obj_trace) < cfg.itr_max:
+        size = min(size, cap, cfg.itr_max - len(obj_trace))
         try:
             lats, lams = steps(lat, lam, size, *minimizers(wins))
             omegas, batch_wins = evaluate(lats, lams)

@@ -15,7 +15,7 @@ from pathlib import Path
 from .ambiguity import write_samples_csv
 from .bcd import write_trace_csv
 from .config import RunConfig, load_config
-from .contracts import read_menu_csv, write_menu_csv, write_profile_csv
+from .contracts import check_feasibility, read_menu_csv, write_menu_csv, write_profile_csv
 from .errors import DataError, NumericError, ParseError, ValidationError
 from .evaluation import (
     CANONICAL_METHODS,
@@ -99,9 +99,8 @@ def _cmd_gen_data(cfg: RunConfig, method: str, out: Path) -> None:
 
 def _cmd_solve(cfg: RunConfig, method: str, out: Path) -> None:
     train = cfg.train_samples()
-    report = train_method(
-        method, train, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg.bcd_config()
-    )
+    ambiguity = cfg.ambiguity_for(train.n)
+    report = train_method(method, train, cfg.profile(), cfg.params(), ambiguity, cfg)
     write_menu_csv(report.menu, out / "menu.csv")
     write_trace_csv(report, out / "trace.csv", method=None if method == "dro" else method)
     status = "converged" if report.converged else "max iterations reached"
@@ -119,6 +118,19 @@ def _cmd_evaluate(cfg: RunConfig, method: str, out: Path) -> None:
     evals = cfg.eval_samples()
     profile = cfg.profile()
     utility = eval_teleop_utility(menu, evals, profile, cfg.params())
+    # nothing is printed for a menu that breaks participation or
+    # self-selection: the first broken constraint is named, its types
+    # 1-based as in type_index
+    report = check_feasibility(menu, profile, cfg.gamma1)
+    if report.ir_violations:
+        i, own = report.ir_violations[0]
+        raise DataError(f"{cfg.menu_csv}: type {i + 1} breaks participation: utility {own!r}")
+    if report.ic_violations:
+        i, j, deficit = report.ic_violations[0]
+        raise DataError(
+            f"{cfg.menu_csv}: type {i + 1} breaks self-selection: "
+            f"prefers type {j + 1}'s bundle by {deficit!r}"
+        )
     print(f"teleop_utility {float(utility)!r}")
     for i, value in enumerate(eval_asp_utilities(menu, profile, cfg.gamma1)):
         print(f"asp_utility {i + 1} {float(value)!r}")
@@ -144,7 +156,7 @@ def _cmd_oracle(cfg: RunConfig, method: str, out: Path) -> None:
             f"to the support exceeds the radius epsilon = {ambiguity.epsilon!r}: the "
             "robust objective is unbounded in the multiplier"
         )
-    report = train_method("dro", train, profile, params, ambiguity, cfg.bcd_config())
+    report = train_method("dro", train, profile, params, ambiguity, cfg)
     best_omega, best_lat = oracle_menu_search(
         profile,
         train,

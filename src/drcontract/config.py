@@ -1,10 +1,10 @@
 """Run configuration: flat ``key = value`` files with reference defaults.
 
-An empty file reproduces the reference setup exactly: eight provider types
-with willingness values {110, 140, 175, 200, 220, 235, 245, 250}, unit
-weighting coefficients, confidence 0.99, 200 training samples on the
-support [60, 100], a 1500-iteration budget with threshold 1e-3, initial
-multiplier 6, and step sizes 1e4 (latencies) and 1e-3 (multiplier).
+An empty file reproduces the reference setup exactly: the defaults of
+:class:`RunConfig`'s fields, among them the solver's six loop keys
+(``itr_max``, ``conv_tol``, ``eta_l``, ``eta_lambda``, ``l_init`` and
+``lambda_init``), which :func:`bcd.solve` and :func:`bcd.solve_pinned`
+read from the config itself.
 
 Type probabilities come from the config when given explicitly, otherwise
 from a seeded symmetric Dirichlet draw (concentration 1).  The real quality
@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .ambiguity import AmbiguityConfig, QualitySampleSet, SupportInterval, read_samples_csv
-from .bcd import BcdConfig
 from .contracts import AspTypeProfile, UtilityParams
 from .errors import ParseError, ValidationError
 from .seeding import rng_for
@@ -37,6 +36,10 @@ DEFAULT_SHIFTS = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 # twice the scores still missing; the reference setup needs 1 round, and a
 # support holding 1e-3 of the normal's mass needs about 2000 for 200 scores.
 _MAX_REJECTION_ROUNDS = 10_000
+# Most samples n_train or n_eval may ask for: 10**7 is 80 MB per float
+# vector and 500 times the largest benchmarked sample (20k), so a larger
+# count is refused as a setting instead of failing mid-run for memory.
+_MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,16 @@ class RunConfig:
         self.support()
         self.params()
         self.profile()
-        self.bcd_config()
-        # numpy cannot size an array past intp
-        top = np.iinfo(np.intp).max
-        if not (1 <= self.n_train <= top and 1 <= self.n_eval <= top):
-            raise ValidationError(f"n_train and n_eval must lie in [1, {top}]")
+        # the loop keys; l_init's finiteness is the generic check's below
+        if self.itr_max < 1:
+            raise ValidationError("itr_max must be >= 1")
+        if not self.conv_tol > 0.0:
+            raise ValidationError("conv_tol must be > 0")
+        for key in ("eta_l", "eta_lambda", "lambda_init"):
+            if not getattr(self, key) >= 0.0:
+                raise ValidationError(f"{key} must be >= 0")
+        if not (1 <= self.n_train <= _MAX_SAMPLES and 1 <= self.n_eval <= _MAX_SAMPLES):
+            raise ValidationError(f"n_train and n_eval must lie in [1, {_MAX_SAMPLES}]")
         self.ambiguity_for(self.n_train)
         if not all(m >= 0 for m in self.shift_magnitudes):
             raise ValidationError("shift magnitudes must be nonnegative")
@@ -118,16 +126,6 @@ class RunConfig:
 
     def ambiguity_for(self, n_samples: int) -> AmbiguityConfig:
         return AmbiguityConfig.derive(self.support(), self.tau, n_samples)
-
-    def bcd_config(self) -> BcdConfig:
-        return BcdConfig(
-            max_iters=self.itr_max,
-            conv_tol=self.conv_tol,
-            eta_L=self.eta_l,
-            eta_lambda=self.eta_lambda,
-            L_init=self.l_init,
-            lambda_init=self.lambda_init,
-        )
 
     def train_samples(self) -> QualitySampleSet:
         if self.train_csv:

@@ -20,7 +20,7 @@ from .ambiguity import (
     inject_extreme_points,
     shift_samples,
 )
-from .bcd import BcdConfig, SolveReport, solve, solve_pinned
+from .bcd import SolveReport, solve, solve_pinned
 from .config import RunConfig
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams
 from .contracts import expected_reward, rewards_from_latencies
@@ -100,7 +100,7 @@ def train_method(
     profile: AspTypeProfile,
     params: UtilityParams,
     ambiguity: AmbiguityConfig,
-    bcd_cfg: BcdConfig = None,
+    cfg: RunConfig = None,
 ) -> SolveReport:
     """Train one method on the given samples and return its report.
 
@@ -109,14 +109,15 @@ def train_method(
     the samples (the log benefit increases with quality, so the floor is
     the worst point).  sp and ro pin the inner point to each anchor
     (:func:`solve_pinned`).  All three run the same ascent engine and
-    stopping rule, so benchmark differences come from the objective alone.
+    stopping rule, read from ``cfg``'s loop keys (``None``: the defaults),
+    so benchmark differences come from the objective alone.
     """
     if method == "dro":
-        return solve(train_samples, profile, params, ambiguity, bcd_cfg)
+        return solve(train_samples, profile, params, ambiguity, cfg)
     if method == "sp":
-        return solve_pinned(train_samples, profile, params, bcd_cfg)
+        return solve_pinned(train_samples, profile, params, cfg)
     if method == "ro":
-        return solve_pinned([ambiguity.support.lo], profile, params, bcd_cfg)
+        return solve_pinned([ambiguity.support.lo], profile, params, cfg)
     raise ValidationError(f"unknown method {method!r}; expected one of {CANONICAL_METHODS}")
 
 
@@ -139,7 +140,6 @@ def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS) -> MetricsTable:
     profile = cfg.profile()
     params = cfg.params()
     ambiguity = cfg.ambiguity_for(train.n)
-    bcd_cfg = cfg.bcd_config()
     table = MetricsTable()
     levels = [
         (count, inject_extreme_points(train, count, cfg.extreme_value, cfg.seed))
@@ -149,7 +149,7 @@ def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS) -> MetricsTable:
         for method in CANONICAL_METHODS:
             if method not in requested:
                 continue
-            report = train_method(method, contaminated, profile, params, ambiguity, bcd_cfg)
+            report = train_method(method, contaminated, profile, params, ambiguity, cfg)
             for magnitude in map(float, cfg.shift_magnitudes):
                 shifted = shift_samples(evals, magnitude)
                 utility = eval_teleop_utility(report.menu, shifted, profile, params)
@@ -169,8 +169,8 @@ def oracle_menu_search(
     params: UtilityParams,
     ambiguity: AmbiguityConfig,
     grid_step: float,
-    l_max: float = 50.0,
-    lambda_max: float = 10.0,
+    l_max: float,
+    lambda_max: float,
 ):
     """Exhaustive search of the robust objective over a monotone latency grid
     and a multiplier grid.  Returns (best objective, best latency vector).

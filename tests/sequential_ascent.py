@@ -17,13 +17,13 @@ evaluation before them.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from drcontract import ContractMenu, NumericError, bcd
 from drcontract.ambiguity import sample_values
-from drcontract.bcd import BcdConfig, SolveReport
+from drcontract.bcd import SolveReport
+from drcontract.config import RunConfig
 from drcontract.inner import inner_candidates, unbounded
 
 
@@ -44,7 +44,7 @@ def per_type_latency_gradient(xi, latencies, profile, params):
     return gradient
 
 
-def sequential_solve(samples, profile, params, ambiguity, bcd_cfg=None) -> SolveReport:
+def sequential_solve(samples, profile, params, ambiguity, cfg=None) -> SolveReport:
     anchors = sample_values(samples)
     candidates = inner_candidates(anchors, ambiguity.support)
     lo, projections = float(candidates.points[0]), candidates.points[1:]
@@ -54,14 +54,14 @@ def sequential_solve(samples, profile, params, ambiguity, bcd_cfg=None) -> Solve
         distances = np.where(wins, candidates.p_distance, candidates.lo_distance)
         return float(omega), np.where(wins, projections, lo), distances, wins
 
-    cfg = bcd_cfg or BcdConfig()
-    report = _sequential_ascend(ambiguity.epsilon, evaluate, profile, params, cfg)
+    cfg = cfg or RunConfig()
+    report = _sequential_ascend(ambiguity.epsilon, evaluate, profile, params, cfg, cfg.lambda_init)
     if unbounded(candidates, ambiguity.epsilon):
         report.stop_reason = "unbounded"
     return report
 
 
-def sequential_solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveReport:
+def sequential_solve_pinned(anchors, profile, params, cfg=None) -> SolveReport:
     anchors = sample_values(anchors)
     distances = np.zeros(anchors.size)
 
@@ -71,24 +71,24 @@ def sequential_solve_pinned(anchors, profile, params, bcd_cfg=None) -> SolveRepo
         omega = bcd.sample_value(bcd.weighted_log(anchors, lat, profile.alphas, params), g)
         return float(omega), anchors, distances, None
 
-    bcd_cfg = replace(bcd_cfg or BcdConfig(), lambda_init=0.0)
-    return _sequential_ascend(0.0, evaluate, profile, params, bcd_cfg)
+    return _sequential_ascend(0.0, evaluate, profile, params, cfg or RunConfig(), 0.0)
 
 
 # as in the solver, an overflow reaches the finite checks silently
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _sequential_ascend(epsilon, evaluate, profile, params, cfg) -> SolveReport:
+def _sequential_ascend(epsilon, evaluate, profile, params, cfg, lam) -> SolveReport:
     weights = np.maximum(profile.alphas, 1e-12)
-    lat = np.maximum(bcd.iron_monotone(cfg.initial_latencies(profile.n_types), weights), 0.0)
-    lam = float(cfg.lambda_init)
+    start = np.full(profile.n_types, float(cfg.l_init))
+    lat = np.maximum(bcd.iron_monotone(start, weights), 0.0)
+    lam = float(lam)
     omega, xi, distances, wins = evaluate(lat, lam)
 
     omega_prev = -np.inf
     converged = False
     obj_trace, lam_trace, lat_trace, flips = [], [], [], []
-    for t in range(1, cfg.max_iters + 1):
+    for t in range(1, cfg.itr_max + 1):
         gradient = per_type_latency_gradient(xi, lat, profile, params)
-        stepped = lat + cfg.eta_L * gradient
+        stepped = lat + cfg.eta_l * gradient
         if not np.logical_and.reduce(np.isfinite(stepped)):
             raise NumericError(f"latency step {stepped.tolist()!r} is not finite")
         lat = np.maximum(bcd.iron_monotone(stepped, weights, validate=False), 0.0)

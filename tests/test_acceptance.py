@@ -13,7 +13,6 @@ import pytest
 from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
-    BcdConfig,
     ContractMenu,
     SupportInterval,
     UtilityParams,
@@ -66,7 +65,7 @@ def seed0_ambiguity(default_cfg, seed0_train):
 @pytest.fixture(scope="module")
 def dro_report(seed0_train, seed0_profile, seed0_ambiguity):
     t0 = time.perf_counter()
-    report = solve(seed0_train, seed0_profile, PARAMS, seed0_ambiguity, BcdConfig())
+    report = solve(seed0_train, seed0_profile, PARAMS, seed0_ambiguity, RunConfig())
     report.wall_seconds = time.perf_counter() - t0
     return report
 
@@ -154,7 +153,7 @@ def test_criterion_05_outer_oracle():
     profile = AspTypeProfile(thetas=thetas, alphas=generate_alphas(2, 0))
     samples = generate_quality_samples(20, 0, "train-data", 85.0, 8.0, SUPPORT)
     amb = AmbiguityConfig.derive(SUPPORT, 0.99, 20)
-    report = solve(samples, profile, PARAMS, amb, BcdConfig())
+    report = solve(samples, profile, PARAMS, amb, RunConfig())
     # the grid reaches the program's optimum, whose L_2 is theta_2 - lo
     l_max = thetas[1] - SUPPORT.lo
     best_omega, _ = oracle_menu_search(
@@ -191,7 +190,7 @@ def test_criterion_07_asp_utility_monotonicity(
     menus = {"dro": dro_report.menu}
     for method in ("sp", "ro"):
         menus[method] = train_method(
-            method, seed0_train, seed0_profile, PARAMS, seed0_ambiguity, BcdConfig()
+            method, seed0_train, seed0_profile, PARAMS, seed0_ambiguity, RunConfig()
         ).menu
     worst_first, ok = 0.0, True
     for method, menu in menus.items():
@@ -226,7 +225,7 @@ def test_criterion_08_robustness_ordering(benchmark_tables):
 
 
 def test_criterion_09_linear_sample_scaling(seed0_profile):
-    bcd_cfg = BcdConfig(max_iters=60, conv_tol=1e-15)
+    cfg = RunConfig(itr_max=60, conv_tol=1e-15)
     sizes = (10_000, 20_000)
     inputs = {
         n: (
@@ -239,7 +238,7 @@ def test_criterion_09_linear_sample_scaling(seed0_profile):
     def per_iter_seconds(n):
         samples, amb = inputs[n]
         t0 = time.perf_counter()
-        report = solve(samples, seed0_profile, PARAMS, amb, bcd_cfg)
+        report = solve(samples, seed0_profile, PARAMS, amb, cfg)
         return (time.perf_counter() - t0) / report.iterations_used
 
     # Measured where per-sample work dominates the fixed per-iteration

@@ -14,7 +14,6 @@ from scipy.optimize import isotonic_regression as scipy_isotonic
 from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
-    BcdConfig,
     NonPositiveLogArgument,
     NumericError,
     QualitySampleSet,
@@ -346,12 +345,12 @@ class TestAscentStep:
         profile, samples, _ = small_instance()
         # a huge radius makes the multiplier gradient hugely negative
         big = AmbiguityConfig(SUPPORT, 1e6)
-        report = solve(samples, profile, PARAMS, big, BcdConfig(max_iters=1, L_init=5.0))
+        report = solve(samples, profile, PARAMS, big, RunConfig(itr_max=1, l_init=5.0))
         assert report.lambda_trace.tolist() == [0.0]
 
     def test_latencies_stay_monotone(self):
         profile, samples, amb = small_instance(n_types=5)
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=5, conv_tol=1e-15))
+        report = solve(samples, profile, PARAMS, amb, RunConfig(itr_max=5, conv_tol=1e-15))
         assert report.iterations_used == 5
         assert np.all(np.diff(report.latency_trace, axis=1) >= -1e-12)
         assert np.all(report.latency_trace >= 0.0)
@@ -365,7 +364,7 @@ class TestAscentStep:
         lat = 150.0 - 60.0  # gradient zero when the minimizer is the floor
         candidates = inner_candidates(samples.samples, SUPPORT)
         start, _ = objectives([lat], 0.0, candidates, amb.epsilon, profile, PARAMS)
-        cfg = BcdConfig(max_iters=1, L_init=lat, lambda_init=0.0)
+        cfg = RunConfig(itr_max=1, l_init=lat, lambda_init=0.0)
         report = solve(samples, profile, PARAMS, amb, cfg)
         assert report.latency_trace[0] == pytest.approx([lat], abs=1e-9)
         assert report.lambda_trace[0] == 0.0
@@ -379,7 +378,7 @@ class TestAscentStep:
         # at iteration 14 cuts
         profile, samples, amb = small_instance(n_types=3)
         params = UtilityParams(gamma2=1.5)
-        cfg = BcdConfig(lambda_init=0.5)
+        cfg = RunConfig(lambda_init=0.5)
         candidates = inner_candidates(samples.samples, SUPPORT)
         assert sequential_solve(samples, profile, params, amb, cfg).flips == [14]
         evaluated, heights, read_xi, read_distances = {}, [], [], []
@@ -423,7 +422,7 @@ class TestAscentStep:
             distances = np.abs(xi - samples.samples)
             assert any(read.tobytes() == distances.tobytes() for read in read_distances)
             step = per_type_latency_gradient(xi, lat, profile, params)
-            expected = np.maximum(iron_monotone(lat + cfg.eta_L * step, weights), 0.0)
+            expected = np.maximum(iron_monotone(lat + cfg.eta_l * step, weights), 0.0)
             assert traced_lat.tobytes() == expected.tobytes()
             assert traced_lam == max(lam + cfg.eta_lambda * grad_lambda(distances, amb.epsilon), 0.0)
 
@@ -437,7 +436,7 @@ class TestAscentStep:
             return iron_monotone(values, weights) if len(calls) == 1 else np.array([2.0, 1.0])
 
         monkeypatch.setattr(bcd, "iron_monotone", bad_iron)
-        cfg = BcdConfig(max_iters=1, L_init=5.0, lambda_init=1.0)
+        cfg = RunConfig(itr_max=1, l_init=5.0, lambda_init=1.0)
         # the ascent leaves the order test to the evaluation's reward recursion
         with pytest.raises(NumericError, match="latencies must be nondecreasing within"):
             solve(samples, profile, PARAMS, amb, cfg)
@@ -469,12 +468,12 @@ def ascent_instances(draw):
     )
     samples = QualitySampleSet(rng.uniform(40.0, 110.0, n_samples))
     amb = AmbiguityConfig(SUPPORT, draw(st.floats(0.5, 30.0)))
-    cfg = BcdConfig(
-        max_iters=draw(st.integers(1, 300)),
+    cfg = RunConfig(
+        itr_max=draw(st.integers(1, 300)),
         conv_tol=draw(st.sampled_from([1e-2, 1e-4, 1e-8, 1e-15])),
-        eta_L=draw(st.sampled_from([1e2, 1e3, 1e4, 1e300])),
+        eta_l=draw(st.sampled_from([1e2, 1e3, 1e4, 1e300])),
         eta_lambda=draw(st.sampled_from([1e-3, 1e-2, 1e-1, 1e307])),
-        L_init=draw(st.floats(0.0, 50.0)),
+        l_init=draw(st.floats(0.0, 50.0)),
         lambda_init=draw(st.floats(0.0, 2.0)),
     )
     return samples, profile, amb, cfg
@@ -505,12 +504,12 @@ def kernel_instances(draw, merging):
     profile = AspTypeProfile(thetas=thetas, alphas=alphas / alphas.sum())
     samples = QualitySampleSet(rng.uniform(40.0, 110.0, n_samples))
     amb = AmbiguityConfig(SUPPORT, draw(st.floats(0.5, 30.0)))
-    cfg = BcdConfig(
-        max_iters=draw(st.integers(4 if merging else 1, 300)),
+    cfg = RunConfig(
+        itr_max=draw(st.integers(4 if merging else 1, 300)),
         conv_tol=draw(st.sampled_from([1e-8, 1e-15] if merging else [1e-2, 1e-4, 1e-8, 1e-15])),
-        eta_L=draw(st.sampled_from([1e2, 1e3] if merging else [1e2, 1e3, 1e4, 1e300])),
+        eta_l=draw(st.sampled_from([1e2, 1e3] if merging else [1e2, 1e3, 1e4, 1e300])),
         eta_lambda=0.0 if merging else draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
-        L_init=draw(st.floats(0.0, 10.0 if merging else 50.0)),
+        l_init=draw(st.floats(0.0, 10.0 if merging else 50.0)),
         lambda_init=0.0 if merging else draw(st.floats(0.0, 2.0)),
     )
     return samples, profile, amb, cfg, draw(st.integers(1, n_types))
@@ -607,14 +606,14 @@ class TestBatchedAscent:
     def test_batches_match_the_sequential_loop(self, monkeypatch, case, iterations, heights):
         profile, samples, amb = small_instance(n_types=3)
         if case == "ro's one-point anchor set":
-            args = ([SUPPORT.lo], profile, PARAMS, BcdConfig(conv_tol=1e-6))
+            args = ([SUPPORT.lo], profile, PARAMS, RunConfig(conv_tol=1e-6))
             batched, sequential = bcd.solve_pinned, sequential_solve_pinned
         else:
             params = UtilityParams(gamma2=1.5) if case == "flip" else PARAMS
             cfg = {
-                "flip": BcdConfig(lambda_init=0.5),
-                "tol stop inside a batch": BcdConfig(lambda_init=0.0),
-                "max_iters cut inside a batch": BcdConfig(max_iters=5, conv_tol=1e-15),
+                "flip": RunConfig(lambda_init=0.5),
+                "tol stop inside a batch": RunConfig(lambda_init=0.0),
+                "max_iters cut inside a batch": RunConfig(itr_max=5, conv_tol=1e-15),
             }[case]
             args = (samples, profile, params, amb, cfg)
             batched, sequential = solve, sequential_solve
@@ -632,7 +631,7 @@ class TestBatchedAscent:
         profile = AspTypeProfile(
             thetas=np.sort(rng.uniform(100.0, 260.0, 8)), alphas=rng.dirichlet(np.ones(8))
         )
-        args = ([62.0, 75.5, 91.0], profile, PARAMS, BcdConfig(max_iters=200))
+        args = ([62.0, 75.5, 91.0], profile, PARAMS, RunConfig(itr_max=200))
         expected = outcome(lambda: sequential_solve_pinned(*args))
         shapes, running_sums = [], bcd.running_sums
 
@@ -651,7 +650,7 @@ class TestBatchedAscent:
         # numpy's warning; the one-step loop never takes that step, so the
         # batch neither raises nor warns
         profile, samples, amb = small_instance(n_types=2)
-        cfg = BcdConfig(max_iters=40, conv_tol=1e-15)
+        cfg = RunConfig(itr_max=40, conv_tol=1e-15)
         trace = sequential_solve(samples, profile, PARAMS, amb, cfg)
         ninth = distinct_iterate(trace, 9)
         changes = np.abs(np.diff(trace.objective_trace))
@@ -666,7 +665,7 @@ class TestBatchedAscent:
             failed.append(True)
             if failure == "raises":
                 raise NumericError("a step from iterate 9")
-            return np.full(scaled_lat.shape, np.finfo(float).max)  # times eta_L: overflow
+            return np.full(scaled_lat.shape, np.finfo(float).max)  # times eta_l: overflow
 
         expected = outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg))
         assert expected[:2] == ("tol", True)
@@ -682,7 +681,7 @@ class TestBatchedAscent:
         # inside the batch of 8..15: the evaluation's error is raised, as
         # the one-step loop raises it, although the batch's steps come first
         profile, samples, amb = small_instance(n_types=2)
-        cfg = BcdConfig(max_iters=40, conv_tol=1e-15)
+        cfg = RunConfig(itr_max=40, conv_tol=1e-15)
         tenth = distinct_iterate(sequential_solve(samples, profile, PARAMS, amb, cfg), 10)
         order, gradient = [], bcd._gradient
 
@@ -716,7 +715,7 @@ class TestBatchedAscent:
         # any step from it, without a warning
         profile = AspTypeProfile(thetas=[2.0, 4.0], alphas=[0.5, 0.5])
         anchors = [-1.0, 50.0]
-        cfg = BcdConfig(eta_L=30.0, L_init=30.0, conv_tol=1e-15)
+        cfg = RunConfig(eta_l=30.0, l_init=30.0, conv_tol=1e-15)
         message = "log argument -0.8422558811518228 at xi=-1.0 must be > 0"
         expected = (NonPositiveLogArgument, message)
         args = (anchors, profile, PARAMS, cfg)
@@ -739,7 +738,7 @@ class TestBatchedAscent:
         profile, _, _ = small_instance(n_types=3)
         samples = QualitySampleSet(np.full(5, SUPPORT.lo - 0.9))
         amb = AmbiguityConfig(SUPPORT, 0.5)
-        cfg = BcdConfig(eta_lambda=1e307, lambda_init=0.0)
+        cfg = RunConfig(eta_lambda=1e307, lambda_init=0.0)
         expected = (NumericError, "multiplier iterate inf is not finite")
         assert outcome(lambda: sequential_solve(samples, profile, PARAMS, amb, cfg)) == expected
         evaluations = batch_heights(monkeypatch)
@@ -856,7 +855,7 @@ class TestNonFiniteIterates:
     def test_multiplier_overflow(self):
         # a radius below the mean floor distance makes the first step positive
         profile, samples, amb = small_instance(epsilon=1.0)
-        cfg = BcdConfig(lambda_init=0.0, eta_lambda=1e308)
+        cfg = RunConfig(lambda_init=0.0, eta_lambda=1e308)
         with pytest.raises(NumericError, match="multiplier"):
             solve(samples, profile, PARAMS, amb, cfg)
 
@@ -864,11 +863,11 @@ class TestNonFiniteIterates:
         profile, samples, amb = small_instance()
         params = UtilityParams(gamma2=1e-6)
         with pytest.raises(NumericError, match="latency step"):
-            solve(samples, profile, params, amb, BcdConfig(eta_L=1e308))
+            solve(samples, profile, params, amb, RunConfig(eta_l=1e308))
 
     def test_objective_overflow(self):
         profile, samples, amb = small_instance()
-        cfg = BcdConfig(lambda_init=1e308, eta_lambda=0.0)
+        cfg = RunConfig(lambda_init=1e308, eta_lambda=0.0)
         with pytest.raises(NumericError, match="objective"):
             solve(samples, profile, PARAMS, amb, cfg)
 
@@ -876,7 +875,7 @@ class TestNonFiniteIterates:
 class TestSolve:
     def test_determinism_bitwise(self):
         profile, samples, amb = small_instance(n_types=3, n_samples=20)
-        cfg = BcdConfig(max_iters=120)
+        cfg = RunConfig(itr_max=120)
         a = solve(samples, profile, PARAMS, amb, cfg)
         b = solve(samples, profile, PARAMS, amb, cfg)
         assert np.array_equal(a.objective_trace, b.objective_trace)
@@ -885,7 +884,7 @@ class TestSolve:
 
     def test_report_invariants(self):
         profile, samples, amb = small_instance(n_types=4, n_samples=15)
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=300))
+        report = solve(samples, profile, PARAMS, amb, RunConfig(itr_max=300))
         assert report.objective_trace.size == report.iterations_used
         assert report.latency_trace.shape == (report.iterations_used, 4)
         assert np.all(np.diff(report.menu.latencies) >= -1e-12)
@@ -898,7 +897,7 @@ class TestSolve:
 
     def test_not_converging_is_reported_not_raised(self):
         profile, samples, amb = small_instance()
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=3, conv_tol=1e-15))
+        report = solve(samples, profile, PARAMS, amb, RunConfig(itr_max=3, conv_tol=1e-15))
         assert report.converged is False
         assert report.iterations_used == 3
 
@@ -907,7 +906,7 @@ class TestSolve:
         rng = np.random.default_rng(31)
         samples = QualitySampleSet(rng.uniform(60, 100, 25))
         amb = ambiguity(25)
-        report = solve(samples, profile, PARAMS, amb, BcdConfig())
+        report = solve(samples, profile, PARAMS, amb, RunConfig())
         assert report.converged
         best = -np.inf
         candidates = inner_candidates(samples.samples, SUPPORT)
@@ -920,13 +919,13 @@ class TestSolve:
     def test_theta_one_collapses_to_zero_latency(self):
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         samples = QualitySampleSet(np.linspace(60, 100, 10))
-        report = solve(samples, profile, PARAMS, ambiguity(10), BcdConfig(max_iters=50))
+        report = solve(samples, profile, PARAMS, ambiguity(10), RunConfig(itr_max=50))
         assert report.menu.latencies[0] == 0.0
         assert report.menu.rewards[0] == 0.0
 
     def test_trace_csv(self, tmp_path):
         profile, samples, amb = small_instance()
-        report = solve(samples, profile, PARAMS, amb, BcdConfig(max_iters=10, conv_tol=1e-15))
+        report = solve(samples, profile, PARAMS, amb, RunConfig(itr_max=10, conv_tol=1e-15))
         path = tmp_path / "trace.csv"
         write_trace_csv(report, path)
         lines = path.read_text().strip().splitlines()
@@ -941,7 +940,7 @@ class TestSolve:
 def reference_components():
     cfg = RunConfig()
     train = cfg.train_samples()
-    return train, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg.bcd_config()
+    return train, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg
 
 
 class TestReferenceSolves:
@@ -1051,7 +1050,7 @@ class TestStopReason:
 
     def test_iteration_budget(self, reference_components):
         train, profile, params, amb, cfg = reference_components
-        report = train_method("dro", train, profile, params, amb, replace(cfg, max_iters=3))
+        report = train_method("dro", train, profile, params, amb, replace(cfg, itr_max=3))
         assert (report.converged, report.iterations_used, report.stop_reason) == (
             False,
             3,

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from drcontract.bcd import BcdConfig, SolveReport
+from drcontract.bcd import SolveReport
 from drcontract.config import RunConfig
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
@@ -24,8 +24,8 @@ def load_bench_script():
 
 def test_every_kernel_runs_once_on_a_small_instance():
     bench = load_bench_script()
-    cfg = replace(RunConfig(seed=0), thetas=(110.0, 140.0, 175.0), n_train=12)
-    calls, solve = bench.kernels(cfg, BcdConfig(max_iters=2))
+    cfg = replace(RunConfig(seed=0), thetas=(110.0, 140.0, 175.0), n_train=12, itr_max=2)
+    calls, solve = bench.kernels(cfg)
     assert list(calls) == ["objectives", "weighted_log", "iron_monotone", "rewards_from_latencies"]
     # the solver's batch cap at 3 types and 13 points: 2**15 // 39 menus
     omegas, wins = calls["objectives"]()
@@ -60,23 +60,23 @@ def test_ab_mode_records_paired_ratios(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "REPEATS", 3)
 
     def tiny(package):
-        bcd, config = bench.modules(package, "bcd", "config")
-        cfg = replace(config.RunConfig(seed=0), thetas=(110.0, 140.0, 175.0), n_train=12)
-        return [("tiny", cfg, bcd.BcdConfig(max_iters=2))]
+        (config,) = bench.modules(package, "config")
+        cfg = replace(config.RunConfig(seed=0), thetas=(110.0, 140.0, 175.0), n_train=12, itr_max=2)
+        return [("tiny", cfg)]
 
     def tiny_oracle(package):
         config, evaluation = bench.modules(package, "config", "evaluation")
         cfg = replace(config.RunConfig(seed=0), thetas=(110.0, 140.0), n_train=5)
         samples = cfg.train_samples()
-        args = (cfg.profile(), samples, cfg.params(), cfg.ambiguity_for(samples.n), 1.0)
-        return {"oracle_tiny": lambda: evaluation.oracle_menu_search(*args, l_max=20.0)}
+        args = (cfg.profile(), samples, cfg.params(), cfg.ambiguity_for(samples.n), 1.0, 20.0)
+        return {"oracle_tiny": lambda: evaluation.oracle_menu_search(*args, lambda_max=10.0)}
 
     def tiny_solve(package):
         bcd, config = bench.modules(package, "bcd", "config")
-        cfg = replace(config.RunConfig(seed=0), thetas=(110.0, 140.0), n_train=5)
+        cfg = replace(config.RunConfig(seed=0), thetas=(110.0, 140.0), n_train=5, itr_max=3)
         samples = cfg.train_samples()
-        args = (samples, cfg.profile(), cfg.params(), cfg.ambiguity_for(samples.n))
-        return lambda: bcd.solve(*args, bcd.BcdConfig(max_iters=3))
+        args = (samples, cfg.profile(), cfg.params(), cfg.ambiguity_for(samples.n), cfg)
+        return lambda: bcd.solve(*args)
 
     monkeypatch.setattr(bench, "instances", tiny)
     monkeypatch.setattr(bench, "contaminated_solve", tiny_solve)

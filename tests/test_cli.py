@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from drcontract import errors, radius
+from drcontract import ContractMenu, check_feasibility, errors, load_config, radius
+from drcontract import read_menu_csv, write_menu_csv
 from drcontract.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 
 TOY_CONFIG = """
@@ -100,6 +101,38 @@ class TestEvaluate:
 
     def test_missing_menu_is_data_error(self, toy_config, tmp_path):
         assert run("evaluate", "--config", toy_config, "--out", tmp_path / "o") == EXIT_DATA
+
+    def test_menu_with_scaled_rewards_breaks_participation(self, tmp_path, toy_config, capsys):
+        out = tmp_path / "out"
+        assert run("solve", "--config", toy_config, "--out", out) == 0
+        solved = read_menu_csv(out / "menu.csv")
+        scaled = ContractMenu(solved.latencies, 0.1 * solved.rewards)
+        menu = tmp_path / "scaled.csv"
+        write_menu_csv(scaled, menu)
+        # both kinds of constraint break; the first participation one is named
+        report = check_feasibility(scaled, load_config(toy_config).profile(), 1.0)
+        assert report.ir_violations and report.ic_violations
+        i, utility = report.ir_violations[0]
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(TOY_CONFIG + f"menu_csv = {menu}\n")
+        capsys.readouterr()
+        assert run("evaluate", "--config", cfg, "--out", out) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = f"data error: {menu}: type {i + 1} breaks participation: utility {utility!r}\n"
+        assert captured.err == expected
+
+    def test_menu_breaking_self_selection_alone_is_data_error(self, tmp_path, toy_config, capsys):
+        # both types participate, but the low type prefers the high bundle:
+        # 110 * 0.2 - 10 = 12 over its own 0
+        menu = tmp_path / "menu.csv"
+        menu.write_text("type_index,L,R\n1,0.0,0.0\n2,10.0,0.2\n")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(TOY_CONFIG + f"menu_csv = {menu}\n")
+        assert run("evaluate", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
+        expected = f"data error: {menu}: type 1 breaks self-selection: prefers type 2's bundle by "
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(expected) and float(line[len(expected) :]) == pytest.approx(12.0)
 
 
 class TestBench:
@@ -350,7 +383,7 @@ class TestExitCodes:
             ("lambda_init = 0\neta_lambda = 1e308", "multiplier iterate inf"),
             # the start point's evaluation overflows lam*|anchor - lo|
             ("lambda_init = 1e308\neta_lambda = 0", "objective -inf at lam=1e+308"),
-            # the first latency step overflows eta_L times the gradient
+            # the first latency step overflows eta_l times the gradient
             ("gamma2 = 1e-6\neta_l = 1e308", "latency step [inf, inf"),
         ]:
             cfg = tmp_path / "c.cfg"

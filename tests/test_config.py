@@ -10,7 +10,7 @@ from drcontract import (
     load_config,
 )
 from drcontract import config
-from drcontract.cli import EXIT_OK, dispatch
+from drcontract.cli import EXIT_CONFIG, EXIT_OK, dispatch, main
 from drcontract.config import (
     DEFAULT_THETAS,
     RunConfig,
@@ -41,7 +41,6 @@ class TestDefaults:
         cfg = RunConfig()
         assert cfg.profile().n_types == 8
         assert cfg.ambiguity_for(200).epsilon == pytest.approx(8.5839, abs=1e-3)
-        assert cfg.bcd_config().max_iters == 1500
 
 
 class TestParsing:
@@ -111,11 +110,32 @@ class TestValidation:
             load_config(path)
 
     @pytest.mark.parametrize("key", ["n_train", "n_eval"])
-    def test_sample_count_past_intp_rejected(self, key):
-        top = np.iinfo(np.intp).max
+    def test_sample_count_past_the_budget_rejected(self, key):
+        # only constructed: a solve at these sizes would not fit in memory
+        top = config._MAX_SAMPLES
         RunConfig(**{key: top})
-        with pytest.raises(ValidationError, match=f"must lie in \\[1, {top}\\]"):
-            RunConfig(**{key: top + 1})
+        for count in (top + 1, 10**12):
+            with pytest.raises(ValidationError, match=f"must lie in \\[1, {top}\\]"):
+                RunConfig(**{key: count})
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("itr_max", 0, "itr_max must be >= 1"),
+            ("conv_tol", 0.0, "conv_tol must be > 0"),
+            ("eta_l", -1.0, "eta_l must be >= 0"),
+            ("eta_lambda", -1e-3, "eta_lambda must be >= 0"),
+            ("lambda_init", -6.0, "lambda_init must be >= 0"),
+        ],
+    )
+    def test_each_loop_key_check_names_the_key(self, tmp_path, capsys, key, value, message):
+        with pytest.raises(ValidationError) as err:
+            RunConfig(**{key: value})
+        assert str(err.value) == message
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_decreasing_thetas_rejected(self):
         with pytest.raises(ValidationError):
@@ -231,10 +251,11 @@ class TestEveryKeyChangesAResult:
         oracle_l_max=20.0,
     )
     # written to the test's temporary directory: the base config's menu and
-    # the files the *_csv keys below name
+    # the files the *_csv keys below name; both menus satisfy participation
+    # and self-selection, which evaluate checks
     FILES = {
-        "menu.csv": "type_index,L,R\n1,10.0,0.09\n2,20.0,0.16\n",
-        "other-menu.csv": "type_index,L,R\n1,5.0,0.04\n2,25.0,0.2\n",
+        "menu.csv": "type_index,L,R\n1,10.0,0.1\n2,20.0,0.18\n",
+        "other-menu.csv": "type_index,L,R\n1,5.0,0.05\n2,25.0,0.2\n",
         "train.csv": "xi\n70.0\n80.0\n90.0\n",
         "eval.csv": "xi\n65.0\n95.0\n",
     }

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
-    BcdConfig,
     ContractMenu,
     DataError,
     NonPositiveLogArgument,
@@ -217,7 +216,7 @@ class TestOracle:
         amb = AmbiguityConfig(SupportInterval(-10.0, 100.0), 5.0)
         samples = QualitySampleSet([50.0, 70.0])
         with pytest.raises(NonPositiveLogArgument) as err:
-            oracle_menu_search(profile, samples, PARAMS, amb, 0.5, l_max=5.0)
+            oracle_menu_search(profile, samples, PARAMS, amb, 0.5, l_max=5.0, lambda_max=10.0)
         assert err.value.sample_index == 0
         assert str(err.value) == "log argument -10.0 at xi=-10.0 must be > 0"
 
@@ -228,7 +227,9 @@ class TestOracle:
         samples = QualitySampleSet(np.linspace(61, 99, 10))
         amb = AmbiguityConfig(SUPPORT, 1e3)
         step = 0.05
-        omega, lat = oracle_menu_search(profile, samples, PARAMS, amb, step, l_max=120.0)
+        omega, lat = oracle_menu_search(
+            profile, samples, PARAMS, amb, step, l_max=120.0, lambda_max=10.0
+        )
         assert lat[0] == pytest.approx(150.0 - 60.0, abs=step + 1e-9)
 
     def test_incumbent_dominance_and_agreement_with_objective(self):
@@ -259,8 +260,12 @@ class TestOracle:
         profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
         samples = QualitySampleSet(np.linspace(62, 98, 8))
         amb = AmbiguityConfig.derive(SUPPORT, 0.95, 8)
-        coarse, _ = oracle_menu_search(profile, samples, PARAMS, amb, 0.1, l_max=60.0)
-        fine, _ = oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=60.0)
+        coarse, _ = oracle_menu_search(
+            profile, samples, PARAMS, amb, 0.1, l_max=60.0, lambda_max=10.0
+        )
+        fine, _ = oracle_menu_search(
+            profile, samples, PARAMS, amb, 0.05, l_max=60.0, lambda_max=10.0
+        )
         assert fine >= coarse - 1e-9
 
     @pytest.mark.parametrize("l_max, lambda_max", [(math.inf, 1.0), (5.0, math.inf), (5.0, -1.0)])
@@ -276,7 +281,7 @@ class TestOracle:
         samples = QualitySampleSet([70.0])
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
         with pytest.raises(ValidationError, match="evaluation budget"):
-            oracle_menu_search(profile, samples, PARAMS, amb, 0.05)
+            oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=50.0, lambda_max=10.0)
 
     @pytest.mark.parametrize("n_types", [1, 2, 3, 4])
     def test_monotone_chunks_match_lexicographic_enumeration(self, n_types):
@@ -294,7 +299,7 @@ class TestOracle:
         samples = QualitySampleSet(np.linspace(60, 100, 200))
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 200)
         with pytest.raises(ValidationError, match="evaluation budget"):
-            oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=100.0)
+            oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=100.0, lambda_max=10.0)
 
     def test_rejects_grid_tables_over_memory_budget(self):
         # 1e8 grid values x 1 sample fits the evaluation budget, but the log
@@ -303,7 +308,7 @@ class TestOracle:
         samples = QualitySampleSet([70.0])
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
         with pytest.raises(ValidationError, match="table budget"):
-            oracle_menu_search(profile, samples, PARAMS, amb, 1.0, l_max=1e8 - 1)
+            oracle_menu_search(profile, samples, PARAMS, amb, 1.0, l_max=1e8 - 1, lambda_max=10.0)
 
     @pytest.mark.parametrize("grid_step, l_max", [(1e-300, 1e10), (1.0, 1e7), (1.0, 2e6 - 1)])
     def test_rejects_grids_past_the_table_budget(self, grid_step, l_max):
@@ -313,7 +318,9 @@ class TestOracle:
         samples = QualitySampleSet([70.0])
         amb = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
         with pytest.raises(ValidationError, match="table budget"):
-            oracle_menu_search(profile, samples, PARAMS, amb, grid_step, l_max=l_max)
+            oracle_menu_search(
+                profile, samples, PARAMS, amb, grid_step, l_max=l_max, lambda_max=10.0
+            )
 
     @pytest.mark.parametrize("n_types", [64, 70])
     def test_one_grid_value_at_many_types(self, n_types):
@@ -324,7 +331,9 @@ class TestOracle:
         )
         samples = QualitySampleSet([70.0, 85.0, 95.0])
         amb = AmbiguityConfig.derive(SUPPORT, 0.99, 3)
-        omega, lat = oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=0.0)
+        omega, lat = oracle_menu_search(
+            profile, samples, PARAMS, amb, 0.05, l_max=0.0, lambda_max=10.0
+        )
         assert lat.tolist() == [0.0] * n_types
         assert omega == grid_max_objective(lat, profile, samples, amb, 0.05, 10.0)
 
@@ -338,7 +347,8 @@ class TestOracle:
         # the latency grid stops at the last multiple of the step at or
         # below l_max
         for l_max in (20.0, 20.9):
-            assert oracle_menu_search(*args, l_max=l_max)[1].tolist() == [20.0, 20.0]
+            _, lat = oracle_menu_search(*args, l_max=l_max, lambda_max=10.0)
+            assert lat.tolist() == [20.0, 20.0]
         candidates = inner_candidates(samples.samples, amb.support)
 
         def value(lam):
@@ -356,7 +366,7 @@ class TestOracle:
         profile = AspTypeProfile(thetas=[120.0, 180.0], alphas=[0.5, 0.5])
         samples = QualitySampleSet(rng.uniform(60, 100, 10))
         amb = AmbiguityConfig.derive(SUPPORT, 0.99, 10)
-        report = solve(samples, profile, PARAMS, amb, BcdConfig())
+        report = solve(samples, profile, PARAMS, amb, RunConfig())
         omega, _ = oracle_menu_search(
             profile, samples, PARAMS, amb, 0.1, l_max=150.0, lambda_max=5.0
         )
@@ -408,7 +418,9 @@ class TestOracle:
         profile = AspTypeProfile(thetas=[150.0], alphas=[1.0])
         samples = QualitySampleSet(np.linspace(61, 99, 10))
         amb = AmbiguityConfig.derive(SUPPORT, 0.95, 10)
-        omega, lat = oracle_menu_search(profile, samples, PARAMS, amb, 0.05, l_max=120.0)
+        omega, lat = oracle_menu_search(
+            profile, samples, PARAMS, amb, 0.05, l_max=120.0, lambda_max=10.0
+        )
         assert omega == 4.410635294096256
         assert lat.tolist() == [90.0]
         assert omega == grid_max_objective(lat, profile, samples, amb, 0.05, 10.0)

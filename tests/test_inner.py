@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
-    BcdConfig,
     DataError,
     NonPositiveLogArgument,
     NumericError,
+    RunConfig,
     SupportInterval,
     UtilityParams,
     ValidationError,
@@ -481,7 +481,7 @@ class TestMultiplierArgmax:
         # seed 0, against a radius of about 8.58
         amb = default_cfg.ambiguity_for(train_samples.n)
         zero_menu = np.zeros(default_profile.n_types)
-        dro_menu = solve(train_samples, default_profile, PARAMS, amb, BcdConfig()).menu.latencies
+        dro_menu = solve(train_samples, default_profile, PARAMS, amb, RunConfig()).menu.latencies
         for count, distance in ((0, 0.0), (50, 14.75), (100, 29.5)):
             contaminated = inject_extreme_points(train_samples, count, 1.0, 0)
             candidates = inner_candidates(contaminated.samples, amb.support)

@@ -7,7 +7,6 @@ import pytest
 from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
-    BcdConfig,
     QualitySampleSet,
     RunConfig,
     SupportInterval,
@@ -22,8 +21,8 @@ PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
 
 
-def train_sp(samples, profile, bcd_cfg=None):
-    return train_method("sp", samples, profile, PARAMS, AmbiguityConfig(SUPPORT, 0.0), bcd_cfg)
+def train_sp(samples, profile, cfg=None):
+    return train_method("sp", samples, profile, PARAMS, AmbiguityConfig(SUPPORT, 0.0), cfg)
 
 
 def train_ro(support, profile, samples=QualitySampleSet([80.0])):
@@ -44,8 +43,8 @@ class TestSampleAverage:
         # sp IS the shared engine run in pinned mode, and the engine holds
         # the multiplier at zero whatever the configured initial value
         profile, samples = instance()
-        direct = train_sp(samples, profile, BcdConfig(lambda_init=6.0))
-        engine = solve_pinned(samples.samples, profile, PARAMS, BcdConfig(lambda_init=0.0))
+        direct = train_sp(samples, profile, RunConfig(lambda_init=6.0))
+        engine = solve_pinned(samples.samples, profile, PARAMS, RunConfig(lambda_init=0.0))
         assert direct.objective == engine.objective
         np.testing.assert_array_equal(direct.menu.latencies, engine.menu.latencies)
         assert np.all(direct.lambda_trace == 0.0)
@@ -145,7 +144,7 @@ class TestScorerAgreement:
         cfg = self.CFG
         train = cfg.train_samples()
         amb = cfg.ambiguity_for(train.n)
-        return train_method(method, train, cfg.profile(), cfg.params(), amb, cfg.bcd_config())
+        return train_method(method, train, cfg.profile(), cfg.params(), amb, cfg)
 
     def test_sp_objective_is_its_training_score(self):
         report = self.train("sp")
