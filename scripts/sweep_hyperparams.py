@@ -33,10 +33,10 @@ TAU_GRID = (0.8, 0.85, 0.9, 0.95, 0.99)
 def run_sweep(name, settings, cfg_for, out: Path) -> None:
     metrics_rows, asp_rows = [], []
     for value in settings:
-        table = run_benchmark(replace(cfg_for(value), extreme_counts=(0,)), ("dro",))
-        metrics_rows += [(value, s, u) for _, _, s, u in table.teleop_rows]
-        asp_rows += [(value, i, u) for _, _, i, u in table.asp_rows]
-        print(f"{name}={value}: shift-0 utility {table.teleop_rows[0][3]:.4f}")
+        teleop, asp = run_benchmark(replace(cfg_for(value), extreme_counts=(0,)), ("dro",))
+        metrics_rows += [(value, s, u) for _, _, s, u in teleop]
+        asp_rows += [(value, i, u) for _, _, i, u in asp]
+        print(f"{name}={value}: shift-0 utility {teleop[0][3]:.4f}")
     metrics_path = out / f"sweep_{name}_metrics.csv"
     asp_path = out / f"sweep_{name}_asp.csv"
     write_table(metrics_path, [name, "shift", "mean_teleop_utility"], metrics_rows)

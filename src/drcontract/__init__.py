@@ -50,7 +50,6 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    MetricsTable,
     eval_asp_utilities,
     eval_teleop_utility,
     oracle_menu_search,

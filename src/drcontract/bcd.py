@@ -223,13 +223,11 @@ def solve(
 
     def minimizers(wins):
         distances = np.where(wins, candidates.p_distance, candidates.lo_distance)
-        return np.where(wins, scaled_p, scaled_lo), distances
+        return np.where(wins, scaled_p, scaled_lo), grad_lambda(distances, ambiguity.epsilon)
 
     cfg = cfg or RunConfig()
     points = candidates.points.size
-    report = _ascend(
-        ambiguity.epsilon, evaluate, minimizers, points, profile, params, cfg, cfg.lambda_init
-    )
+    report = _ascend(evaluate, minimizers, points, profile, params, cfg, cfg.lambda_init)
     if unbounded(candidates, ambiguity.epsilon):
         report.stop_reason = "unbounded"
     return report
@@ -239,13 +237,15 @@ def solve_pinned(anchors, profile, params, cfg: RunConfig = None) -> SolveReport
     """Ascent with the inner point pinned to each anchor and a zero radius.
 
     The transport penalty vanishes because the evaluation point equals the
-    anchor, so the anchors are the inner minimizers and the multiplier
-    gradient is identically zero: the multiplier is held at zero from the
-    start whatever ``cfg.lambda_init`` says.  The loop keys and stopping
-    rule are otherwise the robust solver's.
+    anchor, so the anchors are the inner minimizers, at transport distance
+    zero: ``minimizers`` returns gamma2 times the anchors and a multiplier
+    gradient of 0.0, the float ``grad_lambda`` gives for zero distances and
+    a zero radius.  The multiplier is held at zero from the start whatever
+    ``cfg.lambda_init`` says.  The loop keys and stopping rule are otherwise
+    the robust solver's.
     """
     anchors = sample_values(anchors)
-    scaled, distances = params.gamma2 * anchors, np.zeros(anchors.size)
+    scaled = params.gamma2 * anchors
 
     def evaluate(lat, lam):
         g = expected_reward(rewards_from_latencies(lat, profile, params.gamma1), profile.alphas)
@@ -253,22 +253,23 @@ def solve_pinned(anchors, profile, params, cfg: RunConfig = None) -> SolveReport
         return omega, np.zeros((len(lat), 0), dtype=bool)  # no inner choice, so no winners
 
     def minimizers(wins):
-        return scaled, distances
+        return scaled, 0.0
 
     cfg = cfg or RunConfig()
-    return _ascend(0.0, evaluate, minimizers, anchors.size, profile, params, cfg, 0.0)
+    return _ascend(evaluate, minimizers, anchors.size, profile, params, cfg, 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg, lam) -> SolveReport:
+def _ascend(evaluate, minimizers, points, profile, params, cfg, lam) -> SolveReport:
     """The ascent engine, from all-``cfg.l_init`` latencies and the
     multiplier ``lam``, with ``cfg``'s step sizes ``eta_l`` and
     ``eta_lambda``, iteration budget ``itr_max`` and threshold ``conv_tol``.
     ``evaluate(lat, lam)`` takes a ``(K, I)`` stack of latency iterates and
     their K multipliers and returns the K objective values and a row of
     inner winners per iterate; ``minimizers(wins)`` returns, at the inner
-    minimizers xi* one row of winners picks, gamma2*xi* and the transport
-    distances |anchor - xi*|.  Together they fix the inner rule.
+    minimizers xi* one row of winners picks, gamma2*xi* and the multiplier
+    gradient there (:func:`grad_lambda` of the transport distances
+    |anchor - xi*| and the radius).  Together they fix the inner rule.
     ``points`` is the number of points ``evaluate`` takes the log benefit
     at.
 
@@ -322,7 +323,7 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg, lam) ->
     wins = evaluate(lat[None], np.array([lam]))[1][0]
     cap = rows_per_block(profile.n_types * points)
 
-    def steps(lat, lam, size, scaled_xi, distances):
+    def steps(lat, lam, size, scaled_xi, lam_gradient):
         """``size`` steps from (lat, lam), all at the minimizers given: the
         ``(size, I)`` latency iterates and their multipliers."""
         scaled_lat = np.empty(profile.n_types)
@@ -330,7 +331,7 @@ def _ascend(epsilon, evaluate, minimizers, points, profile, params, cfg, lam) ->
         # apart, as the trace keeps views of the iterates but not of the raw steps
         raws, lats = np.empty((size, profile.n_types)), np.empty((size, profile.n_types))
         lams = np.empty(size)
-        lam_step = cfg.eta_lambda * grad_lambda(distances, epsilon)  # fixed by the minimizers
+        lam_step = cfg.eta_lambda * lam_gradient  # fixed by the minimizers
         for j, (raw, row) in enumerate(zip(raws, lats)):
             np.multiply(params.gamma3, lat, out=scaled_lat)
             gradient = _gradient(scaled_xi, scaled_lat, alphas, price, params.gamma3, table, raw)

@@ -19,6 +19,7 @@ from .contracts import check_feasibility, read_menu_csv, write_menu_csv, write_p
 from .errors import DataError, NumericError, ParseError, ValidationError
 from .evaluation import (
     CANONICAL_METHODS,
+    check_oracle_grid,
     eval_asp_utilities,
     eval_teleop_utility,
     oracle_menu_search,
@@ -137,11 +138,11 @@ def _cmd_evaluate(cfg: RunConfig, method: str, out: Path) -> None:
 
 
 def _cmd_bench(cfg: RunConfig, method: str, out: Path) -> None:
-    table = run_benchmark(cfg)
-    write_metrics_csv(table, out / "metrics.csv")
-    write_asp_csv(table, out / "asp_utility.csv")
-    print(f"wrote {out / 'metrics.csv'} ({len(table.teleop_rows)} rows)")
-    print(f"wrote {out / 'asp_utility.csv'} ({len(table.asp_rows)} rows)")
+    teleop_rows, asp_rows = run_benchmark(cfg)
+    write_metrics_csv(teleop_rows, out / "metrics.csv")
+    write_asp_csv(asp_rows, out / "asp_utility.csv")
+    print(f"wrote {out / 'metrics.csv'} ({len(teleop_rows)} rows)")
+    print(f"wrote {out / 'asp_utility.csv'} ({len(asp_rows)} rows)")
 
 
 def _cmd_oracle(cfg: RunConfig, method: str, out: Path) -> None:
@@ -156,16 +157,10 @@ def _cmd_oracle(cfg: RunConfig, method: str, out: Path) -> None:
             f"to the support exceeds the radius epsilon = {ambiguity.epsilon!r}: the "
             "robust objective is unbounded in the multiplier"
         )
+    grid = cfg.oracle_grid_step, cfg.oracle_l_max, cfg.oracle_lambda_max
+    check_oracle_grid(profile.n_types, train.n, *grid)  # a grid past a budget costs no solve
     report = train_method("dro", train, profile, params, ambiguity, cfg)
-    best_omega, best_lat = oracle_menu_search(
-        profile,
-        train,
-        params,
-        ambiguity,
-        cfg.oracle_grid_step,
-        l_max=cfg.oracle_l_max,
-        lambda_max=cfg.oracle_lambda_max,
-    )
+    best_omega, best_lat = oracle_menu_search(profile, train, params, ambiguity, *grid)
     gap = best_omega - report.objective
     print(f"bcd_objective {report.objective!r}")
     print(f"oracle_objective {best_omega!r}")

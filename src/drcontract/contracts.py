@@ -19,6 +19,7 @@ from .csvio import read_indexed_table, write_table
 from .errors import DataError, NumericError, ParseError, ValidationError
 
 MONOTONE_TOL = 1e-12
+FEASIBILITY_TOL = 1e-9  # slack of each participation and self-selection check
 
 
 def _as_readonly_array(values) -> np.ndarray:
@@ -116,15 +117,15 @@ class FeasibilityReport:
     """Outcome of enumerating every participation and self-selection check.
 
     Indices are 0-based.  ``ir_violations`` holds (i, utility) pairs with
-    utility < -tol; ``ic_violations`` holds (i, j, deficit) triples where
-    type i strictly prefers bundle j by more than tol.
+    utility < -FEASIBILITY_TOL; ``ic_violations`` holds (i, j, deficit)
+    triples where type i strictly prefers bundle j by more than
+    FEASIBILITY_TOL.
     """
 
     ir_violations: list = field(default_factory=list)
     ic_violations: list = field(default_factory=list)
     latencies_monotone: bool = True
     rewards_monotone: bool = True
-    tol: float = 1e-9
 
     @property
     def feasible(self) -> bool:
@@ -194,10 +195,7 @@ def running_sums(terms):
 
 
 def check_feasibility(
-    menu: ContractMenu,
-    profile: AspTypeProfile,
-    gamma1: float,
-    tol: float = 1e-9,
+    menu: ContractMenu, profile: AspTypeProfile, gamma1: float
 ) -> FeasibilityReport:
     """Enumerate all I participation and I(I-1) self-selection constraints.
 
@@ -207,18 +205,18 @@ def check_feasibility(
         raise DataError("menu and profile must have the same length")
     lat, rew, thetas = menu.latencies, menu.rewards, profile.thetas
     n = menu.n_types
-    report = FeasibilityReport(tol=tol)
+    report = FeasibilityReport()
     report.latencies_monotone = not np.any(np.diff(lat) < -MONOTONE_TOL)
     report.rewards_monotone = not np.any(np.diff(rew) < -MONOTONE_TOL)
     own = thetas * rew - gamma1 * lat
     for i in range(n):
-        if own[i] < -tol:
+        if own[i] < -FEASIBILITY_TOL:
             report.ir_violations.append((i, float(own[i])))
         for j in range(n):
             if j == i:
                 continue
             cross = thetas[i] * rew[j] - gamma1 * lat[j]
-            if own[i] < cross - tol:
+            if own[i] < cross - FEASIBILITY_TOL:
                 report.ic_violations.append((i, j, float(cross - own[i])))
     return report
 

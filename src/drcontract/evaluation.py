@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,24 +48,6 @@ _GRID_TABLE_BUDGET = 1e7  # 8-byte entries in the oracle's grid-sized tables: 80
 _CHUNK_ENTRIES = 2**17
 _BOUND_SLACK = 2.0**-51  # four unit roundoffs per rounding step; see _Bound
 _BOX_POINTS = 64  # about this many latency points per box of the oracle's search
-
-
-@dataclass
-class MetricsTable:
-    """Rows behind the benchmark figures.
-
-    teleop_rows: (method, extreme_count, shift, mean_teleop_utility)
-    asp_rows:    (method, extreme_count, type_index, asp_utility)
-    """
-
-    teleop_rows: list = field(default_factory=list)
-    asp_rows: list = field(default_factory=list)
-
-    def teleop(self, method: str, shift: float, extreme_count: int = None) -> float:
-        for m, ec, s, v in self.teleop_rows:
-            if m == method and s == shift and (extreme_count is None or ec == extreme_count):
-                return v
-        raise KeyError((method, shift, extreme_count))
 
 
 def eval_teleop_utility(
@@ -121,15 +102,18 @@ def train_method(
     raise ValidationError(f"unknown method {method!r}; expected one of {CANONICAL_METHODS}")
 
 
-def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS) -> MetricsTable:
+def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS):
     """At each of the config's contamination levels, train each requested
     method on the contaminated training data, then score it on the
     evaluation data at every shift magnitude.
 
-    Levels run in the config's order and methods in the canonical order,
-    so output files are deterministic for a given seed.  Every level's
-    contaminated set is built before any method trains, so a level past the
-    sample count raises its DataError before any training.
+    Returns ``(teleop_rows, asp_rows)``, the rows behind the benchmark
+    figures: ``(method, extreme_count, shift, mean_teleop_utility)`` per
+    scored cell and ``(method, extreme_count, type_index, asp_utility)``
+    per trained type.  Levels run in the config's order and methods in the
+    canonical order, so output files are deterministic for a given seed.
+    Every level's contaminated set is built before any method trains, so a
+    level past the sample count raises its DataError before any training.
     """
     requested = set(methods)
     unknown = requested.difference(CANONICAL_METHODS)
@@ -140,7 +124,7 @@ def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS) -> MetricsTable:
     profile = cfg.profile()
     params = cfg.params()
     ambiguity = cfg.ambiguity_for(train.n)
-    table = MetricsTable()
+    teleop_rows, asp_rows = [], []
     levels = [
         (count, inject_extreme_points(train, count, cfg.extreme_value, cfg.seed))
         for count in cfg.extreme_counts
@@ -153,10 +137,10 @@ def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS) -> MetricsTable:
             for magnitude in map(float, cfg.shift_magnitudes):
                 shifted = shift_samples(evals, magnitude)
                 utility = eval_teleop_utility(report.menu, shifted, profile, params)
-                table.teleop_rows.append((method, count, magnitude, utility))
+                teleop_rows.append((method, count, magnitude, utility))
             for i, utility in enumerate(eval_asp_utilities(report.menu, profile, params.gamma1)):
-                table.asp_rows.append((method, count, i + 1, float(utility)))
-    return table
+                asp_rows.append((method, count, i + 1, float(utility)))
+    return teleop_rows, asp_rows
 
 
 # ---------------------------------------------------------------------------
@@ -220,44 +204,12 @@ def oracle_menu_search(
     exactly.  Where the multiplier's argmax is positive the bounds are
     loose: on the three-type instance of ``scripts/bench_kernels.py``
     (S = 4), the points of 6,318 of the 6,545 boxes are bounded and 362,510
-    of the 383,306 points are evaluated exactly.
-
-    The evaluation budget caps (latency points) x (samples) at
-    ``_EVALUATION_BUDGET``, the work if nothing were pruned.  A second term
-    caps the tables sized by the grid (the grid values, the log table, its
-    per-type scaled copies and the point bound's two per-type tables) or by
-    its cells (the box bound's two per-type tables and the per-type counts
-    of nondecreasing cell tuples) at ``_GRID_TABLE_BUDGET`` = 1e7 entries,
-    80 MB; the criterion-05 instance at grid step 0.025 needs about 1.4e5,
-    and a grid of 1e7 steps or more is over it.  Each excess raises
-    ValidationError before any table is built.
+    of the 383,306 points are evaluated exactly.  A grid past a budget
+    raises before any table is built (:func:`check_oracle_grid`).
     """
-    if not grid_step > 0.0:
-        raise ValidationError("grid_step must be > 0")
-    if not (0.0 <= l_max < math.inf and 0.0 <= lambda_max < math.inf):
-        raise ValidationError("l_max and lambda_max must be finite and >= 0")
-    if not l_max / grid_step < _GRID_TABLE_BUDGET:
-        raise ValidationError(
-            f"l_max / grid_step is over the {_GRID_TABLE_BUDGET:.0e} table budget"
-        )
-    n_l = int(math.floor(l_max / grid_step + 1e-9)) + 1
-    n_types = profile.n_types
-    n_tuples = math.comb(n_l + n_types - 1, n_types)
     anchors = np.asarray(samples.samples, dtype=float)
-    if n_tuples * anchors.size > _EVALUATION_BUDGET:
-        raise ValidationError(
-            f"{n_tuples} latency points x {anchors.size} samples exceeds "
-            f"the {_EVALUATION_BUDGET:.0e} evaluation budget"
-        )
-    size = round(_BOX_POINTS ** (1.0 / n_types))
-    n_cells = -(-n_l // size)
-    table_entries = n_l * (1 + (n_types + 1) * (anchors.size + 1) + 2 * n_types)
-    table_entries += n_types * (3 * n_cells + 1)
-    if table_entries > _GRID_TABLE_BUDGET:
-        raise ValidationError(
-            f"{n_l} grid values x {anchors.size} samples need {table_entries} table "
-            f"entries, over the {_GRID_TABLE_BUDGET:.0e} table budget"
-        )
+    n_types = profile.n_types
+    n_l, size, n_cells = check_oracle_grid(n_types, anchors.size, grid_step, l_max, lambda_max)
     values = grid_step * np.arange(n_l)
     candidates = inner_candidates(anchors, ambiguity.support)
     eps = ambiguity.epsilon
@@ -294,6 +246,49 @@ def oracle_menu_search(
         bound = box_bound(cells, *_box_rewards(cells, size, values, profile, params.gamma1))
         best_first(bound, lambda rows: search(cells[rows]))
     return float(best_omega), values[list(best_point)]
+
+
+def check_oracle_grid(n_types: int, n_samples: int, grid_step, l_max, lambda_max):
+    """The grid of :func:`oracle_menu_search` for ``n_types`` types and
+    ``n_samples`` samples, ``(n_l, size, n_cells)``: its values per type,
+    its cell size S and its cell count.  Raises ValidationError, so that a
+    caller can refuse a grid before it trains, on a step that is not
+    positive, a bound that is negative or not finite, and a grid past a
+    budget.
+
+    The evaluation budget caps (latency points) x (samples) at
+    ``_EVALUATION_BUDGET``, the work if nothing were pruned.  A second term
+    caps the tables sized by the grid (the grid values, the log table, its
+    per-type scaled copies and the point bound's two per-type tables) or by
+    its cells (the box bound's two per-type tables and the per-type counts
+    of nondecreasing cell tuples) at ``_GRID_TABLE_BUDGET`` = 1e7 entries,
+    80 MB; the criterion-05 instance at grid step 0.025 needs about 1.4e5,
+    and a grid of 1e7 steps or more is over it."""
+    if not grid_step > 0.0:
+        raise ValidationError("grid_step must be > 0")
+    if not (0.0 <= l_max < math.inf and 0.0 <= lambda_max < math.inf):
+        raise ValidationError("l_max and lambda_max must be finite and >= 0")
+    if not l_max / grid_step < _GRID_TABLE_BUDGET:
+        raise ValidationError(
+            f"l_max / grid_step is over the {_GRID_TABLE_BUDGET:.0e} table budget"
+        )
+    n_l = int(math.floor(l_max / grid_step + 1e-9)) + 1
+    n_tuples = math.comb(n_l + n_types - 1, n_types)
+    if n_tuples * n_samples > _EVALUATION_BUDGET:
+        raise ValidationError(
+            f"{n_tuples} latency points x {n_samples} samples exceeds "
+            f"the {_EVALUATION_BUDGET:.0e} evaluation budget"
+        )
+    size = round(_BOX_POINTS ** (1.0 / n_types))
+    n_cells = -(-n_l // size)
+    table_entries = n_l * (1 + (n_types + 1) * (n_samples + 1) + 2 * n_types)
+    table_entries += n_types * (3 * n_cells + 1)
+    if table_entries > _GRID_TABLE_BUDGET:
+        raise ValidationError(
+            f"{n_l} grid values x {n_samples} samples need {table_entries} table "
+            f"entries, over the {_GRID_TABLE_BUDGET:.0e} table budget"
+        )
+    return n_l, size, n_cells
 
 
 def _scaled_tables(points, values, profile: AspTypeProfile, params: UtilityParams):
@@ -512,10 +507,9 @@ def _psi(h, g, lam, candidates: InnerCandidates, eps: float) -> np.ndarray:
 # Benchmark CSV interfaces
 # ---------------------------------------------------------------------------
 
-def write_metrics_csv(table: MetricsTable, path) -> None:
-    header = ["method", "extreme_count", "shift", "mean_teleop_utility"]
-    write_table(path, header, table.teleop_rows)
+def write_metrics_csv(rows, path) -> None:
+    write_table(path, ["method", "extreme_count", "shift", "mean_teleop_utility"], rows)
 
 
-def write_asp_csv(table: MetricsTable, path) -> None:
-    write_table(path, ["method", "extreme_count", "type_index", "asp_utility"], table.asp_rows)
+def write_asp_csv(rows, path) -> None:
+    write_table(path, ["method", "extreme_count", "type_index", "asp_utility"], rows)

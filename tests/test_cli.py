@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from drcontract import ContractMenu, check_feasibility, errors, load_config, radius
+from drcontract import ContractMenu, check_feasibility, cli, errors, load_config, radius
 from drcontract import read_menu_csv, write_menu_csv
 from drcontract.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 
@@ -203,6 +203,21 @@ class TestOracleCommand:
         printed = capsys.readouterr().out
         lat_line = [l for l in printed.splitlines() if l.startswith("oracle_latencies ")][0]
         assert lat_line.split()[1].split(",") == ["0.0"] * n_types
+
+    def test_grid_past_the_evaluation_budget_exits_two_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 50001 grid values per type at 8 types and 200 samples
+        calls = []
+        monkeypatch.setattr(cli, "train_method", lambda *args: calls.append(args))
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("oracle_grid_step = 0.001\n")
+        assert run("oracle", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: 969509760234812507804087185403751 latency points x 200 samples "
+            "exceeds the 1e+08 evaluation budget\n"
+        )
+        assert calls == []
 
     @pytest.mark.parametrize("lambda_max", ["10", "20"])
     def test_unbounded_training_data_exits_three(self, tmp_path, capsys, lambda_max):

@@ -195,7 +195,7 @@ class TestCheckFeasibility:
         rng = np.random.default_rng(5)
         for _ in range(100):
             profile, lat = random_monotone_instance(rng)
-            report = check_feasibility(menu_from(lat, profile), profile, 1.0, tol=1e-9)
+            report = check_feasibility(menu_from(lat, profile), profile, 1.0)
             assert report.feasible, (report.ir_violations, report.ic_violations)
 
     def test_detects_ic_violation(self):
@@ -239,7 +239,7 @@ def test_property_constructed_menus_always_feasible(data, n):
     lat = np.sort(np.array(data.draw(st.lists(st.floats(0.0, 200.0), min_size=n, max_size=n))))
     profile = AspTypeProfile(thetas=thetas, alphas=alphas)
     menu = menu_from(lat, profile)
-    assert check_feasibility(menu, profile, 1.0, tol=1e-9).feasible
+    assert check_feasibility(menu, profile, 1.0).feasible
 
 
 def expected_teleop_utility(menu, profile, xi, params):

@@ -35,7 +35,6 @@ from drcontract import (
 from drcontract import evaluation
 from drcontract.config import RunConfig, generate_quality_samples
 from drcontract.evaluation import (
-    MetricsTable,
     _Bound,
     _box_points,
     _box_rewards,
@@ -717,33 +716,32 @@ class TestRunBenchmark:
     )
 
     def test_row_shapes_and_method_order(self):
-        table = run_benchmark(self.CFG, {"ro", "dro", "sp"})
-        assert len(table.teleop_rows) == 3 * 2
-        assert len(table.asp_rows) == 3 * 2
-        assert [r[0] for r in table.teleop_rows] == ["dro", "dro", "sp", "sp", "ro", "ro"]
+        teleop_rows, asp_rows = run_benchmark(self.CFG, {"ro", "dro", "sp"})
+        assert len(teleop_rows) == 3 * 2
+        assert len(asp_rows) == 3 * 2
+        assert [r[0] for r in teleop_rows] == ["dro", "dro", "sp", "sp", "ro", "ro"]
 
     def test_levels_then_methods_then_shifts(self):
-        table = run_benchmark(replace(self.CFG, extreme_counts=(0, 5)), {"sp", "dro"})
-        assert [r[:3] for r in table.teleop_rows] == [
+        cfg = replace(self.CFG, extreme_counts=(0, 5))
+        teleop_rows, asp_rows = run_benchmark(cfg, {"sp", "dro"})
+        assert [r[:3] for r in teleop_rows] == [
             (m, c, s) for c in (0, 5) for m in ("dro", "sp") for s in (0.0, 10.0)
         ]
-        assert [r[:3] for r in table.asp_rows] == [
+        assert [r[:3] for r in asp_rows] == [
             (m, c, t) for c in (0, 5) for m in ("dro", "sp") for t in (1, 2)
         ]
 
     def test_contamination_hits_training_only(self):
         cfg = replace(self.CFG, shift_magnitudes=(0.0,), extreme_counts=(0, 40))
-        table = run_benchmark(cfg, {"ro"})
+        (clean, contaminated), _ = run_benchmark(cfg, {"ro"})
         # the worst-case solver never reads samples, and evaluation data is
         # untouched, so full contamination changes nothing for it
-        assert table.teleop("ro", 0.0, 0) == pytest.approx(table.teleop("ro", 0.0, 40), abs=1e-12)
+        assert clean[:3] == ("ro", 0, 0.0) and contaminated[:3] == ("ro", 40, 0.0)
+        assert clean[3] == pytest.approx(contaminated[3], abs=1e-12)
 
     def test_deterministic(self):
         cfg = replace(self.CFG, extreme_counts=(5,), seed=11)
-        a = run_benchmark(cfg, {"dro", "sp"})
-        b = run_benchmark(cfg, {"dro", "sp"})
-        assert a.teleop_rows == b.teleop_rows
-        assert a.asp_rows == b.asp_rows
+        assert run_benchmark(cfg, {"dro", "sp"}) == run_benchmark(cfg, {"dro", "sp"})
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
@@ -758,12 +756,8 @@ class TestRunBenchmark:
         assert calls == []
 
     def test_csv_writers(self, tmp_path):
-        table = MetricsTable(
-            teleop_rows=[("dro", 0, 0.0, 4.5), ("sp", 0, 10.0, 4.4)],
-            asp_rows=[("dro", 0, 1, 0.0)],
-        )
-        write_metrics_csv(table, tmp_path / "metrics.csv")
-        write_asp_csv(table, tmp_path / "asp.csv")
+        write_metrics_csv([("dro", 0, 0.0, 4.5), ("sp", 0, 10.0, 4.4)], tmp_path / "metrics.csv")
+        write_asp_csv([("dro", 0, 1, 0.0)], tmp_path / "asp.csv")
         lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert lines[0] == "method,extreme_count,shift,mean_teleop_utility"
         assert lines[1] == "dro,0,0.0,4.5"
