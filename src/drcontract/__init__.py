@@ -31,9 +31,9 @@ from .config import (
 from .contracts import (
     AspTypeProfile,
     ContractMenu,
-    FeasibilityReport,
     UtilityParams,
     check_feasibility,
+    eval_asp_utilities,
     expected_reward,
     read_menu_csv,
     read_profile_csv,
@@ -50,7 +50,6 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    eval_asp_utilities,
     eval_teleop_utility,
     oracle_menu_search,
     run_benchmark,

@@ -15,12 +15,12 @@ from pathlib import Path
 from .ambiguity import write_samples_csv
 from .bcd import write_trace_csv
 from .config import RunConfig, load_config
-from .contracts import check_feasibility, read_menu_csv, write_menu_csv, write_profile_csv
+from .contracts import check_feasibility, eval_asp_utilities, read_menu_csv
+from .contracts import write_menu_csv, write_profile_csv
 from .errors import DataError, NumericError, ParseError, ValidationError
 from .evaluation import (
     CANONICAL_METHODS,
     check_oracle_grid,
-    eval_asp_utilities,
     eval_teleop_utility,
     oracle_menu_search,
     run_benchmark,
@@ -119,19 +119,10 @@ def _cmd_evaluate(cfg: RunConfig, method: str, out: Path) -> None:
     evals = cfg.eval_samples()
     profile = cfg.profile()
     utility = eval_teleop_utility(menu, evals, profile, cfg.params())
-    # nothing is printed for a menu that breaks participation or
-    # self-selection: the first broken constraint is named, its types
-    # 1-based as in type_index
-    report = check_feasibility(menu, profile, cfg.gamma1)
-    if report.ir_violations:
-        i, own = report.ir_violations[0]
-        raise DataError(f"{cfg.menu_csv}: type {i + 1} breaks participation: utility {own!r}")
-    if report.ic_violations:
-        i, j, deficit = report.ic_violations[0]
-        raise DataError(
-            f"{cfg.menu_csv}: type {i + 1} breaks self-selection: "
-            f"prefers type {j + 1}'s bundle by {deficit!r}"
-        )
+    try:  # nothing is printed for a menu that breaks a constraint
+        check_feasibility(menu, profile, cfg.gamma1)
+    except DataError as exc:
+        raise DataError(f"{cfg.menu_csv}: {exc}") from exc
     print(f"teleop_utility {float(utility)!r}")
     for i, value in enumerate(eval_asp_utilities(menu, profile, cfg.gamma1)):
         print(f"asp_utility {i + 1} {float(value)!r}")

@@ -11,7 +11,7 @@ rewards as free variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,31 +112,6 @@ class ContractMenu:
         return int(self.latencies.size)
 
 
-@dataclass
-class FeasibilityReport:
-    """Outcome of enumerating every participation and self-selection check.
-
-    Indices are 0-based.  ``ir_violations`` holds (i, utility) pairs with
-    utility < -FEASIBILITY_TOL; ``ic_violations`` holds (i, j, deficit)
-    triples where type i strictly prefers bundle j by more than
-    FEASIBILITY_TOL.
-    """
-
-    ir_violations: list = field(default_factory=list)
-    ic_violations: list = field(default_factory=list)
-    latencies_monotone: bool = True
-    rewards_monotone: bool = True
-
-    @property
-    def feasible(self) -> bool:
-        return (
-            not self.ir_violations
-            and not self.ic_violations
-            and self.latencies_monotone
-            and self.rewards_monotone
-        )
-
-
 def rewards_from_latencies(latencies, profile: AspTypeProfile, gamma1: float):
     """Rewards that bind the lowest type's participation constraint and every
     adjacent downward self-selection constraint.
@@ -194,31 +169,40 @@ def running_sums(terms):
     return terms
 
 
-def check_feasibility(
-    menu: ContractMenu, profile: AspTypeProfile, gamma1: float
-) -> FeasibilityReport:
-    """Enumerate all I participation and I(I-1) self-selection constraints.
-
-    An infeasible menu yields a populated report rather than an error.
-    """
+def eval_asp_utilities(menu: ContractMenu, profile: AspTypeProfile, gamma1: float) -> np.ndarray:
+    """Per-type provider utility theta_i * R_i - gamma1 * L_i."""
     if menu.n_types != profile.n_types:
         raise DataError("menu and profile must have the same length")
-    lat, rew, thetas = menu.latencies, menu.rewards, profile.thetas
-    n = menu.n_types
-    report = FeasibilityReport()
-    report.latencies_monotone = not np.any(np.diff(lat) < -MONOTONE_TOL)
-    report.rewards_monotone = not np.any(np.diff(rew) < -MONOTONE_TOL)
-    own = thetas * rew - gamma1 * lat
-    for i in range(n):
-        if own[i] < -FEASIBILITY_TOL:
-            report.ir_violations.append((i, float(own[i])))
-        for j in range(n):
-            if j == i:
-                continue
-            cross = thetas[i] * rew[j] - gamma1 * lat[j]
-            if own[i] < cross - FEASIBILITY_TOL:
-                report.ic_violations.append((i, j, float(cross - own[i])))
-    return report
+    return profile.thetas * menu.rewards - gamma1 * menu.latencies
+
+
+def check_feasibility(menu: ContractMenu, profile: AspTypeProfile, gamma1: float) -> None:
+    """Raise a DataError naming the menu's first broken constraint, its types
+    1-based: participation (IR) by type, then self-selection (IC) by type and
+    then by bundle, each at slack FEASIBILITY_TOL, then a decrease of the
+    latencies or else of the rewards beyond MONOTONE_TOL."""
+    own = eval_asp_utilities(menu, profile, gamma1)
+    (broken,) = np.nonzero(own < -FEASIBILITY_TOL)
+    if broken.size:
+        i = broken[0]
+        raise DataError(f"type {i + 1} breaks participation: utility {float(own[i])!r}")
+    # cross[i, j] is type i's utility from bundle j; its diagonal is own
+    cross = profile.thetas[:, None] * menu.rewards - gamma1 * menu.latencies
+    broken = np.argwhere(own[:, None] < cross - FEASIBILITY_TOL)
+    if broken.size:
+        i, j = broken[0]
+        raise DataError(
+            f"type {i + 1} breaks self-selection: "
+            f"prefers type {j + 1}'s bundle by {float(cross[i, j] - own[i])!r}"
+        )
+    for name, values in (("latency", menu.latencies), ("reward", menu.rewards)):
+        (broken,) = np.nonzero(np.diff(values) < -MONOTONE_TOL)
+        if broken.size:
+            i = broken[0] + 1
+            raise DataError(
+                f"type {i + 1} breaks monotonicity: {name} {float(values[i])!r} "
+                f"below type {i}'s {float(values[i - 1])!r}"
+            )
 
 
 # ---------------------------------------------------------------------------

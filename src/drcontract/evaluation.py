@@ -1,5 +1,5 @@
-"""Benchmark harness: menu scoring under distribution shift, per-type
-provider utilities, brute-force verification oracles, and the method grid.
+"""Benchmark harness: menu scoring under distribution shift, brute-force
+verification oracles, and the method grid.
 
 Training data may be contaminated with extreme points; evaluation data never
 is.  Evaluation-time shifts translate the scores downward without clipping,
@@ -22,7 +22,7 @@ from .ambiguity import (
 from .bcd import SolveReport, solve, solve_pinned
 from .config import RunConfig
 from .contracts import AspTypeProfile, ContractMenu, UtilityParams
-from .contracts import expected_reward, rewards_from_latencies
+from .contracts import eval_asp_utilities, expected_reward, rewards_from_latencies
 from .csvio import write_table
 from .errors import DataError, NonPositiveLogArgument, ValidationError
 from .inner import (
@@ -66,13 +66,6 @@ def eval_teleop_utility(
         idx = exc.sample_index
         raise NonPositiveLogArgument(f"sample {idx}: {exc}", sample_index=idx) from exc
     return float(sample_value(benefit, expected_reward(menu.rewards, profile.alphas)))
-
-
-def eval_asp_utilities(menu: ContractMenu, profile: AspTypeProfile, gamma1: float) -> np.ndarray:
-    """Per-type provider utility theta_i * R_i - gamma1 * L_i."""
-    if menu.n_types != profile.n_types:
-        raise DataError("menu and profile must have the same length")
-    return profile.thetas * menu.rewards - gamma1 * menu.latencies
 
 
 def train_method(

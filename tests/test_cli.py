@@ -3,9 +3,10 @@ import re
 
 import pytest
 
-from drcontract import ContractMenu, check_feasibility, cli, errors, load_config, radius
+from drcontract import ContractMenu, cli, errors, load_config, radius
 from drcontract import read_menu_csv, write_menu_csv
 from drcontract.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from conftest import feasibility_violations
 
 TOY_CONFIG = """
 thetas = 110, 140
@@ -110,17 +111,29 @@ class TestEvaluate:
         menu = tmp_path / "scaled.csv"
         write_menu_csv(scaled, menu)
         # both kinds of constraint break; the first participation one is named
-        report = check_feasibility(scaled, load_config(toy_config).profile(), 1.0)
-        assert report.ir_violations and report.ic_violations
-        i, utility = report.ir_violations[0]
+        violations = feasibility_violations(scaled, load_config(toy_config).profile(), 1.0)
+        assert "participation" in violations[0] and "self-selection" in violations[-1]
         cfg = tmp_path / "eval.cfg"
         cfg.write_text(TOY_CONFIG + f"menu_csv = {menu}\n")
         capsys.readouterr()
         assert run("evaluate", "--config", cfg, "--out", out) == EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        expected = f"data error: {menu}: type {i + 1} breaks participation: utility {utility!r}\n"
-        assert captured.err == expected
+        assert captured.err == f"data error: {menu}: {violations[0]}\n"
+
+    def test_menu_whose_latencies_decrease_is_data_error(self, tmp_path, capsys):
+        # types 1 and 2 share theta, and each of their bundles gives both
+        # utility 0: participation and self-selection hold, but the
+        # latencies fall
+        menu = tmp_path / "menu.csv"
+        menu.write_text(f"type_index,L,R\n1,20.0,{20 / 110!r}\n2,10.0,{10 / 110!r}\n3,50.0,0.4\n")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"thetas = 110, 110, 140\nalphas = 0.3, 0.3, 0.4\nmenu_csv = {menu}\n")
+        assert run("evaluate", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = "type 2 breaks monotonicity: latency 10.0 below type 1's 20.0"
+        assert captured.err == f"data error: {menu}: {expected}\n"
 
     def test_menu_breaking_self_selection_alone_is_data_error(self, tmp_path, toy_config, capsys):
         # both types participate, but the low type prefers the high bundle:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from drcontract import (
     AspTypeProfile,
     ContractMenu,
+    DataError,
     NonPositiveLogArgument,
     NumericError,
     ParseError,
@@ -23,7 +24,7 @@ from drcontract import (
     write_menu_csv,
     write_profile_csv,
 )
-from conftest import random_monotone_instance
+from conftest import feasibility_violations, random_monotone_instance
 
 
 def menu_from(latencies, profile, gamma1=1.0):
@@ -195,21 +196,37 @@ class TestCheckFeasibility:
         rng = np.random.default_rng(5)
         for _ in range(100):
             profile, lat = random_monotone_instance(rng)
-            report = check_feasibility(menu_from(lat, profile), profile, 1.0)
-            assert report.feasible, (report.ir_violations, report.ic_violations)
+            check_feasibility(menu_from(lat, profile), profile, 1.0)
 
     def test_detects_ic_violation(self):
         profile = AspTypeProfile(thetas=[1.0, 2.0], alphas=[0.5, 0.5])
-        menu = ContractMenu(latencies=[1.0, 1.0], rewards=[5.0, 0.0])
-        report = check_feasibility(menu, profile, 1.0)
-        # type 2 prefers bundle 1: 2*0 - 1 < 2*5 - 1
-        assert (1, 0, pytest.approx(10.0)) in report.ic_violations
-        assert not report.rewards_monotone
+        menu = ContractMenu(latencies=[1.0, 1.0], rewards=[5.0, 4.5])
+        # both types participate, but type 2 prefers bundle 1: 2*5 - 1 over 2*4.5 - 1
+        with pytest.raises(DataError) as caught:
+            check_feasibility(menu, profile, 1.0)
+        assert str(caught.value) == "type 2 breaks self-selection: prefers type 1's bundle by 1.0"
+
+    def test_detects_a_latency_decrease_between_tied_types(self):
+        # types 1 and 2 share theta, so each bundle of theirs gives both
+        # utility 0: IR and IC hold, but the latencies fall
+        profile = AspTypeProfile(thetas=[110, 110, 140], alphas=[0.3, 0.3, 0.4])
+        menu = ContractMenu(latencies=[20.0, 10.0, 50.0], rewards=[20 / 110, 10 / 110, 0.4])
+        with pytest.raises(DataError) as caught:
+            check_feasibility(menu, profile, 1.0)
+        assert str(caught.value) == "type 2 breaks monotonicity: latency 10.0 below type 1's 20.0"
+
+    def test_detects_a_reward_decrease_within_the_ic_slack(self):
+        # 2e-12 is past MONOTONE_TOL, and type 2's loss 2 * 2e-12 is within
+        # FEASIBILITY_TOL
+        profile = AspTypeProfile(thetas=[1.0, 2.0], alphas=[0.5, 0.5])
+        menu = ContractMenu(latencies=[0.0, 0.0], rewards=[1.0, 1.0 - 2e-12])
+        with pytest.raises(DataError, match="^type 2 breaks monotonicity: reward "):
+            check_feasibility(menu, profile, 1.0)
 
     def test_single_type_boundary_is_feasible(self):
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         menu = ContractMenu(latencies=[0.0], rewards=[0.0])
-        assert check_feasibility(menu, profile, 1.0).feasible
+        assert check_feasibility(menu, profile, 1.0) is None
 
     def test_local_downward_binding(self):
         rng = np.random.default_rng(6)
@@ -239,7 +256,52 @@ def test_property_constructed_menus_always_feasible(data, n):
     lat = np.sort(np.array(data.draw(st.lists(st.floats(0.0, 200.0), min_size=n, max_size=n))))
     profile = AspTypeProfile(thetas=thetas, alphas=alphas)
     menu = menu_from(lat, profile)
-    assert check_feasibility(menu, profile, 1.0).feasible
+    check_feasibility(menu, profile, 1.0)
+
+
+@st.composite
+def perturbed_menus(draw):
+    """``(profile, menu)``: a menu built by :func:`rewards_from_latencies`
+    for one to six types, each theta tied to the one below it or not, and
+    then one to three perturbations of one type's bundle each: its reward
+    scaled by 0 to 2 (breaking IR below 1 and IC above), its bundle slid
+    down its own indifference line (a latency decrease, and an IC break
+    unless the types are tied), or the bundle below it with 2e-12 less
+    reward (a reward decrease within the IC slack)."""
+    n = draw(st.integers(1, 6))
+    thetas = sorted(draw(st.lists(st.floats(1.0, 400.0), min_size=n, max_size=n)))
+    for i in range(1, n):
+        if draw(st.booleans()):
+            thetas[i] = thetas[i - 1]
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    profile = AspTypeProfile(thetas=thetas, alphas=np.array(weights) / sum(weights))
+    lat = np.sort(draw(st.lists(st.floats(0.0, 200.0), min_size=n, max_size=n)))
+    rew = rewards_from_latencies(lat, profile, 1.0)
+    kinds = st.sampled_from(["scale", "slide", "dip"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        k = draw(st.integers(0, n - 1))
+        if kind == "scale":
+            rew[k] *= draw(st.floats(0.0, 2.0))
+        elif kind == "slide":
+            d = draw(st.floats(0.0, 1.0)) * lat[k]
+            lat[k] -= d
+            rew[k] -= d / thetas[k]
+        elif k > 0:
+            lat[k], rew[k] = lat[k - 1], rew[k - 1] - 2e-12
+    return profile, ContractMenu(latencies=lat, rewards=rew)
+
+
+@given(perturbed_menus())
+@settings(max_examples=300, deadline=None)
+def test_check_feasibility_names_the_reference_loops_first_violation(instance):
+    profile, menu = instance
+    expected = feasibility_violations(menu, profile, 1.0)
+    if not expected:
+        assert check_feasibility(menu, profile, 1.0) is None
+        return
+    with pytest.raises(DataError) as caught:
+        check_feasibility(menu, profile, 1.0)
+    assert str(caught.value) == expected[0]
 
 
 def expected_teleop_utility(menu, profile, xi, params):

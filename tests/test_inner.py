@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drcontract import (
@@ -421,17 +421,23 @@ class TestInnerKernel:
 
 
 @st.composite
-def argmax_instances(draw):
-    """One menu of one to four types; anchors below, on, inside and above
-    the support (off the floor by at least 0.5, so every flip point is
-    positive); a radius below, at or above mean|anchor - lo| or
-    mean|anchor - p|."""
+def menus(draw):
+    """``(profile, latencies)``: one nondecreasing menu of one to four types."""
     n_types = draw(st.integers(1, 4))
     per_type = {"min_size": n_types, "max_size": n_types}
     thetas = sorted(draw(st.lists(st.floats(100.0, 260.0), **per_type)))
     weights = draw(st.lists(st.floats(0.05, 1.0), **per_type))
     profile = AspTypeProfile(thetas=thetas, alphas=np.array(weights) / sum(weights))
-    lat = np.array(sorted(draw(st.lists(st.floats(0.0, 150.0), **per_type))))
+    return profile, np.array(sorted(draw(st.lists(st.floats(0.0, 150.0), **per_type))))
+
+
+@st.composite
+def argmax_instances(draw):
+    """One menu of :func:`menus`; anchors below, on, inside and above the
+    support (off the floor by at least 0.5, so every flip point is
+    positive); a radius below, at or above mean|anchor - lo| or
+    mean|anchor - p|."""
+    profile, lat = draw(menus())
     anchor = st.one_of(
         st.floats(30.0, 59.5),
         st.sampled_from([SUPPORT.lo, SUPPORT.hi]),
@@ -648,6 +654,56 @@ class TestSortFreeArgmax:
         expected = sorting_multiplier_argmax(h, candidates, eps)
         assert multiplier_argmax(h, candidates, eps).tolist() == expected.tolist()
         assert expected[0] == flips.max()
+
+
+def worst_case(anchors, support, eps):
+    """Reference: Q*, the distribution within eps of the anchors' empirical
+    one in the 1-Wasserstein distance that minimizes the mean of every
+    increasing concave h on the support, as ``(points, weights)``, the
+    points being lo and then each anchor's projection p.  Each anchor moves
+    to p, and the budget N*eps - sum|anchor - p| left moves mass from p to
+    lo in ascending order of p, where h falls most per unit moved (h's
+    secant slope from lo falls as p grows), the last anchor in part.  For
+    bounded draws only: the budget is taken as at least 0."""
+    anchors = np.asarray(anchors, dtype=float)
+    points = np.concatenate(([support.lo], np.clip(anchors, support.lo, support.hi)))
+    n = anchors.size
+    weights = np.concatenate(([0.0], np.full(n, 1.0 / n)))
+    budget = max(n * eps - float(np.abs(anchors - points[1:]).sum()), 0.0)
+    for k in 1 + np.argsort(points[1:], kind="stable"):
+        cost = points[k] - points[0]
+        moved = 1.0 if cost <= budget else budget / cost
+        weights[0] += moved / n
+        weights[k] -= moved / n
+        budget -= moved * cost
+        if moved < 1.0:
+            break
+    return points, weights
+
+
+class TestStrongDuality:
+    """The primal side of :func:`inner.multiplier_argmax`: a menu's value
+    under Q* (:func:`worst_case`), its mean log benefit less its expected
+    reward, equals the dual objective :func:`bcd.objectives` at the argmax
+    multiplier."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_worst_case_value_equals_the_dual_at_the_argmax(self, data):
+        anchors = data.draw(near_equal_anchors(floor_gap=0.0))
+        candidates = inner_candidates(anchors, SUPPORT)
+        scale = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.1]), st.floats(0.0, 1.2)))
+        distance = data.draw(st.sampled_from([candidates.lo_distance, candidates.p_distance]))
+        eps = scale * float(distance.mean())
+        assume(not inner.unbounded(candidates, eps))
+        profile, lat = data.draw(menus())
+        h = weighted_log(candidates.points, lat, profile.alphas, PARAMS)
+        (lam,) = multiplier_argmax(h[None], candidates, eps)
+        dual, _ = objectives(lat, lam, candidates, eps, profile, PARAMS)
+        points, q = worst_case(anchors, SUPPORT, eps)
+        g = expected_reward(rewards_from_latencies(lat, profile, PARAMS.gamma1), profile.alphas)
+        primal = q @ weighted_log(points, lat, profile.alphas, PARAMS) - g
+        assert primal == pytest.approx(float(dual), rel=1e-12, abs=0.0)
 
 
 class TestFlipOrder:
