@@ -99,7 +99,8 @@ def objectives(
     :func:`inner.inner_minima`), a row per menu of a stack.  Every kernel
     treats a stack's rows independently, in one menu's float order, so each
     row is the one-menu result bit for bit."""
-    f_min, wins = inner_minima(latencies, lam, candidates, params, profile.alphas)
+    h = weighted_log(candidates.points, latencies, profile.alphas, params)
+    f_min, wins = inner_minima(h, lam, candidates)
     g = expected_reward(rewards_from_latencies(latencies, profile, params.gamma1), profile.alphas)
     return sample_value(f_min, g, lam, epsilon), wins
 

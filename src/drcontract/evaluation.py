@@ -27,8 +27,8 @@ from .csvio import write_table
 from .errors import DataError, NonPositiveLogArgument, ValidationError
 from .inner import (
     InnerCandidates,
-    branch_minima,
     inner_candidates,
+    inner_minima,
     log_blocks,
     multiplier_argmax,
     sample_value,
@@ -162,12 +162,13 @@ def oracle_menu_search(
     computed once into a table by :func:`inner.log_blocks`, the grid values
     taking the place of types, scaled by each type's probability, and each
     latency point's log benefits are gathered from it type by type in type
-    order, as :func:`weighted_log` adds them.  With the solver's expected
-    reward and assembly, a point's value at a grid multiplier is
+    order, as :func:`weighted_log` adds them.  With the solver's inner
+    minimum (:func:`inner.inner_minima`), expected reward and assembly
+    (:func:`inner.sample_value`), a point's value at a grid multiplier is
     :func:`bcd.objectives`' bit for bit and depends on that point alone.
 
     Each point's objective is concave and piecewise linear in the
-    multiplier (:func:`inner.branch_minima`), so its grid maximum is found
+    multiplier (:func:`inner.inner_minima`), so its grid maximum is found
     exactly at the grid points that bracket its continuous argmax
     (:func:`inner.multiplier_argmax`; :func:`_chunk_best`).  On an unbounded
     program (:func:`inner.unbounded`) that argmax is infinite, so the grid
@@ -493,7 +494,7 @@ def _chunk_best(
 
 def _psi(h, g, lam, candidates: InnerCandidates, eps: float) -> np.ndarray:
     """Objective per row of ``h`` at that row's multiplier ``lam``."""
-    return sample_value(branch_minima(h, lam, candidates), g, lam, eps)
+    return sample_value(inner_minima(h, lam, candidates)[0], g, lam, eps)
 
 
 # ---------------------------------------------------------------------------

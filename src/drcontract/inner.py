@@ -23,7 +23,7 @@ so no root finding is needed.  p wins only when strictly lower, so ties
 break toward lo.
 
 For a fixed menu both candidates are affine in lam, so each anchor's
-minimum (:func:`branch_minima`) is concave and piecewise linear in lam: the
+minimum (:func:`inner_minima`) is concave and piecewise linear in lam: the
 floor is the lower up to the flip point (h(p) - h(lo)) / (p - lo), the
 projection after it.  So is the objective -lam*eps + mean_n minimum_n: its
 slope falls from mean|anchor - lo| - eps by (p_n - lo)/N at each flip, to
@@ -174,58 +174,42 @@ def inner_candidates(anchors, support: SupportInterval) -> InnerCandidates:
     return InnerCandidates(points, np.abs(anchors - points[0]), np.abs(anchors - points[1:]))
 
 
-def inner_minima(
-    latencies,
-    lam,
-    candidates: InnerCandidates,
-    params: UtilityParams,
-    alphas,
-):
+def inner_minima(h, lam, candidates: InnerCandidates):
     """Minimize the penalized log benefit over the support for every anchor
-    of ``candidates`` (see :func:`inner_candidates`), for one menu (1-D
-    ``latencies``, scalar ``lam``) or a stack (a ``(K, I)`` row of latencies
-    and a multiplier each).
+    of ``candidates`` (see :func:`inner_candidates`), given ``h``, the log
+    benefit at ``candidates.points`` (:func:`weighted_log`), for one menu
+    (1-D ``h``, scalar ``lam``) or a stack (a row of ``h`` and a multiplier
+    per menu; each row's multiplier and h(lo) broadcast along it).
 
     Returns ``(f_min, wins)``, one entry per anchor (a row per menu of a
-    stack): the lower of the floor's and the projection's branch, and
-    whether the projection won, so that the minimizer xi* is
+    stack): the lower of the projection's branch h(p) + lam*|anchor - p|
+    and the floor's h(lo) + lam*|anchor - lo|, and whether the projection
+    won, so that the minimizer xi* is
     ``np.where(wins, candidates.points[1:], candidates.points[0])``.  The
     projection wins only when strictly lower (see the module docstring).
+    Raises ValidationError unless every ``lam`` is >= 0.
     """
-    if np.fmin.reduce(lam, axis=None) < 0.0:  # NaN skipped, as NaN < 0 is false
+    lam = np.asarray(lam, dtype=float)
+    # NaN skipped, as NaN < 0 is false; an empty stack has no multiplier
+    if np.fmin.reduce(lam, axis=None, initial=np.inf) < 0.0:
         raise ValidationError("lam must be >= 0")
-    h = weighted_log(candidates.points, latencies, alphas, params)
-    projection, floor = branch_values(h, lam, candidates)
-    wins = projection < floor
-    return np.minimum(projection, floor, out=projection), wins
-
-
-def branch_values(h, lam, candidates: InnerCandidates):
-    """Each anchor's ``(h(p) + lam*|anchor - p|, h(lo) + lam*|anchor - lo|)``,
-    ``h`` being the log benefit at ``candidates.points``, a row of ``h`` and
-    a ``lam`` per menu: each row's multiplier and h(lo) broadcast along it
-    (one menu is a 1-D ``h`` and a scalar ``lam``)."""
-    lam = np.asarray(lam, dtype=float)[..., None]
+    lam = lam[..., None]
     # in place: two temporaries of the result's shape
     projection = lam * candidates.p_distance
     projection += h[..., 1:]
     floor = lam * candidates.lo_distance
     floor += h[..., :1]
-    return projection, floor
-
-
-def branch_minima(h, lam, candidates: InnerCandidates) -> np.ndarray:
-    """The lower of each anchor's two :func:`branch_values`."""
-    projection, floor = branch_values(h, lam, candidates)
-    return np.minimum(projection, floor, out=projection)
+    wins = projection < floor
+    return np.minimum(projection, floor, out=projection), wins
 
 
 def multiplier_argmax(h, candidates: InnerCandidates, eps: float):
     """Per row of ``h`` (a menu's log benefit at ``candidates.points``), the
-    lam >= 0 maximizing -lam*eps + mean(branch_minima): ``inf`` if
-    :func:`unbounded`, 0 if the slope at 0 is not positive, else the largest
-    flip up to where the slope reaches zero, found once for all rows, as the
-    flips ascend as p falls (see the module docstring)."""
+    lam >= 0 maximizing -lam*eps + mean(f_min), ``f_min`` being
+    :func:`inner_minima`'s: ``inf`` if :func:`unbounded`, 0 if the slope at
+    0 is not positive, else the largest flip up to where the slope reaches
+    zero, found once for all rows, as the flips ascend as p falls (see the
+    module docstring)."""
     if unbounded(candidates, eps):
         return np.full(h.shape[0], np.inf)
     s0 = -eps + float(candidates.lo_distance.mean())

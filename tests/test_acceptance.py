@@ -29,6 +29,7 @@ from drcontract import (
     solve,
     train_method,
     wasserstein_1d,
+    weighted_log,
 )
 from drcontract.cli import main as cli_main
 from drcontract.config import RunConfig, generate_quality_samples
@@ -122,9 +123,9 @@ def test_criterion_03_inner_solver_oracle():
         alphas = rng.dirichlet(np.ones(n))
         lam = float(rng.uniform(0.0, 2.0))
         anchor = float(rng.uniform(0.0, 140.0))
-        f_min, _ = inner_minima(
-            lat, lam, inner_candidates(np.array([anchor]), SUPPORT), PARAMS, alphas
-        )
+        candidates = inner_candidates(np.array([anchor]), SUPPORT)
+        h = weighted_log(candidates.points, lat, alphas, PARAMS)
+        f_min, _ = inner_minima(h, lam, candidates)
         grid = xs if not SUPPORT.lo <= anchor <= SUPPORT.hi else np.append(xs, anchor)
         total = np.zeros_like(grid)
         for a, l in zip(alphas, lat):

@@ -32,6 +32,7 @@ from drcontract import (
     rewards_from_latencies,
     solve,
     train_method,
+    weighted_log,
     write_trace_csv,
 )
 from drcontract import bcd
@@ -54,9 +55,9 @@ def ambiguity(n, epsilon=None, tau=0.99):
 
 def slacks(latencies, lam, samples, profile):
     """Each anchor's inner minimum net of the expected reward."""
-    f_min, _ = inner_minima(
-        latencies, lam, inner_candidates(samples.samples, SUPPORT), PARAMS, profile.alphas
-    )
+    candidates = inner_candidates(samples.samples, SUPPORT)
+    h = weighted_log(candidates.points, latencies, profile.alphas, PARAMS)
+    f_min, _ = inner_minima(h, lam, candidates)
     rewards = rewards_from_latencies(latencies, profile, PARAMS.gamma1)
     return f_min - expected_reward(rewards, profile.alphas)
 
@@ -517,19 +518,16 @@ def kernel_instances(draw, merging):
 
 def batch_heights(monkeypatch):
     """The stack height of every evaluation a solve makes, the start point's
-    first: ``solve`` evaluates through ``bcd.objectives``, ``solve_pinned``
-    through ``bcd.weighted_log``, once per evaluation each."""
+    first: ``solve`` (in ``bcd.objectives``) and ``solve_pinned`` both
+    evaluate through ``bcd.weighted_log``, once per evaluation."""
     heights = []
+    weighted_log = bcd.weighted_log
 
-    def counted(kernel, latencies_at):
-        def kernel_counted(*args):
-            heights.append(len(args[latencies_at]))
-            return kernel(*args)
+    def counted(xi, latencies, *args):
+        heights.append(len(latencies))
+        return weighted_log(xi, latencies, *args)
 
-        return kernel_counted
-
-    monkeypatch.setattr(bcd, "objectives", counted(objectives, 0))
-    monkeypatch.setattr(bcd, "weighted_log", counted(bcd.weighted_log, 1))
+    monkeypatch.setattr(bcd, "weighted_log", counted)
     return heights
 
 

@@ -63,6 +63,37 @@ def test_the_writers_take_a_path_and_grad_lambda_is_on_bcd(layers):
     assert callable(bcd.grad_lambda)
 
 
+# the fine sites that name a function of today's program; the other seven
+# name deleted functions, and their layers read null
+LIVE_FINE = {
+    ("drcontract.evaluation", "solve"),
+    ("drcontract.bcd", "grad_lambda"),
+    ("drcontract.bcd", "iron_monotone"),
+    ("drcontract.bcd", "rewards_from_latencies"),
+    ("drcontract.evaluation", "shift_samples"),
+    ("drcontract.evaluation", "inject_extreme_points"),
+    ("drcontract.config", "generate_quality_samples"),
+    ("drcontract.config", "generate_alphas"),
+    ("drcontract.ambiguity", "write_samples_csv"),
+    ("drcontract.cli", "write_samples_csv"),
+    ("drcontract.cli", "write_metrics_csv"),
+    ("drcontract.cli", "write_asp_csv"),
+    ("drcontract.cli", "write_menu_csv"),
+    ("drcontract.cli", "write_trace_csv"),
+    ("drcontract.cli", "write_profile_csv"),
+}
+
+
+def test_every_live_fine_site_still_resolves(layers):
+    # a site that stops resolving turns its per-layer figures null, silently
+    assert LIVE_FINE <= {(module, attr) for module, attr, _, _ in layers.FINE}
+    for module, attr in sorted(LIVE_FINE):
+        assert callable(resolve(module, attr)), (module, attr)
+    # the ironing observer compares its ``latencies`` argument with the result
+    assert ("drcontract.bcd", "iron_monotone", "bcd.iron", False) in layers.FINE
+    assert "latencies" in parameters(bcd.iron_monotone)
+
+
 def test_the_scored_arguments_count_their_samples_and_types():
     # the scoring observer reads ``eval_samples.n`` and ``menu.n_types``
     assert QualitySampleSet([60.0, 70.0, 80.0]).n == 3

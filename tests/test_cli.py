@@ -1,5 +1,7 @@
+import ast
 import filecmp
 import re
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +277,19 @@ class TestExitCodes:
         assert issubclass(errors.NonPositiveLogArgument, errors.NumericError)
         for cls in classes - {errors.ContractSolverError}:
             assert issubclass(cls, families), cls.__name__
+
+    def test_no_invariant_is_an_assert(self):
+        # `python -O` strips assert statements, so an invariant checked by one
+        # would pass silently there instead of raising an error with an exit code
+        package = Path(cli.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert len(list(package.glob("*.py"))) > 1
+        assert found == []
 
     def test_bad_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -27,7 +27,6 @@ from drcontract import (
 from drcontract import inner
 from drcontract.inner import (
     TYPE_BLOCK_POINTS,
-    branch_minima,
     least_argument,
     log_blocks,
     multiplier_argmax,
@@ -58,7 +57,8 @@ def grid_min(latencies, lam, anchor, support, alphas, step=1e-3, params=PARAMS):
 
 def minimize(latencies, lam, candidates, params, alphas):
     """``inner_minima`` with the winners turned into the minimizers xi*."""
-    f_min, wins = inner_minima(latencies, lam, candidates, params, alphas)
+    h = weighted_log(candidates.points, latencies, alphas, params)
+    f_min, wins = inner_minima(h, lam, candidates)
     return f_min, np.where(wins, candidates.points[1:], candidates.points[0])
 
 
@@ -266,14 +266,18 @@ class TestInnerMinima:
             alphas = rng.dirichlet(np.ones(n))
             lam = float(rng.uniform(0, 1))
             anchor = float(rng.uniform(0, 140))
-            f_min, _ = inner_minima(lat, lam, inner_candidates([anchor], SUPPORT), PARAMS, alphas)
+            candidates = inner_candidates([anchor], SUPPORT)
+            h = weighted_log(candidates.points, lat, alphas, PARAMS)
+            f_min, _ = inner_minima(h, lam, candidates)
             _, fmin = grid_min(lat, lam, anchor, SUPPORT, alphas)
             assert f_min[0] == pytest.approx(fmin, abs=1e-4)
             assert f_min[0] <= fmin + 1e-12  # never worse than any grid point
 
     def test_negative_lambda_rejected(self):
+        candidates = inner_candidates([80.0], SUPPORT)
+        h = weighted_log(candidates.points, [0.0], [1.0], PARAMS)
         with pytest.raises(ValidationError):
-            inner_minima([0.0], -1.0, inner_candidates([80.0], SUPPORT), PARAMS, [1.0])
+            inner_minima(h, -1.0, candidates)
 
 
 class TestSlackValue:
@@ -284,20 +288,20 @@ class TestSlackValue:
     AMB = AmbiguityConfig.derive(SUPPORT, 0.9, 1)
 
     def test_zero_latency_slack_is_inner_value(self):
-        f_min, _ = inner_minima([0.0], 0.0, inner_candidates([80.0], SUPPORT), PARAMS, [1.0])
-        profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         candidates = inner_candidates([80.0], SUPPORT)
+        h = weighted_log(candidates.points, [0.0], [1.0], PARAMS)
+        f_min, _ = inner_minima(h, 0.0, candidates)
+        profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         got = objectives([0.0], 0.0, candidates, self.AMB.epsilon, profile, PARAMS)[0]
         assert got == pytest.approx(f_min[0])
         assert got == pytest.approx(math.log(60.0), abs=1e-12)
 
     def test_deterministic(self):
-        f_min, _ = inner_minima(
-            [3.0, 8.0], 0.7, inner_candidates([77.0], SUPPORT), PARAMS, [0.6, 0.4]
-        )
+        candidates = inner_candidates([77.0], SUPPORT)
+        h = weighted_log(candidates.points, [3.0, 8.0], [0.6, 0.4], PARAMS)
+        f_min, _ = inner_minima(h, 0.7, candidates)
         profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.6, 0.4])
         penalty = 0.7 * self.AMB.epsilon
-        candidates = inner_candidates([77.0], SUPPORT)
         a = objectives([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
         b = objectives([3.0, 8.0], 0.7, candidates, self.AMB.epsilon, profile, PARAMS)[0] + penalty
         assert a == b
@@ -414,8 +418,11 @@ class TestInnerKernel:
 
     def test_nonpositive_log_argument_names_the_first_point(self):
         support = SupportInterval(-10.0, 10.0)
+        candidates = inner_candidates([1.0], support)
         with pytest.raises(NonPositiveLogArgument) as err:
-            inner_minima([0.0, 30.0], 0.0, inner_candidates([1.0], support), PARAMS, [0.5, 0.5])
+            inner_minima(
+                weighted_log(candidates.points, [0.0, 30.0], [0.5, 0.5], PARAMS), 0.0, candidates
+            )
         assert err.value.sample_index == 0
         assert "at xi=-10.0" in str(err.value)
 
@@ -513,10 +520,11 @@ class TestMultiplierArgmax:
         menus = [lat, lat + 1.0, np.zeros_like(lat)]
         h = np.array([weighted_log(candidates.points, m, alphas, PARAMS) for m in menus])
         lams = np.array([lam, 2.0 * lam, 0.0])
-        stacked = branch_minima(h, lams, candidates)
+        stacked = inner_minima(h, lams, candidates)[0]
         argmax = multiplier_argmax(h, candidates, 1.0)
         for k in range(len(menus)):
-            assert stacked[k].tolist() == branch_minima(h[k], lams[k], candidates).tolist()
+            one = inner_minima(h[k], lams[k], candidates)[0]
+            assert stacked[k].tolist() == one.tolist()
             assert argmax[k] == multiplier_argmax(h[k : k + 1], candidates, 1.0)[0]
 
 
@@ -635,7 +643,7 @@ class TestSortFreeArgmax:
             else:  # the two sums of the drops may round apart: lam is as good an argmax
 
                 def value(x):
-                    return -x * eps + float(branch_minima(h[row], x, candidates).mean())
+                    return -x * eps + float(inner_minima(h[row], x, candidates)[0].mean())
 
                 assert value(lam) >= value(ref) - 1e-12 * max(1.0, abs(value(ref)))
 
@@ -729,7 +737,7 @@ class TestFlipOrder:
             st.floats(0.0, 1e6),
         )
         lam = np.array(data.draw(st.lists(lam_at, min_size=len(h), max_size=len(h))))
-        _, wins = inner_minima(lat, lam, candidates, params, alphas)
+        _, wins = inner_minima(h, lam, candidates)
         assert not np.logical_or.reduce(np.delete(wins, order, axis=1), axis=None)  # p = lo
         # the rounding of a row's win test, over the drop: how far a flip's
         # threshold in lam may sit from the flip computed from h
@@ -1018,5 +1026,20 @@ class TestStacks:
 
     def test_negative_multiplier_in_a_stack_rejected(self):
         candidates = inner_candidates([80.0], SUPPORT)
+        h = weighted_log(candidates.points, np.zeros((3, 1)), [1.0], PARAMS)
         with pytest.raises(ValidationError):
-            inner_minima(np.zeros((3, 1)), np.array([0.0, -1.0, 2.0]), candidates, PARAMS, [1.0])
+            inner_minima(h, np.array([0.0, -1.0, 2.0]), candidates)
+
+    def test_an_empty_stack_has_no_minima(self):
+        # an empty stack (the oracle's rows to re-evaluate at a higher grid
+        # multiplier, when every argmax sits on a grid point) gives empty
+        # values and no winners, not a numpy error
+        candidates = inner_candidates([70.0, 80.0, 120.0], SUPPORT)
+        h = weighted_log(candidates.points, np.zeros((0, 2)), [0.5, 0.5], PARAMS)
+        f_min, wins = inner_minima(h, np.zeros(0), candidates)
+        assert f_min.shape == wins.shape == (0, 3)
+        assert wins.dtype == bool
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
+        values, wins = objectives(np.zeros((0, 2)), np.zeros(0), candidates, 1.0, profile, PARAMS)
+        assert values.shape == (0,)
+        assert wins.shape == (0, 3)
