@@ -20,7 +20,7 @@ from .contracts import write_menu_csv, write_profile_csv
 from .errors import DataError, NumericError, ParseError, ValidationError
 from .evaluation import (
     CANONICAL_METHODS,
-    check_oracle_grid,
+    check_oracle_inputs,
     eval_teleop_utility,
     oracle_menu_search,
     run_benchmark,
@@ -28,7 +28,6 @@ from .evaluation import (
     write_asp_csv,
     write_metrics_csv,
 )
-from .inner import inner_candidates, unbounded
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,15 +140,8 @@ def _cmd_oracle(cfg: RunConfig, method: str, out: Path) -> None:
     profile = cfg.profile()
     params = cfg.params()
     ambiguity = cfg.ambiguity_for(train.n)
-    candidates = inner_candidates(train.samples, ambiguity.support)
-    if unbounded(candidates, ambiguity.epsilon):
-        raise DataError(
-            f"mean distance {float(candidates.p_distance.mean())!r} of the training data "
-            f"to the support exceeds the radius epsilon = {ambiguity.epsilon!r}: the "
-            "robust objective is unbounded in the multiplier"
-        )
     grid = cfg.oracle_grid_step, cfg.oracle_l_max, cfg.oracle_lambda_max
-    check_oracle_grid(profile.n_types, train.n, *grid)  # a grid past a budget costs no solve
+    check_oracle_inputs(profile, train, ambiguity, *grid)  # refused inputs cost no solve
     report = train_method("dro", train, profile, params, ambiguity, cfg)
     best_omega, best_lat = oracle_menu_search(profile, train, params, ambiguity, *grid)
     gap = best_omega - report.objective

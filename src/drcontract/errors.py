@@ -5,7 +5,7 @@ configuration) to exit 2, a DataError (a bad data file or sample set) to
 exit 3 and a NumericError (an evaluation that failed) to exit 4.  A family
 has a subclass only where code catches that subclass by name or reads one
 of its fields: ParseError carries the path and line of a file that does not
-parse, and NonPositiveLogArgument the index of the sample whose log argument
+parse, and NonPositiveLogArgument the index of the point whose log argument
 is not positive.
 """
 
@@ -42,7 +42,9 @@ class NumericError(ContractSolverError):
 
 
 class NonPositiveLogArgument(NumericError):
-    """The benefit term's log argument is not strictly positive."""
+    """The log argument is not strictly positive at point ``sample_index``:
+    a sample in a score or pinned solve; in a robust solve or the oracle,
+    the support floor at 0 and anchor k - 1's projection at k >= 1."""
 
     def __init__(self, message, sample_index=None):
         self.sample_index = sample_index

@@ -32,6 +32,7 @@ from .inner import (
     log_blocks,
     multiplier_argmax,
     sample_value,
+    unbounded,
     weighted_log,
 )
 
@@ -170,9 +171,7 @@ def oracle_menu_search(
     Each point's objective is concave and piecewise linear in the
     multiplier (:func:`inner.inner_minima`), so its grid maximum is found
     exactly at the grid points that bracket its continuous argmax
-    (:func:`inner.multiplier_argmax`; :func:`_chunk_best`).  On an unbounded
-    program (:func:`inner.unbounded`) that argmax is infinite, so the grid
-    maximum sits at ``lambda_max``.
+    (:func:`inner.multiplier_argmax`; :func:`_chunk_best`).
 
     Only latency points that can still win are evaluated exactly, and boxes
     of points are bounded before single points.  Each type's grid is cut
@@ -198,19 +197,17 @@ def oracle_menu_search(
     exactly.  Where the multiplier's argmax is positive the bounds are
     loose: on the three-type instance of ``scripts/bench_kernels.py``
     (S = 4), the points of 6,318 of the 6,545 boxes are bounded and 362,510
-    of the 383,306 points are evaluated exactly.  A grid past a budget
-    raises before any table is built (:func:`check_oracle_grid`).
+    of the 383,306 points are evaluated exactly.  Unbounded samples and an
+    over-budget grid raise first (:func:`check_oracle_inputs`).
     """
-    anchors = np.asarray(samples.samples, dtype=float)
-    n_types = profile.n_types
-    n_l, size, n_cells = check_oracle_grid(n_types, anchors.size, grid_step, l_max, lambda_max)
+    grid = grid_step, l_max, lambda_max
+    candidates, (n_l, size, n_cells) = check_oracle_inputs(profile, samples, ambiguity, *grid)
     values = grid_step * np.arange(n_l)
-    candidates = inner_candidates(anchors, ambiguity.support)
     eps = ambiguity.epsilon
     scaled = _scaled_tables(candidates.points, values, profile, params)
     point_bound = _Bound(scaled, np.arange(n_l), candidates, eps, lambda_max)
     box_bound = _Bound(scaled, np.arange(0, n_l, size), candidates, eps, lambda_max)
-    chunk_rows = max(1, _CHUNK_ENTRIES // anchors.size)
+    chunk_rows = max(1, _CHUNK_ENTRIES // samples.n)
     best_omega, best_point = -np.inf, None
 
     def best_first(bound, visit):
@@ -236,17 +233,20 @@ def oracle_menu_search(
             g = _expected_rewards(values[points], profile, params.gamma1)
             best_first(point_bound(points, g, g), lambda rows: evaluate(points[rows], g[rows]))
 
-    for cells in _monotone_chunks(n_cells, n_types, chunk_rows):
+    for cells in _monotone_chunks(n_cells, profile.n_types, chunk_rows):
         bound = box_bound(cells, *_box_rewards(cells, size, values, profile, params.gamma1))
         best_first(bound, lambda rows: search(cells[rows]))
     return float(best_omega), values[list(best_point)]
 
 
-def check_oracle_grid(n_types: int, n_samples: int, grid_step, l_max, lambda_max):
-    """The grid of :func:`oracle_menu_search` for ``n_types`` types and
-    ``n_samples`` samples, ``(n_l, size, n_cells)``: its values per type,
-    its cell size S and its cell count.  Raises ValidationError, so that a
-    caller can refuse a grid before it trains, on a step that is not
+def check_oracle_inputs(profile, samples, ambiguity, grid_step, l_max, lambda_max):
+    """Check the inputs of :func:`oracle_menu_search` before any table is
+    built, so that a caller can refuse them before it trains, and return
+    ``(candidates, (n_l, size, n_cells))``: the samples' inner candidates,
+    and the grid's values per type, its cell size S and its cell count.
+    Raises DataError when the samples lie farther than the radius from the
+    support on average (:func:`inner.unbounded`), as the robust objective
+    then has no maximum; then ValidationError on a step that is not
     positive, a bound that is negative or not finite, and a grid past a
     budget.
 
@@ -258,6 +258,14 @@ def check_oracle_grid(n_types: int, n_samples: int, grid_step, l_max, lambda_max
     of nondecreasing cell tuples) at ``_GRID_TABLE_BUDGET`` = 1e7 entries,
     80 MB; the criterion-05 instance at grid step 0.025 needs about 1.4e5,
     and a grid of 1e7 steps or more is over it."""
+    candidates = inner_candidates(samples.samples, ambiguity.support)
+    if unbounded(candidates, ambiguity.epsilon):
+        raise DataError(
+            f"mean distance {float(candidates.p_distance.mean())!r} of the training data "
+            f"to the support exceeds the radius epsilon = {ambiguity.epsilon!r}: the "
+            "robust objective is unbounded in the multiplier"
+        )
+    n_types, n_samples = profile.n_types, samples.n
     if not grid_step > 0.0:
         raise ValidationError("grid_step must be > 0")
     if not (0.0 <= l_max < math.inf and 0.0 <= lambda_max < math.inf):
@@ -282,7 +290,7 @@ def check_oracle_grid(n_types: int, n_samples: int, grid_step, l_max, lambda_max
             f"{n_l} grid values x {n_samples} samples need {table_entries} table "
             f"entries, over the {_GRID_TABLE_BUDGET:.0e} table budget"
         )
-    return n_l, size, n_cells
+    return candidates, (n_l, size, n_cells)
 
 
 def _scaled_tables(points, values, profile: AspTypeProfile, params: UtilityParams):
@@ -319,10 +327,10 @@ class _Bound:
     ``s_p = mean|anchor - p| - eps``, the mean of a minimum is at most the
     minimum of the means, so a point's objective at lam is at most
     ``min(h(lo) + lam*s_lo, mean_n h(p_n) + lam*s_p) - g``, g being its
-    expected reward, and over lam in [0, lambda_max] at most
+    expected reward; the samples are bounded (:func:`check_oracle_inputs`),
+    so s_p <= 0, and over lam in [0, lambda_max] it is at most
 
-        U = min(h(lo) + max(s_lo, 0)*lambda_max,
-                mean_n h(p_n) + max(s_p, 0)*lambda_max) - g.
+        U = min(h(lo) + max(s_lo, 0)*lambda_max, mean_n h(p_n)) - g.
 
     ``h(lo)`` is the sum over types of column 0 of the scaled tables, the
     float the exact evaluation uses, and ``mean_n h(p_n)`` the sum over
@@ -349,7 +357,7 @@ class _Bound:
     |anchor - lo|) and g >= 0 on the grid.  The objective sums k types, adds
     the transport term, subtracts g, divides by n, sums the n samples in
     order and adds -lam*eps; U takes n-sample means, sums k types, adds
-    max(s, 0)*lambda_max (a mean, a difference and a product) and subtracts
+    max(s_lo, 0)*lambda_max (a mean, a difference and a product) and subtracts
     g.  Either way a term passes through at most n + k + 3 roundings, so the
     two err by less than 4*(n + k + 3)*u*T while (n + k + 3)*u <= 1/2, which
     the table budget guarantees.  The slack ``_BOUND_SLACK * (n + k + 4) * T``
@@ -362,7 +370,6 @@ class _Bound:
         self.lo = [np.maximum.reduceat(s[:, 0], starts) for s in scaled]
         self.p_mean = [np.maximum.reduceat(s[:, 1:].mean(axis=1), starts) for s in scaled]
         self.rise_lo = max(float(candidates.lo_distance.mean()) - eps, 0.0) * lambda_max
-        self.rise_p = max(float(candidates.p_distance.mean()) - eps, 0.0) * lambda_max
         self.magnitude = sum(float(np.abs(s).max()) for s in scaled)
         self.magnitude += lambda_max * (float(candidates.lo_distance.max()) + eps)
         self.slack_rate = _BOUND_SLACK * (candidates.lo_distance.size + len(scaled) + 4)
@@ -372,9 +379,7 @@ class _Bound:
         points' float expected rewards lie in ``[g_low, g_high]``."""
         bound = _gather(self.lo, rows)
         bound += self.rise_lo
-        p_branch = _gather(self.p_mean, rows)
-        p_branch += self.rise_p
-        np.minimum(bound, p_branch, out=bound)
+        np.minimum(bound, _gather(self.p_mean, rows), out=bound)
         bound -= g_low
         bound += self.slack_rate * (self.magnitude + g_high)
         return bound

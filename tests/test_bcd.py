@@ -933,6 +933,18 @@ class TestSolve:
         write_trace_csv(report, path2, method="sp")
         assert path2.read_text().splitlines()[0] == "method,iter,objective,lambda,L_1,L_2"
 
+    def test_a_robust_solve_indexes_its_candidate_points(self):
+        # the log arguments are taken at the candidate points, the support
+        # floor first: index 0 is the floor, -10, not training sample 0,
+        # and the floor is the least point, so it fails first
+        cfg = RunConfig(support_lo=-10.0)
+        train = cfg.train_samples()
+        assert train.samples.min() > 0.0
+        with pytest.raises(NonPositiveLogArgument) as err:
+            solve(train, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg)
+        assert err.value.sample_index == 0
+        assert str(err.value) == "log argument -10.0 at xi=-10.0 must be > 0"
+
 
 @pytest.fixture(scope="module")
 def reference_components():

@@ -235,9 +235,12 @@ class TestOracleCommand:
         assert calls == []
 
     @pytest.mark.parametrize("lambda_max", ["10", "20"])
-    def test_unbounded_training_data_exits_three(self, tmp_path, capsys, lambda_max):
+    def test_unbounded_training_data_exits_three(self, tmp_path, capsys, monkeypatch, lambda_max):
         # three anchors outside [60, 100]: mean distance 65.9 / 8 = 8.2375 to
-        # the support, beyond the radius of 8 samples at tau = 0.1
+        # the support, beyond the radius of 8 samples at tau = 0.1; refused
+        # before the dro training, as a grid past a budget is
+        calls = []
+        monkeypatch.setattr(cli, "train_method", lambda *args: calls.append(args))
         data = tmp_path / "train.csv"
         data.write_text("xi\n46.2\n60\n120.9\n60\n100\n131.2\n100\n60\n")
         cfg = tmp_path / "oracle.cfg"
@@ -253,6 +256,7 @@ class TestOracleCommand:
         assert "gap" not in captured.out
         numbers = [float(x) for x in re.findall(r"\d+\.\d+", captured.err)]
         assert numbers == [pytest.approx(8.2375), radius(8, 0.1, 40.0)]
+        assert calls == []
 
 
 class TestExitCodes:
@@ -290,6 +294,27 @@ class TestExitCodes:
         ]
         assert len(list(package.glob("*.py"))) > 1
         assert found == []
+
+    def test_every_imported_name_is_used(self):
+        # a name that only a docstring mentions counts as unused; the
+        # package's __init__ imports names to export them
+        package = Path(cli.__file__).parent
+        unused = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                ):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in used:
+                            unused.append(f"{path.name}:{node.lineno} {name}")
+        assert len(list(package.glob("*.py"))) > 1
+        assert unused == []
 
     def test_bad_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

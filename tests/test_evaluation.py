@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drcontract import (
@@ -43,6 +43,7 @@ from drcontract.evaluation import (
     _monotone_chunks,
     _psi,
     _scaled_tables,
+    check_oracle_inputs,
 )
 
 PARAMS = UtilityParams()
@@ -61,7 +62,10 @@ def oracle_instances(draw):
     radius small enough that the multiplier argmax usually leaves zero, and
     a coarse grid whose multiplier range is a whole number of steps.  The
     flip points lie near 0.01, so the small steps put grid points between
-    them and the large ones bracket them all in the first step."""
+    them and the large ones bracket them all in the first step.  In three
+    draws of four the radius is counted from the anchors' mean distance to
+    the support, so the program is bounded; otherwise from zero, and the
+    search refuses the samples when they lie farther out on average."""
     n_types = draw(st.integers(1, 4))
     thetas = sorted(draw(st.lists(st.floats(100.0, 260.0), min_size=n_types, max_size=n_types)))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_types, max_size=n_types))
@@ -73,7 +77,9 @@ def oracle_instances(draw):
         st.floats(100.5, 110.0),
     )
     samples = QualitySampleSet(draw(st.lists(anchor, min_size=1, max_size=6)))
-    amb = AmbiguityConfig(SUPPORT, draw(st.floats(0.0, 8.0)))
+    to_support = mean_distance_to_support(samples)
+    origin = draw(st.sampled_from([to_support, to_support, to_support, 0.0]))
+    amb = AmbiguityConfig(SUPPORT, origin + draw(st.floats(0.0, 8.0)))
     step = draw(st.sampled_from([0.002, 0.004, 2.0, 2.5]))
     l_max = step * draw(st.integers(1, 8))
     lambda_max = step * draw(st.integers(1, 10))
@@ -84,9 +90,12 @@ def oracle_instances(draw):
 def pruning_instances(draw):
     """One to three types with zero probabilities and duplicate thetas
     allowed; anchors below, on and above the support, so the projection
-    often is the floor (h(p) == h(lo)); a radius on either side of the mean
-    distance to the floor, so the multiplier slope at zero takes both
-    signs; and a multiplier range that may be zero."""
+    often is the floor (h(p) == h(lo)); a radius at, between or past the
+    mean distances to the support and to the floor, so the program is
+    bounded and the multiplier slope at zero takes both signs, and in one
+    draw of five half the distance to the support, which the search
+    refuses when that distance is positive; and a multiplier range that may
+    be zero."""
     n_types = draw(st.integers(1, 3))
     per_type = {"min_size": n_types, "max_size": n_types}
     thetas = sorted(draw(st.lists(st.sampled_from([110.0, 140.0, 180.0]), **per_type)))
@@ -101,8 +110,11 @@ def pruning_instances(draw):
         st.floats(100.5, 120.0),
     )
     anchors = draw(st.lists(anchor, min_size=1, max_size=8))
-    mean_lo_distance = float(np.mean(np.abs(np.array(anchors) - SUPPORT.lo)))
-    amb = AmbiguityConfig(SUPPORT, mean_lo_distance * draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])))
+    candidates = inner_candidates(anchors, SUPPORT)
+    to_support = float(candidates.p_distance.mean())
+    to_floor = float(candidates.lo_distance.mean())
+    radii = [to_support / 2, to_support, (to_support + to_floor) / 2, to_floor, 1.5 * to_floor]
+    amb = AmbiguityConfig(SUPPORT, draw(st.sampled_from(radii)))
     step = draw(st.sampled_from([0.5, 1.0, 2.0]))
     l_max = step * draw(st.integers(0, {1: 150, 2: 30, 3: 12}[n_types]))
     lambda_max = step * draw(st.integers(0, 12))
@@ -123,6 +135,13 @@ def unpruned_oracle(profile, samples, amb, step, l_max, lambda_max):
     h = _gather(scaled, points)
     omega, idx = _chunk_best(h, g, candidates, amb.epsilon, step, lambda_max, points)
     return omega, lat[idx]
+
+
+def mean_distance_to_support(samples):
+    """mean|anchor - clip(anchor, lo, hi)|: past the radius, the robust
+    objective is unbounded in the multiplier."""
+    anchors = np.asarray(samples.samples)
+    return float(np.mean(np.abs(anchors - np.clip(anchors, SUPPORT.lo, SUPPORT.hi))))
 
 
 def grid_max_objective(lat, profile, samples, amb, step, lambda_max):
@@ -321,6 +340,37 @@ class TestOracle:
                 profile, samples, PARAMS, amb, grid_step, l_max=l_max, lambda_max=10.0
             )
 
+    def test_unbounded_samples_raise_before_any_table(self):
+        # three of eight anchors outside [60, 100], 8.2375 from it on
+        # average: the grid's best would sit at lambda_max and grow with it
+        profile = AspTypeProfile(thetas=[110.0, 140.0], alphas=[0.5, 0.5])
+        samples = QualitySampleSet([46.2, 60.0, 120.9, 60.0, 100.0, 131.2, 100.0, 60.0])
+        amb = AmbiguityConfig(SUPPORT, 8.0)
+        tables = []
+        with mock.patch.object(evaluation, "_scaled_tables", lambda *a: tables.append(a)):
+            with pytest.raises(DataError) as err:
+                oracle_menu_search(profile, samples, PARAMS, amb, 1.0, l_max=20.0, lambda_max=10.0)
+        assert tables == []
+        assert str(err.value) == (
+            f"mean distance {mean_distance_to_support(samples)!r} of the training data to "
+            "the support exceeds the radius epsilon = 8.0: the robust objective is "
+            "unbounded in the multiplier"
+        )
+
+    def test_input_check_refuses_unbounded_samples_before_the_grid(self):
+        # a step of zero breaks the grid; an anchor 10 below the support and
+        # a radius of 5 break boundedness, and that is reported first
+        profile = AspTypeProfile(thetas=[110.0], alphas=[1.0])
+        amb = AmbiguityConfig(SUPPORT, 5.0)
+        for anchor, error in ((50.0, DataError), (70.0, ValidationError)):
+            with pytest.raises(error):
+                check_oracle_inputs(profile, QualitySampleSet([anchor]), amb, 0.0, 5.0, 1.0)
+        samples = QualitySampleSet([70.0])
+        candidates, grid = check_oracle_inputs(profile, samples, amb, 0.5, 5.0, 1.0)
+        assert grid == (11, 64, 1)  # 11 grid values in one cell of up to 64
+        for got, want in zip(candidates, inner_candidates([70.0], SUPPORT)):
+            assert got.tolist() == want.tolist()
+
     @pytest.mark.parametrize("n_types", [64, 70])
     def test_one_grid_value_at_many_types(self, n_types):
         # one point, in one box of one-value cells; numpy caps arrays at 64
@@ -428,6 +478,11 @@ class TestOracle:
     @settings(max_examples=40, deadline=None)
     def test_matches_exhaustive_objective_grid(self, instance):
         profile, samples, amb, step, l_max, lambda_max = instance
+        if mean_distance_to_support(samples) > amb.epsilon:
+            # no maximum: the grid's best would grow with lambda_max
+            with pytest.raises(DataError, match="unbounded in the multiplier$"):
+                oracle_menu_search(profile, samples, PARAMS, amb, step, l_max, lambda_max)
+            return
         omega, lat = oracle_menu_search(
             profile, samples, PARAMS, amb, step, l_max=l_max, lambda_max=lambda_max
         )
@@ -454,6 +509,10 @@ class TestPrune:
     @settings(max_examples=120, deadline=None)
     def test_matches_the_unpruned_loop_bit_for_bit(self, instance, chunk_entries):
         profile, samples, amb, step, l_max, lambda_max = instance
+        if mean_distance_to_support(samples) > amb.epsilon:
+            with pytest.raises(DataError, match="unbounded in the multiplier$"):
+                oracle_menu_search(profile, samples, PARAMS, amb, step, l_max, lambda_max)
+            return
         # small chunks, so incumbents carry across many of them
         with mock.patch.object(evaluation, "_CHUNK_ENTRIES", chunk_entries):
             omega, lat = oracle_menu_search(
@@ -467,6 +526,9 @@ class TestPrune:
     @settings(max_examples=120, deadline=None)
     def test_bound_holds_at_every_grid_multiplier(self, instance):
         profile, samples, amb, step, l_max, lambda_max = instance
+        # the search builds its bounds only on samples that check_oracle_inputs
+        # accepts, and the projection branch's bound holds only there
+        assume(mean_distance_to_support(samples) <= amb.epsilon)
         values = step * np.arange(round(l_max / step) + 1)
         candidates = inner_candidates(samples.samples, amb.support)
         scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
@@ -482,11 +544,12 @@ class TestPrune:
     @given(pruning_instances(), st.sampled_from([1, 2, 3, 4, 8, 64]))
     @settings(max_examples=120, deadline=None)
     @example(
-        # a zero-probability type between two others, and diagonal boxes
+        # a zero-probability type between two others, and diagonal boxes; the
+        # radius is the mean distance to the support, the least it may be
         (
             AspTypeProfile(thetas=[110.0, 140.0, 140.0], alphas=[0.5, 0.0, 0.5]),
             QualitySampleSet([45.0, 60.0, 77.0, 110.0]),
-            AmbiguityConfig(SUPPORT, 6.0),
+            AmbiguityConfig(SUPPORT, 6.25),
             1.0,
             12.0,
             3.0,
@@ -495,6 +558,7 @@ class TestPrune:
     )
     def test_box_bound_holds_at_every_point_and_grid_multiplier(self, instance, size):
         profile, samples, amb, step, l_max, lambda_max = instance
+        assume(mean_distance_to_support(samples) <= amb.epsilon)  # as for the point bound
         values = step * np.arange(round(l_max / step) + 1)
         candidates = inner_candidates(samples.samples, amb.support)
         scaled = _scaled_tables(candidates.points, values, profile, PARAMS)
@@ -623,18 +687,13 @@ class TestPrune:
         # a matrix-vector product over the few surviving rows rounds the
         # winner's expected reward 1 ulp off the whole chunk's here; the
         # type-ordered sum is elementwise, so the row count cannot matter
-        profile = AspTypeProfile(
-            thetas=[194.03665531651757, 247.69404443910784],
-            alphas=[0.5554191533555473, 0.4445808466444527],
-        )
-        samples = QualitySampleSet(
-            [100.0, 70.19440982045167, 60.0, 45.93933992553932, 108.12177817023122]
-        )
-        amb = AmbiguityConfig(SUPPORT, 3.7442489952105493)
+        profile = AspTypeProfile(thetas=[180.8, 234.7], alphas=[0.17, 0.83])
+        samples = QualitySampleSet([45.0, 74.0, 84.0, 64.0, 102.0])
+        amb = AmbiguityConfig(SUPPORT, 10.23)  # mean distance to the support 3.4
         omega, lat = oracle_menu_search(
-            profile, samples, PARAMS, amb, 1.0, l_max=30.0, lambda_max=0.0
+            profile, samples, PARAMS, amb, 1.0, l_max=30.0, lambda_max=1.0
         )
-        ref_omega, ref_lat = unpruned_oracle(profile, samples, amb, 1.0, 30.0, 0.0)
+        ref_omega, ref_lat = unpruned_oracle(profile, samples, amb, 1.0, 30.0, 1.0)
         assert omega == ref_omega
         assert lat.tolist() == ref_lat.tolist()
 
