@@ -202,15 +202,15 @@ def solve(
     profile: AspTypeProfile,
     params: UtilityParams,
     ambiguity: AmbiguityConfig,
-    cfg: RunConfig = None,
+    cfg: RunConfig,
 ) -> SolveReport:
     """Run the full block-coordinate loop and return the robust menu.
 
-    ``cfg`` gives the loop keys (``None``: the defaults), and the ascent
-    starts from its ``lambda_init``.  Failing to converge within the
-    iteration budget is reported, not raised, and so is an
-    :func:`inner.unbounded` objective, whatever stopped the loop.
-    Identical inputs produce bitwise-identical traces.
+    ``cfg`` gives the loop keys, and the ascent starts from its
+    ``lambda_init``.  Failing to converge within the iteration budget is
+    reported, not raised, and so is an :func:`inner.unbounded` objective,
+    whatever stopped the loop.  Identical inputs produce bitwise-identical
+    traces.
     """
 
     anchors = sample_values(samples)
@@ -226,7 +226,6 @@ def solve(
         distances = np.where(wins, candidates.p_distance, candidates.lo_distance)
         return np.where(wins, scaled_p, scaled_lo), grad_lambda(distances, ambiguity.epsilon)
 
-    cfg = cfg or RunConfig()
     points = candidates.points.size
     report = _ascend(evaluate, minimizers, points, profile, params, cfg, cfg.lambda_init)
     if unbounded(candidates, ambiguity.epsilon):
@@ -234,7 +233,7 @@ def solve(
     return report
 
 
-def solve_pinned(anchors, profile, params, cfg: RunConfig = None) -> SolveReport:
+def solve_pinned(anchors, profile, params, cfg: RunConfig) -> SolveReport:
     """Ascent with the inner point pinned to each anchor and a zero radius.
 
     The transport penalty vanishes because the evaluation point equals the
@@ -256,7 +255,6 @@ def solve_pinned(anchors, profile, params, cfg: RunConfig = None) -> SolveReport
     def minimizers(wins):
         return scaled, 0.0
 
-    cfg = cfg or RunConfig()
     return _ascend(evaluate, minimizers, anchors.size, profile, params, cfg, 0.0)
 
 

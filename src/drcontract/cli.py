@@ -98,9 +98,7 @@ def _cmd_gen_data(cfg: RunConfig, method: str, out: Path) -> None:
 
 
 def _cmd_solve(cfg: RunConfig, method: str, out: Path) -> None:
-    train = cfg.train_samples()
-    ambiguity = cfg.ambiguity_for(train.n)
-    report = train_method(method, train, cfg.profile(), cfg.params(), ambiguity, cfg)
+    report = train_method(method, cfg.train_samples(), cfg)
     write_menu_csv(report.menu, out / "menu.csv")
     write_trace_csv(report, out / "trace.csv", method=None if method == "dro" else method)
     status = "converged" if report.converged else "max iterations reached"
@@ -142,7 +140,7 @@ def _cmd_oracle(cfg: RunConfig, method: str, out: Path) -> None:
     ambiguity = cfg.ambiguity_for(train.n)
     grid = cfg.oracle_grid_step, cfg.oracle_l_max, cfg.oracle_lambda_max
     check_oracle_inputs(profile, train, ambiguity, *grid)  # refused inputs cost no solve
-    report = train_method("dro", train, profile, params, ambiguity, cfg)
+    report = train_method("dro", train, cfg)
     best_omega, best_lat = oracle_menu_search(profile, train, params, ambiguity, *grid)
     gap = best_omega - report.objective
     print(f"bcd_objective {report.objective!r}")

@@ -77,6 +77,8 @@ class RunConfig:
         # the seed feeds every draw, the Dirichlet one in profile() included
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must lie in [0, 2**64 - 1], got {self.seed!r}")
+        if not self.thetas:
+            raise ValidationError("thetas must hold at least one type")
         # Constructing the component objects runs every invariant check.
         self.support()
         self.params()

@@ -26,15 +26,11 @@ class ParseError(DataError):
     """A config or data file could not be parsed.  The CLI reports one in
     the config file as a config error."""
 
-    def __init__(self, message, path=None, line=None):
+    def __init__(self, message, path, line=None):
         self.path = path
         self.line = line
-        prefix = ""
-        if path is not None:
-            prefix = f"{path}:"
-        if line is not None:
-            prefix += f"{line}:"
-        super().__init__(f"{prefix} {message}" if prefix else message)
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
 
 
 class NumericError(ContractSolverError):
@@ -46,6 +42,6 @@ class NonPositiveLogArgument(NumericError):
     a sample in a score or pinned solve; in a robust solve or the oracle,
     the support floor at 0 and anchor k - 1's projection at k >= 1."""
 
-    def __init__(self, message, sample_index=None):
+    def __init__(self, message, sample_index):
         self.sample_index = sample_index
         super().__init__(message)

@@ -64,36 +64,39 @@ def eval_teleop_utility(
     try:
         benefit = weighted_log(eval_samples.samples, menu.latencies, profile.alphas, params)
     except NonPositiveLogArgument as exc:
-        idx = exc.sample_index
-        raise NonPositiveLogArgument(f"sample {idx}: {exc}", sample_index=idx) from exc
+        k = exc.sample_index
+        raise NonPositiveLogArgument(f"sample {k}: {exc}", k) from exc
     return float(sample_value(benefit, expected_reward(menu.rewards, profile.alphas)))
 
 
-def train_method(
-    method: str,
-    train_samples: QualitySampleSet,
-    profile: AspTypeProfile,
-    params: UtilityParams,
-    ambiguity: AmbiguityConfig,
-    cfg: RunConfig = None,
-) -> SolveReport:
+def train_method(method: str, train_samples: QualitySampleSet, cfg: RunConfig) -> SolveReport:
     """Train one method on the given samples and return its report.
 
-    ``dro`` climbs the robust objective; ``sp`` the mean operator utility at
-    the observed scores; ``ro`` the utility at the support floor, ignoring
-    the samples (the log benefit increases with quality, so the floor is
-    the worst point).  sp and ro pin the inner point to each anchor
-    (:func:`solve_pinned`).  All three run the same ascent engine and
-    stopping rule, read from ``cfg``'s loop keys (``None``: the defaults),
-    so benchmark differences come from the objective alone.
+    The model comes from ``cfg`` alone: its type profile, utility weights
+    and, for dro, the radius of ``train_samples.n`` samples.  ``dro`` climbs
+    the robust objective; ``sp`` the mean operator utility at the observed
+    scores; ``ro`` the utility at the support floor ``cfg.support_lo``,
+    ignoring the samples (the log benefit increases with quality, so the
+    floor is the worst point).  sp and ro pin the inner point to each
+    anchor (:func:`solve_pinned`).  All three run the same ascent engine
+    and stopping rule, read from ``cfg``'s loop keys, so benchmark
+    differences come from the objective alone.  A nonpositive log argument
+    names its point: ``sample k: `` for sp, and ``support floor lo: `` for
+    dro and ro, whose least candidate point, the first to fail, is the floor.
     """
-    if method == "dro":
-        return solve(train_samples, profile, params, ambiguity, cfg)
-    if method == "sp":
-        return solve_pinned(train_samples, profile, params, cfg)
-    if method == "ro":
-        return solve_pinned([ambiguity.support.lo], profile, params, cfg)
-    raise ValidationError(f"unknown method {method!r}; expected one of {CANONICAL_METHODS}")
+    if method not in CANONICAL_METHODS:
+        raise ValidationError(f"unknown method {method!r}; expected one of {CANONICAL_METHODS}")
+    profile, params = cfg.profile(), cfg.params()
+    try:
+        if method == "dro":
+            ambiguity = cfg.ambiguity_for(train_samples.n)
+            return solve(train_samples, profile, params, ambiguity, cfg)
+        anchors = train_samples if method == "sp" else [cfg.support_lo]
+        return solve_pinned(anchors, profile, params, cfg)
+    except NonPositiveLogArgument as exc:
+        k = exc.sample_index
+        where = f"sample {k}" if method == "sp" else f"support floor {cfg.support_lo!r}"
+        raise NonPositiveLogArgument(f"{where}: {exc}", k) from exc
 
 
 def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS):
@@ -117,7 +120,6 @@ def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS):
     evals = cfg.eval_samples()
     profile = cfg.profile()
     params = cfg.params()
-    ambiguity = cfg.ambiguity_for(train.n)
     teleop_rows, asp_rows = [], []
     levels = [
         (count, inject_extreme_points(train, count, cfg.extreme_value, cfg.seed))
@@ -127,7 +129,7 @@ def run_benchmark(cfg: RunConfig, methods=CANONICAL_METHODS):
         for method in CANONICAL_METHODS:
             if method not in requested:
                 continue
-            report = train_method(method, contaminated, profile, params, ambiguity, cfg)
+            report = train_method(method, contaminated, cfg)
             for magnitude in map(float, cfg.shift_magnitudes):
                 shifted = shift_samples(evals, magnitude)
                 utility = eval_teleop_utility(report.menu, shifted, profile, params)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drcontract import AspTypeProfile, UtilityParams
+from drcontract import AspTypeProfile
 from drcontract.config import RunConfig
 from drcontract.contracts import FEASIBILITY_TOL, MONOTONE_TOL
 
@@ -14,11 +14,6 @@ def default_cfg():
 @pytest.fixture(scope="session")
 def default_profile(default_cfg):
     return default_cfg.profile()
-
-
-@pytest.fixture(scope="session")
-def unit_params():
-    return UtilityParams(gamma1=1.0, gamma2=1.0, gamma3=1.0)
 
 
 @pytest.fixture(scope="session")

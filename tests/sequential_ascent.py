@@ -23,7 +23,6 @@ import numpy as np
 from drcontract import ContractMenu, NumericError, bcd
 from drcontract.ambiguity import sample_values
 from drcontract.bcd import SolveReport
-from drcontract.config import RunConfig
 from drcontract.inner import inner_candidates, unbounded
 
 
@@ -44,7 +43,7 @@ def per_type_latency_gradient(xi, latencies, profile, params):
     return gradient
 
 
-def sequential_solve(samples, profile, params, ambiguity, cfg=None) -> SolveReport:
+def sequential_solve(samples, profile, params, ambiguity, cfg) -> SolveReport:
     anchors = sample_values(samples)
     candidates = inner_candidates(anchors, ambiguity.support)
     lo, projections = float(candidates.points[0]), candidates.points[1:]
@@ -54,14 +53,13 @@ def sequential_solve(samples, profile, params, ambiguity, cfg=None) -> SolveRepo
         distances = np.where(wins, candidates.p_distance, candidates.lo_distance)
         return float(omega), np.where(wins, projections, lo), distances, wins
 
-    cfg = cfg or RunConfig()
     report = _sequential_ascend(ambiguity.epsilon, evaluate, profile, params, cfg, cfg.lambda_init)
     if unbounded(candidates, ambiguity.epsilon):
         report.stop_reason = "unbounded"
     return report
 
 
-def sequential_solve_pinned(anchors, profile, params, cfg=None) -> SolveReport:
+def sequential_solve_pinned(anchors, profile, params, cfg) -> SolveReport:
     anchors = sample_values(anchors)
     distances = np.zeros(anchors.size)
 
@@ -71,7 +69,7 @@ def sequential_solve_pinned(anchors, profile, params, cfg=None) -> SolveReport:
         omega = bcd.sample_value(bcd.weighted_log(anchors, lat, profile.alphas, params), g)
         return float(omega), anchors, distances, None
 
-    return _sequential_ascend(0.0, evaluate, profile, params, cfg or RunConfig(), 0.0)
+    return _sequential_ascend(0.0, evaluate, profile, params, cfg, 0.0)
 
 
 # as in the solver, an overflow reaches the finite checks silently

@@ -186,13 +186,11 @@ def test_criterion_06_default_configuration_converges(dro_report):
 
 
 def test_criterion_07_asp_utility_monotonicity(
-    dro_report, seed0_train, seed0_profile, seed0_ambiguity
+    dro_report, default_cfg, seed0_train, seed0_profile
 ):
     menus = {"dro": dro_report.menu}
     for method in ("sp", "ro"):
-        menus[method] = train_method(
-            method, seed0_train, seed0_profile, PARAMS, seed0_ambiguity, RunConfig()
-        ).menu
+        menus[method] = train_method(method, seed0_train, default_cfg).menu
     worst_first, ok = 0.0, True
     for method, menu in menus.items():
         utilities = eval_asp_utilities(menu, seed0_profile, PARAMS.gamma1)

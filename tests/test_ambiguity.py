@@ -51,6 +51,12 @@ class TestRadius:
             with pytest.raises(ValidationError, match=r"tau must lie in \(0, 1\)"):
                 radius(100, tau, 40.0)
 
+    def test_rejects_no_samples_and_no_diameter(self):
+        with pytest.raises(ValidationError, match="n_samples must be a positive integer"):
+            radius(0, 0.99, 40.0)
+        with pytest.raises(ValidationError, match="diameter must be > 0"):
+            radius(200, 0.99, 0.0)
+
     @given(
         n=st.integers(1, 10**6),
         tau=st.floats(0.01, 0.99),
@@ -92,6 +98,15 @@ class TestEmpiricalDistribution:
         with pytest.raises(DataError, match="at least one observation"):
             QualitySampleSet([])
 
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValidationError, match=r"samples must be 1-D, got shape \(1, 2\)"):
+            QualitySampleSet([[80.0, 90.0]])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValidationError, match="samples must be finite"):
+            QualitySampleSet([80.0, value])
+
 
 class TestWasserstein:
     def test_identity(self):
@@ -106,6 +121,10 @@ class TestWasserstein:
     def test_size_mismatch(self):
         with pytest.raises(DataError, match="sample counts differ: 1 vs 2"):
             wasserstein_1d([1.0], [1.0, 2.0])
+
+    def test_empty(self):
+        with pytest.raises(DataError, match="cannot compare empty distributions"):
+            wasserstein_1d([], [])
 
     def test_accepts_sample_sets_and_distributions(self):
         s = QualitySampleSet([1.0, 2.0])
@@ -202,6 +221,10 @@ class TestInjectExtremePoints:
     def test_count_exceeds_n(self):
         with pytest.raises(DataError, match="count 3 exceeds sample count 2"):
             inject_extreme_points(QualitySampleSet([1.0, 2.0]), 3, 1.0, seed=0)
+
+    def test_negative_count(self):
+        with pytest.raises(ValidationError, match="count must be >= 0"):
+            inject_extreme_points(QualitySampleSet([1.0, 2.0]), -1, 1.0, seed=0)
 
 
 class TestAmbiguityConfig:

@@ -14,6 +14,7 @@ from scipy.optimize import isotonic_regression as scipy_isotonic
 from drcontract import (
     AmbiguityConfig,
     AspTypeProfile,
+    DataError,
     NonPositiveLogArgument,
     NumericError,
     QualitySampleSet,
@@ -243,6 +244,12 @@ class TestIroning:
 
     def test_full_pool(self):
         np.testing.assert_allclose(iron_monotone([3.0, 1.0, 2.0], [1, 1, 1]), [2.0, 2.0, 2.0])
+
+    def test_refuses_unequal_lengths_and_non_finite_latencies(self):
+        with pytest.raises(DataError, match="latencies and weights must have equal length"):
+            iron_monotone([1.0, 2.0], [1.0])
+        with pytest.raises(ValidationError, match="latencies must be finite"):
+            iron_monotone([1.0, math.inf], [1.0, 1.0])
 
     def test_weighted_pool(self):
         np.testing.assert_allclose(iron_monotone([5.0, 1.0], [0.75, 0.25]), [4.0, 4.0])
@@ -820,9 +827,10 @@ def denominator_instances(draw):
     latencies, lams = (np.array(rows), np.array(lams)) if height else (np.array(rows[0]), lams[0])
     wins = np.array(draw(st.lists(st.booleans(), min_size=len(anchors), max_size=len(anchors))))
     if draw(st.booleans()):
-        return bcd.solve_pinned, (anchors, profile, params), latencies, lams, wins
+        return bcd.solve_pinned, (anchors, profile, params, RunConfig()), latencies, lams, wins
     amb = AmbiguityConfig(support, draw(st.floats(0.5, 30.0)))
-    return solve, (QualitySampleSet(anchors), profile, params, amb), latencies, lams, wins
+    args = (QualitySampleSet(anchors), profile, params, amb, RunConfig())
+    return solve, args, latencies, lams, wins
 
 
 class TestStepDenominators:
@@ -949,8 +957,7 @@ class TestSolve:
 @pytest.fixture(scope="module")
 def reference_components():
     cfg = RunConfig()
-    train = cfg.train_samples()
-    return train, cfg.profile(), cfg.params(), cfg.ambiguity_for(train.n), cfg
+    return cfg.train_samples(), cfg
 
 
 class TestReferenceSolves:
@@ -1027,10 +1034,10 @@ class TestReferenceSolves:
 
     @pytest.mark.parametrize("count", [0, 100])
     def test_dro_trace_digest(self, reference_components, count):
-        train, profile, params, amb, cfg = reference_components
+        train, cfg = reference_components
         run = RunConfig()
         samples = inject_extreme_points(train, count, run.extreme_value, run.seed)
-        report = train_method("dro", samples, profile, params, amb, cfg)
+        report = train_method("dro", samples, cfg)
         digest = hashlib.sha256()
         for trace in (report.objective_trace, report.lambda_trace, report.latency_trace):
             digest.update(trace.tobytes())
@@ -1038,10 +1045,10 @@ class TestReferenceSolves:
 
     @pytest.mark.parametrize("count", [50, 100])
     def test_contaminated_dro_solve(self, reference_components, count):
-        train, profile, params, amb, cfg = reference_components
+        train, cfg = reference_components
         run = RunConfig()
         contaminated = inject_extreme_points(train, count, run.extreme_value, run.seed)
-        report = train_method("dro", contaminated, profile, params, amb, cfg)
+        report = train_method("dro", contaminated, cfg)
         objective_repr, lam_repr, latencies, rewards = self.CONTAMINATED[count]
         assert (report.iterations_used, report.stop_reason) == (1500, "unbounded")
         assert repr(report.objective) == objective_repr
@@ -1059,8 +1066,8 @@ class TestStopReason:
         assert (report.converged, report.stop_reason) == (True, "tol")
 
     def test_iteration_budget(self, reference_components):
-        train, profile, params, amb, cfg = reference_components
-        report = train_method("dro", train, profile, params, amb, replace(cfg, itr_max=3))
+        train, cfg = reference_components
+        report = train_method("dro", train, replace(cfg, itr_max=3))
         assert (report.converged, report.iterations_used, report.stop_reason) == (
             False,
             3,
@@ -1070,7 +1077,7 @@ class TestStopReason:
     def test_contaminated_dro_solve_is_unbounded(self, reference_components):
         # 50 training points at 1.0, 59 below the support floor: the mean
         # distance to the support is 14.75, over the 8.58 radius
-        train, profile, params, amb, cfg = reference_components
+        train, cfg = reference_components
         contaminated = inject_extreme_points(train, 50, 1.0, 0)
-        report = train_method("dro", contaminated, profile, params, amb, cfg)
+        report = train_method("dro", contaminated, cfg)
         assert (report.converged, report.stop_reason) == (False, "unbounded")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from drcontract import ContractMenu, cli, errors, load_config, radius
+from drcontract import ContractMenu, RunConfig, cli, errors, load_config, radius
 from drcontract import read_menu_csv, write_menu_csv
 from drcontract.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from conftest import feasibility_violations
@@ -465,11 +465,49 @@ class TestExitCodes:
     )
     def test_nonpositive_log_argument_exits_four(self, tmp_path, capsys, method, code):
         # dro and ro take logs at the support floor, -10, where gamma2*xi +
-        # gamma3*L is -10 at the start's zero latencies; sp takes them at the
-        # training anchors only, which are all positive
+        # gamma3*L is -10 at the start's zero latencies, and the line names
+        # the floor; sp takes them at the training anchors only, which are
+        # all positive
         cfg = tmp_path / "c.cfg"
         cfg.write_text("support_lo = -10\n")
         assert run("solve", "--config", cfg, "--method", method, "--out", tmp_path / "o") == code
         err = capsys.readouterr().err.splitlines()
-        expected = ["numeric failure: log argument -10.0 at xi=-10.0 must be > 0"]
+        expected = [
+            "numeric failure: support floor -10.0: log argument -10.0 at xi=-10.0 must be > 0"
+        ]
         assert err == (expected if code else [])
+
+    def test_nonpositive_log_argument_at_a_training_sample_names_it(self, tmp_path, capsys):
+        # sp takes logs at its samples, 0-based: sample 1 is -3
+        data = tmp_path / "train.csv"
+        data.write_text("xi\n80\n-3\n90\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"train_csv = {data}\n")
+        code = run("solve", "--config", cfg, "--method", "sp", "--out", tmp_path / "o")
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric failure: sample 1: log argument -3.0 at xi=-3.0 must be > 0\n"
+        )
+
+    def test_header_only_training_csv_exits_three(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_text("xi\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"train_csv = {data}\n")
+        assert run("solve", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {data} contains no observations\n"
+
+    def test_header_only_menu_exits_three(self, tmp_path, toy_config, capsys):
+        menu = tmp_path / "menu.csv"
+        menu.write_text("type_index,L,R\n")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(TOY_CONFIG + f"menu_csv = {menu}\n")
+        assert run("evaluate", "--config", cfg, "--out", tmp_path / "o") == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {menu}:1: no data rows\n"
+
+    def test_unknown_subcommand_exits_two_before_any_output(self, tmp_path, capsys):
+        # the parser refuses it for main; dispatch, called directly, too
+        out = tmp_path / "o"
+        assert cli.dispatch("nope", RunConfig(), out=out) == EXIT_CONFIG
+        assert capsys.readouterr().err == "unknown subcommand 'nope'\n"
+        assert not out.exists()

@@ -18,6 +18,7 @@ from drcontract.config import (
     parse_config_text,
 )
 from drcontract.ambiguity import SupportInterval
+from drcontract.seeding import rng_for
 
 
 class TestDefaults:
@@ -137,6 +138,17 @@ class TestValidation:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_empty_thetas_named(self, tmp_path, capsys):
+        # a ladder of no types, before any draw of their probabilities
+        message = "thetas must hold at least one type"
+        with pytest.raises(ValidationError) as err:
+            RunConfig(thetas=())
+        assert str(err.value) == message
+        path = tmp_path / "c.cfg"
+        path.write_text("thetas =\n")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_decreasing_thetas_rejected(self):
         with pytest.raises(ValidationError):
             RunConfig(thetas=(140.0, 110.0))
@@ -174,6 +186,14 @@ class TestGenerateAlphas:
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(generate_alphas(8, 0), generate_alphas(8, 1))
+
+    def test_no_types_rejected(self):
+        with pytest.raises(ValidationError, match="n_types must be >= 1"):
+            generate_alphas(0, 0)
+
+    def test_unknown_stream_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown rng label 'nope'"):
+            rng_for(0, "nope")
 
 
 class TestGenerateSamples:

@@ -66,6 +66,14 @@ class TestProfileInvariants:
     def test_duplicate_thetas_accepted(self):
         AspTypeProfile(thetas=[110, 110], alphas=[0.5, 0.5])
 
+    def test_rejects_no_types(self):
+        with pytest.raises(ValidationError, match="profile needs at least one type"):
+            AspTypeProfile(thetas=[], alphas=[])
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValidationError, match=r"expected a 1-D vector, got shape \(1, 2\)"):
+            AspTypeProfile(thetas=[[110, 140]], alphas=[0.5, 0.5])
+
 
 class TestUtilityParams:
     def test_gamma3_zero_allowed(self):
@@ -148,6 +156,11 @@ class TestRewardsFromLatencies:
     def test_single_type_identity_scaling(self):
         profile = AspTypeProfile(thetas=[1.0], alphas=[1.0])
         assert rewards_from_latencies([5.0], profile, 1.0) == pytest.approx([5.0])
+
+    def test_refuses_a_latency_per_type_short(self):
+        profile = AspTypeProfile(thetas=[110, 140], alphas=[0.5, 0.5])
+        with pytest.raises(DataError, match=r"latencies \(1\) and profile \(2\) differ"):
+            rewards_from_latencies([5.0], profile, 1.0)
 
     def test_rejects_decreasing_latencies(self):
         profile = AspTypeProfile(thetas=[110, 140], alphas=[0.5, 0.5])
@@ -339,6 +352,10 @@ class TestContractMenu:
     def test_rejects_non_finite_entries(self, latencies, rewards):
         with pytest.raises(ValidationError):
             ContractMenu(latencies=latencies, rewards=rewards)
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValidationError, match="latencies and rewards must have equal length"):
+            ContractMenu(latencies=[0.0, 1.0], rewards=[0.0])
 
 
 class TestCsvRoundTrip:

@@ -29,6 +29,7 @@ from drcontract import (
     run_benchmark,
     shift_samples,
     solve,
+    solve_pinned,
     write_asp_csv,
     write_metrics_csv,
 )
@@ -761,6 +762,55 @@ class TestPrune:
                 omega, lat = oracle_menu_search(*args)
             results.append((omega, lat.tolist()))
         assert results[0] == results[1]
+
+
+class TestTrainMethod:
+    """``train_method`` reads the model, and the pin of ro, from its config."""
+
+    CFG = RunConfig(
+        thetas=(110.0, 140.0, 180.0),
+        alphas=(0.25, 0.35, 0.4),
+        gamma2=2.0,
+        support_lo=50.0,
+        tau=0.5,
+        n_train=30,
+        itr_max=50,
+    )
+
+    @pytest.mark.parametrize("method", ["dro", "sp", "ro"])
+    def test_the_model_comes_from_the_config(self, method):
+        cfg = self.CFG
+        train = cfg.train_samples()
+        profile, params = cfg.profile(), cfg.params()
+        expected = {
+            "dro": lambda: solve(train, profile, params, cfg.ambiguity_for(train.n), cfg),
+            "sp": lambda: solve_pinned(train, profile, params, cfg),
+            "ro": lambda: solve_pinned([cfg.support_lo], profile, params, cfg),
+        }[method]()
+        report = evaluation.train_method(method, train, cfg)
+        assert report.objective_trace.tobytes() == expected.objective_trace.tobytes()
+        assert report.lambda_trace.tobytes() == expected.lambda_trace.tobytes()
+        assert report.latency_trace.tobytes() == expected.latency_trace.tobytes()
+
+    @pytest.mark.parametrize(
+        "method, index, message",
+        [
+            ("dro", 0, "support floor -10.0: log argument -10.0 at xi=-10.0 must be > 0"),
+            ("sp", 1, "sample 1: log argument -3.0 at xi=-3.0 must be > 0"),
+            ("ro", 0, "support floor -10.0: log argument -10.0 at xi=-10.0 must be > 0"),
+        ],
+    )
+    def test_a_nonpositive_log_argument_names_its_point(self, method, index, message):
+        # dro and ro fail first at the floor, their least candidate point;
+        # sp takes its logs at the samples alone
+        train = QualitySampleSet([80.0, -3.0, 90.0])
+        with pytest.raises(NonPositiveLogArgument) as err:
+            evaluation.train_method(method, train, RunConfig(support_lo=-10.0))
+        assert (err.value.sample_index, str(err.value)) == (index, message)
+
+    def test_unknown_method_raises_before_its_inputs_are_read(self):
+        with pytest.raises(ValidationError, match="^unknown method 'drl'; expected one of"):
+            evaluation.train_method("drl", None, None)
 
 
 class TestRunBenchmark:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from drcontract import (
-    AmbiguityConfig,
     AspTypeProfile,
     QualitySampleSet,
     RunConfig,
@@ -21,12 +20,30 @@ PARAMS = UtilityParams()
 SUPPORT = SupportInterval(60.0, 100.0)
 
 
-def train_sp(samples, profile, cfg=None):
-    return train_method("sp", samples, profile, PARAMS, AmbiguityConfig(SUPPORT, 0.0), cfg)
+def model(profile, support=SUPPORT, **keys) -> RunConfig:
+    """The config of ``profile`` on ``support``, with the reference weights
+    (``PARAMS``) and the reference loop keys but those ``keys`` sets."""
+    cfg = RunConfig(
+        thetas=tuple(profile.thetas.tolist()),
+        alphas=tuple(profile.alphas.tolist()),
+        support_lo=support.lo,
+        support_hi=support.hi,
+        **keys,
+    )
+    # the float64 round trip through a tuple of Python floats is exact
+    model_profile = cfg.profile()
+    assert model_profile.thetas.tobytes() == profile.thetas.tobytes()
+    assert model_profile.alphas.tobytes() == profile.alphas.tobytes()
+    assert cfg.params() == PARAMS
+    return cfg
+
+
+def train_sp(samples, profile, **keys):
+    return train_method("sp", samples, model(profile, **keys))
 
 
 def train_ro(support, profile, samples=QualitySampleSet([80.0])):
-    return train_method("ro", samples, profile, PARAMS, AmbiguityConfig(support, 0.0))
+    return train_method("ro", samples, model(profile, support))
 
 
 def instance(n_types=3, n_samples=30, seed=13):
@@ -43,7 +60,7 @@ class TestSampleAverage:
         # sp IS the shared engine run in pinned mode, and the engine holds
         # the multiplier at zero whatever the configured initial value
         profile, samples = instance()
-        direct = train_sp(samples, profile, RunConfig(lambda_init=6.0))
+        direct = train_sp(samples, profile, lambda_init=6.0)
         engine = solve_pinned(samples.samples, profile, PARAMS, RunConfig(lambda_init=0.0))
         assert direct.objective == engine.objective
         np.testing.assert_array_equal(direct.menu.latencies, engine.menu.latencies)
@@ -141,10 +158,7 @@ class TestScorerAgreement:
     CFG = RunConfig(seed=0)
 
     def train(self, method):
-        cfg = self.CFG
-        train = cfg.train_samples()
-        amb = cfg.ambiguity_for(train.n)
-        return train_method(method, train, cfg.profile(), cfg.params(), amb, cfg)
+        return train_method(method, self.CFG.train_samples(), self.CFG)
 
     def test_sp_objective_is_its_training_score(self):
         report = self.train("sp")
