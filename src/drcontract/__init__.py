@@ -36,7 +36,6 @@ from .contracts import (
     eval_asp_utilities,
     expected_reward,
     read_menu_csv,
-    read_profile_csv,
     rewards_from_latencies,
     write_menu_csv,
     write_profile_csv,

@@ -390,16 +390,10 @@ def _ascend(evaluate, minimizers, points, profile, params, cfg, lam) -> SolveRep
     )
 
 
-def write_trace_csv(report: SolveReport, path, method: str = None) -> None:
-    """Per-iteration trace: iter,objective,lambda,L_1..L_I.
-
-    The sp and ro traces name their ``method`` in a first column.
-    """
+def write_trace_csv(report: SolveReport, path) -> None:
+    """Per-iteration trace: iter,objective,lambda,L_1..L_I, for every method."""
     n_types = report.menu.n_types
     header = ["iter", "objective", "lambda"] + [f"L_{i + 1}" for i in range(n_types)]
     traces = zip(report.objective_trace, report.lambda_trace, report.latency_trace)
     rows = ([t, obj, lam, *lat] for t, (obj, lam, lat) in enumerate(traces, start=1))
-    if method is not None:
-        header = ["method"] + header
-        rows = ([method] + row for row in rows)
     write_table(path, header, rows)

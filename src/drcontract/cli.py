@@ -100,7 +100,7 @@ def _cmd_gen_data(cfg: RunConfig, method: str, out: Path) -> None:
 def _cmd_solve(cfg: RunConfig, method: str, out: Path) -> None:
     report = train_method(method, cfg.train_samples(), cfg)
     write_menu_csv(report.menu, out / "menu.csv")
-    write_trace_csv(report, out / "trace.csv", method=None if method == "dro" else method)
+    write_trace_csv(report, out / "trace.csv")
     status = "converged" if report.converged else "max iterations reached"
     print(
         f"{method}: {status} after {report.iterations_used} iterations, "

@@ -214,23 +214,16 @@ def write_profile_csv(profile: AspTypeProfile, path) -> None:
     write_table(path, ["type_index", "theta", "alpha"], rows)
 
 
-def read_profile_csv(path) -> AspTypeProfile:
-    return _read_type_table(path, ["type_index", "theta", "alpha"], AspTypeProfile)
-
-
 def write_menu_csv(menu: ContractMenu, path) -> None:
     rows = zip(range(1, menu.n_types + 1), menu.latencies, menu.rewards)
     write_table(path, ["type_index", "L", "R"], rows)
 
 
 def read_menu_csv(path) -> ContractMenu:
-    return _read_type_table(path, ["type_index", "L", "R"], ContractMenu)
-
-
-def _read_type_table(path, header, build):
-    """``build`` of a type table's two columns; a ParseError names the file."""
-    table = read_indexed_table(path, header)
+    """The menu a menu file holds; a menu that ContractMenu refuses is a
+    ParseError naming the file."""
+    table = read_indexed_table(path, ["type_index", "L", "R"])
     try:
-        return build(table[:, 0], table[:, 1])
+        return ContractMenu(table[:, 0], table[:, 1])
     except ValidationError as exc:
         raise ParseError(str(exc), str(path)) from exc

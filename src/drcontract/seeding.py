@@ -7,6 +7,8 @@ streams of existing ones.
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Fixed label codes; never renumber, only append.
 _LABEL_CODES = {
     "train-data": 1,
@@ -20,5 +22,5 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     try:
         code = _LABEL_CODES[label]
     except KeyError:
-        raise ValueError(f"unknown rng label {label!r}; known: {sorted(_LABEL_CODES)}")
+        raise ValidationError(f"unknown rng label {label!r}; known: {sorted(_LABEL_CODES)}")
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), code)))

@@ -937,9 +937,6 @@ class TestSolve:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iter,objective,lambda,L_1,L_2"
         assert len(lines) == 11
-        path2 = tmp_path / "trace_sp.csv"
-        write_trace_csv(report, path2, method="sp")
-        assert path2.read_text().splitlines()[0] == "method,iter,objective,lambda,L_1,L_2"
 
     def test_a_robust_solve_indexes_its_candidate_points(self):
         # the log arguments are taken at the candidate points, the support

@@ -8,6 +8,7 @@ import pytest
 from drcontract import ContractMenu, RunConfig, cli, errors, load_config, radius
 from drcontract import read_menu_csv, write_menu_csv
 from drcontract.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from drcontract.evaluation import CANONICAL_METHODS
 from conftest import feasibility_violations
 
 TOY_CONFIG = """
@@ -74,7 +75,7 @@ class TestSolve:
         )
         out = tmp_path / "out"
         assert run("solve", "--config", cfg2, "--method", "sp", "--out", out) == 0
-        assert (out / "trace.csv").read_text().splitlines()[0].startswith("method,iter")
+        assert (out / "trace.csv").read_text().splitlines()[0].startswith("iter,objective,lambda")
 
 
 class TestEvaluate:
@@ -96,7 +97,8 @@ class TestEvaluate:
         cfg.write_text(f"train_csv = {data / 'train.csv'}\n")
         out = tmp_path / "out"
         assert run("solve", "--config", cfg, "--method", "sp", "--seed", "0", "--out", out) == 0
-        objective = (out / "trace.csv").read_text().splitlines()[-1].split(",")[2]
+        header, *_, last = (out / "trace.csv").read_text().splitlines()
+        objective = last.split(",")[header.split(",").index("objective")]
         cfg.write_text(f"menu_csv = {out / 'menu.csv'}\neval_csv = {data / 'train.csv'}\n")
         capsys.readouterr()
         assert run("evaluate", "--config", cfg, "--seed", "0", "--out", out) == 0
@@ -177,6 +179,44 @@ class TestBench:
         assert run("bench", "--config", toy_config, "--seed", "5", "--out", out2) == 0
         assert filecmp.cmp(out1 / "metrics.csv", out2 / "metrics.csv", shallow=False)
         assert filecmp.cmp(out1 / "asp_utility.csv", out2 / "asp_utility.csv", shallow=False)
+
+
+def readme_file_formats():
+    """README's "File formats" table: each row's file and the header its
+    schema cell names first."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("|")]
+    return {name.strip(): re.search(r"`([^`]*)`", schema)[1] for name, schema in rows[2:]}
+
+
+class TestFileFormats:
+    def test_readme_table_is_what_each_command_writes(self, tmp_path, toy_config):
+        # the toy config's two types expand the trace's L_1..L_I
+        documented = {
+            name: schema.replace("L_1..L_I", "L_1,L_2")
+            for name, schema in readme_file_formats().items()
+        }
+        data, bench = tmp_path / "data", tmp_path / "bench"
+        assert run("gen-data", "--config", toy_config, "--out", data) == 0
+        written = {
+            "samples CSV": [data / "train.csv", data / "eval.csv"],
+            "profile CSV": [data / "profile.csv"],
+            "menu CSV": [],
+            "trace CSV": [],
+            "metrics.csv": [bench / "metrics.csv"],
+            "asp_utility.csv": [bench / "asp_utility.csv"],
+        }
+        for method in CANONICAL_METHODS:
+            out = tmp_path / f"solve-{method}"
+            assert run("solve", "--config", toy_config, "--method", method, "--out", out) == 0
+            written["menu CSV"].append(out / "menu.csv")
+            written["trace CSV"].append(out / "trace.csv")
+        assert run("bench", "--config", toy_config, "--out", bench) == 0
+        assert written.keys() == documented.keys()
+        for name, paths in written.items():
+            for path in paths:
+                assert path.read_text().splitlines()[0] == documented[name], path
 
 
 class TestOracleCommand:
@@ -315,6 +355,41 @@ class TestExitCodes:
                             unused.append(f"{path.name}:{node.lineno} {name}")
         assert len(list(package.glob("*.py"))) > 1
         assert unused == []
+
+    def test_every_raise_is_a_library_error(self):
+        # dispatch maps the three families to exit codes and lets any other
+        # class through as a traceback; a bare raise passes on what its
+        # handler caught, and a helper whose return annotation names a
+        # family member may build the error
+        package = Path(cli.__file__).parent
+        families = (errors.ValidationError, errors.DataError, errors.NumericError)
+        library = {
+            name
+            for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, families)
+        }
+        trees = {
+            path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(package.glob("*.py"))
+        }
+        builders = {
+            node.name
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and isinstance(node.returns, ast.Name)
+            and node.returns.id in library
+        }
+        assert builders == {"_nonpositive_log_argument"}
+        foreign = []
+        for name, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if not (isinstance(exc, ast.Name) and exc.id in library | builders):
+                        foreign.append(f"{name}:{node.lineno}")
+        assert len(trees) > 1
+        assert foreign == []
 
     def test_bad_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

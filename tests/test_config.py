@@ -192,7 +192,7 @@ class TestGenerateAlphas:
             generate_alphas(0, 0)
 
     def test_unknown_stream_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown rng label 'nope'"):
+        with pytest.raises(ValidationError, match="unknown rng label 'nope'"):
             rng_for(0, "nope")
 
 

@@ -19,10 +19,8 @@ from drcontract import (
     eval_asp_utilities,
     eval_teleop_utility,
     read_menu_csv,
-    read_profile_csv,
     rewards_from_latencies,
     write_menu_csv,
-    write_profile_csv,
 )
 from conftest import feasibility_violations, random_monotone_instance
 
@@ -359,13 +357,6 @@ class TestContractMenu:
 
 
 class TestCsvRoundTrip:
-    def test_profile_round_trip(self, tmp_path, default_profile):
-        path = tmp_path / "profile.csv"
-        write_profile_csv(default_profile, path)
-        back = read_profile_csv(path)
-        np.testing.assert_array_equal(back.thetas, default_profile.thetas)
-        np.testing.assert_array_equal(back.alphas, default_profile.alphas)
-
     def test_menu_round_trip(self, tmp_path, default_profile):
         lat = np.linspace(0.0, 70.0, default_profile.n_types)
         menu = menu_from(lat, default_profile)
@@ -376,16 +367,17 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.rewards, menu.rewards)
 
     def test_non_finite_value_names_the_line(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text("type_index,theta,alpha\n1,110.0,0.5\n2,inf,0.5\n")
+        path = tmp_path / "menu.csv"
+        path.write_text("type_index,L,R\n1,0.0,0.0\n2,inf,0.1\n")
         with pytest.raises(ParseError) as info:
-            read_profile_csv(path)
+            read_menu_csv(path)
         assert (info.value.path, info.value.line) == (str(path), 3)
 
-    def test_invalid_profile_names_the_file(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text("type_index,theta,alpha\n1,110.0,0.5\n2,140.0,0.6\n")
+    def test_invalid_menu_names_the_file(self, tmp_path):
+        # every cell parses, but ContractMenu refuses a negative latency
+        path = tmp_path / "menu.csv"
+        path.write_text("type_index,L,R\n1,-1.0,0.0\n2,5.0,0.1\n")
         with pytest.raises(ParseError) as info:
-            read_profile_csv(path)
+            read_menu_csv(path)
         assert info.value.path == str(path)
-        assert "alphas must sum to 1" in str(info.value)
+        assert str(info.value) == f"{path}: latencies are inverse latencies and must be >= 0"

@@ -8,7 +8,6 @@ from drcontract import (
     ParseError,
     QualitySampleSet,
     read_menu_csv,
-    read_profile_csv,
     read_samples_csv,
     write_menu_csv,
     write_samples_csv,
@@ -17,7 +16,6 @@ from drcontract import (
 # reader, header, two good rows
 READERS = {
     "samples": (read_samples_csv, "xi", ["80.0", "90.5"]),
-    "profile": (read_profile_csv, "type_index,theta,alpha", ["1,110.0,0.5", "2,140.0,0.5"]),
     "menu": (read_menu_csv, "type_index,L,R", ["1,0.0,0.0", "2,5.0,0.1"]),
 }
 
@@ -81,7 +79,7 @@ def test_blank_lines_are_skipped(tmp_path, name):
     plain.write_text(header + "\n" + "\n".join(rows) + "\n")
     spaced.write_text(header + "\n\n" + "\n\n\n".join(rows) + "\n\n")
     a, b = reader(plain), reader(spaced)
-    for field in ("samples", "thetas", "alphas", "latencies", "rewards"):
+    for field in ("samples", "latencies", "rewards"):
         if hasattr(a, field):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
@@ -98,7 +96,7 @@ class TestTypeIndex:
             (["0,0.0,0.0", "1,7.0,0.2"], 2),  # below 1
         ],
     )
-    @pytest.mark.parametrize("name", ["menu", "profile"])
+    @pytest.mark.parametrize("name", ["menu"])
     def test_bad_index_names_its_line(self, tmp_path, name, rows, line):
         reader, header, _ = READERS[name]
         path = tmp_path / "indexed.csv"
